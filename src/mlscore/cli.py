@@ -323,6 +323,9 @@ def cmd_bench(args, parser) -> int:
         parser.error("setups must be a comma list drawn from 1,2,3")
     if not rhos or any(not 0.0 < r < 1.0 for r in rhos):
         parser.error("rhos must be a comma list of values in (0, 1)")
+    if args.quantile is None and any(r <= 0.5 for r in rhos):
+        # the default margin quantile 1 - rho must stay below 0.5
+        parser.error("rhos must be above 0.5 unless --quantile is given")
     if not methods or any(m not in SELECT_METHODS for m in methods):
         parser.error(f"methods must be drawn from {','.join(SELECT_METHODS)}")
     margin_config = None

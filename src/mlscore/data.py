@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -97,6 +99,10 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     row (1-based, counted below the header) and column. When ``label_column``
     is given, that column is validated as 0/1, removed from the feature
     matrix, and attached as labels.
+
+    The rows are converted to floats in one NumPy call, which parses each
+    cell with Python's ``float``; only a file that fails the bulk checks is
+    scanned cell by cell, to report its first fault in file order.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -114,41 +120,58 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
         if label_column is not None and label_column not in header:
             raise DataError(f"{path}: label column {label_column!r} not in header")
         label_idx = header.index(label_column) if label_column is not None else None
+        rows = list(reader)
 
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        for i, raw in enumerate(reader, start=1):
-            if len(raw) != len(header):
+    table = None
+    if all(len(raw) == len(header) for raw in rows):
+        try:
+            table = np.array(rows, dtype=float).reshape(len(rows), len(header))
+        except ValueError:
+            pass
+    # a non-finite label fails the 0/1 test as well, so one finiteness
+    # check over the whole table covers the feature columns
+    sound = table is not None and bool(np.isfinite(table).all())
+    if sound and label_idx is not None:
+        sound = bool(np.isin(table[:, label_idx], (0.0, 1.0)).all())
+    if not sound:
+        _first_fault(path, header, rows, label_idx)
+
+    if len(rows) < 2:
+        raise DataError(f"{path}: need at least 2 data rows, got {len(rows)}")
+    if label_idx is None:
+        return Dataset(values=table, feature_names=header)
+    return Dataset(
+        values=np.delete(table, label_idx, axis=1),
+        feature_names=header[:label_idx] + header[label_idx + 1:],
+        labels=table[:, label_idx].astype(int),
+    )
+
+
+def _first_fault(path, header: list[str], rows: list[list[str]], label_idx) -> NoReturn:
+    """Raise the DataError for the first ragged row or bad cell in file order."""
+    for i, raw in enumerate(rows, start=1):
+        if len(raw) != len(header):
+            raise DataError(
+                f"{path}: row {i} has {len(raw)} cells, expected {len(header)}"
+            )
+        for j, cell in enumerate(raw):
+            if j == label_idx:
+                _as_label(cell.strip(), i, header[j])
+                continue
+            try:
+                x = float(cell)
+            except ValueError:
                 raise DataError(
-                    f"{path}: row {i} has {len(raw)} cells, expected {len(header)}"
+                    f"{path}: cannot parse cell at row {i}, column "
+                    f"{header[j]!r}: {cell!r}"
+                ) from None
+            if not math.isfinite(x):
+                raise DataError(
+                    f"{path}: non-finite value at row {i}, column {header[j]!r}"
                 )
-            parsed: list[float] = []
-            for j, cell in enumerate(raw):
-                if j == label_idx:
-                    labels.append(_as_label(cell.strip(), i, header[j]))
-                    continue
-                try:
-                    x = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: cannot parse cell at row {i}, column "
-                        f"{header[j]!r}: {cell!r}"
-                    ) from None
-                if not np.isfinite(x):
-                    raise DataError(
-                        f"{path}: non-finite value at row {i}, column {header[j]!r}"
-                    )
-                parsed.append(x)
-            rows.append(parsed)
-
-        if len(rows) < 2:
-            raise DataError(f"{path}: need at least 2 data rows, got {len(rows)}")
-        names = [h for j, h in enumerate(header) if j != label_idx]
-        return Dataset(
-            values=np.asarray(rows, dtype=float),
-            feature_names=names,
-            labels=np.asarray(labels, dtype=int) if label_idx is not None else None,
-        )
+    # np.array parses str cells with float(), so a table that failed the
+    # bulk checks always has a fault the scan above finds
+    raise DataError(f"{path}: cannot convert the table to numbers")
 
 
 def save_csv(ds: Dataset, path, label_column: str = "label") -> None:

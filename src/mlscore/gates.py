@@ -110,7 +110,10 @@ def _phi_over_sigma(state: GateState) -> np.ndarray:
 def dufs_bandwidth(gated: np.ndarray) -> float:
     """Per-epoch heat-kernel bandwidth: mean squared pairwise distance of
     the gated rows, floored at 1 so the kernel cannot collapse."""
-    sq = pdist(gated, metric="sqeuclidean")
+    return _bandwidth(pdist(gated, metric="sqeuclidean"))
+
+
+def _bandwidth(sq: np.ndarray) -> float:
     return max(1.0, float(sq.mean()))
 
 
@@ -118,12 +121,15 @@ def _dufs_core(
     F: np.ndarray,
     z: np.ndarray,
     state: GateState,
-    bandwidth: float,
+    bandwidth: float | None,
     want_grad: bool,
 ) -> tuple[float, np.ndarray | None]:
+    # a bandwidth of None is taken from the same distances the kernel uses
     gated = F * z
-    sq = squareform(pdist(gated, metric="sqeuclidean"))
-    W = np.exp(-sq / bandwidth)
+    sq = pdist(gated, metric="sqeuclidean")
+    if bandwidth is None:
+        bandwidth = _bandwidth(sq)
+    W = np.exp(-squareform(sq) / bandwidth)
     dvec = W.sum(axis=1)
     tiny = np.flatnonzero(dvec < 1e-300)
     if tiny.size:
@@ -170,8 +176,6 @@ def dufs_loss(
     to hold it fixed while mu varies (gradient checks do).
     """
     z = np.asarray(z, dtype=float)
-    if bandwidth is None:
-        bandwidth = dufs_bandwidth(ds.values * z)
     loss, _ = _dufs_core(ds.values, z, state, bandwidth, want_grad=False)
     return loss
 
@@ -254,8 +258,6 @@ def loss_gradient(
     """
     z = np.asarray(z, dtype=float)
     if variant == "dufs":
-        if bandwidth is None:
-            bandwidth = dufs_bandwidth(ds.values * z)
         _, grad = _dufs_core(ds.values, z, state, bandwidth, want_grad=True)
     elif variant == "dufs-mls":
         if model is None:
@@ -298,8 +300,7 @@ def train(
     for epoch in range(config.epochs):
         z = sample_gates(work, rng)
         if config.loss_variant == "dufs":
-            bandwidth = dufs_bandwidth(F * z)
-            loss, grad = _dufs_core(F, z, work, bandwidth, want_grad=True)
+            loss, grad = _dufs_core(F, z, work, bandwidth=None, want_grad=True)
         else:
             loss, grad = _dufs_mls_core(F, z, work, model, want_grad=True)
         if not math.isfinite(loss):

@@ -92,10 +92,16 @@ def skewness(f) -> float:
         raise ValueError(f"skewness needs at least 3 values, got {f.size}")
     if f.max() == f.min():
         raise ValueError("skewness undefined for a constant vector")
+    # skewness is scale-free, so values far from 1 in magnitude, whose mean,
+    # dev^3 or m2^(3/2) could under- or overflow, are divided by a power of
+    # two near the largest one, which is exact. The largest deviation is then
+    # at least about 2^-54, so the moments stay normal. Within 2^+-200 values
+    # are left as they are: pow is not exact under scaling.
+    _, exponent = np.frexp(np.abs(f).max())
+    if abs(exponent) > 200:
+        f = np.ldexp(f, -exponent)
     dev = f - f.mean()
     m2 = np.mean(dev * dev)
-    if m2 == 0.0:  # spread so small the second moment underflows
-        raise ValueError("skewness undefined: zero second moment")
     m3 = np.mean(dev * dev * dev)
     return float(m3 / m2**1.5)
 

@@ -290,6 +290,10 @@ def test_bench_validates_lists(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--reps", "0"])
     assert exc.value.code == 2
+    # the default margin quantile is 1 - rho, which must stay below 0.5
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--reps", "1", "--rhos", "0.5"])
+    assert exc.value.code == 2
 
 
 def test_bench_fixed_quantile_flows_through(tmp_path, monkeypatch):

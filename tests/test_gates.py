@@ -383,3 +383,29 @@ def test_train_plain_gradient_descent_path(rng):
     trace = train(ds, TrainConfig(epochs=5, optimizer="gd"), GateState.fresh(4))
     assert np.isfinite(trace.loss_history).all()
     assert np.isfinite(trace.mu).all()
+
+
+def test_train_dufs_matches_separate_bandwidth_loop(rng):
+    # train takes the bandwidth from the kernel's own distances; an epoch
+    # loop that computes it apart through dufs_bandwidth must agree bitwise
+    ds = _instance(rng, n=25, d=6)
+    config = TrainConfig(epochs=15, seed=11)
+    trace = train(ds, config, GateState.fresh(6))
+
+    state = GateState.fresh(6)
+    gen = np.random.default_rng(config.seed)
+    m_acc = np.zeros(6)
+    v_acc = np.zeros(6)
+    losses = []
+    for epoch in range(config.epochs):
+        z = sample_gates(state, gen)
+        bandwidth = dufs_bandwidth(ds.values * z)
+        losses.append(dufs_loss(ds, z, state, bandwidth=bandwidth))
+        grad = loss_gradient(ds, z, state, "dufs", bandwidth=bandwidth)
+        m_acc = 0.9 * m_acc + (1.0 - 0.9) * grad
+        v_acc = 0.999 * v_acc + (1.0 - 0.999) * grad * grad
+        m_hat = m_acc / (1.0 - 0.9 ** (epoch + 1))
+        v_hat = v_acc / (1.0 - 0.999 ** (epoch + 1))
+        state.mu = state.mu - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+    assert np.array_equal(trace.loss_history, losses)
+    assert trace.mu.tobytes() == state.mu.tobytes()

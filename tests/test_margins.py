@@ -69,6 +69,16 @@ def test_skewness_odd_symmetry(f):
     assert abs(skewness(-f) + s) <= 1e-9 * max(1.0, abs(s))
 
 
+@pytest.mark.parametrize("spike", [4.7e-122, 1e200])
+def test_skewness_far_from_unit_scale(spike):
+    # unscaled, m2^(3/2) underflows to 0 for the tiny spike and dev^3
+    # overflows for the huge one; both turned the result into NaN
+    f = np.array([0.0, 0.0, spike])
+    s = skewness(f)
+    assert abs(s - 1.0 / math.sqrt(2.0)) < 1e-12
+    assert skewness(-f) == -s
+
+
 # ------------------------------------------------------------ classify_skew
 
 
