@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 from scipy.special import ndtr
 
 from .data import Dataset
-from .margins import MarginModel, interaction_weights
+from .margins import MarginModel, _sq_distances, interaction_weights
 from .scores import _mls_numerators
 
 VAR_GUARD = 1e-12  # below this a gated feature counts as switched off
@@ -110,11 +109,7 @@ def _phi_over_sigma(state: GateState) -> np.ndarray:
 def dufs_bandwidth(gated: np.ndarray) -> float:
     """Per-epoch heat-kernel bandwidth: mean squared pairwise distance of
     the gated rows, floored at 1 so the kernel cannot collapse."""
-    return _bandwidth(pdist(gated, metric="sqeuclidean"))
-
-
-def _bandwidth(sq: np.ndarray) -> float:
-    return max(1.0, float(sq.mean()))
+    return max(1.0, _sq_distances(gated)[1])
 
 
 def _dufs_core(
@@ -126,10 +121,11 @@ def _dufs_core(
 ) -> tuple[float, np.ndarray | None]:
     # a bandwidth of None is taken from the same distances the kernel uses
     gated = F * z
-    sq = pdist(gated, metric="sqeuclidean")
+    W, mean_sq = _sq_distances(gated)
     if bandwidth is None:
-        bandwidth = _bandwidth(sq)
-    W = np.exp(-squareform(sq) / bandwidth)
+        bandwidth = max(1.0, mean_sq)
+    W /= -bandwidth
+    np.exp(W, out=W)
     dvec = W.sum(axis=1)
     tiny = np.flatnonzero(dvec < 1e-300)
     if tiny.size:

@@ -5,6 +5,10 @@ chosen by the sign of the sample skewness. Samples that fall in at least
 ``k`` margins get a log weight u_i = ln(c_i + 1), where c_i counts margin
 memberships, and the pairwise interaction kernel is a Laplacian-style
 exponential over the margin representation rows.
+
+This module also holds ``_sq_distances``, the one pairwise-distance routine
+behind every dense sample kernel in the package: the margin kernel here,
+the heat and kNN graphs of the Laplacian Score and the DUFS gate kernel.
 """
 
 from __future__ import annotations
@@ -15,9 +19,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
-from .data import Dataset
+from .data import DataError, Dataset
+
+# rows of the distance matrix finished per step of _sq_distances; keeps the
+# |x_i|^2 + |x_j|^2 term a small temporary instead of a second n x n matrix
+_ROW_BLOCK = 64
 
 
 class MarginKind(Enum):
@@ -156,6 +163,8 @@ def build_margin_model(ds: Dataset, config: MarginConfig) -> MarginModel:
     """
     X = ds.values
     n, d = X.shape
+    if n < 3:
+        raise DataError(f"margins need at least 3 data rows for skewness, got {n}")
     kinds: list[MarginKind] = []
     cutoffs: list[tuple[float | None, float | None]] = []
     membership = np.zeros((n, d), dtype=bool)
@@ -192,18 +201,46 @@ def build_margin_model(ds: Dataset, config: MarginConfig) -> MarginModel:
     )
 
 
+def _sq_distances(X: np.ndarray) -> tuple[np.ndarray, float]:
+    """Squared Euclidean distances between the rows of X, and their mean
+    over the n(n-1)/2 pairs.
+
+    D_ij = |x_i|^2 + |x_j|^2 - 2 x_i . x_j on the centred rows, from one BLAS
+    product Xc Xc' whose diagonal supplies the norms. Centring leaves the
+    distances as they are but keeps the subtraction from cancelling the
+    digits of rows far from the origin. The norm sum is added as one term,
+    so D is exactly symmetric; rounding below 0 is clamped and the diagonal
+    is exactly 0. The pair mean is 2 sum|xc_i|^2 / (n - 1) in closed form
+    (0 for a single row). Duplicated rows get distance exactly 0 when the
+    BLAS forms every dot product alike, which holds for small matrices; on
+    larger ones it can miss 0 by a few ulps of the squared norms.
+    """
+    n = X.shape[0]
+    Xc = X - X.mean(axis=0)
+    D = Xc @ Xc.T
+    sq = D.diagonal().copy()
+    D *= -2.0
+    for start in range(0, n, _ROW_BLOCK):
+        rows = D[start : start + _ROW_BLOCK]
+        rows += sq[start : start + _ROW_BLOCK, None] + sq[None, :]
+        np.maximum(rows, 0.0, out=rows)
+    np.fill_diagonal(D, 0.0)
+    mean_pair_sq = 2.0 * float(sq.sum()) / (n - 1) if n > 1 else 0.0
+    return D, mean_pair_sq
+
+
 def interaction_weights(model: MarginModel) -> InteractionWeights:
     """Dense pairwise kernel w_ij = exp(-||m_i - m_j|| / t) over margin rows.
 
-    Built from a condensed distance matrix, so symmetry is exact and the
-    diagonal is exactly 1. Cached on the model; training loops call this
-    every epoch.
+    Symmetry is exact and the diagonal is exactly 1 (see ``_sq_distances``).
+    Cached on the model; training loops call this every epoch.
     """
     if model._weights_cache is None:
-        dist = squareform(pdist(model.margin_rep, metric="euclidean"))
-        model._weights_cache = InteractionWeights(
-            weights=np.exp(-dist / model.t), t=model.t
-        )
+        W, _ = _sq_distances(model.margin_rep)
+        np.sqrt(W, out=W)
+        W /= -model.t
+        np.exp(W, out=W)
+        model._weights_cache = InteractionWeights(weights=W, t=model.t)
     return model._weights_cache
 
 

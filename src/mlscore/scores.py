@@ -6,15 +6,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .data import DataError, Dataset
-from .margins import InteractionWeights, MarginModel, interaction_weights
+from .margins import InteractionWeights, MarginModel, _sq_distances, interaction_weights
 
 # methods ranked ascending (lower score = keep); gate methods rank descending
 LOWER_IS_BETTER = frozenset({"ls", "mls"})
 
-KERNEL_MODES = ("heat", "binary-knn", "printed")
+KERNEL_MODES = ("heat", "binary-knn")
 
 
 @dataclass(frozen=True)
@@ -23,8 +22,7 @@ class KernelConfig:
 
     mode "heat" is exp(-||xi - xj||^2 / t) with t defaulting to the mean
     squared pairwise distance; "binary-knn" is a symmetrized 0/1 neighbor
-    graph; "printed" is the unsquared, unnegated exponential exp(+||xi -
-    xj|| / t), kept only so the two conventions can be compared.
+    graph.
     """
 
     bandwidth: float | None = None
@@ -53,31 +51,26 @@ class ScoreReport:
 
 def _affinity(X: np.ndarray, config: KernelConfig) -> np.ndarray:
     n = X.shape[0]
-    sq = squareform(pdist(X, metric="sqeuclidean"))
+    k = config.n_neighbors
+    if config.mode == "binary-knn" and k > n - 1:
+        raise DataError(
+            f"binary-knn needs n_neighbors <= n - 1, got n_neighbors={k} with n={n} rows"
+        )
+    sq, mean_sq = _sq_distances(X)
     if config.mode == "binary-knn":
-        if config.n_neighbors > n - 1:
-            raise ValueError(
-                f"n_neighbors must be <= n-1 ({n - 1}), got {config.n_neighbors}"
-            )
-        ranked = sq.copy()
-        np.fill_diagonal(ranked, -1.0)  # self sorts first even under ties
-        order = np.argsort(ranked, axis=1, kind="stable")
+        np.fill_diagonal(sq, -1.0)  # self sorts first even under ties
+        order = np.argsort(sq, axis=1, kind="stable")
         S = np.zeros((n, n))
-        rows = np.repeat(np.arange(n), config.n_neighbors)
-        S[rows, order[:, 1 : config.n_neighbors + 1].ravel()] = 1.0
+        rows = np.repeat(np.arange(n), k)
+        S[rows, order[:, 1 : k + 1].ravel()] = 1.0
         S = np.maximum(S, S.T)
         np.fill_diagonal(S, 1.0)
         return S
     t = config.bandwidth
     if t is None:
-        mean_sq = float(sq[np.triu_indices(n, k=1)].mean()) if n > 1 else 0.0
         t = mean_sq if mean_sq > 0 else 1.0
-    if config.mode == "printed":
-        # literal convention: positive exponent over the unsquared norm;
-        # overflows to inf on spread-out data, which is the point of the demo
-        with np.errstate(over="ignore"):
-            return np.exp(np.sqrt(sq) / t)
-    return np.exp(-sq / t)
+    sq /= -t
+    return np.exp(sq, out=sq)
 
 
 def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreReport:

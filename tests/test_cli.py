@@ -96,6 +96,32 @@ def test_score_single_row_csv_is_data_error(tmp_path, capsys):
     assert "at least 2 data rows" in capsys.readouterr().err
 
 
+def test_score_binary_knn_too_few_rows_is_data_error(tmp_path, capsys):
+    path = tmp_path / "four.csv"
+    path.write_text("a,b\n1,2\n3,1\n0,5\n2,2\n")
+    code = main(["score", "--method", "ls", "--kernel", "binary-knn",
+                 "--n-neighbors", "5", "--input", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "n_neighbors=5" in err and "n=4" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["score", "--method", "mls"],
+     ["select", "--method", "dufs-mls", "--num-features", "1", "--epochs", "2"]],
+)
+def test_margin_methods_on_two_rows_are_data_errors(tmp_path, capsys, argv):
+    path = tmp_path / "two.csv"
+    path.write_text("a,b\n1,2\n3,1\n")
+    code = main(argv + ["--input", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "at least 3 data rows" in err
+
+
 # ------------------------------------------------------------------- select
 
 

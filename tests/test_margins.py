@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
-from mlscore.data import Dataset
+from mlscore.data import DataError, Dataset
 from mlscore.margins import (
     InteractionWeights,
     MarginConfig,
     MarginKind,
     MarginModel,
+    _sq_distances,
     build_margin_model,
     classify_skew,
     export_margin_csv,
@@ -227,6 +229,12 @@ def test_build_margin_model_counts_match_membership(rng):
     assert model.t == temperature(6)
 
 
+def test_build_margin_model_needs_three_rows():
+    ds = Dataset(values=[[1.0, 2.0], [3.0, 1.0]], feature_names=["a", "b"])
+    with pytest.raises(DataError, match="at least 3 data rows"):
+        build_margin_model(ds, MarginConfig())
+
+
 def test_temperature_override_wins(rng):
     ds = Dataset(values=rng.standard_normal((10, 3)), feature_names=["a", "b", "c"])
     model = build_margin_model(ds, MarginConfig(temperature_override=2.5))
@@ -242,6 +250,41 @@ def test_margin_config_validation():
         MarginConfig(k=0)
     with pytest.raises(ValueError, match="temperature_override"):
         MarginConfig(temperature_override=0.0)
+
+
+# -------------------------------------------------------------- _sq_distances
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 1), (17, 4), (100, 300)])
+def test_sq_distances_symmetric_zero_diagonal_nonnegative(rng, shape):
+    X = rng.standard_normal(shape) + 1e3
+    # duplicated rows: with enough columns the Gram form rounds some of
+    # their zero distances below 0
+    half = shape[0] // 2
+    X[half : 2 * half] = X[:half]
+    D, _ = _sq_distances(X)
+    assert D.shape == (shape[0], shape[0])
+    assert np.array_equal(D, D.T)
+    assert not np.diag(D).any()
+    assert (D >= 0).all()
+
+
+def test_sq_distances_match_pdist_far_from_origin(rng):
+    # the offset makes the uncentred Gram form lose about six digits
+    X = rng.standard_normal((60, 5)) + 1e3
+    D, _ = _sq_distances(X)
+    ref = squareform(pdist(X, metric="sqeuclidean"))
+    off = ~np.eye(60, dtype=bool)
+    assert np.max(np.abs(D - ref)[off] / ref[off]) < 1e-12
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_sq_distances_closed_form_mean(rng, offset):
+    X = rng.standard_normal((50, 7)) + offset
+    _, mean_pair_sq = _sq_distances(X)
+    triu_mean = squareform(pdist(X, metric="sqeuclidean"))[np.triu_indices(50, k=1)].mean()
+    assert abs(mean_pair_sq - triu_mean) <= 1e-12 * triu_mean
+    assert _sq_distances(np.ones((1, 3)))[1] == 0.0
 
 
 # -------------------------------------------------------- interaction_weights

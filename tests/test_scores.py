@@ -18,6 +18,7 @@ from mlscore.scores import (
     KERNEL_MODES,
     KernelConfig,
     ScoreReport,
+    _affinity,
     laplacian_score,
     mls,
     mls_naive,
@@ -120,48 +121,49 @@ def test_ls_fixed_bandwidth_matches_oracle(rng):
     assert np.max(np.abs(report.scores - oracle)) < 1e-12
 
 
+def _knn_graph_oracle(X, k):
+    """Union of directed k-nearest edges, self excluded, ties by index."""
+    n = X.shape[0]
+    sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    S = np.zeros((n, n))
+    for i in range(n):
+        order = [j for j in np.argsort(sq[i], kind="stable") if j != i]
+        for j in order[:k]:
+            S[i, j] = 1.0
+    S = np.maximum(S, S.T)
+    np.fill_diagonal(S, 1.0)
+    return S
+
+
 def test_ls_binary_knn_kernel(rng):
     X = rng.standard_normal((9, 3))
     ds = Dataset(values=X, feature_names=["a", "b", "c"])
     config = KernelConfig(mode="binary-knn", n_neighbors=3)
     report = laplacian_score(ds, config)
-    # rebuild the graph the slow way: union of directed 3-nearest edges
-    sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-    S = np.zeros((9, 9))
-    for i in range(9):
-        order = [j for j in np.argsort(sq[i], kind="stable") if j != i]
-        for j in order[:3]:
-            S[i, j] = 1.0
-    S = np.maximum(S, S.T)
-    np.fill_diagonal(S, 1.0)
-    oracle = _ls_oracle(X, S)
+    oracle = _ls_oracle(X, _knn_graph_oracle(X, 3))
+    assert np.max(np.abs(report.scores - oracle)) < 1e-12
+
+
+def test_ls_binary_knn_duplicated_rows(rng):
+    # rows 0, 3, 6 and 9 coincide, as do 1 and 7: the zero distances tie
+    # with self, and the graph must still put self first and break the
+    # remaining ties by row index
+    X = rng.standard_normal((12, 3)) + 50.0
+    X[[3, 6, 9]] = X[0]
+    X[7] = X[1]
+    for k in (1, 2, 3, 5):
+        S = _affinity(X, KernelConfig(mode="binary-knn", n_neighbors=k))
+        assert np.array_equal(S, _knn_graph_oracle(X, k))
+    ds = Dataset(values=X, feature_names=["a", "b", "c"])
+    report = laplacian_score(ds, KernelConfig(mode="binary-knn", n_neighbors=2))
+    oracle = _ls_oracle(X, _knn_graph_oracle(X, 2))
     assert np.max(np.abs(report.scores - oracle)) < 1e-12
 
 
 def test_ls_binary_knn_neighbor_bound(rng):
     ds = Dataset(values=rng.standard_normal((4, 2)), feature_names=["a", "b"])
-    with pytest.raises(ValueError, match="n_neighbors"):
+    with pytest.raises(DataError, match="n_neighbors=4 with n=4"):
         laplacian_score(ds, KernelConfig(mode="binary-knn", n_neighbors=4))
-
-
-def test_ls_printed_kernel_matches_oracle(rng):
-    X = rng.standard_normal((8, 2)) * 0.1
-    ds = Dataset(values=X, feature_names=["a", "b"])
-    report = laplacian_score(ds, KernelConfig(mode="printed", bandwidth=1.0))
-    dist = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
-    oracle = _ls_oracle(X, np.exp(dist / 1.0))
-    assert np.max(np.abs(report.scores - oracle)) < 1e-10
-
-
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_ls_printed_kernel_overflow_does_not_raise():
-    # the positive exponent blows up on spread-out data; it must not crash
-    X = np.array([[0.0, 0.0], [5000.0, 0.0], [0.0, 5000.0]])
-    report = laplacian_score(
-        Dataset(values=X, feature_names=["a", "b"]),
-        KernelConfig(mode="printed", bandwidth=1.0),
-    )
-    assert report.scores.shape == (2,)
 
 
 def test_kernel_config_validation():
@@ -171,7 +173,7 @@ def test_kernel_config_validation():
         KernelConfig(bandwidth=-1.0)
     with pytest.raises(ValueError, match="n_neighbors"):
         KernelConfig(n_neighbors=0)
-    assert set(KERNEL_MODES) == {"heat", "binary-knn", "printed"}
+    assert set(KERNEL_MODES) == {"heat", "binary-knn"}
 
 
 # ------------------------------------------------------------------- mls
