@@ -63,11 +63,14 @@ def main(argv=None):
             for epoch, loss in enumerate(trace.loss_history):
                 writer.writerow([epoch, repr(float(loss))])
 
-        top = list(np.argsort(trace.mu)[::-1][:5])
+        # ties break toward the lowest index, as in mlscore select
+        top = list(np.argsort(-trace.mu, kind="stable")[:5])
         hits = len(planted & set(int(i) for i in top))
         print(f"{variant}: final loss {trace.loss_history[-1]:.4f}, "
               f"top-5 by gate mean {sorted(int(i) for i in top)} "
               f"({hits}/5 planted), wrote {path}")
+        if np.ptp(trace.mu) == 0:
+            print(f"{variant}: all gate means are equal; the top 5 is feature order")
     return 0
 
 

@@ -29,7 +29,6 @@ from .scores import (
     ScoreReport,
     laplacian_score,
     mls,
-    mls_naive,
     ranked_rows,
     select_top,
 )
@@ -54,13 +53,9 @@ from .synth import (
 )
 from .evaluation import (
     EvalReport,
-    LogisticConfig,
     auc_roc,
     bench_margin_config,
     ks_statistic,
-    logistic_fit,
-    logistic_loss,
-    logistic_predict,
     margin_weight_separation,
     run_recovery_benchmark,
     selection_accuracy,

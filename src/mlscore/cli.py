@@ -196,6 +196,10 @@ def cmd_select(args, parser) -> int:
             feature_names=list(ds.feature_names),
             seed=args.seed,
         )
+        if np.ptp(trace.mu) == 0:
+            report.warnings.append(
+                "all gate means are equal; the selection is feature order"
+            )
     picked = select_top(report, args.num_features)
     out = Path(args.output) if args.output else _default_output(args.input, "selected")
     with open(out, "w", newline="") as fh:

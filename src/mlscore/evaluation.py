@@ -1,9 +1,7 @@
 """Evaluation metrics and the synthetic recovery benchmark.
 
 The KS and AUC implementations are exact (empirical sup-difference, rank
-statistic with tie credit); the logistic model is a deliberately small
-full-batch gradient-descent fit used only to probe downstream usefulness
-of a selection.
+statistic with tie credit).
 """
 
 from __future__ import annotations
@@ -11,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit, kolmogorov
+from scipy.special import kolmogorov
 from scipy.stats import rankdata
 
 from .data import Dataset, standardize
@@ -83,45 +81,6 @@ def auc_roc(scores, labels) -> float:
         raise ValueError("need both classes to compute AUC")
     ranks = rankdata(scores)
     return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-@dataclass(frozen=True)
-class LogisticConfig:
-    iterations: int = 1000
-    learning_rate: float = 0.1
-    l2: float = 1e-3
-
-
-def logistic_loss(weights: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float) -> float:
-    """Mean cross-entropy plus an L2 penalty on everything but the bias."""
-    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-    logits = Xb @ weights
-    # log(1 + exp(-|t|)) form keeps this stable for large logits
-    ce = np.logaddexp(0.0, logits) - y * logits
-    return float(ce.mean() + 0.5 * l2 * float(weights[:-1] @ weights[:-1]))
-
-
-def logistic_fit(X, y, config: LogisticConfig | None = None) -> np.ndarray:
-    """Full-batch gradient descent from zero weights; returns the weight
-    vector with the bias in the last slot."""
-    config = config or LogisticConfig()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-    w = np.zeros(Xb.shape[1])
-    reg = np.ones_like(w) * config.l2
-    reg[-1] = 0.0  # bias unpenalized
-    for _ in range(config.iterations):
-        p = expit(Xb @ w)
-        grad = Xb.T @ (p - y) / Xb.shape[0] + reg * w
-        w = w - config.learning_rate * grad
-    return w
-
-
-def logistic_predict(weights: np.ndarray, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-    return expit(Xb @ weights)
 
 
 def margin_weight_separation(

@@ -10,6 +10,18 @@ Gradients are analytic in mu for a fixed noise draw and, for the graph
 loss, a fixed kernel bandwidth; the clamp contributes subgradient zero at
 its boundaries. Finite differences of the same frozen-everything loss are
 the ground truth the tests compare against.
+
+The margin loss ``dufs-mls`` reduces to a closed form. Its kernel and
+sample weights are frozen, and gating column r by z_r scales both the
+column's numerator and its variance by z_r^2, so every live term is the
+``mls`` score of the ungated feature:
+
+    loss = -sum_{live r} mls_r / (m * sum_r P(Z_r >= 0) + delta)
+
+Training computes those scores and variances once, so an epoch costs O(d).
+Only the open-probability term moves mu, by the same amount for equal
+means: from a fresh state every gate mean moves in lockstep and the
+trained ranking is feature order. Rank by ``scores.mls`` instead.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from scipy.special import ndtr
 
 from .data import Dataset
 from .margins import MarginModel, _sq_distances, interaction_weights
-from .scores import _mls_numerators
+from .scores import _mls_terms
 
 VAR_GUARD = 1e-12  # below this a gated feature counts as switched off
 LOSS_VARIANTS = ("dufs", "dufs-mls")
@@ -176,22 +188,21 @@ def dufs_loss(
     return loss
 
 
+def _margin_terms(F: np.ndarray, model: MarginModel) -> tuple[np.ndarray, np.ndarray]:
+    # the ungated mls score and variance of every column: gating column r
+    # by z_r scales its numerator and its variance alike by z_r^2
+    return _mls_terms(F, interaction_weights(model).weights, model.u)
+
+
 def _dufs_mls_core(
-    F: np.ndarray,
+    terms: tuple[np.ndarray, np.ndarray],
     z: np.ndarray,
     state: GateState,
-    model: MarginModel,
     want_grad: bool,
 ) -> tuple[float, np.ndarray | None]:
-    W = interaction_weights(model).weights
-    u = model.u
-    n = F.shape[0]
-    gated = F * z
-    numerators = _mls_numerators(gated, W, u)
-    variances = gated.var(axis=0, ddof=1)
-    live = variances > VAR_GUARD
-    nu = np.where(live, numerators / np.where(live, variances, 1.0), 0.0)
-    total = float(nu.sum())
+    scores, variances = terms
+    live = z * z * variances > VAR_GUARD
+    total = float(scores[live].sum())
     denom = _denominator(state)
     loss = -total / denom
     if state.sign_flip:
@@ -199,26 +210,9 @@ def _dufs_mls_core(
     if not want_grad:
         return loss, None
 
-    # quotient rule through the gated columns; U and W stay frozen, so the
-    # only moving parts are the bilinear forms and the gated variance
-    dvec = W.sum(axis=1)
-    grad_g = (
-        2.0 * (u * dvec)[:, None] * gated
-        + 2.0 * gated * (W @ u)[:, None]
-        - 2.0 * (W @ (u[:, None] * gated) + u[:, None] * (W @ gated))
-    )
-    dnum_dz = (F * grad_g).sum(axis=0)
-    centered = gated - gated.mean(axis=0)
-    dvar_dz = 2.0 / (n - 1) * (F * centered).sum(axis=0)
-    dnu_dz = np.where(
-        live,
-        (dnum_dz * variances - numerators * dvar_dz) / np.where(live, variances, 1.0) ** 2,
-        0.0,
-    )
-    open_mask = (z > 0.0) & (z < 1.0)
-    grad = -(dnu_dz * open_mask) / denom + total * (
-        state.m_gates * _phi_over_sigma(state)
-    ) / denom**2
+    # the live scores do not depend on z, so only the open-probability
+    # mass in the denominator moves with mu
+    grad = total * (state.m_gates * _phi_over_sigma(state)) / denom**2
     if state.sign_flip:
         grad = -grad
     return loss, grad
@@ -230,10 +224,11 @@ def dufs_mls_loss(
     """Margin-weighted gate loss: per-feature scores of the gated columns
     against the frozen margin kernel, summed, normalized by the open-gate
     mass, leading minus as stated. Features whose gated variance falls
-    below the guard contribute zero.
+    below the guard contribute zero; every other term is the closed-form
+    ``mls`` score of the ungated feature.
     """
     z = np.asarray(z, dtype=float)
-    loss, _ = _dufs_mls_core(ds.values, z, state, model, want_grad=False)
+    loss, _ = _dufs_mls_core(_margin_terms(ds.values, model), z, state, want_grad=False)
     return loss
 
 
@@ -250,7 +245,8 @@ def loss_gradient(
     For the graph variant the kernel bandwidth must be supplied (or it is
     computed once from the current gated rows); differentiation runs
     through the gating, the kernel, the Laplacian, the variance, and the
-    open-probability terms. Saturated gates get subgradient zero.
+    open-probability terms. Saturated gates get subgradient zero. The
+    margin variant's gradient is its open-probability term alone.
     """
     z = np.asarray(z, dtype=float)
     if variant == "dufs":
@@ -258,7 +254,7 @@ def loss_gradient(
     elif variant == "dufs-mls":
         if model is None:
             raise ValueError("dufs-mls gradient needs a margin model")
-        _, grad = _dufs_mls_core(ds.values, z, state, model, want_grad=True)
+        _, grad = _dufs_mls_core(_margin_terms(ds.values, model), z, state, want_grad=True)
     else:
         raise ValueError(f"variant must be one of {LOSS_VARIANTS}, got {variant!r}")
     return grad
@@ -274,7 +270,8 @@ def train(
 
     One fresh noise draw per epoch; the graph variant refreshes its kernel
     bandwidth from the gated data at the top of each epoch and holds it
-    fixed for that epoch's gradient. Deterministic for a given seed.
+    fixed for that epoch's gradient, while the margin variant scores the
+    features once before the first epoch. Deterministic for a given seed.
     """
     if config.loss_variant == "dufs-mls" and model is None:
         raise ValueError("loss_variant 'dufs-mls' needs a margin model")
@@ -287,6 +284,8 @@ def train(
         sign_flip=state.sign_flip,
     )
     F = ds.values
+    if config.loss_variant == "dufs-mls":
+        terms = _margin_terms(F, model)
     history = np.empty(config.epochs)
     # adam accumulators
     m_acc = np.zeros_like(work.mu)
@@ -298,7 +297,7 @@ def train(
         if config.loss_variant == "dufs":
             loss, grad = _dufs_core(F, z, work, bandwidth=None, want_grad=True)
         else:
-            loss, grad = _dufs_mls_core(F, z, work, model, want_grad=True)
+            loss, grad = _dufs_mls_core(terms, z, work, want_grad=True)
         if not math.isfinite(loss):
             raise ValueError(f"non-finite loss at epoch {epoch}")
         history[epoch] = loss

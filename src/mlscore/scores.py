@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataError, Dataset
-from .margins import InteractionWeights, MarginModel, _sq_distances, interaction_weights
+from .margins import MarginModel, _sq_distances, interaction_weights
 
 # methods ranked ascending (lower score = keep); gate methods rank descending
 LOWER_IS_BETTER = frozenset({"ls", "mls"})
@@ -107,22 +107,6 @@ def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreRep
     )
 
 
-def mls_naive(f, weights: InteractionWeights, u) -> float:
-    """Reference double sum over all ordered pairs:
-    sum_ij (f_i - f_j)^2 * w_ij * u_i / Var(f).
-
-    Kept deliberately close to the definition; the matrix form in ``mls`` is
-    checked against this.
-    """
-    f = np.asarray(f, dtype=float)
-    u = np.asarray(u, dtype=float)
-    var = float(np.var(f, ddof=1))
-    if var == 0.0:
-        raise ValueError("variance is zero; score undefined")
-    diff = f[:, None] - f[None, :]
-    return float(np.sum(diff * diff * weights.weights * u[:, None]) / var)
-
-
 def _mls_numerators(F: np.ndarray, W: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Vector of f'UDf + 1'UWf^2 - 2 f'WUf per column of F (U = diag(u),
     D = diag(W 1)). Equals the naive pair sum when W is symmetric."""
@@ -134,23 +118,31 @@ def _mls_numerators(F: np.ndarray, W: np.ndarray, u: np.ndarray) -> np.ndarray:
     return t1 + t2 - 2.0 * t3
 
 
+def _mls_terms(F: np.ndarray, W: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mls scores of F and the variances they divide by; a
+    column of zero variance scores 0."""
+    numerators = _mls_numerators(F, W, u)
+    variances = F.var(axis=0, ddof=1)
+    scores = np.divide(
+        numerators, variances, out=np.zeros_like(numerators), where=variances != 0
+    )
+    return scores, variances
+
+
 def mls(ds: Dataset, model: MarginModel) -> ScoreReport:
     """Margin-weighted score for every feature of ds.
 
     The model must have been built on the same (standardized) dataset.
-    Constant features score +inf; if no sample carries margin weight the
-    scores are all zero and ranking falls back to index order.
+    Constant features, and features whose variance underflows to 0, score
+    +inf; if no sample carries margin weight the scores are all zero and
+    ranking falls back to index order.
     """
     X = ds.values
     constant = X.max(axis=0) == X.min(axis=0)
     if constant.all():
         raise DataError("all features are constant; nothing to score")
-    W = interaction_weights(model).weights
-    numerators = _mls_numerators(X, W, model.u)
-    variances = X.var(axis=0, ddof=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scores = numerators / variances
-    scores = np.where(constant, np.inf, scores)
+    scores, variances = _mls_terms(X, interaction_weights(model).weights, model.u)
+    scores = np.where(constant | (variances == 0), np.inf, scores)
     report = ScoreReport(
         method="mls",
         scores=scores,

@@ -181,6 +181,21 @@ def test_select_dufs_mls_runs(labeled_csv, tmp_path):
     assert (tmp_path / "gm-trace.json").exists()
 
 
+def test_select_dufs_mls_warns_that_gate_means_are_equal(labeled_csv, tmp_path, capsys):
+    # the margin loss moves every fresh gate mean by the same step, so the
+    # trained ranking carries no information beyond feature order
+    out = tmp_path / "gm.csv"
+    code = main(
+        ["select", "--method", "dufs-mls", "--num-features", "3",
+         "--input", str(labeled_csv), "--label-col", "label",
+         "--epochs", "10", "--output", str(out)]
+    )
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "warning: all gate means are equal; the selection is feature order" in err
+    assert [r["feature"] for r in _read_rows(out)] == ["f00", "f01", "f02"]
+
+
 # -------------------------------------------------------------------- synth
 
 

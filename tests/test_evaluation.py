@@ -5,13 +5,9 @@ from hypothesis import strategies as st
 
 from mlscore.data import Dataset
 from mlscore.evaluation import (
-    LogisticConfig,
     auc_roc,
     bench_margin_config,
     ks_statistic,
-    logistic_fit,
-    logistic_loss,
-    logistic_predict,
     margin_weight_separation,
     run_recovery_benchmark,
     selection_accuracy,
@@ -123,43 +119,6 @@ def test_auc_negation_complements(rng):
     labels = rng.integers(0, 2, 50)
     labels[0], labels[1] = 0, 1
     assert auc_roc(scores, labels) + auc_roc(-scores, labels) == 1.0
-
-
-# ----------------------------------------------------------------- logistic
-
-
-def test_logistic_zero_iterations_predicts_half(rng):
-    X = rng.standard_normal((12, 3))
-    y = rng.integers(0, 2, 12)
-    w = logistic_fit(X, y, LogisticConfig(iterations=0))
-    assert np.array_equal(w, np.zeros(4))
-    assert np.array_equal(logistic_predict(w, X), np.full(12, 0.5))
-
-
-def test_logistic_separable_scores_perfectly():
-    X = np.concatenate([np.linspace(-3, -1, 10), np.linspace(1, 3, 10)])[:, None]
-    y = np.array([0] * 10 + [1] * 10)
-    w = logistic_fit(X, y)
-    assert auc_roc(logistic_predict(w, X), y) == 1.0
-
-
-def test_logistic_gradient_matches_finite_differences(rng):
-    X = rng.standard_normal((15, 3))
-    y = rng.integers(0, 2, 15).astype(float)
-    l2 = 1e-3
-    Xb = np.hstack([X, np.ones((15, 1))])
-    w = np.zeros(4)
-    p = 1.0 / (1.0 + np.exp(-(Xb @ w)))
-    reg = np.full(4, l2)
-    reg[-1] = 0.0
-    analytic = Xb.T @ (p - y) / 15 + reg * w
-    h = 1e-6
-    for r in range(4):
-        up, dn = w.copy(), w.copy()
-        up[r] += h
-        dn[r] -= h
-        fd = (logistic_loss(up, X, y, l2) - logistic_loss(dn, X, y, l2)) / (2 * h)
-        assert abs(analytic[r] - fd) < 1e-5
 
 
 # ------------------------------------------------- margin_weight_separation

@@ -315,7 +315,8 @@ def test_margin_variant_gradient_is_flat_across_features(rng):
     state = GateState.fresh(6)
     z = rng.uniform(0.2, 0.8, 6)
     grad = loss_gradient(ds, z, state, "dufs-mls", model=model)
-    assert np.ptp(grad) <= 1e-8 * max(1.0, np.abs(grad).max())
+    assert np.ptp(grad) == 0.0
+    assert grad[0] != 0.0
 
 
 def test_margin_variant_loss_ignores_gate_scaling(rng):
@@ -385,6 +386,36 @@ def test_train_plain_gradient_descent_path(rng):
     assert np.isfinite(trace.mu).all()
 
 
+def test_train_dufs_mls_moves_fresh_gate_means_in_lockstep(rng):
+    # only the open-probability term moves mu, and it is the same for
+    # equal means, so gates that start equal stay exactly equal
+    ds = _instance(rng, n=25, d=6)
+    model = build_margin_model(ds, MarginConfig(quantile=0.1))
+    config = TrainConfig(epochs=20, seed=3, loss_variant="dufs-mls")
+    trace = train(ds, config, GateState.fresh(6), model)
+    assert np.ptp(trace.mu) == 0.0
+    assert trace.mu[0] != 0.0
+
+
+def _adam_loop(ds, config, loss_and_grad):
+    # the epoch loop of train, written out against the public functions
+    state = GateState.fresh(ds.n_features)
+    gen = np.random.default_rng(config.seed)
+    m_acc = np.zeros(ds.n_features)
+    v_acc = np.zeros(ds.n_features)
+    losses = []
+    for epoch in range(config.epochs):
+        z = sample_gates(state, gen)
+        loss, grad = loss_and_grad(z, state)
+        losses.append(loss)
+        m_acc = 0.9 * m_acc + (1.0 - 0.9) * grad
+        v_acc = 0.999 * v_acc + (1.0 - 0.999) * grad * grad
+        m_hat = m_acc / (1.0 - 0.9 ** (epoch + 1))
+        v_hat = v_acc / (1.0 - 0.999 ** (epoch + 1))
+        state.mu = state.mu - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return losses, state.mu
+
+
 def test_train_dufs_matches_separate_bandwidth_loop(rng):
     # train takes the bandwidth from the kernel's own distances; an epoch
     # loop that computes it apart through dufs_bandwidth must agree bitwise
@@ -392,20 +423,32 @@ def test_train_dufs_matches_separate_bandwidth_loop(rng):
     config = TrainConfig(epochs=15, seed=11)
     trace = train(ds, config, GateState.fresh(6))
 
-    state = GateState.fresh(6)
-    gen = np.random.default_rng(config.seed)
-    m_acc = np.zeros(6)
-    v_acc = np.zeros(6)
-    losses = []
-    for epoch in range(config.epochs):
-        z = sample_gates(state, gen)
+    def loss_and_grad(z, state):
         bandwidth = dufs_bandwidth(ds.values * z)
-        losses.append(dufs_loss(ds, z, state, bandwidth=bandwidth))
-        grad = loss_gradient(ds, z, state, "dufs", bandwidth=bandwidth)
-        m_acc = 0.9 * m_acc + (1.0 - 0.9) * grad
-        v_acc = 0.999 * v_acc + (1.0 - 0.999) * grad * grad
-        m_hat = m_acc / (1.0 - 0.9 ** (epoch + 1))
-        v_hat = v_acc / (1.0 - 0.999 ** (epoch + 1))
-        state.mu = state.mu - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        return (
+            dufs_loss(ds, z, state, bandwidth=bandwidth),
+            loss_gradient(ds, z, state, "dufs", bandwidth=bandwidth),
+        )
+
+    losses, mu = _adam_loop(ds, config, loss_and_grad)
     assert np.array_equal(trace.loss_history, losses)
-    assert trace.mu.tobytes() == state.mu.tobytes()
+    assert trace.mu.tobytes() == mu.tobytes()
+
+
+def test_train_dufs_mls_matches_public_loss_loop(rng):
+    # train scores the features once before its loop; a loop that calls the
+    # public loss and gradient, which score them per call, must agree bitwise
+    ds = _instance(rng, n=25, d=6)
+    model = build_margin_model(ds, MarginConfig(quantile=0.1))
+    config = TrainConfig(epochs=15, seed=11, loss_variant="dufs-mls")
+    trace = train(ds, config, GateState.fresh(6), model)
+
+    def loss_and_grad(z, state):
+        return (
+            dufs_mls_loss(ds, z, state, model),
+            loss_gradient(ds, z, state, "dufs-mls", model=model),
+        )
+
+    losses, mu = _adam_loop(ds, config, loss_and_grad)
+    assert np.array_equal(trace.loss_history, losses)
+    assert trace.mu.tobytes() == mu.tobytes()

@@ -21,10 +21,11 @@ from mlscore.scores import (
     _affinity,
     laplacian_score,
     mls,
-    mls_naive,
     ranked_rows,
     select_top,
 )
+
+from oracles import mls_naive
 
 
 def _heat_affinity(X, bandwidth=None):
@@ -232,6 +233,18 @@ def test_mls_constant_feature_scores_inf(rng):
     report = mls(ds, model)
     assert np.isinf(report.scores[1])
     assert report.constant_feature_flags.tolist() == [False, True]
+
+
+def test_mls_underflowing_variance_scores_inf(rng):
+    # the variance of [0, ..., 1e-170, ..., 0] underflows to 0 although the
+    # column is not constant; it must not score 0 and rank first
+    X = np.column_stack([rng.standard_normal(20), np.zeros(20)])
+    X[3, 1] = 1e-170
+    ds = Dataset(values=X, feature_names=["f", "c"])
+    report = mls(ds, build_margin_model(ds, MarginConfig(quantile=0.1)))
+    assert np.isinf(report.scores[1])
+    assert np.isfinite(report.scores[0])
+    assert report.constant_feature_flags.tolist() == [False, False]
 
 
 def test_mls_all_constant_rejected():
