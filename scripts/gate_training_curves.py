@@ -13,11 +13,10 @@ import csv
 import pathlib
 import sys
 
-import numpy as np
-
 from mlscore.data import standardize
-from mlscore.gates import GateState, TrainConfig, train
-from mlscore.margins import MarginConfig, build_margin_model
+from mlscore.evaluation import score_dataset
+from mlscore.gates import TrainConfig
+from mlscore.scores import select_top
 from mlscore.synth import SynthSpec, gen_setup
 
 VARIANTS = ("dufs", "dufs-mls")
@@ -42,19 +41,14 @@ def main(argv=None):
                   seed=args.seed)
     )
     ds, _ = standardize(drawn.dataset)
-    model = build_margin_model(ds, MarginConfig())
+    config = TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     planted = set(drawn.marginal_feature_indices)
     print(f"planted marginal columns: {sorted(planted)}")
     for variant in VARIANTS:
-        config = TrainConfig(
-            epochs=args.epochs, learning_rate=args.lr, seed=args.seed,
-            loss_variant=variant,
-        )
-        state = GateState.fresh(ds.n_features)
-        trace = train(ds, config, state, model if variant == "dufs-mls" else None)
+        report, trace = score_dataset(ds, variant, train_config=config)
 
         path = out_dir / f"loss-{variant}.csv"
         with open(path, "w", newline="") as fh:
@@ -63,14 +57,13 @@ def main(argv=None):
             for epoch, loss in enumerate(trace.loss_history):
                 writer.writerow([epoch, repr(float(loss))])
 
-        # ties break toward the lowest index, as in mlscore select
-        top = list(np.argsort(-trace.mu, kind="stable")[:5])
-        hits = len(planted & set(int(i) for i in top))
+        top = select_top(report, 5)
+        hits = len(planted & set(top))
         print(f"{variant}: final loss {trace.loss_history[-1]:.4f}, "
-              f"top-5 by gate mean {sorted(int(i) for i in top)} "
+              f"top-5 by gate mean {sorted(top)} "
               f"({hits}/5 planted), wrote {path}")
-        if np.ptp(trace.mu) == 0:
-            print(f"{variant}: all gate means are equal; the top 5 is feature order")
+        for line in report.warnings:
+            print(f"{variant}: {line}")
     return 0
 
 

@@ -58,6 +58,7 @@ from .evaluation import (
     ks_statistic,
     margin_weight_separation,
     run_recovery_benchmark,
+    score_dataset,
     selection_accuracy,
 )
 

@@ -25,24 +25,17 @@ from .data import DataError, load_csv, save_csv, standardize
 from .evaluation import (
     BENCH_RHOS,
     BENCH_SETUPS,
+    METHODS,
     margin_weight_separation,
     run_recovery_benchmark,
+    score_dataset,
 )
-from .gates import GateState, TrainConfig, train
+from .gates import TrainConfig
 from .margins import MarginConfig, build_margin_model, export_margin_csv
-from .scores import (
-    KERNEL_MODES,
-    KernelConfig,
-    ScoreReport,
-    laplacian_score,
-    mls,
-    ranked_rows,
-    select_top,
-)
+from .scores import KERNEL_MODES, KernelConfig, ScoreReport, ranked_rows, select_top
 from .synth import SynthSpec, add_noise_features, gen_setup
 
 SCORE_METHODS = ("ls", "mls")
-SELECT_METHODS = ("ls", "mls", "dufs", "dufs-mls")
 DEFAULT_KS_GRID = tuple(round(0.01 * i, 2) for i in range(1, 31))
 
 
@@ -112,18 +105,20 @@ def _kernel_config(args, parser) -> KernelConfig:
         parser.error(str(err))
 
 
+def _train_config(args, parser) -> TrainConfig:
+    if args.sigma <= 0:
+        parser.error(f"sigma must be positive, got {args.sigma}")
+    try:
+        return TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
+    except ValueError as err:
+        parser.error(str(err))
+
+
 def _load_for_scoring(args):
     ds = load_csv(args.input, label_column=args.label_col)
     if not args.no_standardize:
         ds, _ = standardize(ds)
     return ds
-
-
-def _score_dataset(ds, args, margin_config, kernel_config) -> ScoreReport:
-    if args.method == "ls":
-        return laplacian_score(ds, kernel_config)
-    model = build_margin_model(ds, margin_config)
-    return mls(ds, model)
 
 
 def _write_scores_csv(report: ScoreReport, path) -> None:
@@ -144,7 +139,7 @@ def cmd_score(args, parser) -> int:
     margin_config = _margin_config(args, parser)
     kernel_config = _kernel_config(args, parser)
     ds = _load_for_scoring(args)
-    report = _score_dataset(ds, args, margin_config, kernel_config)
+    report, _ = score_dataset(ds, args.method, margin_config, kernel_config)
     out = Path(args.output) if args.output else _default_output(args.input, "scores")
     _write_scores_csv(report, out)
     _print_warnings(report)
@@ -158,48 +153,16 @@ def cmd_select(args, parser) -> int:
         parser.error("num-features must be >= 1")
     margin_config = _margin_config(args, parser)
     kernel_config = _kernel_config(args, parser)
+    train_config = _train_config(args, parser)
     ds = _load_for_scoring(args)
     if args.num_features > ds.n_features:
         parser.error(
             f"num-features {args.num_features} exceeds {ds.n_features} features"
         )
-    trace = None
-    if args.method in SCORE_METHODS:
-        report = _score_dataset(ds, args, margin_config, kernel_config)
-    else:
-        model = None
-        if args.method == "dufs-mls":
-            model = build_margin_model(ds, margin_config)
-        config = TrainConfig(
-            epochs=args.epochs,
-            learning_rate=args.lr,
-            seed=args.seed,
-            loss_variant=args.method,
-        )
-        try:
-            state = GateState.fresh(
-                ds.n_features, sigma=args.sigma, sign_flip=args.sign_flip
-            )
-        except ValueError as err:
-            parser.error(str(err))
-        trace = train(ds, config, state, model)
-        report = ScoreReport(
-            method=args.method,
-            scores=trace.mu,
-            params={
-                "epochs": args.epochs,
-                "learning_rate": args.lr,
-                "sigma": args.sigma,
-                "sign_flip": args.sign_flip,
-            },
-            constant_feature_flags=np.zeros(ds.n_features, dtype=bool),
-            feature_names=list(ds.feature_names),
-            seed=args.seed,
-        )
-        if np.ptp(trace.mu) == 0:
-            report.warnings.append(
-                "all gate means are equal; the selection is feature order"
-            )
+    report, trace = score_dataset(
+        ds, args.method, margin_config, kernel_config, train_config,
+        sigma=args.sigma, sign_flip=args.sign_flip,
+    )
     picked = select_top(report, args.num_features)
     out = Path(args.output) if args.output else _default_output(args.input, "selected")
     with open(out, "w", newline="") as fh:
@@ -222,11 +185,8 @@ def cmd_select(args, parser) -> int:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         outputs.append(trace_path)
-        if trace.no_margin_signal:
-            print("warning: no sample fell in any margin; gate training had no"
-                  " margin signal", file=sys.stderr)
     _print_warnings(report)
-    seed = args.seed if args.method not in SCORE_METHODS else None
+    seed = args.seed if trace is not None else None
     _write_manifest(out, "select", args, seed, [args.input], outputs)
     print(f"wrote {out}")
     return 0
@@ -330,26 +290,26 @@ def cmd_bench(args, parser) -> int:
     if args.quantile is None and any(r <= 0.5 for r in rhos):
         # the default margin quantile 1 - rho must stay below 0.5
         parser.error("rhos must be above 0.5 unless --quantile is given")
-    if not methods or any(m not in SELECT_METHODS for m in methods):
-        parser.error(f"methods must be drawn from {','.join(SELECT_METHODS)}")
+    if not methods or any(m not in METHODS for m in methods):
+        parser.error(f"methods must be drawn from {','.join(METHODS)}")
+    try:
+        # SynthSpec owns the sample-count floor
+        SynthSpec(setup=setups[0], rho=rhos[0], n_samples=args.n)
+        train_config = TrainConfig(epochs=args.epochs)
+    except ValueError as err:
+        parser.error(str(err))
     margin_config = None
     if args.quantile is not None:
-        try:
-            margin_config = MarginConfig(
-                quantile=args.quantile,
-                skew_right=args.skew_right,
-                skew_left=args.skew_left,
-                k=args.k,
-            )
-        except ValueError as err:
-            parser.error(str(err))
+        margin_config = _margin_config(args, parser)
     cells = run_recovery_benchmark(
         setups=setups,
         rhos=rhos,
         reps=args.reps,
         methods=methods,
         seed=args.seed,
+        n_samples=args.n,
         margin_config=margin_config,
+        train_config=train_config,
     )
     by_cell: dict[tuple[int, float], dict[str, tuple[float, float]]] = {}
     for cell in cells:
@@ -434,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     select = subs.add_parser("select", help="rank and keep the top features")
     _add_scoring_flags(select)
-    select.add_argument("--method", choices=SELECT_METHODS, required=True)
+    select.add_argument("--method", choices=METHODS, required=True)
     select.add_argument("--num-features", type=int, required=True)
     select.add_argument("--epochs", type=int, default=500)
     select.add_argument("--lr", type=float, default=0.1)
@@ -474,6 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--reps", type=int, default=100)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--methods", default="mls,ls")
+    bench.add_argument("--n", type=int, default=1000,
+                       help="sample count of every draw")
+    bench.add_argument("--epochs", type=int, default=TrainConfig().epochs,
+                       help="gate training epochs for dufs and dufs-mls")
     bench.add_argument("--setups",
                        default=",".join(str(s) for s in BENCH_SETUPS))
     bench.add_argument("--rhos", default=",".join(str(r) for r in BENCH_RHOS))

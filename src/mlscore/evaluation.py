@@ -13,20 +13,19 @@ from scipy.special import kolmogorov
 from scipy.stats import rankdata
 
 from .data import Dataset, standardize
-from .gates import GateState, TrainConfig, train
+from .gates import GateState, TrainConfig, TrainTrace, train
 from .margins import MarginConfig, build_margin_model
 from .scores import KernelConfig, ScoreReport, laplacian_score, mls, select_top
 from .synth import SynthSpec, gen_setup
 
 BENCH_RHOS = (0.90, 0.95, 0.97)
 BENCH_SETUPS = (1, 2, 3)
+METHODS = ("ls", "mls", "dufs", "dufs-mls")
 
 
 @dataclass
 class EvalReport:
     method: str
-    selection_accuracy: float | None = None
-    auc: float | None = None
     ks_by_quantile: list[tuple[float, float, float]] | None = None
     repetitions: int | None = None
     mean: float | None = None
@@ -106,37 +105,51 @@ def margin_weight_separation(
     return EvalReport(method="margin-weight-ks", ks_by_quantile=rows)
 
 
-def _score_for_method(
-    method: str,
+def score_dataset(
     ds: Dataset,
-    margin_config: MarginConfig,
-    kernel_config: KernelConfig,
-    train_config: TrainConfig | None,
-    seed: int,
-    sign_flip: bool,
-) -> ScoreReport:
+    method: str,
+    margin_config: MarginConfig | None = None,
+    kernel_config: KernelConfig | None = None,
+    train_config: TrainConfig | None = None,
+    sigma: float = 0.5,
+    sign_flip: bool = False,
+) -> tuple[ScoreReport, TrainTrace | None]:
+    """Score every feature of ds with one of METHODS.
+
+    ``ls`` and ``mls`` are closed-form scores. The gate methods train fresh
+    gates (noise scale sigma) with train_config, whose loss variant is set
+    to the method, and score each feature by its trained gate mean; their
+    training trace comes back too, and training warnings go into the
+    report. ``mls`` and ``dufs-mls`` build their margin model from
+    margin_config.
+    """
     if method == "ls":
-        return laplacian_score(ds, kernel_config)
+        return laplacian_score(ds, kernel_config), None
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    model = None
+    if method in ("mls", "dufs-mls"):
+        model = build_margin_model(ds, margin_config or MarginConfig())
     if method == "mls":
-        model = build_margin_model(ds, margin_config)
-        return mls(ds, model)
-    if method in ("dufs", "dufs-mls"):
-        base = train_config or TrainConfig()
-        config = replace(base, loss_variant=method, seed=seed)
-        model = None
-        if method == "dufs-mls":
-            model = build_margin_model(ds, margin_config)
-        state = GateState.fresh(ds.n_features, sign_flip=sign_flip)
-        trace = train(ds, config, state, model)
-        return ScoreReport(
-            method=method,
-            scores=trace.mu,
-            params={"epochs": config.epochs, "learning_rate": config.learning_rate},
-            constant_feature_flags=np.zeros(ds.n_features, dtype=bool),
-            feature_names=list(ds.feature_names),
-            seed=seed,
+        return mls(ds, model), None
+    config = replace(train_config or TrainConfig(), loss_variant=method)
+    state = GateState.fresh(ds.n_features, sigma=sigma, sign_flip=sign_flip)
+    trace = train(ds, config, state, model)
+    report = ScoreReport(
+        method=method,
+        scores=trace.mu,
+        constant_feature_flags=np.zeros(ds.n_features, dtype=bool),
+        feature_names=list(ds.feature_names),
+    )
+    if trace.no_margin_signal:
+        report.warnings.append(
+            "no sample fell in any margin; gate training had no margin signal"
         )
-    raise ValueError(f"unknown method {method!r}")
+    if np.ptp(trace.mu) == 0:
+        report.warnings.append(
+            "all gate means are equal; the selection is feature order"
+        )
+    return report, trace
 
 
 def bench_margin_config(rho: float) -> MarginConfig:
@@ -159,9 +172,7 @@ def run_recovery_benchmark(
     seed: int = 0,
     n_samples: int = 1000,
     margin_config: MarginConfig | None = None,
-    kernel_config: KernelConfig | None = None,
     train_config: TrainConfig | None = None,
-    sign_flip: bool = False,
 ) -> list[EvalReport]:
     """Repeated draw / score / select-5 / compare-to-truth over the grid.
 
@@ -170,12 +181,13 @@ def run_recovery_benchmark(
     generated: the shifted features carry inflated variance, and the
     variance denominator needs that contrast, so no standardization here.
     When margin_config is None each cell uses bench_margin_config(rho).
+    The gate methods train with train_config, reseeded per repetition.
     Accuracies are reported in percent, std over repetitions with the
     population divisor.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    kernel_config = kernel_config or KernelConfig()
+    train_config = train_config or TrainConfig()
     cells: list[EvalReport] = []
     for setup in setups:
         for rho in rhos:
@@ -190,15 +202,10 @@ def run_recovery_benchmark(
                     SynthSpec(setup=setup, rho=rho, n_samples=n_samples, seed=child_seed)
                 )
                 truth = drawn.marginal_feature_indices
+                rep_train = replace(train_config, seed=child_seed)
                 for method in methods:
-                    report = _score_for_method(
-                        method,
-                        drawn.dataset,
-                        cell_margin,
-                        kernel_config,
-                        train_config,
-                        child_seed,
-                        sign_flip,
+                    report, _ = score_dataset(
+                        drawn.dataset, method, cell_margin, train_config=rep_train
                     )
                     picked = select_top(report, len(truth))
                     accs[method].append(100.0 * selection_accuracy(picked, truth))

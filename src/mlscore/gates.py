@@ -74,7 +74,6 @@ class GateState:
 class TrainConfig:
     epochs: int = 500
     learning_rate: float = 0.1
-    optimizer: str = "adam"
     seed: int = 0
     loss_variant: str = "dufs"
 
@@ -83,8 +82,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.optimizer not in ("adam", "gd"):
-            raise ValueError(f"optimizer must be 'adam' or 'gd', got {self.optimizer!r}")
         if self.loss_variant not in LOSS_VARIANTS:
             raise ValueError(f"loss_variant must be one of {LOSS_VARIANTS}")
 
@@ -266,7 +263,7 @@ def train(
     state: GateState,
     model: MarginModel | None = None,
 ) -> TrainTrace:
-    """Gradient-train the gate means for a fixed epoch budget.
+    """Train the gate means with Adam for a fixed epoch budget.
 
     One fresh noise draw per epoch; the graph variant refreshes its kernel
     bandwidth from the gated data at the top of each epoch and holds it
@@ -301,14 +298,11 @@ def train(
         if not math.isfinite(loss):
             raise ValueError(f"non-finite loss at epoch {epoch}")
         history[epoch] = loss
-        if config.optimizer == "adam":
-            m_acc = beta1 * m_acc + (1.0 - beta1) * grad
-            v_acc = beta2 * v_acc + (1.0 - beta2) * grad * grad
-            m_hat = m_acc / (1.0 - beta1 ** (epoch + 1))
-            v_hat = v_acc / (1.0 - beta2 ** (epoch + 1))
-            work.mu = work.mu - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps_opt)
-        else:
-            work.mu = work.mu - config.learning_rate * grad
+        m_acc = beta1 * m_acc + (1.0 - beta1) * grad
+        v_acc = beta2 * v_acc + (1.0 - beta2) * grad * grad
+        m_hat = m_acc / (1.0 - beta1 ** (epoch + 1))
+        v_hat = v_acc / (1.0 - beta2 ** (epoch + 1))
+        work.mu = work.mu - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps_opt)
 
     no_signal = bool(model is not None and not model.u.any())
     return TrainTrace(

@@ -233,7 +233,8 @@ def interaction_weights(model: MarginModel) -> InteractionWeights:
     """Dense pairwise kernel w_ij = exp(-||m_i - m_j|| / t) over margin rows.
 
     Symmetry is exact and the diagonal is exactly 1 (see ``_sq_distances``).
-    Cached on the model; training loops call this every epoch.
+    Cached on the model; ``scores.mls`` and a ``dufs-mls`` training run
+    each call this once, not per epoch.
     """
     if model._weights_cache is None:
         W, _ = _sq_distances(model.margin_rep)

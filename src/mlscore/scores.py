@@ -42,11 +42,9 @@ class KernelConfig:
 class ScoreReport:
     method: str
     scores: np.ndarray
-    params: dict
     constant_feature_flags: np.ndarray
     feature_names: list[str]
     warnings: list[str] = field(default_factory=list)
-    seed: int | None = None
 
 
 def _affinity(X: np.ndarray, config: KernelConfig) -> np.ndarray:
@@ -97,11 +95,6 @@ def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreRep
     return ScoreReport(
         method="ls",
         scores=scores,
-        params={
-            "mode": config.mode,
-            "bandwidth": config.bandwidth,
-            "n_neighbors": config.n_neighbors,
-        },
         constant_feature_flags=constant,
         feature_names=list(ds.feature_names),
     )
@@ -146,13 +139,6 @@ def mls(ds: Dataset, model: MarginModel) -> ScoreReport:
     report = ScoreReport(
         method="mls",
         scores=scores,
-        params={
-            "quantile": model.config.quantile,
-            "skew_right": model.config.skew_right,
-            "skew_left": model.config.skew_left,
-            "k": model.config.k,
-            "t": model.t,
-        },
         constant_feature_flags=constant,
         feature_names=list(ds.feature_names),
     )

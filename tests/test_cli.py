@@ -6,6 +6,8 @@ import pytest
 
 from mlscore.cli import main
 from mlscore.data import load_csv
+from mlscore.evaluation import run_recovery_benchmark
+from mlscore.gates import TrainConfig
 
 
 @pytest.fixture
@@ -147,6 +149,17 @@ def test_select_num_features_bounds(labeled_csv):
     with pytest.raises(SystemExit) as exc:
         main(["select", "--method", "ls", "--num-features", "99",
               "--input", str(labeled_csv), "--label-col", "label"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--epochs", "0"], ["--lr", "0"], ["--lr", "-1"], ["--sigma", "0"]],
+)
+def test_select_bad_training_flags_are_usage_errors(labeled_csv, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["select", "--method", "dufs", "--num-features", "2",
+              "--input", str(labeled_csv), "--label-col", "label"] + flags)
     assert exc.value.code == 2
 
 
@@ -335,6 +348,35 @@ def test_bench_validates_lists(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--reps", "1", "--rhos", "0.5"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--reps", "1", "--epochs", "0"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--reps", "1", "--n", "19"])
+    assert exc.value.code == 2
+
+
+def test_bench_matches_recovery_benchmark(tmp_path, monkeypatch):
+    # at seed 1 the dufs accuracy reads 80 here, but 60 with n = 1000 or
+    # with 500 epochs, so a dropped --n or --epochs shows
+    monkeypatch.chdir(tmp_path)
+    code = main(
+        ["bench", "--n", "60", "--epochs", "2", "--methods", "dufs,dufs-mls",
+         "--reps", "1", "--setups", "1", "--rhos", "0.9", "--seed", "1",
+         "--output", "g"]
+    )
+    assert code == 0
+    cells = run_recovery_benchmark(
+        setups=(1,), rhos=(0.9,), reps=1, methods=("dufs", "dufs-mls"), seed=1,
+        n_samples=60, train_config=TrainConfig(epochs=2),
+    )
+    expected = [(c.method, v) for c in cells for v in c.per_rep]
+    written = [(r["method"], float(r["accuracy"]))
+               for r in _read_rows(tmp_path / "g-reps.csv")]
+    assert written == expected
+    params = _manifest(tmp_path / "g-summary.csv")["params"]
+    assert params["n"] == 60
+    assert params["epochs"] == 2
 
 
 def test_bench_fixed_quantile_flows_through(tmp_path, monkeypatch):

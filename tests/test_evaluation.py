@@ -10,8 +10,10 @@ from mlscore.evaluation import (
     ks_statistic,
     margin_weight_separation,
     run_recovery_benchmark,
+    score_dataset,
     selection_accuracy,
 )
+from mlscore.gates import TrainConfig
 from mlscore.margins import MarginConfig
 from mlscore.synth import SynthSpec, gen_setup
 
@@ -195,6 +197,20 @@ def test_recovery_benchmark_deterministic():
     assert a[0].per_rep == b[0].per_rep
     c = run_recovery_benchmark(**{**kwargs, "seed": 4})
     assert a[0].per_rep != c[0].per_rep or a[0].mean == c[0].mean
+
+
+def test_score_dataset_dufs_mls_warns_that_gate_means_are_equal():
+    ds = gen_setup(SynthSpec(setup=1, rho=0.9, n_samples=60, seed=2)).dataset
+    report, trace = score_dataset(ds, "dufs-mls", train_config=TrainConfig(epochs=3))
+    assert len(trace.loss_history) == 3
+    assert np.array_equal(report.scores, trace.mu)
+    assert "all gate means are equal; the selection is feature order" in report.warnings
+
+
+def test_score_dataset_rejects_unknown_method():
+    ds = gen_setup(SynthSpec(setup=1, rho=0.9, n_samples=30)).dataset
+    with pytest.raises(ValueError, match="method"):
+        score_dataset(ds, "pca")
 
 
 def test_recovery_benchmark_rejects_bad_reps():

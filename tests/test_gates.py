@@ -85,8 +85,6 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="learning_rate"):
         TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError, match="optimizer"):
-        TrainConfig(optimizer="sgd")
     with pytest.raises(ValueError, match="loss_variant"):
         TrainConfig(loss_variant="nope")
 
@@ -377,13 +375,6 @@ def test_train_flags_missing_margin_signal(rng):
         ds, TrainConfig(epochs=3, loss_variant="dufs-mls"), GateState.fresh(4), model
     )
     assert trace.no_margin_signal
-
-
-def test_train_plain_gradient_descent_path(rng):
-    ds = _instance(rng, n=15, d=4)
-    trace = train(ds, TrainConfig(epochs=5, optimizer="gd"), GateState.fresh(4))
-    assert np.isfinite(trace.loss_history).all()
-    assert np.isfinite(trace.mu).all()
 
 
 def test_train_dufs_mls_moves_fresh_gate_means_in_lockstep(rng):

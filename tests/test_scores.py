@@ -60,7 +60,6 @@ def _report(scores, method="ls", constant=None):
     return ScoreReport(
         method=method,
         scores=scores,
-        params={},
         constant_feature_flags=np.asarray(constant),
         feature_names=[f"f{j}" for j in range(scores.size)],
     )
