@@ -17,9 +17,7 @@ from .margins import (
     MarginKind,
     MarginModel,
     build_margin_model,
-    classify_skew,
     export_margin_csv,
-    feature_margin,
     interaction_weights,
     skewness,
     temperature,

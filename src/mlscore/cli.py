@@ -2,8 +2,9 @@
 
 Every command writes a JSON manifest next to its primary output so a run
 can be replayed: command name, parameter echo, seed, sha256 of each input
-file, output list, tool version, timestamp. Reruns with the same seed and
-inputs are byte-identical except for the manifest timestamp.
+file, output list, tool version, timestamp, and the warnings of score,
+select and bench. Reruns with the same seed and inputs are byte-identical
+except for the manifest timestamp.
 
 Exit codes: 0 success, 1 data error, 2 usage error.
 """
@@ -130,8 +131,8 @@ def _write_scores_csv(report: ScoreReport, path) -> None:
             writer.writerow([name, repr(float(value)), rank_of[name]])
 
 
-def _print_warnings(report: ScoreReport) -> None:
-    for line in report.warnings:
+def _print_warnings(lines: list[str]) -> None:
+    for line in lines:
         print(f"warning: {line}", file=sys.stderr)
 
 
@@ -142,8 +143,9 @@ def cmd_score(args, parser) -> int:
     report, _ = score_dataset(ds, args.method, margin_config, kernel_config)
     out = Path(args.output) if args.output else _default_output(args.input, "scores")
     _write_scores_csv(report, out)
-    _print_warnings(report)
-    _write_manifest(out, "score", args, None, [args.input], [out])
+    _print_warnings(report.warnings)
+    _write_manifest(out, "score", args, None, [args.input], [out],
+                    extra={"warnings": report.warnings})
     print(f"wrote {out}")
     return 0
 
@@ -185,9 +187,10 @@ def cmd_select(args, parser) -> int:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         outputs.append(trace_path)
-    _print_warnings(report)
+    _print_warnings(report.warnings)
     seed = args.seed if trace is not None else None
-    _write_manifest(out, "select", args, seed, [args.input], outputs)
+    _write_manifest(out, "select", args, seed, [args.input], outputs,
+                    extra={"warnings": report.warnings})
     print(f"wrote {out}")
     return 0
 
@@ -342,7 +345,11 @@ def cmd_bench(args, parser) -> int:
             for rep, value in enumerate(cell.per_rep):
                 writer.writerow([cell.setup, repr(float(cell.rho)), cell.method,
                                  rep, repr(float(value))])
-    _write_manifest(summary, "bench", args, args.seed, [], [summary, per_rep])
+    warnings = [f"setup {cell.setup} rho {cell.rho:g} {cell.method}: {line}"
+                for cell in cells for line in cell.warnings]
+    _print_warnings(warnings)
+    _write_manifest(summary, "bench", args, args.seed, [], [summary, per_rep],
+                    extra={"warnings": warnings})
     print(f"wrote {summary} and {per_rep}")
     return 0
 

@@ -6,7 +6,7 @@ statistic with tie credit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import kolmogorov
@@ -33,6 +33,7 @@ class EvalReport:
     setup: int | None = None
     rho: float | None = None
     per_rep: list[float] | None = None
+    warnings: list[str] = field(default_factory=list)
 
 
 def selection_accuracy(selected, truth) -> float:
@@ -183,7 +184,8 @@ def run_recovery_benchmark(
     When margin_config is None each cell uses bench_margin_config(rho).
     The gate methods train with train_config, reseeded per repetition.
     Accuracies are reported in percent, std over repetitions with the
-    population divisor.
+    population divisor. Each cell keeps the distinct warnings its method
+    raised over the repetitions, in first-seen order.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -193,6 +195,7 @@ def run_recovery_benchmark(
         for rho in rhos:
             cell_margin = margin_config or bench_margin_config(rho)
             accs: dict[str, list[float]] = {m: [] for m in methods}
+            notes: dict[str, list[str]] = {m: [] for m in methods}
             for rep in range(reps):
                 entropy = np.random.SeedSequence(
                     [seed, int(setup), int(round(rho * 1000)), rep]
@@ -209,6 +212,7 @@ def run_recovery_benchmark(
                     )
                     picked = select_top(report, len(truth))
                     accs[method].append(100.0 * selection_accuracy(picked, truth))
+                    notes[method].extend(report.warnings)
             for method in methods:
                 values = accs[method]
                 cells.append(
@@ -220,6 +224,7 @@ def run_recovery_benchmark(
                         mean=float(np.mean(values)),
                         std=float(np.std(values)),
                         per_rep=values,
+                        warnings=list(dict.fromkeys(notes[method])),
                     )
                 )
     return cells

@@ -92,57 +92,29 @@ class InteractionWeights:
     t: float
 
 
-def skewness(f) -> float:
-    """Moment coefficient of skewness m3 / m2^(3/2), central moments over n."""
-    f = np.asarray(f, dtype=float)
-    if f.size < 3:
-        raise ValueError(f"skewness needs at least 3 values, got {f.size}")
-    if f.max() == f.min():
-        raise ValueError("skewness undefined for a constant vector")
-    # skewness is scale-free, so values far from 1 in magnitude, whose mean,
-    # dev^3 or m2^(3/2) could under- or overflow, are divided by a power of
-    # two near the largest one, which is exact. The largest deviation is then
-    # at least about 2^-54, so the moments stay normal. Within 2^+-200 values
-    # are left as they are: pow is not exact under scaling.
-    _, exponent = np.frexp(np.abs(f).max())
-    if abs(exponent) > 200:
-        f = np.ldexp(f, -exponent)
-    dev = f - f.mean()
-    m2 = np.mean(dev * dev)
-    m3 = np.mean(dev * dev * dev)
-    return float(m3 / m2**1.5)
-
-
-def classify_skew(s: float, config: MarginConfig) -> MarginKind:
-    """Map a skewness value to a margin side; thresholds are inclusive."""
-    if s >= config.skew_right:
-        return MarginKind.RIGHT
-    if s <= config.skew_left:
-        return MarginKind.LEFT
-    return MarginKind.TWO_SIDED
-
-
-def feature_margin(
-    f, kind: MarginKind, quantile: float
-) -> tuple[np.ndarray, tuple[float | None, float | None]]:
-    """Boolean margin mask for one feature plus the (lower, upper) cutoffs.
-
-    Cutoffs are values of the empirical quantile function (linear
-    interpolation between order statistics); membership is strict, so ties
-    sitting exactly on a cutoff stay out of the margin.
-    """
-    f = np.asarray(f, dtype=float)
-    if not 0.0 < quantile < 0.5:
-        raise ValueError(f"quantile must be in (0, 0.5), got {quantile}")
-    if kind is MarginKind.RIGHT:
-        hi = float(np.quantile(f, 1.0 - quantile))
-        return f > hi, (None, hi)
-    if kind is MarginKind.LEFT:
-        lo = float(np.quantile(f, quantile))
-        return f < lo, (lo, None)
-    lo = float(np.quantile(f, quantile / 2.0))
-    hi = float(np.quantile(f, 1.0 - quantile / 2.0))
-    return (f < lo) | (f > hi), (lo, hi)
+def skewness(X) -> np.ndarray:
+    """Moment coefficient of skewness m3 / m2^(3/2) of each column of the
+    n x d array X, central moments over n. Needs n >= 3 and no constant
+    column."""
+    cols = np.ascontiguousarray(np.asarray(X, dtype=float).T)
+    if cols.shape[1] < 3:
+        raise ValueError(f"skewness needs at least 3 values, got {cols.shape[1]}")
+    if (cols.max(axis=1) == cols.min(axis=1)).any():
+        raise ValueError("skewness undefined for a constant column")
+    # skewness is scale-free, so a column far from 1 in magnitude, whose
+    # mean, dev^3 or m2^(3/2) could under- or overflow, is divided by a
+    # power of two near its largest value, which is exact. Its largest
+    # deviation is then at least about 2^-54, so the moments stay normal.
+    # Within 2^+-200 a column is left as it is: pow is not exact under
+    # scaling. A row of cols is summed pairwise, as a 1-d array would be.
+    _, exponent = np.frexp(np.abs(cols).max(axis=1))
+    cols = np.ldexp(cols, np.where(np.abs(exponent) > 200, -exponent, 0)[:, None])
+    dev = cols - cols.mean(axis=1, keepdims=True)
+    m2 = np.mean(dev * dev, axis=1)
+    m3 = np.mean(dev * dev * dev, axis=1)
+    # Python floats take C's pow, as a scalar does; NumPy's vectorised
+    # float64 power can differ from it in the last bit on some CPUs
+    return m3 / (m2.astype(object) ** 1.5).astype(float)
 
 
 def temperature(n_features: int) -> float:
@@ -154,31 +126,40 @@ def temperature(n_features: int) -> float:
 
 
 def build_margin_model(ds: Dataset, config: MarginConfig) -> MarginModel:
-    """Classify every feature, collect margins, and assemble sample weights.
+    """Pick every feature's margin side, cut its tails and assemble sample
+    weights, in one column-wise pass.
 
-    Constant features are treated as two-sided with an empty margin rather
-    than rejected. The margin representation row for any sample with fewer
-    than ``config.k`` memberships is zeroed entirely, matching its zero
-    weight.
+    With quantile q and Q the linearly interpolated empirical quantile, a
+    right margin holds the values above Q(1 - q), a left one those below
+    Q(q), a two-sided one those outside [Q(q/2), Q(1 - q/2)]. Constant
+    features are two-sided with an empty margin; rows with fewer than
+    ``config.k`` memberships get a zero weight and margin_rep row.
     """
     X = ds.values
     n, d = X.shape
     if n < 3:
         raise DataError(f"margins need at least 3 data rows for skewness, got {n}")
-    kinds: list[MarginKind] = []
-    cutoffs: list[tuple[float | None, float | None]] = []
-    membership = np.zeros((n, d), dtype=bool)
-    for r in range(d):
-        f = X[:, r]
-        if f.max() == f.min() or np.var(f) == 0.0:
-            kinds.append(MarginKind.TWO_SIDED)
-            cutoffs.append((None, None))
-            continue
-        kind = classify_skew(skewness(f), config)
-        mask, cut = feature_margin(f, kind, config.quantile)
-        kinds.append(kind)
-        cutoffs.append(cut)
-        membership[:, r] = mask
+    cols = np.ascontiguousarray(X.T)  # rows reduce like 1-d arrays
+    with np.errstate(over="ignore"):  # an overflowing variance is not 0
+        live = (cols.max(axis=1) != cols.min(axis=1)) & (cols.var(axis=1) != 0.0)
+    # a constant feature gets NaN skewness and cutoffs, which pass no
+    # threshold and no comparison: two-sided, with an empty margin
+    s = np.full(d, np.nan)
+    s[live] = skewness(cols[live].T)
+    q = config.quantile
+    cut = np.quantile(cols, [q / 2.0, q, 1.0 - q, 1.0 - q / 2.0], axis=1)
+    cut[:, ~live] = np.nan
+    right = s >= config.skew_right
+    left = (s <= config.skew_left) & ~right
+    # the tail a one-sided margin leaves out gets an infinite cutoff
+    lo = np.where(right, -np.inf, np.where(left, cut[1], cut[0]))
+    hi = np.where(left, np.inf, np.where(right, cut[2], cut[3]))
+    membership = (X < lo) | (X > hi)
+    kinds = np.where(
+        right, MarginKind.RIGHT, np.where(left, MarginKind.LEFT, MarginKind.TWO_SIDED)
+    )
+    cutoffs = list(zip(np.where(np.isfinite(lo), lo, None).tolist(),
+                       np.where(np.isfinite(hi), hi, None).tolist()))
 
     counts = membership.sum(axis=1)
     in_margin = counts >= config.k
@@ -190,7 +171,7 @@ def build_margin_model(ds: Dataset, config: MarginConfig) -> MarginModel:
         t = temperature(d)
     return MarginModel(
         config=config,
-        kinds=kinds,
+        kinds=kinds.tolist(),
         cutoffs=cutoffs,
         membership=membership,
         counts=counts,
@@ -213,12 +194,20 @@ def _sq_distances(X: np.ndarray) -> tuple[np.ndarray, float]:
     is exactly 0. The pair mean is 2 sum|xc_i|^2 / (n - 1) in closed form
     (0 for a single row). Duplicated rows get distance exactly 0 when the
     BLAS forms every dot product alike, which holds for small matrices; on
-    larger ones it can miss 0 by a few ulps of the squared norms.
+    larger ones it can miss 0 by a few ulps of the squared norms. Values too
+    large for finite distances raise a DataError naming the row.
     """
     n = X.shape[0]
-    Xc = X - X.mean(axis=0)
-    D = Xc @ Xc.T
-    sq = D.diagonal().copy()
+    # every D_ij is at most 4 max(sq) and the pair mean sums all of sq, so
+    # both stay finite while 4x the running sum of sq does
+    with np.errstate(over="ignore", invalid="ignore"):
+        Xc = X - X.mean(axis=0)
+        D = Xc @ Xc.T
+        sq = D.diagonal().copy()
+        overflow = ~np.isfinite(4.0 * np.cumsum(sq))
+    if overflow.any():
+        row = int(overflow.argmax()) + 1
+        raise DataError(f"values too large: squared distances from row {row} overflow")
     D *= -2.0
     for start in range(0, n, _ROW_BLOCK):
         rows = D[start : start + _ROW_BLOCK]

@@ -6,6 +6,7 @@ Tolerances and budgets are stated inline next to each check.
 """
 
 import json
+import math
 import time
 from pathlib import Path
 
@@ -31,9 +32,7 @@ from mlscore.gates import (
 from mlscore.margins import (
     InteractionWeights,
     MarginConfig,
-    MarginKind,
     build_margin_model,
-    feature_margin,
     interaction_weights,
 )
 from mlscore.scores import laplacian_score, mls
@@ -416,11 +415,17 @@ def test_criterion_9_invariants_hold_over_1000_trials(check):
         lo_q, hi_q = sorted(rng.uniform(0.02, 0.48, size=2))
         if lo_q == hi_q:
             continue
-        kind = (MarginKind.RIGHT, MarginKind.LEFT, MarginKind.TWO_SIDED)[
-            int(rng.integers(3))
-        ]
-        narrow, _ = feature_margin(f, kind, lo_q)
-        wide, _ = feature_margin(f, kind, hi_q)
+        # skewness thresholds that force the right, left or two-sided margin
+        skew_right, skew_left = (
+            (-1e308, -math.inf), (math.inf, 1e308), (math.inf, -math.inf)
+        )[int(rng.integers(3))]
+        ds = Dataset(values=f[:, None], feature_names=["f"])
+        narrow = build_margin_model(
+            ds, MarginConfig(quantile=lo_q, skew_right=skew_right, skew_left=skew_left)
+        ).membership
+        wide = build_margin_model(
+            ds, MarginConfig(quantile=hi_q, skew_right=skew_right, skew_left=skew_left)
+        ).membership
         if (narrow & ~wide).any():
             failures.append("margin mask not monotone in quantile")
             break

@@ -52,6 +52,7 @@ def test_score_writes_ranked_csv_and_manifest(labeled_csv, tmp_path, capsys):
     assert str(labeled_csv) in manifest["inputs"]
     assert len(manifest["inputs"][str(labeled_csv)]) == 64
     assert manifest["outputs"] == [str(out)]
+    assert manifest["warnings"] == []
     assert "wrote" in capsys.readouterr().out
 
 
@@ -122,6 +123,26 @@ def test_margin_methods_on_two_rows_are_data_errors(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "at least 3 data rows" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["score", "--method", "ls"],
+     ["score", "--method", "mls"],
+     ["select", "--method", "dufs", "--num-features", "2", "--epochs", "2"]],
+)
+def test_values_too_large_for_distances_are_data_errors(tmp_path, capsys, argv):
+    # finite values whose squared distances overflow used to give NaN scores
+    path = tmp_path / "big.csv"
+    values = np.random.default_rng(0).standard_normal((50, 4)) * 1e200
+    np.savetxt(path, values, delimiter=",", header="a,b,c,d", comments="")
+    out = tmp_path / "out.csv"
+    code = main(argv + ["--input", str(path), "--no-standardize", "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "row 1" in err
+    assert not out.exists() or "nan" not in out.read_text()
 
 
 # ------------------------------------------------------------------- select
@@ -207,6 +228,9 @@ def test_select_dufs_mls_warns_that_gate_means_are_equal(labeled_csv, tmp_path, 
     err = capsys.readouterr().err
     assert "warning: all gate means are equal; the selection is feature order" in err
     assert [r["feature"] for r in _read_rows(out)] == ["f00", "f01", "f02"]
+    assert _manifest(out)["warnings"] == [
+        "all gate means are equal; the selection is feature order"
+    ]
 
 
 # -------------------------------------------------------------------- synth
@@ -238,6 +262,24 @@ def test_synth_noisy_pads_features(tmp_path):
     assert code == 0
     ds = load_csv(out, label_column="label")
     assert ds.n_features == 309
+
+
+def test_noisy_synth_methods_pick_the_correlated_block(tmp_path):
+    # the added 10-wide block shares one factor of variance about
+    # 1 + 9 * 0.9 = 9.1 against 1 for any other direction, so it dominates
+    # the sample graph and both scores rank its columns first
+    for seed in ("1", "2"):
+        data = tmp_path / f"noisy{seed}.csv"
+        main(["synth", "--setup", "1", "--rho", "0.95", "--n", "500",
+              "--seed", seed, "--noisy", "--output", str(data)])
+        for method in ("ls", "mls"):
+            out = tmp_path / f"{method}{seed}.csv"
+            code = main(["select", "--method", method, "--num-features", "5",
+                         "--input", str(data), "--label-col", "label",
+                         "--output", str(out)])
+            assert code == 0
+            picked = [r["feature"] for r in _read_rows(out)]
+            assert all(name.startswith("added_corr_") for name in picked), picked
 
 
 def test_synth_validates_rho(tmp_path):
@@ -356,7 +398,7 @@ def test_bench_validates_lists(tmp_path, monkeypatch):
     assert exc.value.code == 2
 
 
-def test_bench_matches_recovery_benchmark(tmp_path, monkeypatch):
+def test_bench_matches_recovery_benchmark(tmp_path, capsys, monkeypatch):
     # at seed 1 the dufs accuracy reads 80 here, but 60 with n = 1000 or
     # with 500 epochs, so a dropped --n or --epochs shows
     monkeypatch.chdir(tmp_path)
@@ -374,9 +416,14 @@ def test_bench_matches_recovery_benchmark(tmp_path, monkeypatch):
     written = [(r["method"], float(r["accuracy"]))
                for r in _read_rows(tmp_path / "g-reps.csv")]
     assert written == expected
-    params = _manifest(tmp_path / "g-summary.csv")["params"]
-    assert params["n"] == 60
-    assert params["epochs"] == 2
+    manifest = _manifest(tmp_path / "g-summary.csv")
+    assert manifest["params"]["n"] == 60
+    assert manifest["params"]["epochs"] == 2
+    # the reason dufs-mls scores feature order reaches stderr and the manifest
+    line = ("setup 1 rho 0.9 dufs-mls: all gate means are equal;"
+            " the selection is feature order")
+    assert capsys.readouterr().err == f"warning: {line}\n"
+    assert manifest["warnings"] == [line]
 
 
 def test_bench_fixed_quantile_flows_through(tmp_path, monkeypatch):

@@ -199,6 +199,18 @@ def test_recovery_benchmark_deterministic():
     assert a[0].per_rep != c[0].per_rep or a[0].mean == c[0].mean
 
 
+def test_recovery_benchmark_keeps_each_cells_distinct_warnings():
+    cells = run_recovery_benchmark(
+        setups=(1,), rhos=(0.9,), reps=2, methods=("mls", "dufs-mls"), seed=1,
+        n_samples=60, train_config=TrainConfig(epochs=2),
+    )
+    warnings = {cell.method: cell.warnings for cell in cells}
+    assert warnings == {
+        "mls": [],
+        "dufs-mls": ["all gate means are equal; the selection is feature order"],
+    }
+
+
 def test_score_dataset_dufs_mls_warns_that_gate_means_are_equal():
     ds = gen_setup(SynthSpec(setup=1, rho=0.9, n_samples=60, seed=2)).dataset
     report, trace = score_dataset(ds, "dufs-mls", train_config=TrainConfig(epochs=3))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
 from mlscore.data import DataError, Dataset
+from mlscore.evaluation import BENCH_RHOS, bench_margin_config
 from mlscore.margins import (
     InteractionWeights,
     MarginConfig,
@@ -15,13 +16,13 @@ from mlscore.margins import (
     MarginModel,
     _sq_distances,
     build_margin_model,
-    classify_skew,
     export_margin_csv,
-    feature_margin,
     interaction_weights,
     skewness,
     temperature,
 )
+from mlscore.synth import SynthSpec, gen_setup
+from oracles import skewness_1d, build_margin_model_loop
 
 
 def _model_from_rep(rep, t=1.0):
@@ -43,23 +44,27 @@ def _model_from_rep(rep, t=1.0):
 # ---------------------------------------------------------------- skewness
 
 
+def _skew(f) -> float:
+    return float(skewness(np.asarray(f, dtype=float)[:, None])[0])
+
+
 def test_skewness_symmetric_is_zero():
-    assert skewness([-1.0, 0.0, 1.0]) == 0.0
+    assert _skew([-1.0, 0.0, 1.0]) == 0.0
 
 
 def test_skewness_hand_value():
     # mean 2.5, m2 = 18.75, m3 = 93.75 -> 93.75 / 18.75^1.5 = 2/sqrt(3)
-    assert abs(skewness([0.0, 0.0, 0.0, 10.0]) - 2.0 / math.sqrt(3.0)) < 1e-12
+    assert abs(_skew([0.0, 0.0, 0.0, 10.0]) - 2.0 / math.sqrt(3.0)) < 1e-12
 
 
 def test_skewness_rejects_constant():
     with pytest.raises(ValueError, match="constant"):
-        skewness([2.0, 2.0, 2.0])
+        _skew([2.0, 2.0, 2.0])
 
 
 def test_skewness_needs_three_values():
     with pytest.raises(ValueError, match="at least 3"):
-        skewness([1.0, 2.0])
+        _skew([1.0, 2.0])
 
 
 @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=3, max_size=40))
@@ -67,8 +72,8 @@ def test_skewness_odd_symmetry(f):
     f = np.asarray(f)
     if f.max() == f.min() or np.var(f) == 0.0:
         return
-    s = skewness(f)
-    assert abs(skewness(-f) + s) <= 1e-9 * max(1.0, abs(s))
+    s = _skew(f)
+    assert abs(_skew(-f) + s) <= 1e-9 * max(1.0, abs(s))
 
 
 @pytest.mark.parametrize("spike", [4.7e-122, 1e200])
@@ -76,34 +81,71 @@ def test_skewness_far_from_unit_scale(spike):
     # unscaled, m2^(3/2) underflows to 0 for the tiny spike and dev^3
     # overflows for the huge one; both turned the result into NaN
     f = np.array([0.0, 0.0, spike])
-    s = skewness(f)
+    s = _skew(f)
     assert abs(s - 1.0 / math.sqrt(2.0)) < 1e-12
-    assert skewness(-f) == -s
+    assert _skew(-f) == -s
 
 
-# ------------------------------------------------------------ classify_skew
+def test_skewness_scales_each_column_alone():
+    # one column is rescaled by a power of two, its neighbour is not
+    f = np.array([0.0, 0.0, 0.0, 10.0])
+    X = np.column_stack([f * 2.0**250, f, -f * 2.0**-250])
+    s = skewness(X)
+    assert s.shape == (3,)
+    assert s.tolist() == [_skew(f), _skew(f), -_skew(f)]
+
+
+# ------------------------------------------------------------- margin sides
+# A config forces a side whatever the skewness: skew_right = -1e308 makes
+# every feature right-sided, skew_left = 1e308 left-sided, and infinite
+# thresholds two-sided.
+
+_FORCE = {
+    MarginKind.RIGHT: dict(skew_right=-1e308, skew_left=-math.inf),
+    MarginKind.LEFT: dict(skew_right=math.inf, skew_left=1e308),
+    MarginKind.TWO_SIDED: dict(skew_right=math.inf, skew_left=-math.inf),
+}
+
+
+def _one_feature(f, kind: MarginKind, quantile: float):
+    """Margin mask, cutoffs and side of the single feature f when its side
+    is forced to kind."""
+    ds = Dataset(values=np.asarray(f, dtype=float)[:, None], feature_names=["f"])
+    model = build_margin_model(ds, MarginConfig(quantile=quantile, **_FORCE[kind]))
+    return model.membership[:, 0], model.cutoffs[0], model.kinds[0]
 
 
 def test_classify_skew_sides():
-    cfg = MarginConfig()
-    assert classify_skew(0.7, cfg) is MarginKind.RIGHT
-    assert classify_skew(0.0, cfg) is MarginKind.TWO_SIDED
-    assert classify_skew(-0.7, cfg) is MarginKind.LEFT
+    f = np.array([0.0, 0.0, 0.0, 10.0])  # skewness 2/sqrt(3)
+    X = np.column_stack([f, [-1.0, 0.0, 0.0, 1.0], -f])
+    ds = Dataset(values=X, feature_names=["right", "flat", "left"])
+    model = build_margin_model(ds, MarginConfig())
+    assert model.kinds == [MarginKind.RIGHT, MarginKind.TWO_SIDED, MarginKind.LEFT]
 
 
 def test_classify_skew_boundaries_inclusive():
-    cfg = MarginConfig()
-    assert classify_skew(0.5, cfg) is MarginKind.RIGHT
-    assert classify_skew(-0.5, cfg) is MarginKind.LEFT
-    assert classify_skew(0.4999, cfg) is MarginKind.TWO_SIDED
+    f = np.array([0.0, 1.0, 1.0, 2.0, 9.0])
+    s = _skew(f)
+    ds = Dataset(values=f[:, None], feature_names=["f"])
+
+    def kind(**thresholds):
+        return build_margin_model(ds, MarginConfig(**thresholds)).kinds[0]
+
+    assert kind(skew_right=s, skew_left=-s) is MarginKind.RIGHT
+    assert kind(skew_right=s + 1.0, skew_left=s) is MarginKind.LEFT
+    assert kind(skew_right=np.nextafter(s, math.inf), skew_left=-s) is MarginKind.TWO_SIDED
+    assert kind(skew_right=s + 1.0, skew_left=np.nextafter(s, -math.inf)) is (
+        MarginKind.TWO_SIDED
+    )
 
 
-# ----------------------------------------------------------- feature_margin
+# ----------------------------------------------------------- margin cutoffs
 
 
 def test_feature_margin_right_top_of_range():
     f = np.arange(1.0, 101.0)
-    mask, (lo, hi) = feature_margin(f, MarginKind.RIGHT, 0.05)
+    mask, (lo, hi), kind = _one_feature(f, MarginKind.RIGHT, 0.05)
+    assert kind is MarginKind.RIGHT
     assert lo is None
     assert hi == np.quantile(f, 0.95)
     assert sorted(f[mask]) == [96.0, 97.0, 98.0, 99.0, 100.0]
@@ -111,14 +153,16 @@ def test_feature_margin_right_top_of_range():
 
 def test_feature_margin_left_bottom_of_range():
     f = np.arange(1.0, 101.0)
-    mask, (lo, hi) = feature_margin(f, MarginKind.LEFT, 0.05)
+    mask, (lo, hi), kind = _one_feature(f, MarginKind.LEFT, 0.05)
+    assert kind is MarginKind.LEFT
     assert hi is None
     assert sorted(f[mask]) == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_feature_margin_two_sided_both_tails():
     f = np.arange(1.0, 101.0)
-    mask, (lo, hi) = feature_margin(f, MarginKind.TWO_SIDED, 0.1)
+    mask, (lo, hi), kind = _one_feature(f, MarginKind.TWO_SIDED, 0.1)
+    assert kind is MarginKind.TWO_SIDED
     assert lo < hi
     assert sorted(f[mask]) == [1.0, 2.0, 3.0, 4.0, 5.0, 96.0, 97.0, 98.0, 99.0, 100.0]
 
@@ -126,7 +170,7 @@ def test_feature_margin_two_sided_both_tails():
 def test_feature_margin_strict_at_cutoff():
     # Q(0.75) of [0..4] is exactly 3.0; the sample sitting on it stays out
     f = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    mask, (_, hi) = feature_margin(f, MarginKind.RIGHT, 0.25)
+    mask, (_, hi), _ = _one_feature(f, MarginKind.RIGHT, 0.25)
     assert hi == 3.0
     assert f[mask].tolist() == [4.0]
 
@@ -134,13 +178,10 @@ def test_feature_margin_strict_at_cutoff():
 def test_feature_margin_constant_is_empty():
     f = np.full(10, 7.0)
     for kind in MarginKind:
-        mask, _ = feature_margin(f, kind, 0.1)
+        mask, cut, got = _one_feature(f, kind, 0.1)
         assert not mask.any()
-
-
-def test_feature_margin_quantile_validation():
-    with pytest.raises(ValueError, match="quantile"):
-        feature_margin(np.arange(5.0), MarginKind.RIGHT, 0.6)
+        assert cut == (None, None)
+        assert got is MarginKind.TWO_SIDED
 
 
 @given(
@@ -152,8 +193,8 @@ def test_feature_margin_quantile_validation():
 def test_feature_margin_monotone_in_quantile(f, kind, q1, q2):
     f = np.asarray(f)
     lo_q, hi_q = min(q1, q2), max(q1, q2)
-    small, _ = feature_margin(f, kind, lo_q)
-    large, _ = feature_margin(f, kind, hi_q)
+    small, _, _ = _one_feature(f, kind, lo_q)
+    large, _, _ = _one_feature(f, kind, hi_q)
     assert not (small & ~large).any()
 
 
@@ -252,6 +293,85 @@ def test_margin_config_validation():
         MarginConfig(temperature_override=0.0)
 
 
+# ------------------------------------------- column-wise pass vs. the loop
+
+
+def _assert_same_model(got: MarginModel, ref: MarginModel) -> None:
+    """Every field of the two models is equal bit for bit."""
+    assert got.config == ref.config
+    assert got.kinds == ref.kinds
+
+    def bits(cutoffs):
+        return [tuple(None if v is None else float(v).hex() for v in c) for c in cutoffs]
+
+    assert bits(got.cutoffs) == bits(ref.cutoffs)
+    for name in ("membership", "counts", "in_dataset_margin", "u", "margin_rep"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert float(got.t).hex() == float(ref.t).hex()
+
+
+@st.composite
+def _tables(draw):
+    """Tables with tied, constant and wide-ranging columns, some scaled by
+    2^+-250 so that skewness rescales them, and subnormal columns that vary
+    but whose variance underflows to 0."""
+    n = draw(st.integers(3, 30))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        style = draw(st.sampled_from(["ties", "constant", "spread", "subnormal"]))
+        scale = draw(st.sampled_from([-250, 0, 250]))
+        if style == "constant":
+            column = [draw(st.floats(-1e3, 1e3))] * n
+        elif style == "spread":
+            column = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+        else:
+            column = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+            scale = -1074 if style == "subnormal" else scale
+        columns.append(np.ldexp(np.asarray(column, dtype=float), scale))
+    return np.column_stack(columns)
+
+
+@given(
+    _tables(),
+    st.floats(0.01, 0.49),
+    st.floats(-1.0, 1.0),
+    st.floats(0.01, 2.0),
+    st.integers(1, 3),
+)
+def test_build_margin_model_matches_feature_loop(X, quantile, skew_right, gap, k):
+    ds = Dataset(values=X, feature_names=[f"f{j}" for j in range(X.shape[1])])
+    config = MarginConfig(
+        quantile=quantile, skew_right=skew_right, skew_left=skew_right - gap, k=k
+    )
+    _assert_same_model(build_margin_model(ds, config), build_margin_model_loop(ds, config))
+
+
+@given(_tables())
+def test_skewness_matches_one_column_at_a_time(X):
+    X = X[:, X.max(axis=0) != X.min(axis=0)]
+    got = [v.hex() for v in skewness(X).tolist()]
+    assert got == [skewness_1d(f).hex() for f in X.T]
+
+
+def test_build_margin_model_kinds_on_the_grid_draws():
+    # the benchmark grid at n = 1000, seeds 0-5: the five shifted features
+    # are right-sided and every other feature two-sided
+    for setup in (1, 2, 3):
+        for rho in BENCH_RHOS:
+            config = bench_margin_config(rho)
+            for seed in range(6):
+                drawn = gen_setup(
+                    SynthSpec(setup=setup, rho=rho, n_samples=1000, seed=seed)
+                )
+                model = build_margin_model(drawn.dataset, config)
+                expected = [MarginKind.TWO_SIDED] * drawn.dataset.n_features
+                expected[5:10] = [MarginKind.RIGHT] * 5
+                assert model.kinds == expected, (setup, rho, seed)
+                _assert_same_model(model, build_margin_model_loop(drawn.dataset, config))
+
+
 # -------------------------------------------------------------- _sq_distances
 
 
@@ -285,6 +405,16 @@ def test_sq_distances_closed_form_mean(rng, offset):
     triu_mean = squareform(pdist(X, metric="sqeuclidean"))[np.triu_indices(50, k=1)].mean()
     assert abs(mean_pair_sq - triu_mean) <= 1e-12 * triu_mean
     assert _sq_distances(np.ones((1, 3)))[1] == 0.0
+
+
+def test_sq_distances_overflow_names_the_row():
+    # each centred row has |x|^2 = 4e306; four times the running sum of
+    # those passes the largest double at the 12th row
+    X = np.resize([2e153, -2e153], (20, 1))
+    with pytest.raises(DataError, match="row 12 overflow"):
+        _sq_distances(X)
+    D, _ = _sq_distances(X / 2.0)
+    assert np.isfinite(D).all()
 
 
 # -------------------------------------------------------- interaction_weights
