@@ -9,7 +9,6 @@ from .data import (
     load_csv,
     save_csv,
     standardize,
-    variance,
 )
 from .margins import (
     InteractionWeights,

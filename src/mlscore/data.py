@@ -207,12 +207,3 @@ def standardize(ds: Dataset) -> tuple[Dataset, ScalerStats]:
     scaled = Dataset(values=out, feature_names=ds.feature_names, labels=ds.labels)
     return scaled, ScalerStats(means=means, std_devs=sd, constant=constant)
 
-
-def variance(f) -> float:
-    """Sample variance with divisor n-1."""
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 1:
-        raise ValueError("variance expects a 1-d vector")
-    if f.size < 2:
-        raise ValueError(f"variance needs at least 2 values, got {f.size}")
-    return float(np.var(f, ddof=1))

@@ -11,6 +11,13 @@ loss, a fixed kernel bandwidth; the clamp contributes subgradient zero at
 its boundaries. Finite differences of the same frozen-everything loss are
 the ground truth the tests compare against.
 
+The graph loss ``dufs`` rebuilds its heat kernel W from the gated rows every
+epoch. An epoch costs four n x n x d products: the Gram matrix behind the
+distances, G = gated gated', W @ F and (W o G) @ F. ``train`` allocates the
+two n x n buffers they fill, the kernel and W o G, once per run, and works
+out F * F and its column sums before the first epoch. An overflowing loss
+or gradient raises a DataError naming the feature.
+
 The margin loss ``dufs-mls`` reduces to a closed form. Its kernel and
 sample weights are frozen, and gating column r by z_r scales both the
 column's numerator and its variance by z_r^2, so every live term is the
@@ -32,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .data import Dataset
+from .data import DataError, Dataset
 from .margins import MarginModel, _sq_distances, interaction_weights
 from .scores import _mls_terms
 
@@ -121,27 +128,50 @@ def dufs_bandwidth(gated: np.ndarray) -> float:
     return max(1.0, _sq_distances(gated)[1])
 
 
+def _dufs_buffers(F: np.ndarray, want_grad: bool) -> tuple:
+    """What a dufs epoch needs that does not depend on z: F * F, its column
+    sums, the kernel buffer and, for gradients, the n x n Gram buffer.
+    ``train`` builds it once per run; the public functions once per call."""
+    n = F.shape[0]
+    with np.errstate(over="ignore"):  # the epoch names what overflows
+        F2 = F * F
+    gram = np.empty((n, n)) if want_grad else None
+    return F2, F2.sum(axis=0), np.empty((n, n)), gram
+
+
+def _check_finite(ds: Dataset, per_feature: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(per_feature))
+    if bad.size:
+        name = ds.feature_names[int(bad[0])]
+        raise DataError(f"values too large: the dufs {what} of feature {name!r} overflows")
+
+
 def _dufs_core(
-    F: np.ndarray,
+    ds: Dataset,
     z: np.ndarray,
     state: GateState,
     bandwidth: float | None,
     want_grad: bool,
+    buffers: tuple | None = None,
 ) -> tuple[float, np.ndarray | None]:
+    F = ds.values
+    F2, F2_sums, W, WG = buffers or _dufs_buffers(F, want_grad)
     # a bandwidth of None is taken from the same distances the kernel uses
     gated = F * z
-    W, mean_sq = _sq_distances(gated)
+    _, mean_sq = _sq_distances(gated, out=W)
     if bandwidth is None:
         bandwidth = max(1.0, mean_sq)
     W /= -bandwidth
     np.exp(W, out=W)
-    dvec = W.sum(axis=1)
-    tiny = np.flatnonzero(dvec < 1e-300)
-    if tiny.size:
-        raise ValueError(f"degenerate kernel row at sample {int(tiny[0])}")
+    dvec = W.sum(axis=1)  # at least 1: the diagonal of W is exactly 1
 
-    H = (W @ gated) / dvec[:, None]
-    trace = float((gated * gated).sum() - (gated * H).sum())
+    # W @ gated = (W @ F) * z, so one product serves the trace and the
+    # direct path; smooth_r = f_r'f_r - f_r' D^-1 W f_r and T = sum z^2 smooth
+    with np.errstate(over="ignore", invalid="ignore"):
+        Hf = (W @ F) / dvec[:, None]
+        smooth = F2_sums - (F * Hf).sum(axis=0)
+    _check_finite(ds, smooth, "loss")
+    trace = float((z * z) @ smooth)
     denom = _denominator(state)
     loss = -trace / denom
     if state.sign_flip:
@@ -150,22 +180,26 @@ def _dufs_core(
         return loss, None
 
     # dT/dz splits into the direct path through the gated columns and the
-    # kernel path through W (and the degrees it induces)
-    F2 = F * F
-    G = gated @ gated.T
-    R = (W * G).sum(axis=1)
-    P = W * (G / dvec[:, None] - (R / (dvec * dvec))[:, None])
-    kernel_path = (2.0 * z / bandwidth) * (
-        (P.sum(axis=1) + P.sum(axis=0)) @ F2 - 2.0 * (F * (P @ F)).sum(axis=0)
-    )
-    Hf = (W @ F) / dvec[:, None]
-    direct_path = 2.0 * z * (F2.sum(axis=0) - (F * Hf).sum(axis=0))
-    dT_dz = direct_path + kernel_path
-
-    open_mask = (z > 0.0) & (z < 1.0)
-    grad = -(dT_dz * open_mask) / denom + trace * (
-        state.m_gates * _phi_over_sigma(state)
-    ) / denom**2
+    # kernel path through W and its degrees. The kernel path needs the
+    # column sums and the product with F of P = W o (G / d_i - R_i / d_i^2),
+    # where G = gated gated' and R = (W o G) 1; P's rows sum to 0. Both come
+    # from WG = W o G and matvecs, so P is never formed. Raw values of large
+    # magnitude overflow here (about x^4) before the distances do.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(gated, gated.T, out=WG)
+        WG *= W
+        r2 = WG.sum(axis=1) / (dvec * dvec)
+        P_colsums = (1.0 / dvec) @ WG - r2 @ W
+        PF = (WG @ F) / dvec[:, None] - (r2 * dvec)[:, None] * Hf
+        kernel_path = (2.0 * z / bandwidth) * (
+            P_colsums @ F2 - 2.0 * (F * PF).sum(axis=0)
+        )
+        dT_dz = 2.0 * z * smooth + kernel_path
+        open_mask = (z > 0.0) & (z < 1.0)
+        grad = -(dT_dz * open_mask) / denom + trace * (
+            state.m_gates * _phi_over_sigma(state)
+        ) / denom**2
+    _check_finite(ds, grad, "gradient")
     if state.sign_flip:
         grad = -grad
     return loss, grad
@@ -181,14 +215,15 @@ def dufs_loss(
     to hold it fixed while mu varies (gradient checks do).
     """
     z = np.asarray(z, dtype=float)
-    loss, _ = _dufs_core(ds.values, z, state, bandwidth, want_grad=False)
+    loss, _ = _dufs_core(ds, z, state, bandwidth, want_grad=False)
     return loss
 
 
 def _margin_terms(F: np.ndarray, model: MarginModel) -> tuple[np.ndarray, np.ndarray]:
     # the ungated mls score and variance of every column: gating column r
     # by z_r scales its numerator and its variance alike by z_r^2
-    return _mls_terms(F, interaction_weights(model).weights, model.u)
+    scores, variances, _ = _mls_terms(F, interaction_weights(model).weights, model.u)
+    return scores, variances
 
 
 def _dufs_mls_core(
@@ -247,7 +282,7 @@ def loss_gradient(
     """
     z = np.asarray(z, dtype=float)
     if variant == "dufs":
-        _, grad = _dufs_core(ds.values, z, state, bandwidth, want_grad=True)
+        _, grad = _dufs_core(ds, z, state, bandwidth, want_grad=True)
     elif variant == "dufs-mls":
         if model is None:
             raise ValueError("dufs-mls gradient needs a margin model")
@@ -283,6 +318,8 @@ def train(
     F = ds.values
     if config.loss_variant == "dufs-mls":
         terms = _margin_terms(F, model)
+    else:
+        buffers = _dufs_buffers(F, want_grad=True)
     history = np.empty(config.epochs)
     # adam accumulators
     m_acc = np.zeros_like(work.mu)
@@ -292,7 +329,7 @@ def train(
     for epoch in range(config.epochs):
         z = sample_gates(work, rng)
         if config.loss_variant == "dufs":
-            loss, grad = _dufs_core(F, z, work, bandwidth=None, want_grad=True)
+            loss, grad = _dufs_core(ds, z, work, None, want_grad=True, buffers=buffers)
         else:
             loss, grad = _dufs_mls_core(terms, z, work, want_grad=True)
         if not math.isfinite(loss):

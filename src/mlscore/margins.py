@@ -182,7 +182,9 @@ def build_margin_model(ds: Dataset, config: MarginConfig) -> MarginModel:
     )
 
 
-def _sq_distances(X: np.ndarray) -> tuple[np.ndarray, float]:
+def _sq_distances(
+    X: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
     """Squared Euclidean distances between the rows of X, and their mean
     over the n(n-1)/2 pairs.
 
@@ -196,13 +198,17 @@ def _sq_distances(X: np.ndarray) -> tuple[np.ndarray, float]:
     BLAS forms every dot product alike, which holds for small matrices; on
     larger ones it can miss 0 by a few ulps of the squared norms. Values too
     large for finite distances raise a DataError naming the row.
+
+    ``out``, an n x n C-contiguous float64 array, receives D in place of a
+    fresh array and is returned; whatever it held is overwritten. A caller
+    that builds a kernel per epoch passes the same buffer every time.
     """
     n = X.shape[0]
     # every D_ij is at most 4 max(sq) and the pair mean sums all of sq, so
     # both stay finite while 4x the running sum of sq does
     with np.errstate(over="ignore", invalid="ignore"):
         Xc = X - X.mean(axis=0)
-        D = Xc @ Xc.T
+        D = np.matmul(Xc, Xc.T, out=out)
         sq = D.diagonal().copy()
         overflow = ~np.isfinite(4.0 * np.cumsum(sq))
     if overflow.any():

@@ -100,26 +100,40 @@ def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreRep
     )
 
 
-def _mls_numerators(F: np.ndarray, W: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _mls_numerators(F: np.ndarray, W: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, bool]:
     """Vector of f'UDf + 1'UWf^2 - 2 f'WUf per column of F (U = diag(u),
-    D = diag(W 1)). Equals the naive pair sum when W is symmetric."""
+    D = diag(W 1)), and whether W is isolated: some sample has weight and
+    every such sample has degree exactly 1. Equals the naive pair sum when
+    W is symmetric.
+
+    Only rows of nonzero weight enter the pair sum. When each of them has
+    degree 1, its off-diagonal weights add up to less than an ulp of 1, the
+    pair sum is 0 to within the rounding of the expanded form, and the
+    numerators are returned as exact zeros instead of that rounding noise.
+    """
     dvec = W.sum(axis=1)
+    weighted_degrees = dvec[u != 0]
+    if weighted_degrees.size and (weighted_degrees == 1.0).all():
+        return np.zeros(F.shape[1]), True
     F2 = F * F
     t1 = (u * dvec) @ F2
     t2 = (u @ W) @ F2
     t3 = (F * (W @ (u[:, None] * F))).sum(axis=0)
-    return t1 + t2 - 2.0 * t3
+    return t1 + t2 - 2.0 * t3, False
 
 
-def _mls_terms(F: np.ndarray, W: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mls scores of F and the variances they divide by; a
-    column of zero variance scores 0."""
-    numerators = _mls_numerators(F, W, u)
+def _mls_terms(
+    F: np.ndarray, W: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Per-column mls scores of F, the variances they divide by, and whether
+    W is isolated (see ``_mls_numerators``); a column of zero variance
+    scores 0."""
+    numerators, isolated = _mls_numerators(F, W, u)
     variances = F.var(axis=0, ddof=1)
     scores = np.divide(
         numerators, variances, out=np.zeros_like(numerators), where=variances != 0
     )
-    return scores, variances
+    return scores, variances, isolated
 
 
 def mls(ds: Dataset, model: MarginModel) -> ScoreReport:
@@ -127,14 +141,15 @@ def mls(ds: Dataset, model: MarginModel) -> ScoreReport:
 
     The model must have been built on the same (standardized) dataset.
     Constant features, and features whose variance underflows to 0, score
-    +inf; if no sample carries margin weight the scores are all zero and
-    ranking falls back to index order.
+    +inf. If no sample carries margin weight, or no weighted sample has
+    off-diagonal weight in the margin kernel, the scores are all zero, a
+    warning says why, and ranking falls back to index order.
     """
     X = ds.values
     constant = X.max(axis=0) == X.min(axis=0)
     if constant.all():
         raise DataError("all features are constant; nothing to score")
-    scores, variances = _mls_terms(X, interaction_weights(model).weights, model.u)
+    scores, variances, isolated = _mls_terms(X, interaction_weights(model).weights, model.u)
     scores = np.where(constant | (variances == 0), np.inf, scores)
     report = ScoreReport(
         method="mls",
@@ -144,6 +159,11 @@ def mls(ds: Dataset, model: MarginModel) -> ScoreReport:
     )
     if not model.u.any():
         report.warnings.append("no sample carries margin weight; scores are all zero")
+    if isolated:
+        report.warnings.append(
+            "margin kernel has no off-diagonal weight at any weighted sample "
+            "(values too large for its temperature); scores are all zero"
+        )
     return report
 
 

@@ -3,11 +3,13 @@
 import numpy as np
 
 from mlscore.data import DataError, Dataset
+from mlscore.gates import GateState, _denominator, _phi_over_sigma
 from mlscore.margins import (
     InteractionWeights,
     MarginConfig,
     MarginKind,
     MarginModel,
+    _sq_distances,
     temperature,
 )
 
@@ -128,3 +130,56 @@ def build_margin_model_loop(ds: Dataset, config: MarginConfig) -> MarginModel:
         margin_rep=margin_rep,
         t=float(t),
     )
+
+
+def dufs_core_dense(
+    F: np.ndarray,
+    z: np.ndarray,
+    state: GateState,
+    bandwidth: float | None,
+    want_grad: bool,
+) -> tuple[float, np.ndarray | None]:
+    """Reference dufs loss and gradient that forms every n x n matrix of
+    the derivation: the kernel, G = gated gated', and P with its row and
+    column sums. ``gates._dufs_core`` must match it to rounding."""
+    # a bandwidth of None is taken from the same distances the kernel uses
+    gated = F * z
+    W, mean_sq = _sq_distances(gated)
+    if bandwidth is None:
+        bandwidth = max(1.0, mean_sq)
+    W /= -bandwidth
+    np.exp(W, out=W)
+    dvec = W.sum(axis=1)
+    tiny = np.flatnonzero(dvec < 1e-300)
+    if tiny.size:
+        raise ValueError(f"degenerate kernel row at sample {int(tiny[0])}")
+
+    H = (W @ gated) / dvec[:, None]
+    trace = float((gated * gated).sum() - (gated * H).sum())
+    denom = _denominator(state)
+    loss = -trace / denom
+    if state.sign_flip:
+        loss = -loss
+    if not want_grad:
+        return loss, None
+
+    # dT/dz splits into the direct path through the gated columns and the
+    # kernel path through W (and the degrees it induces)
+    F2 = F * F
+    G = gated @ gated.T
+    R = (W * G).sum(axis=1)
+    P = W * (G / dvec[:, None] - (R / (dvec * dvec))[:, None])
+    kernel_path = (2.0 * z / bandwidth) * (
+        (P.sum(axis=1) + P.sum(axis=0)) @ F2 - 2.0 * (F * (P @ F)).sum(axis=0)
+    )
+    Hf = (W @ F) / dvec[:, None]
+    direct_path = 2.0 * z * (F2.sum(axis=0) - (F * Hf).sum(axis=0))
+    dT_dz = direct_path + kernel_path
+
+    open_mask = (z > 0.0) & (z < 1.0)
+    grad = -(dT_dz * open_mask) / denom + trace * (
+        state.m_gates * _phi_over_sigma(state)
+    ) / denom**2
+    if state.sign_flip:
+        grad = -grad
+    return loss, grad

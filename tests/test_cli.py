@@ -145,6 +145,48 @@ def test_values_too_large_for_distances_are_data_errors(tmp_path, capsys, argv):
     assert not out.exists() or "nan" not in out.read_text()
 
 
+def _scaled_normal_csv(path, scale, offset=0.0):
+    values = offset + np.random.default_rng(0).standard_normal((50, 4)) * scale
+    np.savetxt(path, values, delimiter=",", header="a,b,c,d", comments="")
+    return path
+
+
+@pytest.mark.parametrize(
+    "scale, offset, part",
+    # at 1e100 the squared distances (about 1e200) are finite, but the kernel
+    # path of the gradient grows as x^4; it used to warn, turn the gate means
+    # NaN and then blame the distances. Far from the origin the distances
+    # are small but the squares in the loss overflow; that was a traceback.
+    [(1e100, 0.0, "gradient"), (1e145, 1e160, "loss")],
+)
+def test_dufs_overflow_names_the_feature(tmp_path, capsys, scale, offset, part):
+    path = _scaled_normal_csv(tmp_path / "big.csv", scale, offset)
+    out = tmp_path / "out.csv"
+    code = main(["select", "--method", "dufs", "--num-features", "2", "--epochs", "2",
+                 "--input", str(path), "--no-standardize", "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: values too large: the dufs {part} of feature 'a' overflows\n"
+    assert not out.exists()
+
+
+def test_mls_on_isolated_margin_kernel_scores_exact_zeros(tmp_path, capsys):
+    # every off-diagonal weight of a margin sample underflows at this scale;
+    # the expanded numerators used to leave +-1e-14 of rounding noise
+    path = _scaled_normal_csv(tmp_path / "big.csv", 1e140)
+    out = tmp_path / "out.csv"
+    code = main(["score", "--method", "mls", "--input", str(path), "--no-standardize",
+                 "--output", str(out)])
+    assert code == 0
+    warning = ("margin kernel has no off-diagonal weight at any weighted sample "
+               "(values too large for its temperature); scores are all zero")
+    assert f"warning: {warning}" in capsys.readouterr().err
+    rows = _read_rows(out)
+    assert [float(r["score"]) for r in rows] == [0.0] * 4
+    assert [r["feature"] for r in rows] == ["a", "b", "c", "d"]
+    assert _manifest(out)["warnings"] == [warning]
+
+
 # ------------------------------------------------------------------- select
 
 

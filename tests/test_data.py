@@ -13,7 +13,6 @@ from mlscore.data import (
     load_csv,
     save_csv,
     standardize,
-    variance,
 )
 
 
@@ -389,32 +388,3 @@ def test_standardize_moments(values):
         assert np.max(np.abs(X.mean(axis=0))) < 1e-8
         assert np.max(np.abs(X.std(axis=0, ddof=1) - 1.0)) < 1e-8
     assert not scaled.values[:, stats.constant].any()
-
-
-# ---------------------------------------------------------------- variance
-
-
-def test_variance_hand_values():
-    assert variance([1.0, 1.0, 1.0]) == 0.0
-    assert variance([0.0, 2.0]) == 2.0
-    assert variance([-1.0, 0.0, 1.0]) == 1.0
-
-
-def test_variance_needs_two_values():
-    with pytest.raises(ValueError, match="at least 2"):
-        variance([1.0])
-
-
-def test_variance_rejects_matrix():
-    with pytest.raises(ValueError, match="1-d"):
-        variance([[1.0, 2.0]])
-
-
-@given(
-    st.lists(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False), min_size=2, max_size=30),
-    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
-)
-def test_variance_translation_invariant(f, c):
-    f = np.asarray(f)
-    base = variance(f)
-    assert abs(variance(f + c) - base) <= 1e-12 * max(1.0, base)

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from mlscore.data import Dataset, standardize
 from mlscore.gates import (
     GateState,
+    _dufs_core,
     TrainConfig,
     TrainTrace,
     dufs_bandwidth,
@@ -19,6 +22,7 @@ from mlscore.gates import (
 )
 from mlscore.margins import MarginConfig, build_margin_model
 from mlscore.scores import mls
+from oracles import dufs_core_dense
 
 
 def _instance(rng, n=20, d=5):
@@ -261,6 +265,37 @@ def test_dufs_gradient_matches_finite_differences(rng):
     assert rel.max() <= 1e-4
 
 
+@given(st.data())
+def test_dufs_core_matches_dense_oracle(data):
+    # the core never forms P or a fresh Gram matrix; the oracle forms both
+    n = data.draw(st.integers(3, 40), label="n")
+    d = data.draw(st.integers(1, 8), label="d")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    F = gen.standard_normal((n, d))
+    # saturated (0 or 1) and open gates, in any mix
+    z = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)),
+        min_size=d, max_size=d), label="z"))
+    state = GateState(
+        mu=gen.normal(0.0, 0.5, d), sign_flip=data.draw(st.booleans(), label="sign_flip")
+    )
+    bandwidth = data.draw(st.one_of(st.none(), st.floats(0.1, 50.0)), label="bandwidth")
+    ds = Dataset(values=F, feature_names=[f"f{j}" for j in range(d)])
+
+    loss, grad = _dufs_core(ds, z, state, bandwidth, want_grad=True)
+    want_loss, want_grad = dufs_core_dense(F, z, state, bandwidth, want_grad=True)
+    # the trace is a difference of terms of the size of |gated|^2, and its
+    # rounding reaches the gradient through the open-probability term, whose
+    # factor m phi / denom is below m / (sigma denom). A narrow kernel can
+    # cancel the trace to near 0; both cores then keep only its rounding.
+    denom = state.m_gates * open_prob(state).sum() + state.delta
+    loss_scale = float(((F * z) ** 2).sum()) / denom
+    assert abs(loss - want_loss) <= 1e-12 * loss_scale
+    grad_scale = np.abs(want_grad).max() + loss_scale * state.m_gates / (state.sigma * denom)
+    assert np.abs(grad - want_grad).max() <= 1e-12 * grad_scale
+    assert _dufs_core(ds, z, state, bandwidth, want_grad=False) == (loss, None)
+
+
 def test_dufs_mls_gradient_matches_finite_differences(rng):
     ds = _instance(rng, n=25, d=6)
     model = build_margin_model(ds, MarginConfig(quantile=0.1))
@@ -420,6 +455,23 @@ def test_train_dufs_matches_separate_bandwidth_loop(rng):
             dufs_loss(ds, z, state, bandwidth=bandwidth),
             loss_gradient(ds, z, state, "dufs", bandwidth=bandwidth),
         )
+
+    losses, mu = _adam_loop(ds, config, loss_and_grad)
+    assert np.array_equal(trace.loss_history, losses)
+    assert trace.mu.tobytes() == mu.tobytes()
+
+
+@pytest.mark.parametrize("n", [25, 65])
+def test_train_dufs_buffers_match_public_loss_loop(rng, n):
+    # train reuses its n x n buffers across epochs and the public functions
+    # allocate their own per call; n = 65 spans two row blocks of the
+    # distance helper
+    ds = _instance(rng, n=n, d=6)
+    config = TrainConfig(epochs=15, seed=11)
+    trace = train(ds, config, GateState.fresh(6))
+
+    def loss_and_grad(z, state):
+        return dufs_loss(ds, z, state), loss_gradient(ds, z, state, "dufs")
 
     losses, mu = _adam_loop(ds, config, loss_and_grad)
     assert np.array_equal(trace.loss_history, losses)
