@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NoReturn
@@ -100,9 +101,18 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     is given, that column is validated as 0/1, removed from the feature
     matrix, and attached as labels.
 
-    The rows are converted to floats in one NumPy call, which parses each
-    cell with Python's ``float``; only a file that fails the bulk checks is
-    scanned cell by cell, to report its first fault in file order.
+    The header is read with ``csv.reader``. The body lines are then streamed
+    into NumPy's C parser (``np.loadtxt``), which holds no Python object per
+    cell. Its table is kept only where it must equal what ``csv.reader`` and
+    Python's ``float`` give: the parse succeeds, it has one row per line read
+    and one column per header name, and its values are finite with 0/1
+    labels. Anything else takes the ``csv.reader`` path, which reads the
+    file again and converts its rows in one NumPy call: a header-only body,
+    blank lines, records spanning lines, spellings the C parser rejects
+    (``1_000``, non-ASCII digits), the separators ``\\x1c``-``\\x1f`` it
+    takes for space, and every bad file; a non-seekable input takes that
+    path from the start. Only a file that fails there too is scanned cell by
+    cell, to report its first fault in file order.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -120,24 +130,30 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
         if label_column is not None and label_column not in header:
             raise DataError(f"{path}: label column {label_column!r} not in header")
         label_idx = header.index(label_column) if label_column is not None else None
-        rows = list(reader)
 
-    table = None
-    if all(len(raw) == len(header) for raw in rows):
-        try:
-            table = np.array(rows, dtype=float).reshape(len(rows), len(header))
-        except ValueError:
-            pass
-    # a non-finite label fails the 0/1 test as well, so one finiteness
-    # check over the whole table covers the feature columns
-    sound = table is not None and bool(np.isfinite(table).all())
-    if sound and label_idx is not None:
-        sound = bool(np.isin(table[:, label_idx], (0.0, 1.0)).all())
-    if not sound:
-        _first_fault(path, header, rows, label_idx)
+        table = None
+        if fh.seekable():
+            table = _c_table(fh, len(header), label_idx)
+            if table is None:
+                fh.seek(0)
+                next(reader)  # the header again
+        if table is None:
+            rows = list(reader)
+            if all(len(raw) == len(header) for raw in rows):
+                if label_idx is not None:
+                    # read labels as _as_label does: str.strip() also drops
+                    # the separators \x1c-\x1f, which float() rejects
+                    for raw in rows:
+                        raw[label_idx] = raw[label_idx].strip()
+                try:
+                    table = np.array(rows, dtype=float).reshape(len(rows), len(header))
+                except ValueError:
+                    pass
+            if table is None or not _sound(table, label_idx):
+                _first_fault(path, header, rows, label_idx)
 
-    if len(rows) < 2:
-        raise DataError(f"{path}: need at least 2 data rows, got {len(rows)}")
+    if len(table) < 2:
+        raise DataError(f"{path}: need at least 2 data rows, got {len(table)}")
     if label_idx is None:
         return Dataset(values=table, feature_names=header)
     return Dataset(
@@ -145,6 +161,49 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
         feature_names=header[:label_idx] + header[label_idx + 1:],
         labels=table[:, label_idx].astype(int),
     )
+
+
+# loadtxt strips these ASCII separators as whitespace; float() rejects them
+_LOADTXT_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _c_table(lines, width: int, label_idx) -> np.ndarray | None:
+    """The remaining lines as parsed by ``np.loadtxt``, or None where that
+    might differ from the ``csv.reader`` path."""
+    first = next(lines, None)
+    # loadtxt warns on a body without data, and it skips a blank line that
+    # csv.reader yields as a ragged record
+    if first is None or not first.strip("\r\n"):
+        return None
+    count = 0
+
+    def counted():
+        nonlocal count
+        for line in itertools.chain((first,), lines):
+            if any(c in line for c in _LOADTXT_ONLY_SPACE):
+                raise ValueError("loadtxt reads \\x1c-\\x1f as space")
+            count += 1
+            yield line
+
+    try:
+        table = np.loadtxt(
+            counted(), delimiter=",", quotechar='"', comments=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    # fewer rows than lines means a skipped blank line or a quoted line break
+    if table.shape != (count, width) or not _sound(table, label_idx):
+        return None
+    return table
+
+
+def _sound(table: np.ndarray, label_idx) -> bool:
+    """Whether every cell is finite and the label column, if any, is 0/1."""
+    # a non-finite label fails the 0/1 test as well, so one finiteness
+    # check over the whole table covers the feature columns
+    if not np.isfinite(table).all():
+        return False
+    return label_idx is None or bool(np.isin(table[:, label_idx], (0.0, 1.0)).all())
 
 
 def _first_fault(path, header: list[str], rows: list[list[str]], label_idx) -> NoReturn:
@@ -177,16 +236,17 @@ def _first_fault(path, header: list[str], rows: list[list[str]], label_idx) -> N
 def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
     """Write a Dataset back to CSV; floats use repr so a reload is exact."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
         header = list(ds.feature_names)
         if ds.labels is not None:
             header = header + [label_column]
-        writer.writerow(header)
-        for i in range(ds.n_samples):
-            row = [repr(float(x)) for x in ds.values[i]]
-            if ds.labels is not None:
-                row.append(str(int(ds.labels[i])))
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        # the bytes csv.writer gives: a repr or an int needs no quoting
+        tails = [""] * ds.n_samples if ds.labels is None else [
+            f",{y}" for y in ds.labels.tolist()]
+        fh.writelines(
+            ",".join(map(repr, row.tolist())) + tail + "\r\n"
+            for row, tail in zip(ds.values, tails)
+        )
 
 
 def standardize(ds: Dataset) -> tuple[Dataset, ScalerStats]:

@@ -1,4 +1,7 @@
 import csv
+import os
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +186,13 @@ def test_load_csv_inf_feature(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_label_padded_with_a_separator(tmp_path):
+    # str.strip() drops \x1c as space, so the label reads as 1; float()
+    # alone rejects it
+    path = _write(tmp_path / "t.csv", "a,y\n1,\x1c1\n2,0\n")
+    assert load_csv(path, label_column="y").labels.tolist() == [1, 0]
+
+
 def _reference_load(path, label_column=None):
     """The cell-by-cell loader load_csv replaced, kept as its oracle."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -331,6 +341,166 @@ def test_load_csv_reports_first_fault_like_reference(tmp_path_factory, table, da
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     path.write_text(_render(names, rows, "\n"), encoding="utf-8")
     assert _outcome(load_csv, path, label) == _outcome(_reference_load, path, label)
+
+
+def _c_cell(draw):
+    x = draw(st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False))
+    spell = draw(st.sampled_from([repr, "{:.17e}".format, "{:.3E}".format]))
+    return _padded(draw, spell(x))
+
+
+@st.composite
+def _plain_csv_files(draw):
+    """A table like _csv_files, in spellings NumPy's C parser and float()
+    both read, so one odd spot decides which loader path runs."""
+    d = draw(st.integers(1, 4))
+    names = [f"c{j}" for j in range(d)]
+    label = draw(st.sampled_from([None, "y"]))
+    if label is not None:
+        names.insert(draw(st.integers(0, d)), label)
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        cells = [_label_cell(draw) if h == "y" else _c_cell(draw) for h in names]
+        rows.append([f'"{c}"' if draw(st.integers(0, 4)) == 0 else c for c in cells])
+    return names, rows, label
+
+
+# what NumPy's C parser reads differently from csv.reader and float(): "#"
+# starts a comment unless comments=None; loadtxt rejects underscores and
+# non-ASCII digits and strips the ASCII separators \x1c-\x1f as space; a
+# quoted line break makes one record of two lines; loadtxt skips blank lines
+_C_PARSER_CELLS = ["1#2", "#", "1_000", "१", "٣.٥", "\x1c1", "1\x1f", " \x1d2 ",
+                   "\x0c3\x0b", '"1\n"', '"\r\n2"', '"1\n2"']
+_C_PARSER_LINES = ["", " ", "\t", " \t "]
+
+
+@pytest.mark.parametrize(
+    "kind, odd",
+    [("cell", c) for c in _C_PARSER_CELLS] + [("line", x) for x in _C_PARSER_LINES],
+)
+@given(st.one_of(_plain_csv_files(), _csv_files()), st.data())
+def test_load_csv_matches_reference_where_the_c_parser_differs(
+    tmp_path_factory, kind, odd, table, data
+):
+    """One odd cell or line in a table, with line ends of LF, CRLF or CR
+    alone, and maybe a quoted header name with a line break in it."""
+    names, rows, label = table
+    lines = [",".join(r) for r in rows]
+    newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    if kind == "line":  # in the middle or at the end
+        lines.insert(data.draw(st.integers(0, len(lines))), odd)
+    elif rows:
+        i = data.draw(st.integers(0, len(rows) - 1))
+        cells = list(rows[i])
+        cells[data.draw(st.integers(0, len(cells) - 1))] = odd
+        lines[i] = ",".join(cells)
+    header = [f" {h} " if h == "y" else h for h in names]
+    if data.draw(st.booleans()):
+        j = data.draw(st.sampled_from([j for j, h in enumerate(names) if h != "y"]))
+        header[j] = f'"{header[j][:1]}{newline}{header[j][1:]}"'
+    text = newline.join([",".join(header), *lines]) + data.draw(st.sampled_from([newline, ""]))
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(load_csv, path, label) == _outcome(_reference_load, path, label)
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\r\n", "\n\n", "\r", " \n"])
+def test_load_csv_header_only_or_blank_body_warns_nothing(tmp_path, body):
+    # loadtxt warns on input without data; the loader must not reach it
+    path = tmp_path / "t.csv"
+    path.write_bytes(("a,b" + body).encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(load_csv, path, None)
+    assert got == _outcome(_reference_load, path, None)
+    assert got[0] == "error"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("body, want", [
+    ("1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\n3,1_000\n", [[1.0, 2.0], [3.0, 1000.0]]),
+    ("1,2\n3,x\n", "cannot parse cell at row 2, column 'b'"),
+])
+def test_load_csv_reads_a_pipe(body, want):
+    # a pipe cannot seek back to the body, so it goes straight to csv.reader
+    r, w = os.pipe()
+    with os.fdopen(w, "wb") as sink:
+        sink.write(("a,b\n" + body).encode("utf-8"))
+    try:
+        if isinstance(want, str):
+            with pytest.raises(DataError, match=want):
+                load_csv(f"/dev/fd/{r}")
+        else:
+            assert load_csv(f"/dev/fd/{r}").values.tolist() == want
+    finally:
+        os.close(r)
+
+
+def test_load_csv_peak_memory_on_a_wide_table(tmp_path, rng):
+    # 2000 x 310 doubles take 5 MB; one Python str per cell would take 63 MB
+    n, d = 2000, 309
+    ds = Dataset(
+        values=rng.standard_normal((n, d)),
+        feature_names=[f"f{j:03d}" for j in range(d)],
+        labels=rng.integers(0, 2, n),
+    )
+    path = tmp_path / "wide.csv"
+    save_csv(ds, path)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        back = load_csv(path, label_column="label")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert np.array_equal(back.values, ds.values)
+    assert np.array_equal(back.labels, ds.labels)
+    assert peak < 32e6, f"load_csv peaked at {peak / 1e6:.1f} MB"
+
+
+# ---------------------------------------------------------------- save_csv
+
+
+def _reference_save(ds, path, label_column="label"):
+    """The per-cell writer save_csv replaced, kept as its oracle."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        header = list(ds.feature_names)
+        if ds.labels is not None:
+            header = header + [label_column]
+        writer.writerow(header)
+        for i in range(ds.n_samples):
+            row = [repr(float(x)) for x in ds.values[i]]
+            if ds.labels is not None:
+                row.append(str(int(ds.labels[i])))
+            writer.writerow(row)
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=6),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    st.booleans(),
+    st.sampled_from(["label", 'y,"1"', "a b\nc"]),
+)
+def test_save_csv_writes_the_reference_bytes(tmp_path_factory, values, labelled, label_column):
+    names = [f"f{j}" for j in range(values.shape[1])]
+    names[0] = 'x,"q"'  # a header name csv.writer must quote
+    labels = (np.arange(values.shape[0]) % 2) if labelled else None
+    ds = Dataset(values=values, feature_names=names, labels=labels)
+    folder = tmp_path_factory.mktemp("save")
+    save_csv(ds, folder / "new.csv", label_column)
+    _reference_save(ds, folder / "old.csv", label_column)
+    assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
 
 
 # ------------------------------------------------------------- standardize
