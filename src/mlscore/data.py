@@ -6,7 +6,6 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
@@ -112,7 +111,9 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     (``1_000``, non-ASCII digits), the separators ``\\x1c``-``\\x1f`` it
     takes for space, and every bad file; a non-seekable input takes that
     path from the start. Only a file that fails there too is scanned cell by
-    cell, to report its first fault in file order.
+    cell, to report its first fault in file order. On that path a cell
+    longer than ``csv.field_size_limit()`` is a fault of its row; the C
+    parser has no such limit.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -120,7 +121,10 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
         raise DataError(f"cannot open {path}: {exc}") from None
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:  # a cell over csv.field_size_limit()
+            raise DataError(f"{path}: header: {exc}") from None
         if header is None:
             raise DataError(f"{path}: empty file")
         header = [h.strip() for h in header]
@@ -138,7 +142,12 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                 fh.seek(0)
                 next(reader)  # the header again
         if table is None:
-            rows = list(reader)
+            rows = []
+            try:
+                rows.extend(reader)
+            except csv.Error as exc:  # a cell over csv.field_size_limit()
+                _first_fault(path, header, rows, label_idx)
+                raise DataError(f"{path}: row {len(rows) + 1}: {exc}") from None
             if all(len(raw) == len(header) for raw in rows):
                 if label_idx is not None:
                     # read labels as _as_label does: str.strip() also drops
@@ -151,6 +160,9 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                     pass
             if table is None or not _sound(table, label_idx):
                 _first_fault(path, header, rows, label_idx)
+                # np.array parses str cells with float(), so a table that
+                # failed the bulk checks always has a fault the scan finds
+                raise DataError(f"{path}: cannot convert the table to numbers")
 
     if len(table) < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {len(table)}")
@@ -206,8 +218,9 @@ def _sound(table: np.ndarray, label_idx) -> bool:
     return label_idx is None or bool(np.isin(table[:, label_idx], (0.0, 1.0)).all())
 
 
-def _first_fault(path, header: list[str], rows: list[list[str]], label_idx) -> NoReturn:
-    """Raise the DataError for the first ragged row or bad cell in file order."""
+def _first_fault(path, header: list[str], rows: list[list[str]], label_idx) -> None:
+    """Raise the DataError for the first ragged row or bad cell in file
+    order, if there is one."""
     for i, raw in enumerate(rows, start=1):
         if len(raw) != len(header):
             raise DataError(
@@ -228,9 +241,6 @@ def _first_fault(path, header: list[str], rows: list[list[str]], label_idx) -> N
                 raise DataError(
                     f"{path}: non-finite value at row {i}, column {header[j]!r}"
                 )
-    # np.array parses str cells with float(), so a table that failed the
-    # bulk checks always has a fault the scan above finds
-    raise DataError(f"{path}: cannot convert the table to numbers")
 
 
 def save_csv(ds: Dataset, path, label_column: str = "label") -> None:

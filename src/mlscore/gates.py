@@ -39,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .data import DataError, Dataset
-from .margins import MarginModel, _sq_distances, interaction_weights
-from .scores import _mls_terms
+from .data import Dataset
+from .margins import MarginModel, _sq_distances
+from .scores import _check_finite, _mls_terms
 
 VAR_GUARD = 1e-12  # below this a gated feature counts as switched off
 LOSS_VARIANTS = ("dufs", "dufs-mls")
@@ -139,13 +139,6 @@ def _dufs_buffers(F: np.ndarray, want_grad: bool) -> tuple:
     return F2, F2.sum(axis=0), np.empty((n, n)), gram
 
 
-def _check_finite(ds: Dataset, per_feature: np.ndarray, what: str) -> None:
-    bad = np.flatnonzero(~np.isfinite(per_feature))
-    if bad.size:
-        name = ds.feature_names[int(bad[0])]
-        raise DataError(f"values too large: the dufs {what} of feature {name!r} overflows")
-
-
 def _dufs_core(
     ds: Dataset,
     z: np.ndarray,
@@ -170,7 +163,7 @@ def _dufs_core(
     with np.errstate(over="ignore", invalid="ignore"):
         Hf = (W @ F) / dvec[:, None]
         smooth = F2_sums - (F * Hf).sum(axis=0)
-    _check_finite(ds, smooth, "loss")
+    _check_finite(ds, smooth, "dufs loss")
     trace = float((z * z) @ smooth)
     denom = _denominator(state)
     loss = -trace / denom
@@ -199,7 +192,7 @@ def _dufs_core(
         grad = -(dT_dz * open_mask) / denom + trace * (
             state.m_gates * _phi_over_sigma(state)
         ) / denom**2
-    _check_finite(ds, grad, "gradient")
+    _check_finite(ds, grad, "dufs gradient")
     if state.sign_flip:
         grad = -grad
     return loss, grad
@@ -219,10 +212,10 @@ def dufs_loss(
     return loss
 
 
-def _margin_terms(F: np.ndarray, model: MarginModel) -> tuple[np.ndarray, np.ndarray]:
+def _margin_terms(ds: Dataset, model: MarginModel) -> tuple[np.ndarray, np.ndarray]:
     # the ungated mls score and variance of every column: gating column r
     # by z_r scales its numerator and its variance alike by z_r^2
-    scores, variances, _ = _mls_terms(F, interaction_weights(model).weights, model.u)
+    scores, variances, _ = _mls_terms(ds, model)
     return scores, variances
 
 
@@ -260,7 +253,7 @@ def dufs_mls_loss(
     ``mls`` score of the ungated feature.
     """
     z = np.asarray(z, dtype=float)
-    loss, _ = _dufs_mls_core(_margin_terms(ds.values, model), z, state, want_grad=False)
+    loss, _ = _dufs_mls_core(_margin_terms(ds, model), z, state, want_grad=False)
     return loss
 
 
@@ -286,7 +279,7 @@ def loss_gradient(
     elif variant == "dufs-mls":
         if model is None:
             raise ValueError("dufs-mls gradient needs a margin model")
-        _, grad = _dufs_mls_core(_margin_terms(ds.values, model), z, state, want_grad=True)
+        _, grad = _dufs_mls_core(_margin_terms(ds, model), z, state, want_grad=True)
     else:
         raise ValueError(f"variant must be one of {LOSS_VARIANTS}, got {variant!r}")
     return grad
@@ -315,11 +308,10 @@ def train(
         m_gates=state.m_gates,
         sign_flip=state.sign_flip,
     )
-    F = ds.values
     if config.loss_variant == "dufs-mls":
-        terms = _margin_terms(F, model)
+        terms = _margin_terms(ds, model)
     else:
-        buffers = _dufs_buffers(F, want_grad=True)
+        buffers = _dufs_buffers(ds.values, want_grad=True)
     history = np.empty(config.epochs)
     # adam accumulators
     m_acc = np.zeros_like(work.mu)

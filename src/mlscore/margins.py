@@ -6,9 +6,15 @@ chosen by the sign of the sample skewness. Samples that fall in at least
 memberships, and the pairwise interaction kernel is a Laplacian-style
 exponential over the margin representation rows.
 
+Every row below ``k`` memberships is the origin in the margin
+representation and carries no weight, so the margin score needs the kernel
+only among the m weighted rows, plus each weighted row's weight to the
+origin: ``_margin_kernel`` builds that m x m form, while
+``interaction_weights`` keeps the dense n x n kernel over every row.
+
 This module also holds ``_sq_distances``, the one pairwise-distance routine
-behind every dense sample kernel in the package: the margin kernel here,
-the heat and kNN graphs of the Laplacian Score and the DUFS gate kernel.
+behind every sample kernel in the package: both margin kernels here, the
+heat and kNN graphs of the Laplacian Score and the DUFS gate kernel.
 """
 
 from __future__ import annotations
@@ -69,7 +75,8 @@ class MarginModel:
     membership is the n x d boolean margin-indicator matrix, counts its row
     sums, u the log weights (zero off-margin), margin_rep the n x d matrix
     of feature values masked to margins and zeroed for rows below the k
-    threshold, and t the kernel temperature.
+    threshold, and t the kernel temperature. A row of u = 0 has an all-zero
+    margin_rep row.
     """
 
     config: MarginConfig
@@ -84,12 +91,30 @@ class MarginModel:
     _weights_cache: "InteractionWeights | None" = field(
         default=None, repr=False, compare=False
     )
+    _kernel_cache: "MarginKernel | None" = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class InteractionWeights:
     weights: np.ndarray
     t: float
+
+
+@dataclass(frozen=True)
+class MarginKernel:
+    """The margin kernel on the m weighted rows (u != 0), from
+    ``_margin_kernel``.
+
+    rows selects them from an n-row array: their indices, or ``slice(None)``
+    when every row is weighted, so that indexing takes a view. K is their
+    m x m kernel and e[i] = exp(-|m_i| / t) the weight of weighted row i to
+    each of the n - m unweighted rows, which all sit at the origin; e is
+    None when there are none.
+    """
+
+    rows: np.ndarray | slice
+    K: np.ndarray
+    e: np.ndarray | None
 
 
 def skewness(X) -> np.ndarray:
@@ -183,7 +208,7 @@ def build_margin_model(ds: Dataset, config: MarginConfig) -> MarginModel:
 
 
 def _sq_distances(
-    X: np.ndarray, out: np.ndarray | None = None
+    X: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
     """Squared Euclidean distances between the rows of X, and their mean
     over the n(n-1)/2 pairs.
@@ -202,6 +227,8 @@ def _sq_distances(
     ``out``, an n x n C-contiguous float64 array, receives D in place of a
     fresh array and is returned; whatever it held is overwritten. A caller
     that builds a kernel per epoch passes the same buffer every time.
+    ``rows``, the dataset row index of each row of X, makes the overflow
+    error name the dataset row when X is a subset of the dataset's rows.
     """
     n = X.shape[0]
     # every D_ij is at most 4 max(sq) and the pair mean sums all of sq, so
@@ -212,7 +239,8 @@ def _sq_distances(
         sq = D.diagonal().copy()
         overflow = ~np.isfinite(4.0 * np.cumsum(sq))
     if overflow.any():
-        row = int(overflow.argmax()) + 1
+        row = int(overflow.argmax())
+        row = (row if rows is None else int(rows[row])) + 1
         raise DataError(f"values too large: squared distances from row {row} overflow")
     D *= -2.0
     for start in range(0, n, _ROW_BLOCK):
@@ -224,20 +252,51 @@ def _sq_distances(
     return D, mean_pair_sq
 
 
+def _exp_kernel(rep: np.ndarray, t: float, rows: np.ndarray | None = None) -> np.ndarray:
+    """exp(-||m_i - m_j|| / t) over the rows of rep; ``rows`` as in
+    ``_sq_distances``."""
+    W, _ = _sq_distances(rep, rows=rows)
+    np.sqrt(W, out=W)
+    W /= -t
+    return np.exp(W, out=W)
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of X, taken on the row divided by its
+    largest magnitude and multiplied back, so that squaring cannot overflow
+    where the norm itself is finite."""
+    scale = np.abs(X).max(axis=1, initial=0.0)
+    unit = X / np.where(scale > 0.0, scale, 1.0)[:, None]
+    with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+        return scale * np.sqrt(np.einsum("ij,ij->i", unit, unit))
+
+
 def interaction_weights(model: MarginModel) -> InteractionWeights:
     """Dense pairwise kernel w_ij = exp(-||m_i - m_j|| / t) over margin rows.
 
     Symmetry is exact and the diagonal is exactly 1 (see ``_sq_distances``).
-    Cached on the model; ``scores.mls`` and a ``dufs-mls`` training run
-    each call this once, not per epoch.
+    Cached on the model. The library scores on ``_margin_kernel`` instead;
+    this full form is for inspection and for checking that one.
     """
     if model._weights_cache is None:
-        W, _ = _sq_distances(model.margin_rep)
-        np.sqrt(W, out=W)
-        W /= -model.t
-        np.exp(W, out=W)
+        W = _exp_kernel(model.margin_rep, model.t)
         model._weights_cache = InteractionWeights(weights=W, t=model.t)
     return model._weights_cache
+
+
+def _margin_kernel(model: MarginModel) -> MarginKernel:
+    """The margin kernel restricted to the weighted rows (see
+    ``MarginKernel``), cached on the model. K is ``interaction_weights`` on
+    those rows."""
+    if model._kernel_cache is None:
+        weighted = np.flatnonzero(model.u)
+        every = weighted.size == model.u.size
+        rows = slice(None) if every else weighted
+        rep = model.margin_rep[rows]
+        K = _exp_kernel(rep, model.t, weighted) if weighted.size else np.zeros((0, 0))
+        e = None if every else np.exp(_row_norms(rep) / -model.t)
+        model._kernel_cache = MarginKernel(rows=rows, K=K, e=e)
+    return model._kernel_cache
 
 
 def export_margin_csv(model: MarginModel, path) -> None:

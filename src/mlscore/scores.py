@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataError, Dataset
-from .margins import MarginModel, _sq_distances, interaction_weights
+from .margins import MarginKernel, MarginModel, _margin_kernel, _sq_distances
 
 # methods ranked ascending (lower score = keep); gate methods rank descending
 LOWER_IS_BETTER = frozenset({"ls", "mls"})
@@ -100,36 +100,65 @@ def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreRep
     )
 
 
-def _mls_numerators(F: np.ndarray, W: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, bool]:
+def _mls_numerators(
+    F: np.ndarray, kernel: MarginKernel, u: np.ndarray
+) -> tuple[np.ndarray, bool]:
     """Vector of f'UDf + 1'UWf^2 - 2 f'WUf per column of F (U = diag(u),
-    D = diag(W 1)), and whether W is isolated: some sample has weight and
-    every such sample has degree exactly 1. Equals the naive pair sum when
-    W is symmetric.
+    D = diag(W 1), W the dense margin kernel), from the compact kernel, and
+    whether W is isolated: some sample has weight and every such sample has
+    degree exactly 1.
 
-    Only rows of nonzero weight enter the pair sum. When each of them has
-    degree 1, its off-diagonal weights add up to less than an ulp of 1, the
-    pair sum is 0 to within the rounding of the expanded form, and the
-    numerators are returned as exact zeros instead of that rounding noise.
+    Every term enters through u, so only the weighted rows M need their
+    kernel K; each of the other rows Z is the origin, at weight e_i from
+    weighted row i. So d_M = K 1 + |Z| e, u'W is u_M'K on M and u_M'e on
+    every row of Z, and WUF is K (uF)_M on M and (eu)_M'F_M on every row of
+    Z; the sums over Z are O(n d). When each weighted row has degree 1, its
+    off-diagonal weights add up to less than an ulp of 1, the pair sum is 0
+    to within the rounding of the expanded form, and the numerators are
+    returned as exact zeros instead of that rounding noise.
     """
-    dvec = W.sum(axis=1)
-    weighted_degrees = dvec[u != 0]
-    if weighted_degrees.size and (weighted_degrees == 1.0).all():
+    rows, K, e = kernel.rows, kernel.K, kernel.e
+    if K.size == 0:
+        return np.zeros(F.shape[1]), False
+    n_z = F.shape[0] - K.shape[0]
+    u_M = u[rows]
+    d_M = K.sum(axis=1)
+    if n_z:
+        d_M += n_z * e
+    if (d_M == 1.0).all():
         return np.zeros(F.shape[1]), True
-    F2 = F * F
-    t1 = (u * dvec) @ F2
-    t2 = (u @ W) @ F2
-    t3 = (F * (W @ (u[:, None] * F))).sum(axis=0)
+    F_M = F[rows]
+    F2_M = F_M * F_M
+    t1 = (u_M * d_M) @ F2_M
+    t2 = (u_M @ K) @ F2_M
+    t3 = (F_M * (K @ (u_M[:, None] * F_M))).sum(axis=0)
+    if n_z:
+        in_Z = (u == 0.0).astype(float)
+        t2 += (u_M @ e) * np.einsum("i,ij,ij->j", in_Z, F, F)
+        t3 += (in_Z @ F) * ((e * u_M) @ F_M)
     return t1 + t2 - 2.0 * t3, False
 
 
-def _mls_terms(
-    F: np.ndarray, W: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Per-column mls scores of F, the variances they divide by, and whether
-    W is isolated (see ``_mls_numerators``); a column of zero variance
-    scores 0."""
-    numerators, isolated = _mls_numerators(F, W, u)
-    variances = F.var(axis=0, ddof=1)
+def _check_finite(ds: Dataset, per_feature: np.ndarray, what: str) -> None:
+    """Raise a DataError naming the first feature whose ``what`` (say "mls
+    numerator") is not finite."""
+    bad = np.flatnonzero(~np.isfinite(per_feature))
+    if bad.size:
+        name = ds.feature_names[int(bad[0])]
+        raise DataError(f"values too large: the {what} of feature {name!r} overflows")
+
+
+def _mls_terms(ds: Dataset, model: MarginModel) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Per-column mls scores of ds, the variances they divide by, and whether
+    the margin kernel is isolated (see ``_mls_numerators``); a column of
+    zero variance scores 0. A numerator that overflows raises a DataError
+    naming the feature."""
+    F = ds.values
+    kernel = _margin_kernel(model)
+    with np.errstate(over="ignore", invalid="ignore"):
+        numerators, isolated = _mls_numerators(F, kernel, model.u)
+        variances = F.var(axis=0, ddof=1)
+    _check_finite(ds, numerators, "mls numerator")
     scores = np.divide(
         numerators, variances, out=np.zeros_like(numerators), where=variances != 0
     )
@@ -149,7 +178,7 @@ def mls(ds: Dataset, model: MarginModel) -> ScoreReport:
     constant = X.max(axis=0) == X.min(axis=0)
     if constant.all():
         raise DataError("all features are constant; nothing to score")
-    scores, variances, isolated = _mls_terms(X, interaction_weights(model).weights, model.u)
+    scores, variances, isolated = _mls_terms(ds, model)
     scores = np.where(constant | (variances == 0), np.inf, scores)
     report = ScoreReport(
         method="mls",

@@ -30,6 +30,31 @@ def mls_naive(f, weights: InteractionWeights, u) -> float:
     return float(np.sum(diff * diff * weights.weights * u[:, None]) / var)
 
 
+def mls_numerators_dense(F: np.ndarray, W: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Vector of f'UDf + 1'UWf^2 - 2 f'WUf per column of F (U = diag(u),
+    D = diag(W 1)), and whether W is isolated: some sample has weight and
+    every such sample has degree exactly 1. Equals the naive pair sum when
+    W is symmetric.
+
+    Only rows of nonzero weight enter the pair sum. When each of them has
+    degree 1, its off-diagonal weights add up to less than an ulp of 1, the
+    pair sum is 0 to within the rounding of the expanded form, and the
+    numerators are returned as exact zeros instead of that rounding noise.
+
+    The dense n x n form that ``scores.mls`` used before it kept only the
+    weighted rows' kernel.
+    """
+    dvec = W.sum(axis=1)
+    weighted_degrees = dvec[u != 0]
+    if weighted_degrees.size and (weighted_degrees == 1.0).all():
+        return np.zeros(F.shape[1]), True
+    F2 = F * F
+    t1 = (u * dvec) @ F2
+    t2 = (u @ W) @ F2
+    t3 = (F * (W @ (u[:, None] * F))).sum(axis=0)
+    return t1 + t2 - 2.0 * t3, False
+
+
 def skewness_1d(f) -> float:
     """Moment coefficient of skewness m3 / m2^(3/2), central moments over n."""
     f = np.asarray(f, dtype=float)

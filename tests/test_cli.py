@@ -140,9 +140,48 @@ def test_values_too_large_for_distances_are_data_errors(tmp_path, capsys, argv):
     code = main(argv + ["--input", str(path), "--no-standardize", "--output", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "row 1" in err
-    assert not out.exists() or "nan" not in out.read_text()
+    # ls and dufs centre the distances over every row and name the first;
+    # mls builds its kernel on the rows with margin weight only, and names
+    # the first of those whose distances overflow, as a row of the file
+    row = {"ls": 1, "mls": 4, "dufs": 1}[argv[2]]
+    assert err == f"error: values too large: squared distances from row {row} overflow\n"
+    assert not out.exists()
+
+
+def test_mls_distance_overflow_names_the_file_row_past_unweighted_rows(tmp_path, capsys):
+    # with k = 2, rows 3, 4, 6 and 10 sit in one margin each and carry no
+    # weight; the first weighted row, and the first whose distances
+    # overflow, is 11
+    path = tmp_path / "big.csv"
+    values = np.random.default_rng(0).standard_normal((50, 4)) * 1e200
+    np.savetxt(path, values, delimiter=",", header="a,b,c,d", comments="")
+    out = tmp_path / "out.csv"
+    code = main(["score", "--method", "mls", "--k", "2", "--quantile", "0.2",
+                 "--input", str(path), "--no-standardize", "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: values too large: squared distances from row 11 overflow\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["score", "--method", "mls"],
+     ["select", "--method", "dufs-mls", "--num-features", "1", "--epochs", "2"]],
+)
+def test_mls_numerator_overflow_names_the_feature(tmp_path, capsys, argv):
+    # the distances are finite, but the squares of column a overflow; this
+    # used to print RuntimeWarnings and write the score nan
+    path = tmp_path / "big.csv"
+    values = np.random.default_rng(0).standard_normal((50, 3))
+    values[:5, 0] = 1e200
+    np.savetxt(path, values, delimiter=",", header="a,b,c", comments="")
+    out = tmp_path / "out.csv"
+    code = main(argv + ["--input", str(path), "--no-standardize", "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: values too large: the mls numerator of feature 'a' overflows\n"
+    assert not out.exists()
 
 
 def _scaled_normal_csv(path, scale, offset=0.0):

@@ -418,6 +418,29 @@ def test_load_csv_header_only_or_blank_body_warns_nothing(tmp_path, body):
     assert got[0] == "error"
 
 
+@pytest.mark.parametrize("first, want", [
+    # 1_0 is a float() spelling the C parser rejects, so the file takes the
+    # csv.reader path, which stops at the long cell of row 2
+    ("1_0,2", "row 2: field larger than field limit ({limit})"),
+    # a fault before the long cell is still the first one reported
+    ("x,2", "cannot parse cell at row 1, column 'a': 'x'"),
+])
+def test_load_csv_cell_over_field_limit_is_a_data_error(tmp_path, first, want):
+    path = tmp_path / "t.csv"
+    path.write_text(f"a,b\n{first}\n3,{'0' * 140000}1\n")
+    want = want.format(limit=csv.field_size_limit())
+    with pytest.raises(DataError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: {want}"
+
+
+def test_load_csv_header_cell_over_field_limit_is_a_data_error(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(f"a,{'b' * 140001}\n1,2\n3,4\n")
+    with pytest.raises(DataError, match=r"header: field larger than field limit"):
+        load_csv(path)
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 @pytest.mark.parametrize("body, want", [
     ("1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),

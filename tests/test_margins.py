@@ -14,6 +14,7 @@ from mlscore.margins import (
     MarginConfig,
     MarginKind,
     MarginModel,
+    _margin_kernel,
     _sq_distances,
     build_margin_model,
     export_margin_csv,
@@ -453,6 +454,46 @@ def test_interaction_weights_returns_temperature():
     model = _model_from_rep([[1.0], [0.0]], t=2.0)
     assert interaction_weights(model).t == 2.0
     assert isinstance(interaction_weights(model), InteractionWeights)
+
+
+# ------------------------------------------------------------ _margin_kernel
+
+
+def test_margin_kernel_is_dense_kernel_on_weighted_rows(rng):
+    rep = rng.standard_normal((15, 4)) * rng.integers(0, 2, (15, 4))
+    rep[[3, 9]] = 0.0
+    model = _model_from_rep(rep, t=1.3)
+    weighted = np.flatnonzero(model.u)
+    unweighted = np.flatnonzero(model.u == 0)
+    kernel = _margin_kernel(model)
+    W = interaction_weights(model).weights
+    assert np.array_equal(kernel.rows, weighted)
+    assert np.allclose(kernel.K, W[np.ix_(weighted, weighted)], rtol=1e-12, atol=0.0)
+    assert np.allclose(kernel.e[:, None], W[np.ix_(weighted, unweighted)], rtol=1e-12, atol=0.0)
+    assert _margin_kernel(model) is kernel
+
+
+def test_margin_kernel_every_row_weighted_takes_rows_as_they_are():
+    model = _model_from_rep([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]], t=1.0)
+    kernel = _margin_kernel(model)
+    assert kernel.rows == slice(None)
+    assert np.shares_memory(model.margin_rep[kernel.rows], model.margin_rep)
+    assert np.allclose(kernel.K, interaction_weights(model).weights, rtol=1e-12, atol=0.0)
+    assert kernel.e is None  # no row sits at the origin unweighted
+
+
+def test_margin_kernel_without_weighted_rows_is_empty():
+    kernel = _margin_kernel(_model_from_rep([[0.0, 0.0], [0.0, 0.0]]))
+    assert kernel.K.shape == (0, 0) and kernel.e.shape == (0,)
+    assert kernel.rows.size == 0
+
+
+def test_margin_kernel_origin_weight_without_squaring_into_overflow():
+    # |(3e200, 4e200)| = 5e200 is finite, though its squares overflow
+    model = _model_from_rep([[3e200, 4e200], [0.0, 0.0]], t=1e200)
+    kernel = _margin_kernel(model)
+    assert kernel.K.tolist() == [[1.0]]
+    assert abs(kernel.e[0] - math.exp(-5.0)) <= 1e-15
 
 
 # --------------------------------------------------------------- u-monotone

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 from mlscore.data import DataError, Dataset, standardize
@@ -11,6 +11,7 @@ from mlscore.margins import (
     MarginConfig,
     MarginKind,
     MarginModel,
+    _margin_kernel,
     build_margin_model,
     interaction_weights,
 )
@@ -19,13 +20,14 @@ from mlscore.scores import (
     KernelConfig,
     ScoreReport,
     _affinity,
+    _mls_numerators,
     laplacian_score,
     mls,
     ranked_rows,
     select_top,
 )
 
-from oracles import mls_naive
+from oracles import mls_naive, mls_numerators_dense
 
 
 def _heat_affinity(X, bandwidth=None):
@@ -207,7 +209,8 @@ def test_mls_matches_naive(rng):
 
 
 def test_mls_hand_value_through_report():
-    W = np.array([[1.0, math.exp(-1.0)], [math.exp(-1.0), 1.0]])
+    # row 0 carries margin weight ln 2 at margin_rep 1, row 1 none at the
+    # origin, so with t = 1 their kernel weight is exp(-|1 - 0| / 1)
     model = MarginModel(
         config=MarginConfig(),
         kinds=[MarginKind.RIGHT],
@@ -218,11 +221,90 @@ def test_mls_hand_value_through_report():
         u=np.array([math.log(2.0), 0.0]),
         margin_rep=np.array([[1.0], [0.0]]),
         t=1.0,
-        _weights_cache=InteractionWeights(weights=W, t=1.0),
     )
     ds = Dataset(values=[[0.0], [1.0]], feature_names=["f"])
     report = mls(ds, model)
     assert abs(report.scores[0] - 2.0 * math.exp(-1.0) * math.log(2.0)) < 1e-12
+
+
+def test_mls_matches_naive_with_unweighted_rows(rng):
+    # k = 2 leaves rows with one margin membership unweighted, at the origin
+    X = rng.standard_normal((30, 6))
+    ds = Dataset(values=X, feature_names=[f"f{j}" for j in range(6)])
+    model = build_margin_model(ds, MarginConfig(quantile=0.2, k=2))
+    assert ((model.counts == 1) & (model.u == 0)).any() and model.u.any()
+    report = mls(ds, model)
+    W = interaction_weights(model)
+    for r in range(6):
+        naive = mls_naive(X[:, r], W, model.u)
+        assert abs(report.scores[r] - naive) <= 1e-9 * max(abs(naive), 1e-12)
+
+
+def _model_from(F, membership, k, t):
+    """A MarginModel assembled from a given membership matrix as
+    build_margin_model assembles it: rows below k memberships get u = 0
+    and an all-zero margin_rep row."""
+    d = F.shape[1]
+    counts = membership.sum(axis=1)
+    in_margin = counts >= k
+    rep = np.where(membership, F, 0.0)
+    rep[~in_margin] = 0.0
+    return MarginModel(
+        config=MarginConfig(k=k),
+        kinds=[MarginKind.TWO_SIDED] * d,
+        cutoffs=[(None, None)] * d,
+        membership=membership,
+        counts=counts,
+        in_dataset_margin=in_margin,
+        u=np.where(in_margin, np.log(counts + 1.0), 0.0),
+        margin_rep=rep,
+        t=t,
+    )
+
+
+@st.composite
+def _margin_problems(draw):
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 5))
+    # cells on a grid of 1/4, so rows coincide or lie at least 1/4 apart:
+    # nearly coincident rows carry the rounding of _sq_distances, which the
+    # square root in the kernel amplifies on either path
+    cells = draw(st.lists(st.integers(-40, 40), min_size=n * d, max_size=n * d))
+    F = np.array(cells, dtype=float).reshape(n, d) / 4.0
+    flags = draw(st.lists(st.booleans(), min_size=n * d, max_size=n * d))
+    membership = np.array(flags).reshape(n, d)
+    k = draw(st.integers(1, d + 1))
+    weighted = draw(st.sampled_from(["drawn", "none", "every", "one"]))
+    if weighted == "none":
+        membership[:] = False
+    elif weighted == "every":
+        membership[:], k = True, 1
+    elif weighted == "one":
+        membership[:], k = False, 1
+        membership[draw(st.integers(0, n - 1))] = True
+    for row in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        F[row], membership[row] = F[0], membership[0]
+    # at 1e140 every kernel weight between distinct points underflows
+    F *= draw(st.sampled_from([1.0, 1e140]))
+    t = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    return F, _model_from(F, membership, k, t)
+
+
+@given(_margin_problems())
+def test_mls_numerators_match_dense_oracle(problem):
+    F, model = problem
+    got, isolated = _mls_numerators(F, _margin_kernel(model), model.u)
+    W = interaction_weights(model).weights
+    want, want_isolated = mls_numerators_dense(F, W, model.u)
+    assert isolated == want_isolated
+    m = np.count_nonzero(model.u)
+    event("weighted rows: " + ("none" if m == 0 else "one" if m == 1 else
+                               "every" if m == F.shape[0] else "some"))
+    event(f"isolated: {isolated}")
+    # t1 + t2 of the expanded form bounds |numerator| and |2 t3|
+    F2 = F * F
+    scale = (model.u * W.sum(axis=1)) @ F2 + (model.u @ W) @ F2
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 def test_mls_constant_feature_scores_inf(rng):
