@@ -9,13 +9,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import kolmogorov
-from scipy.stats import rankdata
 
 from .data import Dataset, standardize
 from .gates import GateState, TrainConfig, TrainTrace, train
 from .margins import MarginConfig, build_margin_model
-from .scores import KernelConfig, ScoreReport, laplacian_score, mls, select_top
+from .scores import (
+    KernelConfig,
+    ScoreReport,
+    _constant_features,
+    laplacian_score,
+    mls,
+    select_top,
+)
 from .synth import SynthSpec, gen_setup
 
 BENCH_RHOS = (0.90, 0.95, 0.97)
@@ -65,6 +70,8 @@ def ks_statistic(a, b) -> tuple[float, float]:
     cdf_b = np.searchsorted(b, everything, side="right") / b.size
     d = float(np.max(np.abs(cdf_a - cdf_b)))
     n_e = a.size * b.size / (a.size + b.size)
+    from scipy.special import kolmogorov  # scipy.special costs ~0.3 s, ~26 MB to import
+
     p = float(kolmogorov(np.sqrt(n_e) * d))
     return d, min(max(p, 0.0), 1.0)
 
@@ -79,6 +86,10 @@ def auc_roc(scores, labels) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need both classes to compute AUC")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    from scipy.stats import rankdata  # scipy.stats costs ~1 s, ~70 MB to import
+
     ranks = rankdata(scores)
     return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -122,24 +133,26 @@ def score_dataset(
     to the method, and score each feature by its trained gate mean; their
     training trace comes back too, and training warnings go into the
     report. ``mls`` and ``dufs-mls`` build their margin model from
-    margin_config.
+    margin_config. Every method rejects a table whose features are all
+    constant with a DataError.
     """
     if method == "ls":
         return laplacian_score(ds, kernel_config), None
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    model = None
-    if method in ("mls", "dufs-mls"):
-        model = build_margin_model(ds, margin_config or MarginConfig())
     if method == "mls":
-        return mls(ds, model), None
+        return mls(ds, build_margin_model(ds, margin_config or MarginConfig())), None
+    constant = _constant_features(ds)
+    model = None
+    if method == "dufs-mls":
+        model = build_margin_model(ds, margin_config or MarginConfig())
     config = replace(train_config or TrainConfig(), loss_variant=method)
     state = GateState.fresh(ds.n_features, sigma=sigma, sign_flip=sign_flip)
     trace = train(ds, config, state, model)
     report = ScoreReport(
         method=method,
         scores=trace.mu,
-        constant_feature_flags=np.zeros(ds.n_features, dtype=bool),
+        constant_feature_flags=constant,
         feature_names=list(ds.feature_names),
     )
     if trace.no_margin_signal:

@@ -173,6 +173,9 @@ def build_margin_model(ds: Dataset, config: MarginConfig) -> MarginModel:
     s[live] = skewness(cols[live].T)
     q = config.quantile
     cut = np.quantile(cols, [q / 2.0, q, 1.0 - q, 1.0 - q / 2.0], axis=1)
+    # -0.0 and 0.0 tie, so which one a quantile of a column holding both
+    # returns depends on the partition order; a zero cutoff is always +0.0
+    cut += 0.0
     cut[:, ~live] = np.nan
     right = s >= config.skew_right
     left = (s <= config.skew_left) & ~right
@@ -216,9 +219,11 @@ def _sq_distances(
     D_ij = |x_i|^2 + |x_j|^2 - 2 x_i . x_j on the centred rows, from one BLAS
     product Xc Xc' whose diagonal supplies the norms. Centring leaves the
     distances as they are but keeps the subtraction from cancelling the
-    digits of rows far from the origin. The norm sum is added as one term,
-    so D is exactly symmetric; rounding below 0 is clamped and the diagonal
-    is exactly 0. The pair mean is 2 sum|xc_i|^2 / (n - 1) in closed form
+    digits of rows far from the origin. A column whose values are all equal
+    is centred at that value, not at its mean, whose rounding would leave
+    a residual that can swamp every other column. The norm sum is added as
+    one term, so D is exactly symmetric; rounding below 0 is clamped and the
+    diagonal is exactly 0. The pair mean is 2 sum|xc_i|^2 / (n - 1) in closed form
     (0 for a single row). Duplicated rows get distance exactly 0 when the
     BLAS forms every dot product alike, which holds for small matrices; on
     larger ones it can miss 0 by a few ulps of the squared norms. Values too
@@ -234,7 +239,7 @@ def _sq_distances(
     # every D_ij is at most 4 max(sq) and the pair mean sums all of sq, so
     # both stay finite while 4x the running sum of sq does
     with np.errstate(over="ignore", invalid="ignore"):
-        Xc = X - X.mean(axis=0)
+        Xc = X - np.where(X.max(axis=0) == X.min(axis=0), X[0], X.mean(axis=0))
         D = np.matmul(Xc, Xc.T, out=out)
         sq = D.diagonal().copy()
         overflow = ~np.isfinite(4.0 * np.cumsum(sq))

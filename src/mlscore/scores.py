@@ -71,27 +71,43 @@ def _affinity(X: np.ndarray, config: KernelConfig) -> np.ndarray:
     return np.exp(sq, out=sq)
 
 
+def _constant_features(ds: Dataset) -> np.ndarray:
+    """Mask of the features of ds whose values are all equal; a DataError
+    if every feature is."""
+    X = ds.values
+    constant = X.max(axis=0) == X.min(axis=0)
+    if constant.all():
+        raise DataError("all features are constant; nothing to score")
+    return constant
+
+
 def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreReport:
     """Graph smoothness score f~' L f~ / f~' D f~ per feature.
 
     f~ is the feature centered by its degree-weighted mean, L = D - S the
     unnormalized graph Laplacian of the affinity S. Constant features score
-    +inf and are flagged.
+    +inf and are flagged; only the others are scored. A term that overflows
+    raises a DataError naming the feature.
     """
     config = config or KernelConfig()
     X = ds.values
-    constant = X.max(axis=0) == X.min(axis=0)
-    if constant.all():
-        raise DataError("all features are constant; nothing to score")
+    constant = _constant_features(ds)
     S = _affinity(X, config)
     dvec = S.sum(axis=1)
     total = dvec.sum()
-    F_centered = X - (dvec @ X) / total
-    weighted_sq = (dvec[:, None] * F_centered * F_centered).sum(axis=0)
-    smooth = (F_centered * (S @ F_centered)).sum(axis=0)
+    F = X[:, ~constant] if constant.any() else X
+    weighted_sq = np.zeros(X.shape[1])
+    numerators = np.zeros(X.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        F_centered = F - (dvec @ F) / total
+        live_sq = (dvec[:, None] * F_centered * F_centered).sum(axis=0)
+        weighted_sq[~constant] = live_sq
+        numerators[~constant] = live_sq - (F_centered * (S @ F_centered)).sum(axis=0)
+    _check_finite(ds, weighted_sq, "ls denominator")
+    _check_finite(ds, numerators, "ls numerator")
     with np.errstate(invalid="ignore", divide="ignore"):
-        scores = (weighted_sq - smooth) / weighted_sq
-    scores = np.where(constant, np.inf, scores)
+        scores = numerators / weighted_sq
+    scores[constant] = np.inf
     return ScoreReport(
         method="ls",
         scores=scores,
@@ -174,10 +190,7 @@ def mls(ds: Dataset, model: MarginModel) -> ScoreReport:
     off-diagonal weight in the margin kernel, the scores are all zero, a
     warning says why, and ranking falls back to index order.
     """
-    X = ds.values
-    constant = X.max(axis=0) == X.min(axis=0)
-    if constant.all():
-        raise DataError("all features are constant; nothing to score")
+    constant = _constant_features(ds)
     scores, variances, isolated = _mls_terms(ds, model)
     scores = np.where(constant | (variances == 0), np.inf, scores)
     report = ScoreReport(

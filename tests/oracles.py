@@ -91,20 +91,21 @@ def _feature_margin(
     """Boolean margin mask for one feature plus the (lower, upper) cutoffs.
 
     Cutoffs are values of the empirical quantile function (linear
-    interpolation between order statistics); membership is strict, so ties
-    sitting exactly on a cutoff stay out of the margin.
+    interpolation between order statistics), a zero one as +0.0;
+    membership is strict, so ties sitting exactly on a cutoff stay out of
+    the margin.
     """
     f = np.asarray(f, dtype=float)
     if not 0.0 < quantile < 0.5:
         raise ValueError(f"quantile must be in (0, 0.5), got {quantile}")
     if kind is MarginKind.RIGHT:
-        hi = float(np.quantile(f, 1.0 - quantile))
+        hi = float(np.quantile(f, 1.0 - quantile)) + 0.0
         return f > hi, (None, hi)
     if kind is MarginKind.LEFT:
-        lo = float(np.quantile(f, quantile))
+        lo = float(np.quantile(f, quantile)) + 0.0
         return f < lo, (lo, None)
-    lo = float(np.quantile(f, quantile / 2.0))
-    hi = float(np.quantile(f, 1.0 - quantile / 2.0))
+    lo = float(np.quantile(f, quantile / 2.0)) + 0.0
+    hi = float(np.quantile(f, 1.0 - quantile / 2.0)) + 0.0
     return (f < lo) | (f > hi), (lo, hi)
 
 

@@ -209,6 +209,19 @@ def test_dufs_overflow_names_the_feature(tmp_path, capsys, scale, offset, part):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["dufs", "dufs-mls"])
+def test_gate_methods_reject_an_all_constant_table(tmp_path, capsys, method):
+    # every column reads 1e200: the added noise is below its ulp. dufs used
+    # to blame the distances, which the rounded column means made overflow
+    path = _scaled_normal_csv(tmp_path / "big.csv", 1e120, offset=1e200)
+    out = tmp_path / "out.csv"
+    code = main(["select", "--method", method, "--num-features", "2", "--epochs", "2",
+                 "--input", str(path), "--no-standardize", "--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: all features are constant; nothing to score\n"
+    assert not out.exists()
+
+
 def test_mls_on_isolated_margin_kernel_scores_exact_zeros(tmp_path, capsys):
     # every off-diagonal weight of a margin sample underflows at this scale;
     # the expanded numerators used to leave +-1e-14 of rounding noise

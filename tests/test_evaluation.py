@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mlscore.data import Dataset
+from mlscore.data import DataError, Dataset
 from mlscore.evaluation import (
     auc_roc,
     bench_margin_config,
@@ -105,6 +105,12 @@ def test_auc_errors():
         auc_roc([0.1, 0.2], [1, 1])
     with pytest.raises(ValueError, match="align"):
         auc_roc([0.1, 0.2], [0, 1, 1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_auc_rejects_non_finite_scores(bad):
+    with pytest.raises(ValueError, match="scores must be finite"):
+        auc_roc([bad, 0.2, 0.3], [0, 1, 1])
 
 
 def test_auc_monotone_transform_invariant(rng):
@@ -217,6 +223,21 @@ def test_score_dataset_dufs_mls_warns_that_gate_means_are_equal():
     assert len(trace.loss_history) == 3
     assert np.array_equal(report.scores, trace.mu)
     assert "all gate means are equal; the selection is feature order" in report.warnings
+
+
+@pytest.mark.parametrize("method", ["dufs", "dufs-mls"])
+def test_score_dataset_gate_methods_reject_all_constant_table(method):
+    ds = Dataset(values=np.full((10, 2), 1e200), feature_names=["a", "b"])
+    with pytest.raises(DataError, match="all features are constant; nothing to score"):
+        score_dataset(ds, method, train_config=TrainConfig(epochs=2))
+
+
+@pytest.mark.parametrize("method", ["dufs", "dufs-mls"])
+def test_score_dataset_gate_methods_flag_constant_features(method, rng):
+    X = np.column_stack([rng.standard_normal((30, 2)), np.full(30, 3.0)])
+    ds = Dataset(values=X, feature_names=["a", "b", "k"])
+    report, _ = score_dataset(ds, method, train_config=TrainConfig(epochs=2))
+    assert report.constant_feature_flags.tolist() == [False, False, True]
 
 
 def test_score_dataset_rejects_unknown_method():

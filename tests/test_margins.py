@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
@@ -341,6 +341,12 @@ def _tables(draw):
     st.floats(0.01, 2.0),
     st.integers(1, 3),
 )
+# -0.0 and 0.0 in one column: the two quantile calls returned zero cutoffs
+# of opposite sign
+@example(
+    X=np.column_stack([[0.0] * 4 + [2.0**-250] * 2 + [-0.0] * 2, np.zeros(8)]),
+    quantile=0.3125, skew_right=0.0, gap=1.0, k=1,
+)
 def test_build_margin_model_matches_feature_loop(X, quantile, skew_right, gap, k):
     ds = Dataset(values=X, feature_names=[f"f{j}" for j in range(X.shape[1])])
     config = MarginConfig(
@@ -406,6 +412,18 @@ def test_sq_distances_closed_form_mean(rng, offset):
     triu_mean = squareform(pdist(X, metric="sqeuclidean"))[np.triu_indices(50, k=1)].mean()
     assert abs(mean_pair_sq - triu_mean) <= 1e-12 * triu_mean
     assert _sq_distances(np.ones((1, 3)))[1] == 0.0
+
+
+@pytest.mark.parametrize("value", [1.0, 1e30, 1e150, -1e300])
+def test_sq_distances_ignore_a_constant_column(rng, value):
+    # its mean rounds away from the value it repeats; centring at that mean
+    # left a residual that swamped the other columns, or overflowed
+    X = rng.standard_normal((50, 3))
+    D, mean_pair_sq = _sq_distances(np.column_stack([X, np.full(50, value)]))
+    ref, ref_mean = _sq_distances(X)
+    # the extra zero column may change the BLAS's summation order
+    assert np.allclose(D, ref, rtol=1e-12, atol=0.0)
+    assert abs(mean_pair_sq - ref_mean) <= 1e-12 * ref_mean
 
 
 def test_sq_distances_overflow_names_the_row():

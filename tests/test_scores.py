@@ -109,6 +109,29 @@ def test_ls_constant_feature_scores_inf(rng):
     assert report.constant_feature_flags.tolist() == [True, False]
 
 
+@pytest.mark.parametrize("value", [1.0, 1e30, 1e100, 1e150, 1e200])
+def test_ls_constant_column_leaves_other_scores(rng, value):
+    # unstandardized; the column used to move the other scores by 57%
+    # from 1e30 and to overflow the distances at 1e200
+    X = rng.standard_normal((50, 3))
+    ref = laplacian_score(Dataset(values=X, feature_names=["a", "b", "c"])).scores
+    ds = Dataset(values=np.column_stack([X, np.full(50, value)]),
+                 feature_names=["a", "b", "c", "k"])
+    report = laplacian_score(ds)
+    assert np.max(np.abs(report.scores[:3] - ref) / np.abs(ref)) < 1e-12
+    assert report.scores[3] == np.inf
+    assert report.constant_feature_flags.tolist() == [False, False, False, True]
+
+
+def test_ls_overflow_names_the_feature(rng):
+    # the distances are finite, but the degree-weighted square sum of
+    # column x overflows; it used to warn and score nan
+    big = math.sqrt(5e305)
+    X = np.column_stack([np.repeat([big, -big], 25), rng.standard_normal(50)])
+    with pytest.raises(DataError, match="the ls denominator of feature 'x' overflows"):
+        laplacian_score(Dataset(values=X, feature_names=["x", "y"]))
+
+
 def test_ls_all_constant_rejected():
     ds = Dataset(values=np.ones((5, 2)), feature_names=["a", "b"])
     with pytest.raises(DataError, match="all features are constant"):
