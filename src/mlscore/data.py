@@ -28,6 +28,17 @@ def _as_label(value: str, row: int, column: str) -> int:
     raise DataError(f"label at row {row}, column {column!r} must be 0 or 1, got {value!r}")
 
 
+class _Owned:
+    """Wraps an array that its maker hands to a Dataset and keeps no
+    reference to, so that the Dataset takes it without a copy. Any other
+    array is copied, so that no Dataset aliases an array its caller holds."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable n x d float matrix with named columns and optional 0/1 labels.
@@ -42,7 +53,10 @@ class Dataset:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float, order="C")
+        if isinstance(self.values, _Owned):
+            values = np.asarray(self.values.array, dtype=float, order="C")
+        else:
+            values = np.array(self.values, dtype=float, order="C")
         if values.ndim != 2:
             raise DataError(f"values must be 2-d, got shape {values.shape}")
         n, d = values.shape
@@ -167,9 +181,9 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     if len(table) < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {len(table)}")
     if label_idx is None:
-        return Dataset(values=table, feature_names=header)
+        return Dataset(values=_Owned(table), feature_names=header)
     return Dataset(
-        values=np.delete(table, label_idx, axis=1),
+        values=_Owned(np.delete(table, label_idx, axis=1)),
         feature_names=header[:label_idx] + header[label_idx + 1:],
         labels=table[:, label_idx].astype(int),
     )
@@ -272,8 +286,9 @@ def standardize(ds: Dataset) -> tuple[Dataset, ScalerStats]:
     constant = (X.max(axis=0) == X.min(axis=0)) | (sd == 0.0)
     sd = np.where(constant, 0.0, sd)
     safe = np.where(constant, 1.0, sd)
-    out = (X - means) / safe
+    out = X - means
+    out /= safe
     out[:, constant] = 0.0
-    scaled = Dataset(values=out, feature_names=ds.feature_names, labels=ds.labels)
+    scaled = Dataset(values=_Owned(out), feature_names=ds.feature_names, labels=ds.labels)
     return scaled, ScalerStats(means=means, std_devs=sd, constant=constant)
 

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .margins import MarginModel, _sq_distances
+from .data import DataError, Dataset
+from .margins import MarginModel, _centred, _mean_pair_sq, _sq_distances
 from .scores import _check_finite, _mls_terms
 
 VAR_GUARD = 1e-12  # below this a gated feature counts as switched off
@@ -126,14 +126,36 @@ def _phi_over_sigma(state: GateState) -> np.ndarray:
 def dufs_bandwidth(gated: np.ndarray) -> float:
     """Per-epoch heat-kernel bandwidth: mean squared pairwise distance of
     the gated rows, floored at 1 so the kernel cannot collapse."""
-    return max(1.0, _sq_distances(gated)[1])
+    return max(1.0, _mean_pair_sq(_centred(gated).sq))
+
+
+def _available_memory() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes, or None where that file
+    does not exist or does not say."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
 
 
 def _dufs_buffers(F: np.ndarray, want_grad: bool) -> tuple:
     """What a dufs epoch needs that does not depend on z: F * F, its column
     sums, the kernel buffer and, for gradients, the n x n Gram buffer.
-    ``train`` builds it once per run; the public functions once per call."""
+    ``train`` builds it once per run; the public functions once per call.
+    Buffers larger than the memory the system reports available raise a
+    DataError up front, rather than letting the process be killed."""
     n = F.shape[0]
+    need = 8 * n * n * (2 if want_grad else 1)
+    available = _available_memory()
+    if available is not None and need > available:
+        raise DataError(
+            f"dufs needs {need / 1e9:.3g} GB for its n x n kernel buffers at "
+            f"n = {n} rows, but {available / 1e9:.3g} GB is available"
+        )
     with np.errstate(over="ignore"):  # the epoch names what overflows
         F2 = F * F
     gram = np.empty((n, n)) if want_grad else None

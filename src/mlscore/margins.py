@@ -9,12 +9,15 @@ exponential over the margin representation rows.
 Every row below ``k`` memberships is the origin in the margin
 representation and carries no weight, so the margin score needs the kernel
 only among the m weighted rows, plus each weighted row's weight to the
-origin: ``_margin_kernel`` builds that m x m form, while
-``interaction_weights`` keeps the dense n x n kernel over every row.
+origin. ``interaction_weights`` keeps the dense n x n kernel over every row,
+for inspection and as the oracle of the streamed form.
 
-This module also holds ``_sq_distances``, the one pairwise-distance routine
-behind every sample kernel in the package: both margin kernels here, the
-heat and kNN graphs of the Laplacian Score and the DUFS gate kernel.
+This module also holds the pairwise-distance arithmetic behind every sample
+kernel in the package: ``_centred`` and ``_finish_sq`` form squared
+distances, ``_sq_distances`` the dense matrix (the DUFS gate kernel and
+``interaction_weights``), ``_kernel_products`` the degrees and products of a
+kernel streamed over upper-triangle row blocks (``mls`` and the heat graph
+of the Laplacian Score) and ``_knn_neighbours`` the kNN graph's edges.
 """
 
 from __future__ import annotations
@@ -23,14 +26,18 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import DataError, Dataset
 
-# rows of the distance matrix finished per step of _sq_distances; keeps the
+# rows of a distance block finished per step of _finish_sq; keeps the
 # |x_i|^2 + |x_j|^2 term a small temporary instead of a second n x n matrix
 _ROW_BLOCK = 64
+# rows of kernel or distance held at once by _kernel_products and
+# _knn_neighbours: 256 x n doubles
+_KERNEL_BLOCK = 256
 
 
 class MarginKind(Enum):
@@ -91,30 +98,12 @@ class MarginModel:
     _weights_cache: "InteractionWeights | None" = field(
         default=None, repr=False, compare=False
     )
-    _kernel_cache: "MarginKernel | None" = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class InteractionWeights:
     weights: np.ndarray
     t: float
-
-
-@dataclass(frozen=True)
-class MarginKernel:
-    """The margin kernel on the m weighted rows (u != 0), from
-    ``_margin_kernel``.
-
-    rows selects them from an n-row array: their indices, or ``slice(None)``
-    when every row is weighted, so that indexing takes a view. K is their
-    m x m kernel and e[i] = exp(-|m_i| / t) the weight of weighted row i to
-    each of the n - m unweighted rows, which all sit at the origin; e is
-    None when there are none.
-    """
-
-    rows: np.ndarray | slice
-    K: np.ndarray
-    e: np.ndarray | None
 
 
 def skewness(X) -> np.ndarray:
@@ -124,7 +113,8 @@ def skewness(X) -> np.ndarray:
     cols = np.ascontiguousarray(np.asarray(X, dtype=float).T)
     if cols.shape[1] < 3:
         raise ValueError(f"skewness needs at least 3 values, got {cols.shape[1]}")
-    if (cols.max(axis=1) == cols.min(axis=1)).any():
+    top, bottom = cols.max(axis=1), cols.min(axis=1)
+    if (top == bottom).any():
         raise ValueError("skewness undefined for a constant column")
     # skewness is scale-free, so a column far from 1 in magnitude, whose
     # mean, dev^3 or m2^(3/2) could under- or overflow, is divided by a
@@ -132,11 +122,16 @@ def skewness(X) -> np.ndarray:
     # deviation is then at least about 2^-54, so the moments stay normal.
     # Within 2^+-200 a column is left as it is: pow is not exact under
     # scaling. A row of cols is summed pairwise, as a 1-d array would be.
-    _, exponent = np.frexp(np.abs(cols).max(axis=1))
-    cols = np.ldexp(cols, np.where(np.abs(exponent) > 200, -exponent, 0)[:, None])
+    _, exponent = np.frexp(np.maximum(top, -bottom))
+    far = np.abs(exponent) > 200
+    if far.any():
+        cols = np.ldexp(cols, np.where(far, -exponent, 0)[:, None])
     dev = cols - cols.mean(axis=1, keepdims=True)
-    m2 = np.mean(dev * dev, axis=1)
-    m3 = np.mean(dev * dev * dev, axis=1)
+    # dev^3 as (dev * dev) * dev, in the one n x d buffer that held dev^2
+    power = dev * dev
+    m2 = np.mean(power, axis=1)
+    power *= dev
+    m3 = np.mean(power, axis=1)
     # Python floats take C's pow, as a scalar does; NumPy's vectorised
     # float64 power can differ from it in the last bit on some CPUs
     return m3 / (m2.astype(object) ** 1.5).astype(float)
@@ -164,15 +159,19 @@ def build_margin_model(ds: Dataset, config: MarginConfig) -> MarginModel:
     n, d = X.shape
     if n < 3:
         raise DataError(f"margins need at least 3 data rows for skewness, got {n}")
-    cols = np.ascontiguousarray(X.T)  # rows reduce like 1-d arrays
+    cols = X.T.copy()  # rows reduce like 1-d arrays; a copy, even where d = 1
     with np.errstate(over="ignore"):  # an overflowing variance is not 0
         live = (cols.max(axis=1) != cols.min(axis=1)) & (cols.var(axis=1) != 0.0)
     # a constant feature gets NaN skewness and cutoffs, which pass no
     # threshold and no comparison: two-sided, with an empty margin
     s = np.full(d, np.nan)
-    s[live] = skewness(cols[live].T)
+    s[live] = skewness(cols.T if live.all() else cols[live].T)
     q = config.quantile
-    cut = np.quantile(cols, [q / 2.0, q, 1.0 - q, 1.0 - q / 2.0], axis=1)
+    # cols is this function's own copy, so the quantiles may reorder it
+    cut = np.quantile(
+        cols, [q / 2.0, q, 1.0 - q, 1.0 - q / 2.0], axis=1, overwrite_input=True
+    )
+    del cols
     # -0.0 and 0.0 tie, so which one a quantile of a column holding both
     # returns depends on the partition order; a zero cutoff is always +0.0
     cut += 0.0
@@ -210,60 +209,152 @@ def build_margin_model(ds: Dataset, config: MarginConfig) -> MarginModel:
     )
 
 
-def _sq_distances(
-    X: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """Squared Euclidean distances between the rows of X, and their mean
-    over the n(n-1)/2 pairs.
+class _Centred(NamedTuple):
+    """Rows ready for squared distances, from ``_centred``: the centred rows
+    Xc, their squared norms sq and, where two rows are equal, twin, the
+    index of the first row equal to each row (None when all rows differ)."""
 
-    D_ij = |x_i|^2 + |x_j|^2 - 2 x_i . x_j on the centred rows, from one BLAS
-    product Xc Xc' whose diagonal supplies the norms. Centring leaves the
-    distances as they are but keeps the subtraction from cancelling the
-    digits of rows far from the origin. A column whose values are all equal
-    is centred at that value, not at its mean, whose rounding would leave
-    a residual that can swamp every other column. The norm sum is added as
-    one term, so D is exactly symmetric; rounding below 0 is clamped and the
-    diagonal is exactly 0. The pair mean is 2 sum|xc_i|^2 / (n - 1) in closed form
-    (0 for a single row). Duplicated rows get distance exactly 0 when the
-    BLAS forms every dot product alike, which holds for small matrices; on
-    larger ones it can miss 0 by a few ulps of the squared norms. Values too
-    large for finite distances raise a DataError naming the row.
+    Xc: np.ndarray
+    sq: np.ndarray
+    twin: np.ndarray | None
 
-    ``out``, an n x n C-contiguous float64 array, receives D in place of a
-    fresh array and is returned; whatever it held is overwritten. A caller
-    that builds a kernel per epoch passes the same buffer every time.
-    ``rows``, the dataset row index of each row of X, makes the overflow
-    error name the dataset row when X is a subset of the dataset's rows.
+
+def _centred(X: np.ndarray, rows: np.ndarray | None = None) -> _Centred:
+    """The first half of every squared-distance computation in the package.
+
+    Centring leaves the distances as they are but keeps |x_i|^2 + |x_j|^2 -
+    2 x_i . x_j from cancelling the digits of rows far from the origin. A
+    column whose values are all equal is centred at that value, not at its
+    mean, whose rounding would leave a residual that can swamp every other
+    column. Equal rows have equal norms, so only rows whose norms tie are
+    compared to find them. Values too large for finite distances raise a
+    DataError naming the row: ``rows``, the dataset row index of each row of
+    X, names the dataset row when X is a subset of the dataset's rows.
     """
-    n = X.shape[0]
     # every D_ij is at most 4 max(sq) and the pair mean sums all of sq, so
     # both stay finite while 4x the running sum of sq does
     with np.errstate(over="ignore", invalid="ignore"):
         Xc = X - np.where(X.max(axis=0) == X.min(axis=0), X[0], X.mean(axis=0))
-        D = np.matmul(Xc, Xc.T, out=out)
-        sq = D.diagonal().copy()
+        sq = np.einsum("ij,ij->i", Xc, Xc)
         overflow = ~np.isfinite(4.0 * np.cumsum(sq))
     if overflow.any():
         row = int(overflow.argmax())
         row = (row if rows is None else int(rows[row])) + 1
         raise DataError(f"values too large: squared distances from row {row} overflow")
+    order = np.argsort(sq, kind="stable")
+    tie = np.flatnonzero(sq[order[1:]] == sq[order[:-1]])
+    if not tie.size:
+        return _Centred(Xc, sq, None)
+    suspects = np.union1d(order[tie], order[tie + 1])
+    _, first, group = np.unique(
+        Xc[suspects], axis=0, return_index=True, return_inverse=True
+    )
+    twin = np.arange(X.shape[0])
+    twin[suspects] = suspects[first][group.ravel()]
+    return _Centred(Xc, sq, twin)
+
+
+def _finish_sq(D: np.ndarray, centred: _Centred, start: int, col0: int) -> None:
+    """Turn D, the Gram block of centred rows start.. against rows col0..,
+    into their squared distances in place.
+
+    D_ij = |x_i|^2 + |x_j|^2 - 2 x_i . x_j with the norm sum added as one
+    term, so a full matrix comes out exactly symmetric when its Gram matrix
+    is. Rounding below 0 is clamped, and the distance between equal rows,
+    which the Gram form can miss by a few ulps of their norms, is exactly 0.
+    """
+    sq, twin = centred.sq, centred.twin
     D *= -2.0
-    for start in range(0, n, _ROW_BLOCK):
-        rows = D[start : start + _ROW_BLOCK]
-        rows += sq[start : start + _ROW_BLOCK, None] + sq[None, :]
-        np.maximum(rows, 0.0, out=rows)
-    np.fill_diagonal(D, 0.0)
-    mean_pair_sq = 2.0 * float(sq.sum()) / (n - 1) if n > 1 else 0.0
-    return D, mean_pair_sq
+    for lo in range(0, D.shape[0], _ROW_BLOCK):
+        part = D[lo : lo + _ROW_BLOCK]
+        hi = start + lo + part.shape[0]
+        part += sq[start + lo : hi, None] + sq[None, col0:]
+        np.maximum(part, 0.0, out=part)
+        if twin is not None:
+            part[twin[start + lo : hi, None] == twin[None, col0:]] = 0.0
+    if twin is None:
+        own = np.arange(max(start, col0), min(start + D.shape[0], col0 + D.shape[1]))
+        D[own - start, own - col0] = 0.0
 
 
-def _exp_kernel(rep: np.ndarray, t: float, rows: np.ndarray | None = None) -> np.ndarray:
-    """exp(-||m_i - m_j|| / t) over the rows of rep; ``rows`` as in
-    ``_sq_distances``."""
-    W, _ = _sq_distances(rep, rows=rows)
-    np.sqrt(W, out=W)
-    W /= -t
-    return np.exp(W, out=W)
+def _mean_pair_sq(sq: np.ndarray) -> float:
+    """Mean squared distance over the n(n-1)/2 pairs of the rows whose
+    centred squared norms are sq: 2 sum(sq) / (n - 1), 0 for one row."""
+    n = sq.shape[0]
+    return 2.0 * float(sq.sum()) / (n - 1) if n > 1 else 0.0
+
+
+def _sq_distances(
+    X: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """Dense squared Euclidean distances between the rows of X, and their
+    mean over the n(n-1)/2 pairs, from one BLAS product Xc Xc' (see
+    ``_centred``, ``_finish_sq`` and ``_mean_pair_sq``). D is exactly
+    symmetric with an exactly zero diagonal.
+
+    ``out``, an n x n C-contiguous float64 array, receives D in place of a
+    fresh array and is returned; whatever it held is overwritten. A caller
+    that builds a kernel per epoch passes the same buffer every time.
+    ``rows`` names dataset rows in the overflow error, as in ``_centred``.
+    """
+    centred = _centred(X, rows)
+    D = np.matmul(centred.Xc, centred.Xc.T, out=out)
+    _finish_sq(D, centred, 0, 0)
+    return D, _mean_pair_sq(centred.sq)
+
+
+def _kernel_products(
+    centred: _Centred, R: np.ndarray, t: float, root: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees K 1 and the product K R of the kernel K_ij = exp(-D_ij / t),
+    or exp(-sqrt(D_ij) / t) with ``root``, over the rows that ``_centred``
+    prepared, without holding K.
+
+    K is streamed in blocks of rows [a, b) against columns [a, n), the upper
+    triangle: rows a:b take the whole block, rows b:n the transpose of its
+    part right of the diagonal. Memory is O(_KERNEL_BLOCK n) beyond R and
+    K R.
+    """
+    Xc = centred.Xc
+    n = Xc.shape[0]
+    deg = np.zeros(n)
+    KR = np.zeros((n, R.shape[1]))
+    buf = np.empty(min(_KERNEL_BLOCK, n) * n)
+    for a in range(0, n, _KERNEL_BLOCK):
+        b = min(a + _KERNEL_BLOCK, n)
+        K = buf[: (b - a) * (n - a)].reshape(b - a, n - a)
+        np.matmul(Xc[a:b], Xc[a:].T, out=K)
+        _finish_sq(K, centred, a, a)
+        if root:
+            np.sqrt(K, out=K)
+        K /= -t
+        np.exp(K, out=K)
+        deg[a:b] += K.sum(axis=1)
+        KR[a:b] += K @ R[a:]
+        right = K[:, b - a :]
+        deg[b:] += right.sum(axis=0)
+        KR[b:] += right.T @ R[a:b]
+    return deg, KR
+
+
+def _knn_neighbours(centred: _Centred, k: int) -> np.ndarray:
+    """The n x k indices of each row's k nearest other rows, nearest first,
+    ties broken by index, over the rows that ``_centred`` prepared.
+    Distances are formed _KERNEL_BLOCK full rows at a time. Self sorts
+    first even where an equal row ties with it, and a row's distances to
+    equal rows are made equal, which the Gram form can miss by an ulp."""
+    Xc, twin = centred.Xc, centred.twin
+    n = Xc.shape[0]
+    nbrs = np.empty((n, k), dtype=np.intp)
+    for a in range(0, n, _KERNEL_BLOCK):
+        b = min(a + _KERNEL_BLOCK, n)
+        D = Xc[a:b] @ Xc.T
+        _finish_sq(D, centred, a, 0)
+        if twin is not None:
+            D = D[:, twin]
+        D[np.arange(b - a), np.arange(a, b)] = -1.0
+        nbrs[a:b] = np.argsort(D, axis=1, kind="stable")[:, 1 : k + 1]
+    return nbrs
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
@@ -280,28 +371,17 @@ def interaction_weights(model: MarginModel) -> InteractionWeights:
     """Dense pairwise kernel w_ij = exp(-||m_i - m_j|| / t) over margin rows.
 
     Symmetry is exact and the diagonal is exactly 1 (see ``_sq_distances``).
-    Cached on the model. The library scores on ``_margin_kernel`` instead;
-    this full form is for inspection and for checking that one.
+    Cached on the model. ``mls`` streams this kernel on the weighted rows
+    instead (``_kernel_products``); the full form is for inspection and for
+    checking that one.
     """
     if model._weights_cache is None:
-        W = _exp_kernel(model.margin_rep, model.t)
+        W, _ = _sq_distances(model.margin_rep)
+        np.sqrt(W, out=W)
+        W /= -model.t
+        np.exp(W, out=W)
         model._weights_cache = InteractionWeights(weights=W, t=model.t)
     return model._weights_cache
-
-
-def _margin_kernel(model: MarginModel) -> MarginKernel:
-    """The margin kernel restricted to the weighted rows (see
-    ``MarginKernel``), cached on the model. K is ``interaction_weights`` on
-    those rows."""
-    if model._kernel_cache is None:
-        weighted = np.flatnonzero(model.u)
-        every = weighted.size == model.u.size
-        rows = slice(None) if every else weighted
-        rep = model.margin_rep[rows]
-        K = _exp_kernel(rep, model.t, weighted) if weighted.size else np.zeros((0, 0))
-        e = None if every else np.exp(_row_norms(rep) / -model.t)
-        model._kernel_cache = MarginKernel(rows=rows, K=K, e=e)
-    return model._kernel_cache
 
 
 def export_margin_csv(model: MarginModel, path) -> None:

@@ -8,7 +8,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataError, Dataset
-from .margins import MarginKernel, MarginModel, _margin_kernel, _sq_distances
+from .margins import (
+    MarginModel,
+    _centred,
+    _kernel_products,
+    _knn_neighbours,
+    _mean_pair_sq,
+    _row_norms,
+)
 
 # methods ranked ascending (lower score = keep); gate methods rank descending
 LOWER_IS_BETTER = frozenset({"ls", "mls"})
@@ -47,30 +54,6 @@ class ScoreReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _affinity(X: np.ndarray, config: KernelConfig) -> np.ndarray:
-    n = X.shape[0]
-    k = config.n_neighbors
-    if config.mode == "binary-knn" and k > n - 1:
-        raise DataError(
-            f"binary-knn needs n_neighbors <= n - 1, got n_neighbors={k} with n={n} rows"
-        )
-    sq, mean_sq = _sq_distances(X)
-    if config.mode == "binary-knn":
-        np.fill_diagonal(sq, -1.0)  # self sorts first even under ties
-        order = np.argsort(sq, axis=1, kind="stable")
-        S = np.zeros((n, n))
-        rows = np.repeat(np.arange(n), k)
-        S[rows, order[:, 1 : k + 1].ravel()] = 1.0
-        S = np.maximum(S, S.T)
-        np.fill_diagonal(S, 1.0)
-        return S
-    t = config.bandwidth
-    if t is None:
-        t = mean_sq if mean_sq > 0 else 1.0
-    sq /= -t
-    return np.exp(sq, out=sq)
-
-
 def _constant_features(ds: Dataset) -> np.ndarray:
     """Mask of the features of ds whose values are all equal; a DataError
     if every feature is."""
@@ -81,6 +64,42 @@ def _constant_features(ds: Dataset) -> np.ndarray:
     return constant
 
 
+def _graph_products(
+    X: np.ndarray, F0: np.ndarray, config: KernelConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees S 1 and the product S F0 of the sample graph S of X that
+    ``config`` names, without forming S.
+
+    The heat graph is streamed (``_kernel_products``). The binary-knn graph
+    is the union of the directed edges i -> j of the n x k neighbour list,
+    with S_ii = 1: row i of S F0 is f0_i plus the sum over i's out-edges that
+    are not mutual plus the sum over its in-edges.
+    """
+    n = X.shape[0]
+    k = config.n_neighbors
+    if config.mode == "binary-knn" and k > n - 1:
+        raise DataError(
+            f"binary-knn needs n_neighbors <= n - 1, got n_neighbors={k} with n={n} rows"
+        )
+    centred = _centred(X)
+    if config.mode == "heat":
+        t = config.bandwidth
+        if t is None:
+            mean_sq = _mean_pair_sq(centred.sq)
+            t = mean_sq if mean_sq > 0 else 1.0
+        return _kernel_products(centred, F0, t, root=False)
+    nbrs = _knn_neighbours(centred, k)
+    # edge i -> nbrs[i, s] is mutual when i is among its head's neighbours
+    mutual = (nbrs[nbrs] == np.arange(n)[:, None, None]).any(axis=2)
+    deg = 1.0 + k + np.bincount(nbrs.ravel(), minlength=n) - mutual.sum(axis=1)
+    SF = F0.copy()
+    for s in range(k):
+        one_way = ~mutual[:, s]
+        SF[one_way] += F0[nbrs[one_way, s]]
+        np.add.at(SF, nbrs[:, s], F0)
+    return deg, SF
+
+
 def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreReport:
     """Graph smoothness score f~' L f~ / f~' D f~ per feature.
 
@@ -88,21 +107,25 @@ def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreRep
     unnormalized graph Laplacian of the affinity S. Constant features score
     +inf and are flagged; only the others are scored. A term that overflows
     raises a DataError naming the feature.
+
+    S is never formed: with f0 the feature centred by its plain mean and
+    d = S 1, L 1 = 0 gives f~' L f~ = d'f0^2 - f0'S f0 and f~' D f~ =
+    d'f0^2 - (d'f0)^2 / 1'd, so the graph enters only through d and S F0.
     """
     config = config or KernelConfig()
     X = ds.values
     constant = _constant_features(ds)
-    S = _affinity(X, config)
-    dvec = S.sum(axis=1)
-    total = dvec.sum()
     F = X[:, ~constant] if constant.any() else X
     weighted_sq = np.zeros(X.shape[1])
     numerators = np.zeros(X.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        F_centered = F - (dvec @ F) / total
-        live_sq = (dvec[:, None] * F_centered * F_centered).sum(axis=0)
-        weighted_sq[~constant] = live_sq
-        numerators[~constant] = live_sq - (F_centered * (S @ F_centered)).sum(axis=0)
+        F0 = F - F.mean(axis=0)
+    dvec, SF = _graph_products(X, F0, config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        live_sq = dvec @ (F0 * F0)
+        d_f0 = dvec @ F0
+        weighted_sq[~constant] = live_sq - d_f0 * (d_f0 / dvec.sum())
+        numerators[~constant] = live_sq - np.einsum("ij,ij->j", F0, SF)
     _check_finite(ds, weighted_sq, "ls denominator")
     _check_finite(ds, numerators, "ls numerator")
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -116,45 +139,6 @@ def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreRep
     )
 
 
-def _mls_numerators(
-    F: np.ndarray, kernel: MarginKernel, u: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """Vector of f'UDf + 1'UWf^2 - 2 f'WUf per column of F (U = diag(u),
-    D = diag(W 1), W the dense margin kernel), from the compact kernel, and
-    whether W is isolated: some sample has weight and every such sample has
-    degree exactly 1.
-
-    Every term enters through u, so only the weighted rows M need their
-    kernel K; each of the other rows Z is the origin, at weight e_i from
-    weighted row i. So d_M = K 1 + |Z| e, u'W is u_M'K on M and u_M'e on
-    every row of Z, and WUF is K (uF)_M on M and (eu)_M'F_M on every row of
-    Z; the sums over Z are O(n d). When each weighted row has degree 1, its
-    off-diagonal weights add up to less than an ulp of 1, the pair sum is 0
-    to within the rounding of the expanded form, and the numerators are
-    returned as exact zeros instead of that rounding noise.
-    """
-    rows, K, e = kernel.rows, kernel.K, kernel.e
-    if K.size == 0:
-        return np.zeros(F.shape[1]), False
-    n_z = F.shape[0] - K.shape[0]
-    u_M = u[rows]
-    d_M = K.sum(axis=1)
-    if n_z:
-        d_M += n_z * e
-    if (d_M == 1.0).all():
-        return np.zeros(F.shape[1]), True
-    F_M = F[rows]
-    F2_M = F_M * F_M
-    t1 = (u_M * d_M) @ F2_M
-    t2 = (u_M @ K) @ F2_M
-    t3 = (F_M * (K @ (u_M[:, None] * F_M))).sum(axis=0)
-    if n_z:
-        in_Z = (u == 0.0).astype(float)
-        t2 += (u_M @ e) * np.einsum("i,ij,ij->j", in_Z, F, F)
-        t3 += (in_Z @ F) * ((e * u_M) @ F_M)
-    return t1 + t2 - 2.0 * t3, False
-
-
 def _check_finite(ds: Dataset, per_feature: np.ndarray, what: str) -> None:
     """Raise a DataError naming the first feature whose ``what`` (say "mls
     numerator") is not finite."""
@@ -166,13 +150,51 @@ def _check_finite(ds: Dataset, per_feature: np.ndarray, what: str) -> None:
 
 def _mls_terms(ds: Dataset, model: MarginModel) -> tuple[np.ndarray, np.ndarray, bool]:
     """Per-column mls scores of ds, the variances they divide by, and whether
-    the margin kernel is isolated (see ``_mls_numerators``); a column of
-    zero variance scores 0. A numerator that overflows raises a DataError
-    naming the feature."""
+    the margin kernel is isolated: some sample has weight and every such
+    sample has degree exactly 1. A column of zero variance scores 0. A
+    numerator that overflows raises a DataError naming the feature.
+
+    The numerator of a column f is f'UDf + 1'UWf^2 - 2 f'WUf (U = diag(u),
+    D = diag(W 1), W the dense margin kernel ``interaction_weights``). Every
+    term enters through u, so only the weighted rows M need their kernel K,
+    which is streamed once with R = [u_M | u_M F_M] (``_kernel_products``)
+    to give K u_M and K (uF)_M. Each of the other rows Z is the origin, at
+    weight e_i = exp(-|m_i| / t) from weighted row i. So d_M = K 1 + |Z| e,
+    u'W is K u_M on M and u_M'e on every row of Z, and WUF is K (uF)_M on M
+    and (eu)_M'F_M on every row of Z; the sums over Z are O(n d). When each
+    weighted row has degree 1, its off-diagonal weights add up to less than
+    an ulp of 1, the pair sum is 0 to within the rounding of the expanded
+    form, and the numerators are exact zeros instead of that rounding noise.
+    """
     F = ds.values
-    kernel = _margin_kernel(model)
+    n, d = F.shape
+    u = model.u
+    weighted = np.flatnonzero(u)
+    m = weighted.size
+    numerators = np.zeros(d)
+    isolated = False
+    rows = slice(None) if m == n else weighted  # a view when every row is weighted
     with np.errstate(over="ignore", invalid="ignore"):
-        numerators, isolated = _mls_numerators(F, kernel, model.u)
+        if m:
+            u_M = u[rows]
+            R = np.empty((m, d + 1))
+            R[:, 0] = u_M
+            np.multiply(u_M[:, None], F[rows], out=R[:, 1:])
+            centred = _centred(model.margin_rep[rows], weighted)
+            d_M, KR = _kernel_products(centred, R, model.t, root=True)
+            del centred, R
+            if m < n:
+                e = np.exp(_row_norms(model.margin_rep[rows]) / -model.t)
+                d_M += (n - m) * e
+            isolated = bool((d_M == 1.0).all())
+            if not isolated:
+                F_M = F[rows]
+                numerators = (u_M * d_M + KR[:, 0]) @ (F_M * F_M)
+                numerators -= 2.0 * np.einsum("ij,ij->j", F_M, KR[:, 1:])
+                if m < n:
+                    in_Z = (u == 0.0).astype(float)
+                    numerators += (u_M @ e) * np.einsum("i,ij,ij->j", in_Z, F, F)
+                    numerators -= 2.0 * (in_Z @ F) * ((e * u_M) @ F_M)
         variances = F.var(axis=0, ddof=1)
     _check_finite(ds, numerators, "mls numerator")
     scores = np.divide(

@@ -485,7 +485,9 @@ def test_load_csv_peak_memory_on_a_wide_table(tmp_path, rng):
             tracemalloc.stop()
     assert np.array_equal(back.values, ds.values)
     assert np.array_equal(back.labels, ds.labels)
-    assert peak < 32e6, f"load_csv peaked at {peak / 1e6:.1f} MB"
+    # the parsed table (5.0 MB) and the feature matrix cut from it (4.9 MB),
+    # which the Dataset takes without a further copy
+    assert peak < 12e6, f"load_csv peaked at {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------- save_csv

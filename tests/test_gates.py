@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from mlscore.data import Dataset, standardize
+from mlscore import gates
+from mlscore.data import DataError, Dataset, standardize
 from mlscore.gates import (
     GateState,
     _dufs_core,
@@ -495,3 +496,24 @@ def test_train_dufs_mls_matches_public_loss_loop(rng):
     losses, mu = _adam_loop(ds, config, loss_and_grad)
     assert np.array_equal(trace.loss_history, losses)
     assert trace.mu.tobytes() == mu.tobytes()
+
+
+def test_dufs_buffers_beyond_available_memory_fail_early(rng, monkeypatch):
+    # 60 x 60 buffers take 2 x 28.8 kB; a system reporting 40 kB available
+    # cannot hold both, and a loss without gradient needs only one
+    ds = _instance(rng, n=60, d=3)
+    monkeypatch.setattr(gates, "_available_memory", lambda: 40_000)
+    with pytest.raises(DataError, match=r"dufs needs 5\.76e-05 GB .* n = 60 rows"):
+        train(ds, TrainConfig(epochs=2), GateState.fresh(3))
+    with pytest.raises(DataError, match="n = 60 rows"):
+        loss_gradient(ds, np.full(3, 0.5), GateState.fresh(3), "dufs", bandwidth=1.0)
+    assert np.isfinite(dufs_loss(ds, np.full(3, 0.5), GateState.fresh(3)))
+    monkeypatch.setattr(gates, "_available_memory", lambda: None)  # no /proc/meminfo
+    assert np.isfinite(train(ds, TrainConfig(epochs=2), GateState.fresh(3)).mu).all()
+
+
+def test_available_memory_reads_meminfo_where_there_is_one():
+    available = gates._available_memory()
+    if available is None:
+        pytest.skip("no /proc/meminfo on this system")
+    assert available > 0

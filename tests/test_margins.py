@@ -1,5 +1,6 @@
 import csv
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
+from mlscore import margins
 from mlscore.data import DataError, Dataset
 from mlscore.evaluation import BENCH_RHOS, bench_margin_config
 from mlscore.margins import (
@@ -14,7 +16,8 @@ from mlscore.margins import (
     MarginConfig,
     MarginKind,
     MarginModel,
-    _margin_kernel,
+    _centred,
+    _kernel_products,
     _sq_distances,
     build_margin_model,
     export_margin_csv,
@@ -22,6 +25,7 @@ from mlscore.margins import (
     skewness,
     temperature,
 )
+from mlscore.scores import _mls_terms
 from mlscore.synth import SynthSpec, gen_setup
 from oracles import skewness_1d, build_margin_model_loop
 
@@ -474,44 +478,42 @@ def test_interaction_weights_returns_temperature():
     assert isinstance(interaction_weights(model), InteractionWeights)
 
 
-# ------------------------------------------------------------ _margin_kernel
+# ---------------------------------------------------- margin kernel, streamed
 
 
 def test_margin_kernel_is_dense_kernel_on_weighted_rows(rng):
+    # the streamed product with the identity is the kernel itself
     rep = rng.standard_normal((15, 4)) * rng.integers(0, 2, (15, 4))
     rep[[3, 9]] = 0.0
     model = _model_from_rep(rep, t=1.3)
     weighted = np.flatnonzero(model.u)
-    unweighted = np.flatnonzero(model.u == 0)
-    kernel = _margin_kernel(model)
-    W = interaction_weights(model).weights
-    assert np.array_equal(kernel.rows, weighted)
-    assert np.allclose(kernel.K, W[np.ix_(weighted, weighted)], rtol=1e-12, atol=0.0)
-    assert np.allclose(kernel.e[:, None], W[np.ix_(weighted, unweighted)], rtol=1e-12, atol=0.0)
-    assert _margin_kernel(model) is kernel
-
-
-def test_margin_kernel_every_row_weighted_takes_rows_as_they_are():
-    model = _model_from_rep([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]], t=1.0)
-    kernel = _margin_kernel(model)
-    assert kernel.rows == slice(None)
-    assert np.shares_memory(model.margin_rep[kernel.rows], model.margin_rep)
-    assert np.allclose(kernel.K, interaction_weights(model).weights, rtol=1e-12, atol=0.0)
-    assert kernel.e is None  # no row sits at the origin unweighted
+    want = interaction_weights(model).weights[np.ix_(weighted, weighted)]
+    centred = _centred(model.margin_rep[weighted], weighted)
+    for block in (1, 4, weighted.size, 256):
+        with patch.object(margins, "_KERNEL_BLOCK", block):
+            deg, K = _kernel_products(centred, np.eye(weighted.size), 1.3, root=True)
+        assert np.allclose(K, want, rtol=1e-12, atol=0.0)
+        assert np.allclose(deg, want.sum(axis=1), rtol=1e-12, atol=0.0)
 
 
 def test_margin_kernel_without_weighted_rows_is_empty():
-    kernel = _margin_kernel(_model_from_rep([[0.0, 0.0], [0.0, 0.0]]))
-    assert kernel.K.shape == (0, 0) and kernel.e.shape == (0,)
-    assert kernel.rows.size == 0
+    model = _model_from_rep([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    ds = Dataset(values=[[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], feature_names=["a", "b"])
+    scores, variances, isolated = _mls_terms(ds, model)
+    assert scores.tolist() == [0.0, 0.0]
+    assert variances.tolist() == [1.0, 1.0]
+    assert not isolated
 
 
 def test_margin_kernel_origin_weight_without_squaring_into_overflow():
-    # |(3e200, 4e200)| = 5e200 is finite, though its squares overflow
+    # |(3e200, 4e200)| = 5e200 is finite, though its squares overflow; the
+    # one weighted pair (0, 1) adds u_0 exp(-5) (0 - 1)^2, and Var = 1/2
     model = _model_from_rep([[3e200, 4e200], [0.0, 0.0]], t=1e200)
-    kernel = _margin_kernel(model)
-    assert kernel.K.tolist() == [[1.0]]
-    assert abs(kernel.e[0] - math.exp(-5.0)) <= 1e-15
+    ds = Dataset(values=[[0.0], [1.0]], feature_names=["f"])
+    scores, _, isolated = _mls_terms(ds, model)
+    assert not isolated
+    want = 2.0 * math.log(3.0) * math.exp(-5.0)
+    assert abs(scores[0] - want) <= 1e-15 * want
 
 
 # --------------------------------------------------------------- u-monotone

@@ -1,17 +1,22 @@
 import math
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import event, given
+from hypothesis import assume, event, given
 from hypothesis import strategies as st
 
+from mlscore import margins
 from mlscore.data import DataError, Dataset, standardize
 from mlscore.margins import (
     InteractionWeights,
     MarginConfig,
     MarginKind,
     MarginModel,
-    _margin_kernel,
+    _centred,
+    _knn_neighbours,
+    _sq_distances,
     build_margin_model,
     interaction_weights,
 )
@@ -19,15 +24,20 @@ from mlscore.scores import (
     KERNEL_MODES,
     KernelConfig,
     ScoreReport,
-    _affinity,
-    _mls_numerators,
+    _mls_terms,
     laplacian_score,
     mls,
     ranked_rows,
     select_top,
 )
 
-from oracles import mls_naive, mls_numerators_dense
+from oracles import ls_scores_dense, mls_naive, mls_numerators_dense
+
+
+def _blocks(*sizes):
+    """Kernel block sizes that cut a matrix of these row counts at every
+    kind of edge: one row, a few, one short of whole, whole and past it."""
+    return sorted({b for n in sizes for b in (1, 2, 7, n - 1, n, n + 1) if b >= 1})
 
 
 def _heat_affinity(X, bandwidth=None):
@@ -146,6 +156,17 @@ def test_ls_fixed_bandwidth_matches_oracle(rng):
     assert np.max(np.abs(report.scores - oracle)) < 1e-12
 
 
+def _knn_graph(X, k):
+    """The binary-knn graph of X as the library forms it, made dense: the
+    union of the directed edges in ``_knn_neighbours`` and the diagonal."""
+    n = X.shape[0]
+    S = np.zeros((n, n))
+    S[np.repeat(np.arange(n), k), _knn_neighbours(_centred(X), k).ravel()] = 1.0
+    S = np.maximum(S, S.T)
+    np.fill_diagonal(S, 1.0)
+    return S
+
+
 def _knn_graph_oracle(X, k):
     """Union of directed k-nearest edges, self excluded, ties by index."""
     n = X.shape[0]
@@ -177,12 +198,63 @@ def test_ls_binary_knn_duplicated_rows(rng):
     X[[3, 6, 9]] = X[0]
     X[7] = X[1]
     for k in (1, 2, 3, 5):
-        S = _affinity(X, KernelConfig(mode="binary-knn", n_neighbors=k))
-        assert np.array_equal(S, _knn_graph_oracle(X, k))
+        assert np.array_equal(_knn_graph(X, k), _knn_graph_oracle(X, k))
     ds = Dataset(values=X, feature_names=["a", "b", "c"])
     report = laplacian_score(ds, KernelConfig(mode="binary-knn", n_neighbors=2))
     oracle = _ls_oracle(X, _knn_graph_oracle(X, 2))
     assert np.max(np.abs(report.scores - oracle)) < 1e-12
+
+
+@st.composite
+def _graph_problems(draw):
+    """Standard normal rows, some of them copies of another, near or far
+    from the origin: only copies tie in distance, so the kNN graph is
+    well defined to the last bit."""
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, d)) + draw(st.sampled_from([0.0, 50.0]))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=4)):
+        X[dst] = X[src]
+    assume(not (X.max(axis=0) == X.min(axis=0)).all())
+    return X
+
+
+def _assert_ls_matches(report, X, S):
+    want, scale = ls_scores_dense(X, S)
+    live = ~report.constant_feature_flags
+    got = report.scores[live]
+    assert np.all(np.abs(got - want[live]) <= 1e-12 * np.maximum(np.abs(want[live]), scale[live]))
+    assert np.isinf(report.scores[~live]).all()
+
+
+@given(_graph_problems(), st.sampled_from([None, 0.05, 0.7, 40.0]))
+def test_ls_heat_matches_dense_oracle(X, bandwidth):
+    n, d = X.shape
+    ds = Dataset(values=X, feature_names=[f"f{j}" for j in range(d)])
+    D, mean_sq = _sq_distances(X)
+    t = bandwidth or (mean_sq if mean_sq > 0 else 1.0)
+    S = np.exp(D / -t)
+    event(f"bandwidth: {'mean' if bandwidth is None else 'fixed'}")
+    for block in _blocks(n):
+        with patch.object(margins, "_KERNEL_BLOCK", block):
+            report = laplacian_score(ds, KernelConfig(bandwidth=bandwidth))
+        _assert_ls_matches(report, X, S)
+
+
+@given(_graph_problems(), st.integers(1, 6))
+def test_knn_graph_matches_dense_oracle(X, k):
+    n, d = X.shape
+    k = min(k, n - 1)
+    want = _knn_graph_oracle(X, k)
+    event(f"duplicated rows: {len(np.unique(X, axis=0)) < n}")
+    ds = Dataset(values=X, feature_names=[f"f{j}" for j in range(d)])
+    for block in _blocks(n):
+        with patch.object(margins, "_KERNEL_BLOCK", block):
+            assert np.array_equal(_knn_graph(X, k), want)
+            report = laplacian_score(ds, KernelConfig(mode="binary-knn", n_neighbors=k))
+        _assert_ls_matches(report, X, want)
 
 
 def test_ls_binary_knn_neighbor_bound(rng):
@@ -287,7 +359,7 @@ def _model_from(F, membership, k, t):
 
 @st.composite
 def _margin_problems(draw):
-    n = draw(st.integers(1, 24))
+    n = draw(st.integers(2, 24))
     d = draw(st.integers(1, 5))
     # cells on a grid of 1/4, so rows coincide or lie at least 1/4 apart:
     # nearly coincident rows carry the rounding of _sq_distances, which the
@@ -315,19 +387,30 @@ def _margin_problems(draw):
 
 @given(_margin_problems())
 def test_mls_numerators_match_dense_oracle(problem):
+    # the scores the streamed kernel gives, at every block size, against
+    # the dense numerators over the same variances
     F, model = problem
-    got, isolated = _mls_numerators(F, _margin_kernel(model), model.u)
+    n, d = F.shape
+    ds = Dataset(values=F, feature_names=[f"f{j}" for j in range(d)])
     W = interaction_weights(model).weights
     want, want_isolated = mls_numerators_dense(F, W, model.u)
-    assert isolated == want_isolated
+    variances = F.var(axis=0, ddof=1)
+    live = variances != 0
     m = np.count_nonzero(model.u)
     event("weighted rows: " + ("none" if m == 0 else "one" if m == 1 else
-                               "every" if m == F.shape[0] else "some"))
-    event(f"isolated: {isolated}")
+                               "every" if m == n else "some"))
+    event(f"isolated: {want_isolated}")
     # t1 + t2 of the expanded form bounds |numerator| and |2 t3|
     F2 = F * F
     scale = (model.u * W.sum(axis=1)) @ F2 + (model.u @ W) @ F2
-    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    for block in _blocks(n, m):
+        with patch.object(margins, "_KERNEL_BLOCK", block):
+            got, got_variances, isolated = _mls_terms(ds, model)
+        assert isolated == want_isolated
+        assert np.array_equal(got_variances, variances)
+        assert not got[~live].any()
+        err = np.abs(got[live] * variances[live] - want[live])
+        assert np.all(err <= 1e-12 * scale[live])
 
 
 def test_mls_constant_feature_scores_inf(rng):
@@ -396,6 +479,33 @@ def test_mls_row_permutation_invariant(rng):
     la = laplacian_score(a).scores
     lb = laplacian_score(b).scores
     assert np.max(np.abs(la - lb)) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["ls heat", "ls binary-knn", "mls"])
+def test_scores_never_hold_an_n_by_n_matrix(method):
+    # one dense 3000 x 3000 kernel takes 72 MB
+    rng = np.random.default_rng(7)
+    ds, _ = standardize(Dataset(values=rng.standard_normal((3000, 20)),
+                                feature_names=[f"f{j}" for j in range(20)]))
+    model = build_margin_model(ds, MarginConfig())
+    run = {
+        "ls heat": lambda: laplacian_score(ds),
+        "ls binary-knn": lambda: laplacian_score(ds, KernelConfig(mode="binary-knn")),
+        "mls": lambda: mls(ds, model),
+    }[method]
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = run()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert np.isfinite(report.scores).all()
+    assert peak < 20e6, f"{method} peaked at {peak / 1e6:.1f} MB"
 
 
 # ------------------------------------------------------------- select_top
