@@ -129,24 +129,52 @@ def dufs_bandwidth(gated: np.ndarray) -> float:
     return max(1.0, _mean_pair_sq(_centred(gated).sq))
 
 
-def _available_memory() -> int | None:
-    """MemAvailable from /proc/meminfo in bytes, or None where that file
-    does not exist or does not say."""
+# read by _available_memory: the system's free memory, and the memory limit
+# and usage of the cgroup mounted at the root (v2, then v1), which in a
+# container is the container's own
+_MEMINFO = "/proc/meminfo"
+_CGROUP_FILES = (
+    ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current"),
+    ("/sys/fs/cgroup/memory/memory.limit_in_bytes", "/sys/fs/cgroup/memory/memory.usage_in_bytes"),
+)
+
+
+def _read_bytes(path: str) -> int | None:
+    """The integer a one-line file holds, or None where the file is missing
+    or holds something else, such as the "max" of an unlimited cgroup."""
     try:
-        with open("/proc/meminfo", encoding="ascii") as fh:
+        with open(path, encoding="ascii") as fh:
+            return int(fh.read())
+    except (OSError, ValueError):
+        return None
+
+
+def _available_memory() -> int | None:
+    """Bytes this process can still take, or None where nothing says: the
+    smaller of MemAvailable in /proc/meminfo and each cgroup limit in
+    ``_CGROUP_FILES`` less that cgroup's usage. Limits of other cgroups,
+    say a parent's, are not read."""
+    found = []
+    try:
+        with open(_MEMINFO, encoding="ascii") as fh:
             for line in fh:
                 if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
+                    found.append(int(line.split()[1]) * 1024)
+                    break
     except (OSError, ValueError, IndexError):
         pass
-    return None
+    for limit_path, usage_path in _CGROUP_FILES:
+        limit, usage = _read_bytes(limit_path), _read_bytes(usage_path)
+        if limit is not None and usage is not None:
+            found.append(max(0, limit - usage))
+    return min(found, default=None)
 
 
 def _dufs_buffers(F: np.ndarray, want_grad: bool) -> tuple:
     """What a dufs epoch needs that does not depend on z: F * F, its column
     sums, the kernel buffer and, for gradients, the n x n Gram buffer.
     ``train`` builds it once per run; the public functions once per call.
-    Buffers larger than the memory the system reports available raise a
+    Buffers larger than the memory ``_available_memory`` reports raise a
     DataError up front, rather than letting the process be killed."""
     n = F.shape[0]
     need = 8 * n * n * (2 if want_grad else 1)

@@ -17,7 +17,8 @@ kernel in the package: ``_centred`` and ``_finish_sq`` form squared
 distances, ``_sq_distances`` the dense matrix (the DUFS gate kernel and
 ``interaction_weights``), ``_kernel_products`` the degrees and products of a
 kernel streamed over upper-triangle row blocks (``mls`` and the heat graph
-of the Laplacian Score) and ``_knn_neighbours`` the kNN graph's edges.
+of the Laplacian Score), ``_knn_neighbours`` the kNN graph's edges and
+``_knn_products`` that graph's degrees and products.
 """
 
 from __future__ import annotations
@@ -355,6 +356,36 @@ def _knn_neighbours(centred: _Centred, k: int) -> np.ndarray:
         D[np.arange(b - a), np.arange(a, b)] = -1.0
         nbrs[a:b] = np.argsort(D, axis=1, kind="stable")[:, 1 : k + 1]
     return nbrs
+
+
+def _knn_products(nbrs: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees S 1 and the product S R of the binary kNN graph S whose
+    directed edges i -> nbrs[i, s] ``_knn_neighbours`` lists: S_ij = 1 where
+    i = j or either of i -> j and j -> i is an edge, else 0.
+
+    S is formed _KERNEL_BLOCK rows at a time from each row's out-edges and
+    its in-edges, which a sort of the edges by head groups together. Memory
+    is O(_KERNEL_BLOCK n + n k) beyond R and S R.
+    """
+    n, k = nbrs.shape
+    order = np.argsort(nbrs, axis=None, kind="stable")
+    heads = nbrs.ravel()[order]
+    tails = order // k
+    starts = np.searchsorted(heads, np.arange(n + 1))
+    deg = np.empty(n)
+    SR = np.empty((n, R.shape[1]))
+    buf = np.empty(min(_KERNEL_BLOCK, n) * n)
+    for a in range(0, n, _KERNEL_BLOCK):
+        b = min(a + _KERNEL_BLOCK, n)
+        S = buf[: (b - a) * n].reshape(b - a, n)
+        S.fill(0.0)
+        rows = np.arange(b - a)
+        S[rows, rows + a] = 1.0
+        S[rows[:, None], nbrs[a:b]] = 1.0
+        S[heads[starts[a] : starts[b]] - a, tails[starts[a] : starts[b]]] = 1.0
+        deg[a:b] = S.sum(axis=1)
+        np.matmul(S, R, out=SR[a:b])
+    return deg, SR
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:

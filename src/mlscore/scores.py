@@ -13,6 +13,7 @@ from .margins import (
     _centred,
     _kernel_products,
     _knn_neighbours,
+    _knn_products,
     _mean_pair_sq,
     _row_norms,
 )
@@ -70,10 +71,8 @@ def _graph_products(
     """Degrees S 1 and the product S F0 of the sample graph S of X that
     ``config`` names, without forming S.
 
-    The heat graph is streamed (``_kernel_products``). The binary-knn graph
-    is the union of the directed edges i -> j of the n x k neighbour list,
-    with S_ii = 1: row i of S F0 is f0_i plus the sum over i's out-edges that
-    are not mutual plus the sum over its in-edges.
+    The heat graph is streamed (``_kernel_products``), the binary-knn graph
+    built in row blocks from its n x k neighbour list (``_knn_products``).
     """
     n = X.shape[0]
     k = config.n_neighbors
@@ -88,16 +87,7 @@ def _graph_products(
             mean_sq = _mean_pair_sq(centred.sq)
             t = mean_sq if mean_sq > 0 else 1.0
         return _kernel_products(centred, F0, t, root=False)
-    nbrs = _knn_neighbours(centred, k)
-    # edge i -> nbrs[i, s] is mutual when i is among its head's neighbours
-    mutual = (nbrs[nbrs] == np.arange(n)[:, None, None]).any(axis=2)
-    deg = 1.0 + k + np.bincount(nbrs.ravel(), minlength=n) - mutual.sum(axis=1)
-    SF = F0.copy()
-    for s in range(k):
-        one_way = ~mutual[:, s]
-        SF[one_way] += F0[nbrs[one_way, s]]
-        np.add.at(SF, nbrs[:, s], F0)
-    return deg, SF
+    return _knn_products(_knn_neighbours(centred, k), F0)
 
 
 def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreReport:
@@ -108,9 +98,10 @@ def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreRep
     +inf and are flagged; only the others are scored. A term that overflows
     raises a DataError naming the feature.
 
-    S is never formed: with f0 the feature centred by its plain mean and
-    d = S 1, L 1 = 0 gives f~' L f~ = d'f0^2 - f0'S f0 and f~' D f~ =
-    d'f0^2 - (d'f0)^2 / 1'd, so the graph enters only through d and S F0.
+    S is never formed: the graph enters only through d = S 1 and S F0, F0
+    the features centred by their plain mean. With c = d'F0 / 1'd, f~ = f0 - c
+    and S f~ = S f0 - c d, so f~' D f~ = d'f~^2 and f~' L f~ = d'f~^2 -
+    f~'S f0 + c d'f~, with no n x d temporary.
     """
     config = config or KernelConfig()
     X = ds.values
@@ -122,10 +113,11 @@ def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreRep
         F0 = F - F.mean(axis=0)
     dvec, SF = _graph_products(X, F0, config)
     with np.errstate(over="ignore", invalid="ignore"):
-        live_sq = dvec @ (F0 * F0)
-        d_f0 = dvec @ F0
-        weighted_sq[~constant] = live_sq - d_f0 * (d_f0 / dvec.sum())
-        numerators[~constant] = live_sq - np.einsum("ij,ij->j", F0, SF)
+        c = (dvec @ F0) / dvec.sum()
+        F0 -= c
+        live_sq = np.einsum("i,ij,ij->j", dvec, F0, F0)
+        weighted_sq[~constant] = live_sq
+        numerators[~constant] = live_sq - np.einsum("ij,ij->j", F0, SF) + c * (dvec @ F0)
     _check_finite(ds, weighted_sq, "ls denominator")
     _check_finite(ds, numerators, "ls numerator")
     with np.errstate(invalid="ignore", divide="ignore"):

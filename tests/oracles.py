@@ -55,19 +55,15 @@ def mls_numerators_dense(F: np.ndarray, W: np.ndarray, u: np.ndarray) -> tuple[n
     return t1 + t2 - 2.0 * t3, False
 
 
-def ls_scores_dense(X: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def ls_scores_dense(X: np.ndarray, S: np.ndarray) -> np.ndarray:
     """f~' L f~ / f~' D f~ per column of X, f~ the column centred by its
     degree-weighted mean and L = D - S, from the dense affinity S: the form
-    ``scores.laplacian_score`` took before it streamed S. Also returns
-    (d'f0^2) / f~'Df~ per column, f0 the column centred by its plain mean:
-    the size, relative to the score, of the terms the streamed numerator
-    d'f0^2 - f0'S f0 cancels, and so the scale of its rounding."""
+    ``scores.laplacian_score`` took before it streamed S."""
     dvec = S.sum(axis=1)
     F_centered = X - (dvec @ X) / dvec.sum()
     weighted_sq = (dvec[:, None] * F_centered * F_centered).sum(axis=0)
     numerators = weighted_sq - (F_centered * (S @ F_centered)).sum(axis=0)
-    F0 = X - X.mean(axis=0)
-    return numerators / weighted_sq, (dvec @ (F0 * F0)) / weighted_sq
+    return numerators / weighted_sq
 
 
 def skewness_1d(f) -> float:

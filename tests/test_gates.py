@@ -517,3 +517,27 @@ def test_available_memory_reads_meminfo_where_there_is_one():
     if available is None:
         pytest.skip("no /proc/meminfo on this system")
     assert available > 0
+
+
+def test_available_memory_takes_the_tightest_cgroup_limit(tmp_path, monkeypatch):
+    (tmp_path / "meminfo").write_text("MemTotal: 8000 kB\nMemAvailable: 6000 kB\n")
+    (tmp_path / "v2.max").write_text("max\n")
+    (tmp_path / "v2.current").write_text("1000\n")
+    (tmp_path / "v1.limit").write_text("5000000\n")
+    (tmp_path / "v1.usage").write_text("1000000\n")
+    monkeypatch.setattr(gates, "_MEMINFO", str(tmp_path / "meminfo"))
+    monkeypatch.setattr(gates, "_CGROUP_FILES", (
+        (str(tmp_path / "v2.max"), str(tmp_path / "v2.current")),
+        (str(tmp_path / "v1.limit"), str(tmp_path / "v1.usage")),
+        (str(tmp_path / "missing"), str(tmp_path / "v1.usage")),
+    ))
+    # an unlimited v2 group and a missing file say nothing; v1 leaves 4 MB
+    assert gates._available_memory() == 4_000_000
+    (tmp_path / "v2.max").write_text("3000000\n")
+    assert gates._available_memory() == 2_999_000
+    (tmp_path / "v1.usage").write_text("9000000\n")  # over its limit
+    assert gates._available_memory() == 0
+    monkeypatch.setattr(gates, "_CGROUP_FILES", ())
+    assert gates._available_memory() == 6000 * 1024
+    monkeypatch.setattr(gates, "_MEMINFO", str(tmp_path / "missing"))
+    assert gates._available_memory() is None

@@ -222,10 +222,12 @@ def _graph_problems(draw):
 
 
 def _assert_ls_matches(report, X, S):
-    want, scale = ls_scores_dense(X, S)
+    # a score is 1 - f~'S f~ / f~'D f~, and f~'S f~ <= f~'D f~ for S >= 0, so
+    # both forms round it to within a few ulps of 1 however small it is
+    want = ls_scores_dense(X, S)
     live = ~report.constant_feature_flags
-    got = report.scores[live]
-    assert np.all(np.abs(got - want[live]) <= 1e-12 * np.maximum(np.abs(want[live]), scale[live]))
+    err = np.abs(report.scores[live] - want[live])
+    assert np.all(err <= 1e-12 * np.maximum(np.abs(want[live]), 1.0))
     assert np.isinf(report.scores[~live]).all()
 
 
@@ -506,6 +508,29 @@ def test_scores_never_hold_an_n_by_n_matrix(method):
             tracemalloc.stop()
     assert np.isfinite(report.scores).all()
     assert peak < 20e6, f"{method} peaked at {peak / 1e6:.1f} MB"
+
+
+def test_binary_knn_with_k_n_minus_1_holds_a_few_edge_lists():
+    # at k = n - 1 the n x k edge list is 2.9 MB; the graph needs a few
+    # copies of it, where an n x k x k array would take 1.7 GB
+    n, k = 600, 599
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((n, 4))
+    ds = Dataset(values=X, feature_names=[f"f{j}" for j in range(4)])
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = laplacian_score(ds, KernelConfig(mode="binary-knn", n_neighbors=k))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    # every pair is an edge, so S is all ones
+    _assert_ls_matches(report, X, np.ones((n, n)))
+    assert peak < 8 * (8 * n * k), f"binary-knn peaked at {peak / 1e6:.1f} MB"
 
 
 # ------------------------------------------------------------- select_top
