@@ -15,7 +15,9 @@ The graph loss ``dufs`` rebuilds its heat kernel W from the gated rows every
 epoch. An epoch costs four n x n x d products: the Gram matrix behind the
 distances, G = gated gated', W @ F and (W o G) @ F. ``train`` allocates the
 two n x n buffers they fill, the kernel and W o G, once per run, and works
-out F * F and its column sums before the first epoch. An overflowing loss
+out F * F, its column sums and the columns that are constant over the rows
+before the first epoch. A constant column adds exactly 0 to the trace and
+to the kernel path of the gradient, and nothing to G. An overflowing loss
 or gradient raises a DataError naming the feature.
 
 The margin loss ``dufs-mls`` reduces to a closed form. Its kernel and
@@ -172,7 +174,8 @@ def _available_memory() -> int | None:
 
 def _dufs_buffers(F: np.ndarray, want_grad: bool) -> tuple:
     """What a dufs epoch needs that does not depend on z: F * F, its column
-    sums, the kernel buffer and, for gradients, the n x n Gram buffer.
+    sums, the mask of columns that are not constant over the rows, the
+    kernel buffer and, for gradients, the n x n Gram buffer.
     ``train`` builds it once per run; the public functions once per call.
     Buffers larger than the memory ``_available_memory`` reports raise a
     DataError up front, rather than letting the process be killed."""
@@ -187,7 +190,8 @@ def _dufs_buffers(F: np.ndarray, want_grad: bool) -> tuple:
     with np.errstate(over="ignore"):  # the epoch names what overflows
         F2 = F * F
     gram = np.empty((n, n)) if want_grad else None
-    return F2, F2.sum(axis=0), np.empty((n, n)), gram
+    varying = F.max(axis=0) != F.min(axis=0)
+    return F2, F2.sum(axis=0), varying, np.empty((n, n)), gram
 
 
 def _dufs_core(
@@ -199,7 +203,7 @@ def _dufs_core(
     buffers: tuple | None = None,
 ) -> tuple[float, np.ndarray | None]:
     F = ds.values
-    F2, F2_sums, W, WG = buffers or _dufs_buffers(F, want_grad)
+    F2, F2_sums, varying, W, WG = buffers or _dufs_buffers(F, want_grad)
     # a bandwidth of None is taken from the same distances the kernel uses
     gated = F * z
     _, mean_sq = _sq_distances(gated, out=W)
@@ -210,10 +214,13 @@ def _dufs_core(
     dvec = W.sum(axis=1)  # at least 1: the diagonal of W is exactly 1
 
     # W @ gated = (W @ F) * z, so one product serves the trace and the
-    # direct path; smooth_r = f_r'f_r - f_r' D^-1 W f_r and T = sum z^2 smooth
+    # direct path; smooth_r = f_r'f_r - f_r' D^-1 W f_r and T = sum z^2 smooth.
+    # A constant column f = c1 has smooth 0, as (I - D^-1 W) 1 = 0; its
+    # uncentred form would leave rounding of size eps n c^2 instead.
     with np.errstate(over="ignore", invalid="ignore"):
         Hf = (W @ F) / dvec[:, None]
         smooth = F2_sums - (F * Hf).sum(axis=0)
+    smooth[~varying] = 0.0
     _check_finite(ds, smooth, "dufs loss")
     trace = float((z * z) @ smooth)
     denom = _denominator(state)
@@ -228,9 +235,12 @@ def _dufs_core(
     # column sums and the product with F of P = W o (G / d_i - R_i / d_i^2),
     # where G = gated gated' and R = (W o G) 1; P's rows sum to 0. Both come
     # from WG = W o G and matvecs, so P is never formed. Raw values of large
-    # magnitude overflow here (about x^4) before the distances do.
+    # magnitude overflow here (about x^4) before the distances do. A constant
+    # column adds a constant to G, which P's zero row sums cancel: it is left
+    # out of G, and its own kernel path, c^2 1'P 1 = 0, is set to 0.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(gated, gated.T, out=WG)
+        live = gated if varying.all() else gated[:, varying]
+        np.matmul(live, live.T, out=WG)
         WG *= W
         r2 = WG.sum(axis=1) / (dvec * dvec)
         P_colsums = (1.0 / dvec) @ WG - r2 @ W
@@ -238,6 +248,7 @@ def _dufs_core(
         kernel_path = (2.0 * z / bandwidth) * (
             P_colsums @ F2 - 2.0 * (F * PF).sum(axis=0)
         )
+        kernel_path[~varying] = 0.0
         dT_dz = 2.0 * z * smooth + kernel_path
         open_mask = (z > 0.0) & (z < 1.0)
         grad = -(dT_dz * open_mask) / denom + trace * (

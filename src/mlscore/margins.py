@@ -15,10 +15,10 @@ for inspection and as the oracle of the streamed form.
 This module also holds the pairwise-distance arithmetic behind every sample
 kernel in the package: ``_centred`` and ``_finish_sq`` form squared
 distances, ``_sq_distances`` the dense matrix (the DUFS gate kernel and
-``interaction_weights``), ``_kernel_products`` the degrees and products of a
-kernel streamed over upper-triangle row blocks (``mls`` and the heat graph
-of the Laplacian Score), ``_knn_neighbours`` the kNN graph's edges and
-``_knn_products`` that graph's degrees and products.
+``interaction_weights``), ``_laplacian_forms`` the degrees and Laplacian
+quadratic forms of a kernel streamed over upper-triangle row blocks
+(``mls`` and the heat graph of the Laplacian Score), ``_knn_neighbours``
+the kNN graph's edges and ``_knn_forms`` that graph's degrees and forms.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .data import DataError, Dataset
 # rows of a distance block finished per step of _finish_sq; keeps the
 # |x_i|^2 + |x_j|^2 term a small temporary instead of a second n x n matrix
 _ROW_BLOCK = 64
-# rows of kernel or distance held at once by _kernel_products and
-# _knn_neighbours: 256 x n doubles
+# rows of kernel or distance held at once by _laplacian_forms, _knn_neighbours
+# and _knn_forms: 256 x n doubles
 _KERNEL_BLOCK = 256
 
 
@@ -304,22 +304,27 @@ def _sq_distances(
     return D, _mean_pair_sq(centred.sq)
 
 
-def _kernel_products(
-    centred: _Centred, R: np.ndarray, t: float, root: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Degrees K 1 and the product K R of the kernel K_ij = exp(-D_ij / t),
-    or exp(-sqrt(D_ij) / t) with ``root``, over the rows that ``_centred``
-    prepared, without holding K.
+def _laplacian_forms(
+    centred: _Centred, F: np.ndarray, t: float, root: bool, u: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Degrees K 1, the product K u (None without ``u``) and the quadratic
+    forms q = diag(F'VF) of the kernel K_ij = exp(-D_ij / t), or
+    exp(-sqrt(D_ij) / t) with ``root``, over the rows that ``_centred``
+    prepared, without holding K. V is K, or V_ij = K_ij (u_i + u_j) with
+    ``u``.
 
     K is streamed in blocks of rows [a, b) against columns [a, n), the upper
-    triangle: rows a:b take the whole block, rows b:n the transpose of its
-    part right of the diagonal. Memory is O(_KERNEL_BLOCK n) beyond R and
-    K R.
+    triangle; rows b:n take their degrees and K u from the column sums of a
+    block's part right of the diagonal. V is symmetric, so that part counts
+    twice in q: it is doubled, which is exact, and each block takes one
+    product V_blk F[a:], contracted at once with F[a:b]. Memory is
+    O(_KERNEL_BLOCK (n + d)) beyond F.
     """
     Xc = centred.Xc
     n = Xc.shape[0]
     deg = np.zeros(n)
-    KR = np.zeros((n, R.shape[1]))
+    Ku = None if u is None else np.zeros(n)
+    q = np.zeros(F.shape[1])
     buf = np.empty(min(_KERNEL_BLOCK, n) * n)
     for a in range(0, n, _KERNEL_BLOCK):
         b = min(a + _KERNEL_BLOCK, n)
@@ -330,12 +335,18 @@ def _kernel_products(
             np.sqrt(K, out=K)
         K /= -t
         np.exp(K, out=K)
-        deg[a:b] += K.sum(axis=1)
-        KR[a:b] += K @ R[a:]
         right = K[:, b - a :]
+        deg[a:b] += K.sum(axis=1)
         deg[b:] += right.sum(axis=0)
-        KR[b:] += right.T @ R[a:b]
-    return deg, KR
+        if u is not None:
+            Ku[a:b] += K @ u[a:]
+            Ku[b:] += u[a:b] @ right
+            for lo in range(0, b - a, _ROW_BLOCK):  # V = K o (u_i + u_j)
+                part = K[lo : lo + _ROW_BLOCK]
+                part *= u[a + lo : a + lo + part.shape[0], None] + u[None, a:]
+        right *= 2.0
+        q += np.einsum("ij,ij->j", F[a:b], K @ F[a:])
+    return deg, Ku, q
 
 
 def _knn_neighbours(centred: _Centred, k: int) -> np.ndarray:
@@ -358,14 +369,15 @@ def _knn_neighbours(centred: _Centred, k: int) -> np.ndarray:
     return nbrs
 
 
-def _knn_products(nbrs: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Degrees S 1 and the product S R of the binary kNN graph S whose
-    directed edges i -> nbrs[i, s] ``_knn_neighbours`` lists: S_ij = 1 where
-    i = j or either of i -> j and j -> i is an edge, else 0.
+def _knn_forms(nbrs: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees S 1 and the quadratic forms q = diag(F'SF) of the binary kNN
+    graph S whose directed edges i -> nbrs[i, s] ``_knn_neighbours`` lists:
+    S_ij = 1 where i = j or either of i -> j and j -> i is an edge, else 0.
 
     S is formed _KERNEL_BLOCK rows at a time from each row's out-edges and
-    its in-edges, which a sort of the edges by head groups together. Memory
-    is O(_KERNEL_BLOCK n + n k) beyond R and S R.
+    its in-edges, which a sort of the edges by head groups together; each
+    block's product S_blk F is contracted at once with F[a:b]. Memory is
+    O(_KERNEL_BLOCK (n + d) + n k) beyond F.
     """
     n, k = nbrs.shape
     order = np.argsort(nbrs, axis=None, kind="stable")
@@ -373,7 +385,7 @@ def _knn_products(nbrs: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarr
     tails = order // k
     starts = np.searchsorted(heads, np.arange(n + 1))
     deg = np.empty(n)
-    SR = np.empty((n, R.shape[1]))
+    q = np.zeros(F.shape[1])
     buf = np.empty(min(_KERNEL_BLOCK, n) * n)
     for a in range(0, n, _KERNEL_BLOCK):
         b = min(a + _KERNEL_BLOCK, n)
@@ -384,8 +396,8 @@ def _knn_products(nbrs: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarr
         S[rows[:, None], nbrs[a:b]] = 1.0
         S[heads[starts[a] : starts[b]] - a, tails[starts[a] : starts[b]]] = 1.0
         deg[a:b] = S.sum(axis=1)
-        np.matmul(S, R, out=SR[a:b])
-    return deg, SR
+        q += np.einsum("ij,ij->j", F[a:b], S @ F)
+    return deg, q
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
@@ -403,7 +415,7 @@ def interaction_weights(model: MarginModel) -> InteractionWeights:
 
     Symmetry is exact and the diagonal is exactly 1 (see ``_sq_distances``).
     Cached on the model. ``mls`` streams this kernel on the weighted rows
-    instead (``_kernel_products``); the full form is for inspection and for
+    instead (``_laplacian_forms``); the full form is for inspection and for
     checking that one.
     """
     if model._weights_cache is None:

@@ -11,9 +11,9 @@ from .data import DataError, Dataset
 from .margins import (
     MarginModel,
     _centred,
-    _kernel_products,
+    _knn_forms,
     _knn_neighbours,
-    _knn_products,
+    _laplacian_forms,
     _mean_pair_sq,
     _row_norms,
 )
@@ -65,14 +65,14 @@ def _constant_features(ds: Dataset) -> np.ndarray:
     return constant
 
 
-def _graph_products(
+def _graph_forms(
     X: np.ndarray, F0: np.ndarray, config: KernelConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Degrees S 1 and the product S F0 of the sample graph S of X that
-    ``config`` names, without forming S.
+    """Degrees S 1 and the quadratic forms diag(F0'S F0) of the sample graph
+    S of X that ``config`` names, without forming S.
 
-    The heat graph is streamed (``_kernel_products``), the binary-knn graph
-    built in row blocks from its n x k neighbour list (``_knn_products``).
+    The heat graph is streamed (``_laplacian_forms``), the binary-knn graph
+    built in row blocks from its n x k neighbour list (``_knn_forms``).
     """
     n = X.shape[0]
     k = config.n_neighbors
@@ -86,8 +86,9 @@ def _graph_products(
         if t is None:
             mean_sq = _mean_pair_sq(centred.sq)
             t = mean_sq if mean_sq > 0 else 1.0
-        return _kernel_products(centred, F0, t, root=False)
-    return _knn_products(_knn_neighbours(centred, k), F0)
+        dvec, _, q = _laplacian_forms(centred, F0, t, root=False)
+        return dvec, q
+    return _knn_forms(_knn_neighbours(centred, k), F0)
 
 
 def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreReport:
@@ -98,10 +99,11 @@ def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreRep
     +inf and are flagged; only the others are scored. A term that overflows
     raises a DataError naming the feature.
 
-    S is never formed: the graph enters only through d = S 1 and S F0, F0
-    the features centred by their plain mean. With c = d'F0 / 1'd, f~ = f0 - c
-    and S f~ = S f0 - c d, so f~' D f~ = d'f~^2 and f~' L f~ = d'f~^2 -
-    f~'S f0 + c d'f~, with no n x d temporary.
+    S is never formed: the graph enters only through d = S 1 and the
+    quadratic forms f0'S f0, f0 the feature centred by its plain mean. A
+    Laplacian ignores a shift (L 1 = 0), so the numerator is the quadratic
+    form f~' L f~ = f0' L f0 = d'f0^2 - f0'S f0. The denominator is d'f~^2,
+    with f0 recentred in place by c = d'f0 / 1'd, with no n x d temporary.
     """
     config = config or KernelConfig()
     X = ds.values
@@ -111,13 +113,11 @@ def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreRep
     numerators = np.zeros(X.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         F0 = F - F.mean(axis=0)
-    dvec, SF = _graph_products(X, F0, config)
+    dvec, q = _graph_forms(X, F0, config)
     with np.errstate(over="ignore", invalid="ignore"):
-        c = (dvec @ F0) / dvec.sum()
-        F0 -= c
-        live_sq = np.einsum("i,ij,ij->j", dvec, F0, F0)
-        weighted_sq[~constant] = live_sq
-        numerators[~constant] = live_sq - np.einsum("ij,ij->j", F0, SF) + c * (dvec @ F0)
+        numerators[~constant] = np.einsum("i,ij,ij->j", dvec, F0, F0) - q
+        F0 -= (dvec @ F0) / dvec.sum()
+        weighted_sq[~constant] = np.einsum("i,ij,ij->j", dvec, F0, F0)
     _check_finite(ds, weighted_sq, "ls denominator")
     _check_finite(ds, numerators, "ls numerator")
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -146,17 +146,19 @@ def _mls_terms(ds: Dataset, model: MarginModel) -> tuple[np.ndarray, np.ndarray,
     sample has degree exactly 1. A column of zero variance scores 0. A
     numerator that overflows raises a DataError naming the feature.
 
-    The numerator of a column f is f'UDf + 1'UWf^2 - 2 f'WUf (U = diag(u),
-    D = diag(W 1), W the dense margin kernel ``interaction_weights``). Every
-    term enters through u, so only the weighted rows M need their kernel K,
-    which is streamed once with R = [u_M | u_M F_M] (``_kernel_products``)
-    to give K u_M and K (uF)_M. Each of the other rows Z is the origin, at
-    weight e_i = exp(-|m_i| / t) from weighted row i. So d_M = K 1 + |Z| e,
-    u'W is K u_M on M and u_M'e on every row of Z, and WUF is K (uF)_M on M
-    and (eu)_M'F_M on every row of Z; the sums over Z are O(n d). When each
-    weighted row has degree 1, its off-diagonal weights add up to less than
-    an ulp of 1, the pair sum is 0 to within the rounding of the expanded
-    form, and the numerators are exact zeros instead of that rounding noise.
+    The numerator of a column f is the quadratic form
+    1/2 sum_ij W_ij (u_i + u_j)(f_i - f_j)^2 = (u o d + W u)'f^2 - f'V f,
+    with W the dense margin kernel ``interaction_weights``, d = W 1 and
+    V_ij = W_ij (u_i + u_j). Every term enters through u, so only the
+    weighted rows M need their kernel K, which is streamed once
+    (``_laplacian_forms``) to give K 1, K u_M and q = diag(F_M'V_MM F_M).
+    Each of the other rows Z is the origin, at weight e_i = exp(-|m_i| / t)
+    from weighted row i. So d_M = K 1 + |Z| e, W u is K u_M on M and u_M'e
+    on every row of Z, and V is e_i u_i between i in M and every row of Z,
+    0 within Z; the sums over Z are O(n d). When each weighted row has
+    degree 1, its off-diagonal weights add up to less than an ulp of 1, the
+    pair sum is 0 to within the rounding of the expanded form, and the
+    numerators are exact zeros instead of that rounding noise.
     """
     F = ds.values
     n, d = F.shape
@@ -169,20 +171,16 @@ def _mls_terms(ds: Dataset, model: MarginModel) -> tuple[np.ndarray, np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         if m:
             u_M = u[rows]
-            R = np.empty((m, d + 1))
-            R[:, 0] = u_M
-            np.multiply(u_M[:, None], F[rows], out=R[:, 1:])
+            F_M = F[rows]
             centred = _centred(model.margin_rep[rows], weighted)
-            d_M, KR = _kernel_products(centred, R, model.t, root=True)
-            del centred, R
+            d_M, Ku, q = _laplacian_forms(centred, F_M, model.t, root=True, u=u_M)
+            del centred
             if m < n:
                 e = np.exp(_row_norms(model.margin_rep[rows]) / -model.t)
                 d_M += (n - m) * e
             isolated = bool((d_M == 1.0).all())
             if not isolated:
-                F_M = F[rows]
-                numerators = (u_M * d_M + KR[:, 0]) @ (F_M * F_M)
-                numerators -= 2.0 * np.einsum("ij,ij->j", F_M, KR[:, 1:])
+                numerators = np.einsum("i,ij,ij->j", u_M * d_M + Ku, F_M, F_M) - q
                 if m < n:
                     in_Z = (u == 0.0).astype(float)
                     numerators += (u_M @ e) * np.einsum("i,ij,ij->j", in_Z, F, F)

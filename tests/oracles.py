@@ -1,4 +1,5 @@
-"""Slow reference implementations that the tests compare the library against."""
+"""Slow reference implementations that the tests compare the library against,
+and the kernel block sizes at which they compare the blocked paths."""
 
 import numpy as np
 
@@ -12,6 +13,12 @@ from mlscore.margins import (
     _sq_distances,
     temperature,
 )
+
+
+def kernel_blocks(*sizes):
+    """Kernel block sizes that cut a matrix of these row counts at every
+    kind of edge: one row, a few, one short of whole, whole and past it."""
+    return sorted({b for n in sizes for b in (1, 2, 7, n - 1, n, n + 1) if b >= 1})
 
 
 def mls_naive(f, weights: InteractionWeights, u) -> float:

@@ -224,6 +224,21 @@ def test_dufs_beyond_available_memory_exits_1(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_dufs_ranks_a_constant_column_last(tmp_path):
+    # a column held at 1e30 adds nothing to the loss; the rounding of its
+    # uncentred smoothness used to rank it first (gate mean -1.27 against
+    # -2.2 and below for the real features)
+    values = np.column_stack([np.random.default_rng(0).standard_normal((50, 3)),
+                              np.full(50, 1e30)])
+    path = tmp_path / "const.csv"
+    np.savetxt(path, values, delimiter=",", header="a,b,c,d", comments="")
+    out = tmp_path / "out.csv"
+    code = main(["select", "--method", "dufs", "--num-features", "4", "--epochs", "50",
+                 "--input", str(path), "--no-standardize", "--output", str(out)])
+    assert code == 0
+    assert [r["feature"] for r in _read_rows(out)][-1] == "d"
+
+
 @pytest.mark.parametrize("method", ["dufs", "dufs-mls"])
 def test_gate_methods_reject_an_all_constant_table(tmp_path, capsys, method):
     # every column reads 1e200: the added noise is below its ulp. dufs used

@@ -340,6 +340,39 @@ def test_duplicated_columns_get_equal_gradients(rng):
     assert abs(grad[0] - grad[1]) <= 1e-12 * max(1.0, abs(grad[0]))
 
 
+def _constant_column_instance():
+    # three N(0,1) columns and d, held at 1e30: d's smoothness is 0 in exact
+    # arithmetic, where its uncentred form leaves rounding of size eps n 1e60
+    values = np.column_stack([np.random.default_rng(0).standard_normal((50, 3)),
+                              np.full(50, 1e30)])
+    return Dataset(values=values, feature_names=["a", "b", "c", "d"])
+
+
+def test_dufs_loss_ignores_the_gate_of_a_constant_column():
+    ds = _constant_column_instance()
+    state = GateState(mu=np.array([0.1, -0.2, 0.3, 0.0]))
+    # at these gates the uncentred form gave d a smoothness of 5.7e45
+    z = np.array([0.6, 0.6, 0.4, 0.0])
+    want = dufs_loss(ds, z, state)
+    assert want < 0.0
+    for z_d in (0.3, 0.8, 1.0):
+        z[3] = z_d
+        assert dufs_loss(ds, z, state) == want
+
+
+def test_dufs_gradient_of_a_constant_column_is_the_open_probability_term():
+    ds = _constant_column_instance()
+    state = GateState(mu=np.array([0.1, -0.2, 0.3, 0.0]))
+    z = np.array([0.6, 0.6, 0.4, 0.6])
+    bw = dufs_bandwidth(ds.values * z)
+    grad = loss_gradient(ds, z, state, "dufs", bandwidth=bw)
+    denom = gates._denominator(state)
+    trace = -dufs_loss(ds, z, state, bandwidth=bw) * denom
+    want = trace * state.m_gates * gates._phi_over_sigma(state)[3] / denom**2
+    assert abs(grad[3] - want) <= 1e-12 * abs(want)
+    assert np.isfinite(grad).all() and np.abs(grad).max() < 10.0
+
+
 def test_margin_variant_gradient_is_flat_across_features(rng):
     # gating a feature rescales its numerator and variance alike, so the
     # score part of the gradient cancels and only the open-probability

@@ -4,7 +4,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import event, example, given
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
@@ -17,7 +17,7 @@ from mlscore.margins import (
     MarginKind,
     MarginModel,
     _centred,
-    _kernel_products,
+    _laplacian_forms,
     _sq_distances,
     build_margin_model,
     export_margin_csv,
@@ -27,7 +27,7 @@ from mlscore.margins import (
 )
 from mlscore.scores import _mls_terms
 from mlscore.synth import SynthSpec, gen_setup
-from oracles import skewness_1d, build_margin_model_loop
+from oracles import build_margin_model_loop, kernel_blocks, skewness_1d
 
 
 def _model_from_rep(rep, t=1.0):
@@ -481,19 +481,54 @@ def test_interaction_weights_returns_temperature():
 # ---------------------------------------------------- margin kernel, streamed
 
 
-def test_margin_kernel_is_dense_kernel_on_weighted_rows(rng):
-    # the streamed product with the identity is the kernel itself
-    rep = rng.standard_normal((15, 4)) * rng.integers(0, 2, (15, 4))
-    rep[[3, 9]] = 0.0
-    model = _model_from_rep(rep, t=1.3)
-    weighted = np.flatnonzero(model.u)
-    want = interaction_weights(model).weights[np.ix_(weighted, weighted)]
-    centred = _centred(model.margin_rep[weighted], weighted)
-    for block in (1, 4, weighted.size, 256):
+@st.composite
+def _form_problems(draw):
+    """Rows on a grid of 1/4, some of them copies of another, so the exact
+    pairwise differences give the dense kernel without rounding; a weight
+    per row, 0 for some rows or none; and the features of the forms."""
+    n = draw(st.integers(1, 24))
+    p = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(-8, 8), min_size=n * p, max_size=n * p))
+    X = np.array(cells, dtype=float).reshape(n, p) / 4.0
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=4)):
+        X[dst] = X[src]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.log(rng.integers(1, 5, n) + 1.0)
+    u[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+    u[draw(st.integers(0, n - 1))] = math.log(2.0)  # at least one weighted row
+    F = rng.standard_normal((n, draw(st.integers(1, 4))))
+    return X, u, F
+
+
+@given(_form_problems(), st.booleans(), st.sampled_from([0.5, 1.3, 40.0]))
+def test_laplacian_forms_match_dense_oracle(problem, root, t):
+    # K 1, K u and diag(F'VF), streamed over the weighted rows M at every
+    # block size, against the dense kernel of all n rows restricted to M
+    X, u, F = problem
+    n = X.shape[0]
+    D = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    M = np.flatnonzero(u)
+    m = M.size
+    event(f"weighted rows: {'every' if m == n else 'some'}")
+    event(f"duplicated rows: {len(np.unique(X, axis=0)) < n}")
+    K = np.exp((np.sqrt(D) if root else D)[np.ix_(M, M)] / -t)
+    u_M, F_M = u[M], F[M]
+    V = K * (u_M[:, None] + u_M[None, :])
+    absF = np.abs(F_M)
+    centred = _centred(X[M], M)
+    for block in kernel_blocks(m):
         with patch.object(margins, "_KERNEL_BLOCK", block):
-            deg, K = _kernel_products(centred, np.eye(weighted.size), 1.3, root=True)
-        assert np.allclose(K, want, rtol=1e-12, atol=0.0)
-        assert np.allclose(deg, want.sum(axis=1), rtol=1e-12, atol=0.0)
+            deg, Ku, q = _laplacian_forms(centred, F_M, t, root, u_M)
+            deg_K, none, q_K = _laplacian_forms(centred, F_M, t, root)
+        assert none is None
+        assert np.all(np.abs(deg - K.sum(axis=1)) <= 1e-12 * K.sum(axis=1))
+        assert np.array_equal(deg_K, deg)
+        assert np.all(np.abs(Ku - K @ u_M) <= 1e-12 * (K @ u_M))
+        assert np.all(np.abs(q - np.einsum("ij,ik,jk->k", V, F_M, F_M))
+                      <= 1e-12 * np.einsum("ij,ik,jk->k", V, absF, absF))
+        assert np.all(np.abs(q_K - np.einsum("ij,ik,jk->k", K, F_M, F_M))
+                      <= 1e-12 * np.einsum("ij,ik,jk->k", K, absF, absF))
 
 
 def test_margin_kernel_without_weighted_rows_is_empty():

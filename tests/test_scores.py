@@ -31,13 +31,7 @@ from mlscore.scores import (
     select_top,
 )
 
-from oracles import ls_scores_dense, mls_naive, mls_numerators_dense
-
-
-def _blocks(*sizes):
-    """Kernel block sizes that cut a matrix of these row counts at every
-    kind of edge: one row, a few, one short of whole, whole and past it."""
-    return sorted({b for n in sizes for b in (1, 2, 7, n - 1, n, n + 1) if b >= 1})
+from oracles import kernel_blocks, ls_scores_dense, mls_naive, mls_numerators_dense
 
 
 def _heat_affinity(X, bandwidth=None):
@@ -239,7 +233,7 @@ def test_ls_heat_matches_dense_oracle(X, bandwidth):
     t = bandwidth or (mean_sq if mean_sq > 0 else 1.0)
     S = np.exp(D / -t)
     event(f"bandwidth: {'mean' if bandwidth is None else 'fixed'}")
-    for block in _blocks(n):
+    for block in kernel_blocks(n):
         with patch.object(margins, "_KERNEL_BLOCK", block):
             report = laplacian_score(ds, KernelConfig(bandwidth=bandwidth))
         _assert_ls_matches(report, X, S)
@@ -252,7 +246,7 @@ def test_knn_graph_matches_dense_oracle(X, k):
     want = _knn_graph_oracle(X, k)
     event(f"duplicated rows: {len(np.unique(X, axis=0)) < n}")
     ds = Dataset(values=X, feature_names=[f"f{j}" for j in range(d)])
-    for block in _blocks(n):
+    for block in kernel_blocks(n):
         with patch.object(margins, "_KERNEL_BLOCK", block):
             assert np.array_equal(_knn_graph(X, k), want)
             report = laplacian_score(ds, KernelConfig(mode="binary-knn", n_neighbors=k))
@@ -405,7 +399,7 @@ def test_mls_numerators_match_dense_oracle(problem):
     # t1 + t2 of the expanded form bounds |numerator| and |2 t3|
     F2 = F * F
     scale = (model.u * W.sum(axis=1)) @ F2 + (model.u @ W) @ F2
-    for block in _blocks(n, m):
+    for block in kernel_blocks(n, m):
         with patch.object(margins, "_KERNEL_BLOCK", block):
             got, got_variances, isolated = _mls_terms(ds, model)
         assert isolated == want_isolated
@@ -483,6 +477,22 @@ def test_mls_row_permutation_invariant(rng):
     assert np.max(np.abs(la - lb)) <= 1e-12
 
 
+def _traced_peak(run):
+    """What run() returns, and the tracemalloc peak it reached above the
+    memory traced when it started."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 @pytest.mark.parametrize("method", ["ls heat", "ls binary-knn", "mls"])
 def test_scores_never_hold_an_n_by_n_matrix(method):
     # one dense 3000 x 3000 kernel takes 72 MB
@@ -495,19 +505,25 @@ def test_scores_never_hold_an_n_by_n_matrix(method):
         "ls binary-knn": lambda: laplacian_score(ds, KernelConfig(mode="binary-knn")),
         "mls": lambda: mls(ds, model),
     }[method]
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        report = run()
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
+    report, peak = _traced_peak(run)
     assert np.isfinite(report.scores).all()
     assert peak < 20e6, f"{method} peaked at {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("method", ["ls heat", "mls"])
+def test_scores_hold_no_n_by_d_accumulator(method):
+    # one 2000 x 309 array takes 4.9 MB. Beyond the data, ls holds the
+    # centred rows and features and mls the centred margin rows, plus a
+    # 256-row kernel block; an n x d product such as K F would add 4.9 MB
+    # more, and two took both to 23.3 MB
+    rng = np.random.default_rng(9)
+    ds, _ = standardize(Dataset(values=rng.standard_normal((2000, 309)),
+                                feature_names=[f"f{j}" for j in range(309)]))
+    model = build_margin_model(ds, MarginConfig())
+    run = {"ls heat": lambda: laplacian_score(ds), "mls": lambda: mls(ds, model)}[method]
+    report, peak = _traced_peak(run)
+    assert np.isfinite(report.scores).all()
+    assert peak < 17e6, f"{method} peaked at {peak / 1e6:.1f} MB"
 
 
 def test_binary_knn_with_k_n_minus_1_holds_a_few_edge_lists():
@@ -517,17 +533,9 @@ def test_binary_knn_with_k_n_minus_1_holds_a_few_edge_lists():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((n, 4))
     ds = Dataset(values=X, feature_names=[f"f{j}" for j in range(4)])
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        report = laplacian_score(ds, KernelConfig(mode="binary-knn", n_neighbors=k))
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
+    report, peak = _traced_peak(
+        lambda: laplacian_score(ds, KernelConfig(mode="binary-knn", n_neighbors=k))
+    )
     # every pair is an edge, so S is all ones
     _assert_ls_matches(report, X, np.ones((n, n)))
     assert peak < 8 * (8 * n * k), f"binary-knn peaked at {peak / 1e6:.1f} MB"
