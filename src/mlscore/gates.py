@@ -13,12 +13,14 @@ the ground truth the tests compare against.
 
 The graph loss ``dufs`` rebuilds its heat kernel W from the gated rows every
 epoch. An epoch costs four n x n x d products: the Gram matrix behind the
-distances, G = gated gated', W @ F and (W o G) @ F. ``train`` allocates the
-two n x n buffers they fill, the kernel and W o G, once per run, and works
-out F * F, its column sums and the columns that are constant over the rows
-before the first epoch. A constant column adds exactly 0 to the trace and
-to the kernel path of the gradient, and nothing to G. An overflowing loss
-or gradient raises a DataError naming the feature.
+distances, G = gated gated', W @ F and (W o G) @ F. It streams W over
+blocks of full rows (``margins._sq_blocks``), and every term it needs is
+local to a row or a sum over rows, so no n x n matrix is held: memory is
+O(256 n + n d), as for ``ls`` and ``mls``. ``train`` works out F * F, its
+column sums, the columns that are constant over the rows and the buffers
+an epoch fills once per run. A constant column adds exactly 0 to the trace
+and to the kernel path of the gradient, and nothing to G. An overflowing
+loss or gradient raises a DataError naming the feature.
 
 The margin loss ``dufs-mls`` reduces to a closed form. Its kernel and
 sample weights are frozen, and gating column r by z_r scales both the
@@ -40,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Dataset
-from .margins import MarginModel, _centred, _mean_pair_sq, _sq_distances
+from .data import Dataset
+from .margins import MarginModel, _block_buffer, _centred, _mean_pair_sq, _sq_blocks
 from .scores import _check_finite, _mls_terms
 
 VAR_GUARD = 1e-12  # below this a gated feature counts as switched off
@@ -131,67 +133,21 @@ def dufs_bandwidth(gated: np.ndarray) -> float:
     return max(1.0, _mean_pair_sq(_centred(gated).sq))
 
 
-# read by _available_memory: the system's free memory, and the memory limit
-# and usage of the cgroup mounted at the root (v2, then v1), which in a
-# container is the container's own
-_MEMINFO = "/proc/meminfo"
-_CGROUP_FILES = (
-    ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current"),
-    ("/sys/fs/cgroup/memory/memory.limit_in_bytes", "/sys/fs/cgroup/memory/memory.usage_in_bytes"),
-)
-
-
-def _read_bytes(path: str) -> int | None:
-    """The integer a one-line file holds, or None where the file is missing
-    or holds something else, such as the "max" of an unlimited cgroup."""
-    try:
-        with open(path, encoding="ascii") as fh:
-            return int(fh.read())
-    except (OSError, ValueError):
-        return None
-
-
-def _available_memory() -> int | None:
-    """Bytes this process can still take, or None where nothing says: the
-    smaller of MemAvailable in /proc/meminfo and each cgroup limit in
-    ``_CGROUP_FILES`` less that cgroup's usage. Limits of other cgroups,
-    say a parent's, are not read."""
-    found = []
-    try:
-        with open(_MEMINFO, encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    found.append(int(line.split()[1]) * 1024)
-                    break
-    except (OSError, ValueError, IndexError):
-        pass
-    for limit_path, usage_path in _CGROUP_FILES:
-        limit, usage = _read_bytes(limit_path), _read_bytes(usage_path)
-        if limit is not None and usage is not None:
-            found.append(max(0, limit - usage))
-    return min(found, default=None)
-
-
 def _dufs_buffers(F: np.ndarray, want_grad: bool) -> tuple:
     """What a dufs epoch needs that does not depend on z: F * F, its column
     sums, the mask of columns that are not constant over the rows, the
-    kernel buffer and, for gradients, the n x n Gram buffer.
+    buffers for a row block of the kernel W and of W o G, and the n x d
+    buffers for D^-1 W F and P F (the last two only for gradients).
     ``train`` builds it once per run; the public functions once per call.
-    Buffers larger than the memory ``_available_memory`` reports raise a
-    DataError up front, rather than letting the process be killed."""
+    Buffers this size made fresh every epoch can be handed back to the
+    system and faulted in again, a page fault per 4 kB, which at n = 300
+    made an epoch up to 75% slower."""
     n = F.shape[0]
-    need = 8 * n * n * (2 if want_grad else 1)
-    available = _available_memory()
-    if available is not None and need > available:
-        raise DataError(
-            f"dufs needs {need / 1e9:.3g} GB for its n x n kernel buffers at "
-            f"n = {n} rows, but {available / 1e9:.3g} GB is available"
-        )
     with np.errstate(over="ignore"):  # the epoch names what overflows
         F2 = F * F
-    gram = np.empty((n, n)) if want_grad else None
     varying = F.max(axis=0) != F.min(axis=0)
-    return F2, F2.sum(axis=0), varying, np.empty((n, n)), gram
+    WG_buf, PF = (_block_buffer(n), np.empty_like(F)) if want_grad else (None, None)
+    return F2, F2.sum(axis=0), varying, _block_buffer(n), WG_buf, np.empty_like(F), PF
 
 
 def _dufs_core(
@@ -202,23 +158,52 @@ def _dufs_core(
     want_grad: bool,
     buffers: tuple | None = None,
 ) -> tuple[float, np.ndarray | None]:
+    """Loss and, with ``want_grad``, gradient of ``dufs`` for the gate draw
+    z, over row blocks [a, b) of the kernel W and of W o G: each block
+    fills rows a..b-1 of the degrees and of the n x d products with F and
+    adds its rows' share to the column sums of P, so the loss and gradient
+    are formed after the last block from n and n x d arrays only."""
     F = ds.values
-    F2, F2_sums, varying, W, WG = buffers or _dufs_buffers(F, want_grad)
-    # a bandwidth of None is taken from the same distances the kernel uses
+    F2, F2_sums, varying, W_buf, WG_buf, Hf, PF = buffers or _dufs_buffers(F, want_grad)
     gated = F * z
-    _, mean_sq = _sq_distances(gated, out=W)
-    if bandwidth is None:
-        bandwidth = max(1.0, mean_sq)
-    W /= -bandwidth
-    np.exp(W, out=W)
-    dvec = W.sum(axis=1)  # at least 1: the diagonal of W is exactly 1
+    centred = _centred(gated)
+    if bandwidth is None:  # dufs_bandwidth, from the rows the kernel uses
+        bandwidth = max(1.0, _mean_pair_sq(centred.sq))
+    dvec = np.empty(F.shape[0])  # at least 1: the diagonal of W is exactly 1
 
-    # W @ gated = (W @ F) * z, so one product serves the trace and the
-    # direct path; smooth_r = f_r'f_r - f_r' D^-1 W f_r and T = sum z^2 smooth.
-    # A constant column f = c1 has smooth 0, as (I - D^-1 W) 1 = 0; its
-    # uncentred form would leave rounding of size eps n c^2 instead.
+    # dT/dz splits into the direct path through the gated columns and the
+    # kernel path through W and its degrees. The kernel path needs the
+    # column sums and the product with F of P = W o (G / d_i - R_i / d_i^2),
+    # where G = gated gated' and R = (W o G) 1; P's rows sum to 0. Both come
+    # from WG = W o G and matvecs, so P is never formed. Raw values of large
+    # magnitude overflow here (about x^4) before the distances do. A constant
+    # column adds a constant to G, which P's zero row sums cancel: it is left
+    # out of G, and its own kernel path, c^2 1'P 1 = 0, is set to 0.
+    if want_grad:
+        live = gated if varying.all() else gated[:, varying]
+        r2 = np.empty_like(dvec)
+        P_colsums = np.zeros_like(dvec)
     with np.errstate(over="ignore", invalid="ignore"):
-        Hf = (W @ F) / dvec[:, None]
+        for a, b, W in _sq_blocks(centred, upper=False, buf=W_buf):
+            W /= -bandwidth
+            np.exp(W, out=W)
+            d_blk = dvec[a:b] = W.sum(axis=1)
+            # W @ gated = (W @ F) * z, so one product serves the trace and
+            # the direct path
+            np.matmul(W, F, out=Hf[a:b])
+            Hf[a:b] /= d_blk[:, None]
+            if want_grad:
+                WG = WG_buf[: W.size].reshape(W.shape)
+                np.matmul(live[a:b], live.T, out=WG)
+                WG *= W
+                r2_blk = r2[a:b] = WG.sum(axis=1) / (d_blk * d_blk)
+                P_colsums += (1.0 / d_blk) @ WG - r2_blk @ W
+                np.matmul(WG, F, out=PF[a:b])
+                PF[a:b] /= d_blk[:, None]
+                PF[a:b] -= (r2_blk * d_blk)[:, None] * Hf[a:b]
+        # smooth_r = f_r'f_r - f_r' D^-1 W f_r and T = sum z^2 smooth. A
+        # constant column f = c1 has smooth 0, as (I - D^-1 W) 1 = 0; its
+        # uncentred form would leave rounding of size eps n c^2 instead.
         smooth = F2_sums - (F * Hf).sum(axis=0)
     smooth[~varying] = 0.0
     _check_finite(ds, smooth, "dufs loss")
@@ -230,21 +215,7 @@ def _dufs_core(
     if not want_grad:
         return loss, None
 
-    # dT/dz splits into the direct path through the gated columns and the
-    # kernel path through W and its degrees. The kernel path needs the
-    # column sums and the product with F of P = W o (G / d_i - R_i / d_i^2),
-    # where G = gated gated' and R = (W o G) 1; P's rows sum to 0. Both come
-    # from WG = W o G and matvecs, so P is never formed. Raw values of large
-    # magnitude overflow here (about x^4) before the distances do. A constant
-    # column adds a constant to G, which P's zero row sums cancel: it is left
-    # out of G, and its own kernel path, c^2 1'P 1 = 0, is set to 0.
     with np.errstate(over="ignore", invalid="ignore"):
-        live = gated if varying.all() else gated[:, varying]
-        np.matmul(live, live.T, out=WG)
-        WG *= W
-        r2 = WG.sum(axis=1) / (dvec * dvec)
-        P_colsums = (1.0 / dvec) @ WG - r2 @ W
-        PF = (WG @ F) / dvec[:, None] - (r2 * dvec)[:, None] * Hf
         kernel_path = (2.0 * z / bandwidth) * (
             P_colsums @ F2 - 2.0 * (F * PF).sum(axis=0)
         )

@@ -14,11 +14,13 @@ for inspection and as the oracle of the streamed form.
 
 This module also holds the pairwise-distance arithmetic behind every sample
 kernel in the package: ``_centred`` and ``_finish_sq`` form squared
-distances, ``_sq_distances`` the dense matrix (the DUFS gate kernel and
-``interaction_weights``), ``_laplacian_forms`` the degrees and Laplacian
-quadratic forms of a kernel streamed over upper-triangle row blocks
-(``mls`` and the heat graph of the Laplacian Score), ``_knn_neighbours``
-the kNN graph's edges and ``_knn_forms`` that graph's degrees and forms.
+distances, ``_sq_blocks`` streams them in row blocks, for the upper
+triangle or for full rows, and ``_sq_distances`` forms the dense matrix
+(``interaction_weights`` only). Over those blocks ``_laplacian_forms``
+takes the degrees and Laplacian quadratic forms of a kernel (``mls`` and
+the heat graph of the Laplacian Score), ``_knn_neighbours`` the kNN graph's
+edges, and ``gates`` the DUFS gate kernel of every epoch; ``_knn_forms``
+takes the kNN graph's degrees and forms.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .data import DataError, Dataset
 # rows of a distance block finished per step of _finish_sq; keeps the
 # |x_i|^2 + |x_j|^2 term a small temporary instead of a second n x n matrix
 _ROW_BLOCK = 64
-# rows of kernel or distance held at once by _laplacian_forms, _knn_neighbours
-# and _knn_forms: 256 x n doubles
+# rows of kernel or distance held at once by _sq_blocks and _knn_forms:
+# 256 x n doubles
 _KERNEL_BLOCK = 256
 
 
@@ -285,23 +287,42 @@ def _mean_pair_sq(sq: np.ndarray) -> float:
     return 2.0 * float(sq.sum()) / (n - 1) if n > 1 else 0.0
 
 
-def _sq_distances(
-    X: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
+def _sq_distances(X: np.ndarray) -> tuple[np.ndarray, float]:
     """Dense squared Euclidean distances between the rows of X, and their
     mean over the n(n-1)/2 pairs, from one BLAS product Xc Xc' (see
     ``_centred``, ``_finish_sq`` and ``_mean_pair_sq``). D is exactly
-    symmetric with an exactly zero diagonal.
-
-    ``out``, an n x n C-contiguous float64 array, receives D in place of a
-    fresh array and is returned; whatever it held is overwritten. A caller
-    that builds a kernel per epoch passes the same buffer every time.
-    ``rows`` names dataset rows in the overflow error, as in ``_centred``.
-    """
-    centred = _centred(X, rows)
-    D = np.matmul(centred.Xc, centred.Xc.T, out=out)
+    symmetric with an exactly zero diagonal."""
+    centred = _centred(X)
+    D = centred.Xc @ centred.Xc.T
     _finish_sq(D, centred, 0, 0)
     return D, _mean_pair_sq(centred.sq)
+
+
+def _block_buffer(n: int) -> np.ndarray:
+    """A flat buffer that holds the largest row block of an n-column matrix
+    that ``_sq_blocks`` yields, or another block of its shape."""
+    return np.empty(min(_KERNEL_BLOCK, n) * n)
+
+
+def _sq_blocks(centred: _Centred, upper: bool, buf: np.ndarray | None = None):
+    """Squared distances between the rows that ``_centred`` prepared, in
+    blocks of _KERNEL_BLOCK rows: yields (a, b, D), D the distances of rows
+    [a, b) to rows [a, n) with ``upper``, to every row without. Each D is
+    a view of one buffer, which the next block overwrites, so a caller may
+    change it in place. ``buf``, from ``_block_buffer``, is that buffer in
+    place of a fresh one: a caller that streams distances every epoch
+    passes the same one each time."""
+    Xc = centred.Xc
+    n = Xc.shape[0]
+    if buf is None:
+        buf = _block_buffer(n)
+    for a in range(0, n, _KERNEL_BLOCK):
+        b = min(a + _KERNEL_BLOCK, n)
+        c = a if upper else 0
+        D = buf[: (b - a) * (n - c)].reshape(b - a, n - c)
+        np.matmul(Xc[a:b], Xc[c:].T, out=D)
+        _finish_sq(D, centred, a, c)
+        yield a, b, D
 
 
 def _laplacian_forms(
@@ -320,17 +341,11 @@ def _laplacian_forms(
     product V_blk F[a:], contracted at once with F[a:b]. Memory is
     O(_KERNEL_BLOCK (n + d)) beyond F.
     """
-    Xc = centred.Xc
-    n = Xc.shape[0]
+    n = centred.Xc.shape[0]
     deg = np.zeros(n)
     Ku = None if u is None else np.zeros(n)
     q = np.zeros(F.shape[1])
-    buf = np.empty(min(_KERNEL_BLOCK, n) * n)
-    for a in range(0, n, _KERNEL_BLOCK):
-        b = min(a + _KERNEL_BLOCK, n)
-        K = buf[: (b - a) * (n - a)].reshape(b - a, n - a)
-        np.matmul(Xc[a:b], Xc[a:].T, out=K)
-        _finish_sq(K, centred, a, a)
+    for a, b, K in _sq_blocks(centred, upper=True):
         if root:
             np.sqrt(K, out=K)
         K /= -t
@@ -352,16 +367,12 @@ def _laplacian_forms(
 def _knn_neighbours(centred: _Centred, k: int) -> np.ndarray:
     """The n x k indices of each row's k nearest other rows, nearest first,
     ties broken by index, over the rows that ``_centred`` prepared.
-    Distances are formed _KERNEL_BLOCK full rows at a time. Self sorts
+    Distances are formed a block of full rows at a time. Self sorts
     first even where an equal row ties with it, and a row's distances to
     equal rows are made equal, which the Gram form can miss by an ulp."""
-    Xc, twin = centred.Xc, centred.twin
-    n = Xc.shape[0]
-    nbrs = np.empty((n, k), dtype=np.intp)
-    for a in range(0, n, _KERNEL_BLOCK):
-        b = min(a + _KERNEL_BLOCK, n)
-        D = Xc[a:b] @ Xc.T
-        _finish_sq(D, centred, a, 0)
+    twin = centred.twin
+    nbrs = np.empty((centred.Xc.shape[0], k), dtype=np.intp)
+    for a, b, D in _sq_blocks(centred, upper=False):
         if twin is not None:
             D = D[:, twin]
         D[np.arange(b - a), np.arange(a, b)] = -1.0
@@ -386,7 +397,7 @@ def _knn_forms(nbrs: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     starts = np.searchsorted(heads, np.arange(n + 1))
     deg = np.empty(n)
     q = np.zeros(F.shape[1])
-    buf = np.empty(min(_KERNEL_BLOCK, n) * n)
+    buf = _block_buffer(n)
     for a in range(0, n, _KERNEL_BLOCK):
         b = min(a + _KERNEL_BLOCK, n)
         S = buf[: (b - a) * n].reshape(b - a, n)

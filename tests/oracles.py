@@ -1,5 +1,8 @@
 """Slow reference implementations that the tests compare the library against,
-and the kernel block sizes at which they compare the blocked paths."""
+the kernel block sizes at which they compare the blocked paths, and the
+tracemalloc peak that bounds the memory of a blocked path."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -19,6 +22,22 @@ def kernel_blocks(*sizes):
     """Kernel block sizes that cut a matrix of these row counts at every
     kind of edge: one row, a few, one short of whole, whole and past it."""
     return sorted({b for n in sizes for b in (1, 2, 7, n - 1, n, n + 1) if b >= 1})
+
+
+def traced_peak(run):
+    """What run() returns, and the tracemalloc peak it reached above the
+    memory traced when it started."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def mls_naive(f, weights: InteractionWeights, u) -> float:

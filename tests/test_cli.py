@@ -209,21 +209,6 @@ def test_dufs_overflow_names_the_feature(tmp_path, capsys, scale, offset, part):
     assert not out.exists()
 
 
-def test_dufs_beyond_available_memory_exits_1(tmp_path, capsys, monkeypatch):
-    # the two n x n buffers of dufs are checked against the memory the
-    # system reports before they are allocated, not left to the OOM killer
-    monkeypatch.setattr("mlscore.gates._available_memory", lambda: 30_000)
-    path = _scaled_normal_csv(tmp_path / "in.csv", 1.0)
-    out = tmp_path / "out.csv"
-    code = main(["select", "--method", "dufs", "--num-features", "2", "--epochs", "2",
-                 "--input", str(path), "--output", str(out)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err == ("error: dufs needs 4e-05 GB for its n x n kernel buffers at n = 50 "
-                   "rows, but 3e-05 GB is available\n")
-    assert not out.exists()
-
-
 def test_dufs_ranks_a_constant_column_last(tmp_path):
     # a column held at 1e30 adds nothing to the loss; the rounding of its
     # uncentred smoothness used to rank it first (gate mean -1.27 against

@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from mlscore import gates
-from mlscore.data import DataError, Dataset, standardize
+from mlscore import gates, margins
+from mlscore.data import Dataset, standardize
 from mlscore.gates import (
     GateState,
     _dufs_core,
@@ -23,7 +24,7 @@ from mlscore.gates import (
 )
 from mlscore.margins import MarginConfig, build_margin_model
 from mlscore.scores import mls
-from oracles import dufs_core_dense
+from oracles import dufs_core_dense, kernel_blocks, traced_peak
 
 
 def _instance(rng, n=20, d=5):
@@ -268,11 +269,18 @@ def test_dufs_gradient_matches_finite_differences(rng):
 
 @given(st.data())
 def test_dufs_core_matches_dense_oracle(data):
-    # the core never forms P or a fresh Gram matrix; the oracle forms both
+    # the core streams the kernel and W o G in row blocks and never forms P;
+    # the oracle forms every n x n matrix. Every block size cuts the rows at
+    # every kind of edge, with equal rows on both sides of a cut and with a
+    # column that is constant over the rows.
     n = data.draw(st.integers(3, 40), label="n")
     d = data.draw(st.integers(1, 8), label="d")
     gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     F = gen.standard_normal((n, d))
+    if data.draw(st.booleans(), label="duplicate rows"):
+        F = F[gen.integers(0, max(1, n // 3), n)]
+    if data.draw(st.booleans(), label="constant column"):
+        F[:, gen.integers(d)] = gen.standard_normal()
     # saturated (0 or 1) and open gates, in any mix
     z = np.array(data.draw(st.lists(
         st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)),
@@ -283,7 +291,6 @@ def test_dufs_core_matches_dense_oracle(data):
     bandwidth = data.draw(st.one_of(st.none(), st.floats(0.1, 50.0)), label="bandwidth")
     ds = Dataset(values=F, feature_names=[f"f{j}" for j in range(d)])
 
-    loss, grad = _dufs_core(ds, z, state, bandwidth, want_grad=True)
     want_loss, want_grad = dufs_core_dense(F, z, state, bandwidth, want_grad=True)
     # the trace is a difference of terms of the size of |gated|^2, and its
     # rounding reaches the gradient through the open-probability term, whose
@@ -291,10 +298,13 @@ def test_dufs_core_matches_dense_oracle(data):
     # cancel the trace to near 0; both cores then keep only its rounding.
     denom = state.m_gates * open_prob(state).sum() + state.delta
     loss_scale = float(((F * z) ** 2).sum()) / denom
-    assert abs(loss - want_loss) <= 1e-12 * loss_scale
     grad_scale = np.abs(want_grad).max() + loss_scale * state.m_gates / (state.sigma * denom)
-    assert np.abs(grad - want_grad).max() <= 1e-12 * grad_scale
-    assert _dufs_core(ds, z, state, bandwidth, want_grad=False) == (loss, None)
+    for block in kernel_blocks(n):
+        with patch.object(margins, "_KERNEL_BLOCK", block):
+            loss, grad = _dufs_core(ds, z, state, bandwidth, want_grad=True)
+            assert _dufs_core(ds, z, state, bandwidth, want_grad=False) == (loss, None)
+        assert abs(loss - want_loss) <= 1e-12 * loss_scale
+        assert np.abs(grad - want_grad).max() <= 1e-12 * grad_scale
 
 
 def test_dufs_mls_gradient_matches_finite_differences(rng):
@@ -497,9 +507,9 @@ def test_train_dufs_matches_separate_bandwidth_loop(rng):
 
 @pytest.mark.parametrize("n", [25, 65])
 def test_train_dufs_buffers_match_public_loss_loop(rng, n):
-    # train reuses its n x n buffers across epochs and the public functions
-    # allocate their own per call; n = 65 spans two row blocks of the
-    # distance helper
+    # train reuses its block and n x d buffers across epochs and the public
+    # functions allocate their own per call; n = 65 spans two row blocks of
+    # the distance finish
     ds = _instance(rng, n=n, d=6)
     config = TrainConfig(epochs=15, seed=11)
     trace = train(ds, config, GateState.fresh(6))
@@ -510,6 +520,20 @@ def test_train_dufs_buffers_match_public_loss_loop(rng, n):
     losses, mu = _adam_loop(ds, config, loss_and_grad)
     assert np.array_equal(trace.loss_history, losses)
     assert trace.mu.tobytes() == mu.tobytes()
+
+
+def test_dufs_gradient_holds_no_n_by_n_matrix():
+    # two 3000 x 3000 matrices, the kernel and W o G, would take 144 MB;
+    # two 256-row blocks of them take 12.3 MB, and the n x d terms 0.5 MB
+    # each. open_prob imports scipy.special on its first call, which
+    # tracemalloc counts, so that import is done before tracing.
+    ds = Dataset(values=np.random.default_rng(0).standard_normal((3000, 20)),
+                 feature_names=[f"f{j}" for j in range(20)])
+    state = GateState.fresh(20)
+    open_prob(state)
+    grad, peak = traced_peak(lambda: loss_gradient(ds, np.full(20, 0.5), state, "dufs"))
+    assert np.isfinite(grad).all()
+    assert peak < 20e6, f"dufs peaked at {peak / 1e6:.1f} MB"
 
 
 def test_train_dufs_mls_matches_public_loss_loop(rng):
@@ -529,48 +553,3 @@ def test_train_dufs_mls_matches_public_loss_loop(rng):
     losses, mu = _adam_loop(ds, config, loss_and_grad)
     assert np.array_equal(trace.loss_history, losses)
     assert trace.mu.tobytes() == mu.tobytes()
-
-
-def test_dufs_buffers_beyond_available_memory_fail_early(rng, monkeypatch):
-    # 60 x 60 buffers take 2 x 28.8 kB; a system reporting 40 kB available
-    # cannot hold both, and a loss without gradient needs only one
-    ds = _instance(rng, n=60, d=3)
-    monkeypatch.setattr(gates, "_available_memory", lambda: 40_000)
-    with pytest.raises(DataError, match=r"dufs needs 5\.76e-05 GB .* n = 60 rows"):
-        train(ds, TrainConfig(epochs=2), GateState.fresh(3))
-    with pytest.raises(DataError, match="n = 60 rows"):
-        loss_gradient(ds, np.full(3, 0.5), GateState.fresh(3), "dufs", bandwidth=1.0)
-    assert np.isfinite(dufs_loss(ds, np.full(3, 0.5), GateState.fresh(3)))
-    monkeypatch.setattr(gates, "_available_memory", lambda: None)  # no /proc/meminfo
-    assert np.isfinite(train(ds, TrainConfig(epochs=2), GateState.fresh(3)).mu).all()
-
-
-def test_available_memory_reads_meminfo_where_there_is_one():
-    available = gates._available_memory()
-    if available is None:
-        pytest.skip("no /proc/meminfo on this system")
-    assert available > 0
-
-
-def test_available_memory_takes_the_tightest_cgroup_limit(tmp_path, monkeypatch):
-    (tmp_path / "meminfo").write_text("MemTotal: 8000 kB\nMemAvailable: 6000 kB\n")
-    (tmp_path / "v2.max").write_text("max\n")
-    (tmp_path / "v2.current").write_text("1000\n")
-    (tmp_path / "v1.limit").write_text("5000000\n")
-    (tmp_path / "v1.usage").write_text("1000000\n")
-    monkeypatch.setattr(gates, "_MEMINFO", str(tmp_path / "meminfo"))
-    monkeypatch.setattr(gates, "_CGROUP_FILES", (
-        (str(tmp_path / "v2.max"), str(tmp_path / "v2.current")),
-        (str(tmp_path / "v1.limit"), str(tmp_path / "v1.usage")),
-        (str(tmp_path / "missing"), str(tmp_path / "v1.usage")),
-    ))
-    # an unlimited v2 group and a missing file say nothing; v1 leaves 4 MB
-    assert gates._available_memory() == 4_000_000
-    (tmp_path / "v2.max").write_text("3000000\n")
-    assert gates._available_memory() == 2_999_000
-    (tmp_path / "v1.usage").write_text("9000000\n")  # over its limit
-    assert gates._available_memory() == 0
-    monkeypatch.setattr(gates, "_CGROUP_FILES", ())
-    assert gates._available_memory() == 6000 * 1024
-    monkeypatch.setattr(gates, "_MEMINFO", str(tmp_path / "missing"))
-    assert gates._available_memory() is None

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -31,7 +30,13 @@ from mlscore.scores import (
     select_top,
 )
 
-from oracles import kernel_blocks, ls_scores_dense, mls_naive, mls_numerators_dense
+from oracles import (
+    kernel_blocks,
+    ls_scores_dense,
+    mls_naive,
+    mls_numerators_dense,
+    traced_peak,
+)
 
 
 def _heat_affinity(X, bandwidth=None):
@@ -477,22 +482,6 @@ def test_mls_row_permutation_invariant(rng):
     assert np.max(np.abs(la - lb)) <= 1e-12
 
 
-def _traced_peak(run):
-    """What run() returns, and the tracemalloc peak it reached above the
-    memory traced when it started."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = run()
-        return result, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
-
-
 @pytest.mark.parametrize("method", ["ls heat", "ls binary-knn", "mls"])
 def test_scores_never_hold_an_n_by_n_matrix(method):
     # one dense 3000 x 3000 kernel takes 72 MB
@@ -505,7 +494,7 @@ def test_scores_never_hold_an_n_by_n_matrix(method):
         "ls binary-knn": lambda: laplacian_score(ds, KernelConfig(mode="binary-knn")),
         "mls": lambda: mls(ds, model),
     }[method]
-    report, peak = _traced_peak(run)
+    report, peak = traced_peak(run)
     assert np.isfinite(report.scores).all()
     assert peak < 20e6, f"{method} peaked at {peak / 1e6:.1f} MB"
 
@@ -521,7 +510,7 @@ def test_scores_hold_no_n_by_d_accumulator(method):
                                 feature_names=[f"f{j}" for j in range(309)]))
     model = build_margin_model(ds, MarginConfig())
     run = {"ls heat": lambda: laplacian_score(ds), "mls": lambda: mls(ds, model)}[method]
-    report, peak = _traced_peak(run)
+    report, peak = traced_peak(run)
     assert np.isfinite(report.scores).all()
     assert peak < 17e6, f"{method} peaked at {peak / 1e6:.1f} MB"
 
@@ -533,7 +522,7 @@ def test_binary_knn_with_k_n_minus_1_holds_a_few_edge_lists():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((n, 4))
     ds = Dataset(values=X, feature_names=[f"f{j}" for j in range(4)])
-    report, peak = _traced_peak(
+    report, peak = traced_peak(
         lambda: laplacian_score(ds, KernelConfig(mode="binary-knn", n_neighbors=k))
     )
     # every pair is an edge, so S is all ones
