@@ -136,8 +136,8 @@ def dufs_bandwidth(gated: np.ndarray) -> float:
 def _dufs_buffers(F: np.ndarray, want_grad: bool) -> tuple:
     """What a dufs epoch needs that does not depend on z: F * F, its column
     sums, the mask of columns that are not constant over the rows, the
-    buffers for a row block of the kernel W and of W o G, and the n x d
-    buffers for D^-1 W F and P F (the last two only for gradients).
+    buffers for a row block of the kernel W and for the n x d D^-1 W F
+    and, for gradients, those for a row block of W o G and for P F.
     ``train`` builds it once per run; the public functions once per call.
     Buffers this size made fresh every epoch can be handed back to the
     system and faulted in again, a page fault per 4 kB, which at n = 300
