@@ -11,13 +11,11 @@ from .data import (
     standardize,
 )
 from .margins import (
-    InteractionWeights,
     MarginConfig,
     MarginKind,
     MarginModel,
     build_margin_model,
     export_margin_csv,
-    interaction_weights,
     skewness,
     temperature,
 )
@@ -50,7 +48,6 @@ from .synth import (
 )
 from .evaluation import (
     EvalReport,
-    auc_roc,
     bench_margin_config,
     ks_statistic,
     margin_weight_separation,

@@ -1,7 +1,7 @@
 """Evaluation metrics and the synthetic recovery benchmark.
 
-The KS and AUC implementations are exact (empirical sup-difference, rank
-statistic with tie credit).
+The KS statistic is exact: the empirical sup-difference over every
+observed point.
 """
 
 from __future__ import annotations
@@ -74,24 +74,6 @@ def ks_statistic(a, b) -> tuple[float, float]:
 
     p = float(kolmogorov(np.sqrt(n_e) * d))
     return d, min(max(p, 0.0), 1.0)
-
-
-def auc_roc(scores, labels) -> float:
-    """Rank-based ROC AUC; tied scores earn half credit."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    if scores.shape != labels.shape:
-        raise ValueError("scores and labels must align")
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("need both classes to compute AUC")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
-    from scipy.stats import rankdata  # scipy.stats costs ~1 s, ~70 MB to import
-
-    ranks = rankdata(scores)
-    return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def margin_weight_separation(

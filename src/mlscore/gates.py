@@ -29,6 +29,10 @@ column's numerator and its variance by z_r^2, so every live term is the
 
     loss = -sum_{live r} mls_r / (m * sum_r P(Z_r >= 0) + delta)
 
+In both denominators m is the number of gates and delta = 1e-4 keeps the
+denominator above 0 when every gate is closed; ``GateState`` derives the
+first from mu and holds the second as a constant.
+
 Training computes those scores and variances once, so an epoch costs O(d).
 Only the open-probability term moves mu, by the same amount for equal
 means: from a fresh state every gate mean moves in lockstep and the
@@ -38,7 +42,7 @@ trained ranking is feature order. Rank by ``scores.mls`` instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,9 +59,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class GateState:
     mu: np.ndarray
     sigma: float = 0.5
-    delta: float = 1e-4
-    m_gates: int | None = None  # defaults to the gate count
     sign_flip: bool = False
+    delta = 1e-4  # unannotated: a class constant, not an __init__ argument
 
     def __post_init__(self):
         mu = np.array(self.mu, dtype=float)
@@ -67,13 +70,11 @@ class GateState:
             raise ValueError("mu must be finite")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
         self.mu = mu
-        if self.m_gates is None:
-            self.m_gates = mu.size
-        elif self.m_gates < 1:
-            raise ValueError("m_gates must be >= 1")
+
+    @property
+    def m_gates(self) -> int:
+        return self.mu.size
 
     @classmethod
     def fresh(cls, n_features: int, **kwargs) -> "GateState":
@@ -245,19 +246,15 @@ def dufs_loss(
     return loss
 
 
-def _margin_terms(ds: Dataset, model: MarginModel) -> tuple[np.ndarray, np.ndarray]:
-    # the ungated mls score and variance of every column: gating column r
-    # by z_r scales its numerator and its variance alike by z_r^2
-    scores, variances, _ = _mls_terms(ds, model)
-    return scores, variances
-
-
 def _dufs_mls_core(
     terms: tuple[np.ndarray, np.ndarray],
     z: np.ndarray,
     state: GateState,
     want_grad: bool,
 ) -> tuple[float, np.ndarray | None]:
+    # terms: the ungated mls score and variance of every column, the first
+    # two of ``_mls_terms``; gating column r by z_r scales its numerator
+    # and its variance alike by z_r^2
     scores, variances = terms
     live = z * z * variances > VAR_GUARD
     total = float(scores[live].sum())
@@ -286,7 +283,7 @@ def dufs_mls_loss(
     ``mls`` score of the ungated feature.
     """
     z = np.asarray(z, dtype=float)
-    loss, _ = _dufs_mls_core(_margin_terms(ds, model), z, state, want_grad=False)
+    loss, _ = _dufs_mls_core(_mls_terms(ds, model)[:2], z, state, want_grad=False)
     return loss
 
 
@@ -312,7 +309,7 @@ def loss_gradient(
     elif variant == "dufs-mls":
         if model is None:
             raise ValueError("dufs-mls gradient needs a margin model")
-        _, grad = _dufs_mls_core(_margin_terms(ds, model), z, state, want_grad=True)
+        _, grad = _dufs_mls_core(_mls_terms(ds, model)[:2], z, state, want_grad=True)
     else:
         raise ValueError(f"variant must be one of {LOSS_VARIANTS}, got {variant!r}")
     return grad
@@ -334,15 +331,9 @@ def train(
     if config.loss_variant == "dufs-mls" and model is None:
         raise ValueError("loss_variant 'dufs-mls' needs a margin model")
     rng = np.random.default_rng(config.seed)
-    work = GateState(
-        mu=state.mu.copy(),
-        sigma=state.sigma,
-        delta=state.delta,
-        m_gates=state.m_gates,
-        sign_flip=state.sign_flip,
-    )
+    work = replace(state, mu=state.mu.copy())
     if config.loss_variant == "dufs-mls":
-        terms = _margin_terms(ds, model)
+        terms = _mls_terms(ds, model)[:2]
     else:
         buffers = _dufs_buffers(ds.values, want_grad=True)
     history = np.empty(config.epochs)

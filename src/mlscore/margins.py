@@ -9,25 +9,23 @@ exponential over the margin representation rows.
 Every row below ``k`` memberships is the origin in the margin
 representation and carries no weight, so the margin score needs the kernel
 only among the m weighted rows, plus each weighted row's weight to the
-origin. ``interaction_weights`` keeps the dense n x n kernel over every row,
-for inspection and as the oracle of the streamed form.
+origin; no n x n kernel is ever formed.
 
 This module also holds the pairwise-distance arithmetic behind every sample
 kernel in the package: ``_centred`` and ``_finish_sq`` form squared
-distances, ``_sq_blocks`` streams them in row blocks, for the upper
-triangle or for full rows, and ``_sq_distances`` forms the dense matrix
-(``interaction_weights`` only). Over those blocks ``_laplacian_forms``
-takes the degrees and Laplacian quadratic forms of a kernel (``mls`` and
-the heat graph of the Laplacian Score), ``_knn_neighbours`` the kNN graph's
-edges, and ``gates`` the DUFS gate kernel of every epoch; ``_knn_forms``
-takes the kNN graph's degrees and forms.
+distances, and ``_sq_blocks`` streams them in row blocks, for the upper
+triangle or for full rows. Over those blocks ``_laplacian_forms`` takes the
+degrees and Laplacian quadratic forms of a kernel (``mls`` and the heat
+graph of the Laplacian Score), ``_knn_neighbours`` the kNN graph's edges,
+and ``gates`` the DUFS gate kernel of every epoch; ``_knn_forms`` takes the
+kNN graph's degrees and forms.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -97,15 +95,6 @@ class MarginModel:
     in_dataset_margin: np.ndarray
     u: np.ndarray
     margin_rep: np.ndarray
-    t: float
-    _weights_cache: "InteractionWeights | None" = field(
-        default=None, repr=False, compare=False
-    )
-
-
-@dataclass(frozen=True)
-class InteractionWeights:
-    weights: np.ndarray
     t: float
 
 
@@ -287,17 +276,6 @@ def _mean_pair_sq(sq: np.ndarray) -> float:
     return 2.0 * float(sq.sum()) / (n - 1) if n > 1 else 0.0
 
 
-def _sq_distances(X: np.ndarray) -> tuple[np.ndarray, float]:
-    """Dense squared Euclidean distances between the rows of X, and their
-    mean over the n(n-1)/2 pairs, from one BLAS product Xc Xc' (see
-    ``_centred``, ``_finish_sq`` and ``_mean_pair_sq``). D is exactly
-    symmetric with an exactly zero diagonal."""
-    centred = _centred(X)
-    D = centred.Xc @ centred.Xc.T
-    _finish_sq(D, centred, 0, 0)
-    return D, _mean_pair_sq(centred.sq)
-
-
 def _block_buffer(n: int) -> np.ndarray:
     """A flat buffer that holds the largest row block of an n-column matrix
     that ``_sq_blocks`` yields, or another block of its shape."""
@@ -419,23 +397,6 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     unit = X / np.where(scale > 0.0, scale, 1.0)[:, None]
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
         return scale * np.sqrt(np.einsum("ij,ij->i", unit, unit))
-
-
-def interaction_weights(model: MarginModel) -> InteractionWeights:
-    """Dense pairwise kernel w_ij = exp(-||m_i - m_j|| / t) over margin rows.
-
-    Symmetry is exact and the diagonal is exactly 1 (see ``_sq_distances``).
-    Cached on the model. ``mls`` streams this kernel on the weighted rows
-    instead (``_laplacian_forms``); the full form is for inspection and for
-    checking that one.
-    """
-    if model._weights_cache is None:
-        W, _ = _sq_distances(model.margin_rep)
-        np.sqrt(W, out=W)
-        W /= -model.t
-        np.exp(W, out=W)
-        model._weights_cache = InteractionWeights(weights=W, t=model.t)
-    return model._weights_cache
 
 
 def export_margin_csv(model: MarginModel, path) -> None:

@@ -148,8 +148,9 @@ def _mls_terms(ds: Dataset, model: MarginModel) -> tuple[np.ndarray, np.ndarray,
 
     The numerator of a column f is the quadratic form
     1/2 sum_ij W_ij (u_i + u_j)(f_i - f_j)^2 = (u o d + W u)'f^2 - f'V f,
-    with W the dense margin kernel ``interaction_weights``, d = W 1 and
-    V_ij = W_ij (u_i + u_j). Every term enters through u, so only the
+    with W_ij = exp(-|m_i - m_j| / t) the margin kernel over the rows m_i
+    of ``model.margin_rep``, d = W 1 and V_ij = W_ij (u_i + u_j), none of
+    them held as n x n matrices. Every term enters through u, so only the
     weighted rows M need their kernel K, which is streamed once
     (``_laplacian_forms``) to give K 1, K u_M and q = diag(F_M'V_MM F_M).
     Each of the other rows Z is the origin, at weight e_i = exp(-|m_i| / t)

@@ -1,6 +1,10 @@
 """Slow reference implementations that the tests compare the library against,
 the kernel block sizes at which they compare the blocked paths, and the
-tracemalloc peak that bounds the memory of a blocked path."""
+tracemalloc peak that bounds the memory of a blocked path.
+
+The dense n x n kernels here are built from the library's own distance
+steps (``_centred``, one Gram product, ``_finish_sq``), so their distance
+arithmetic is the code under test; only the blocking differs."""
 
 import tracemalloc
 
@@ -9,11 +13,12 @@ import numpy as np
 from mlscore.data import DataError, Dataset
 from mlscore.gates import GateState, _denominator, _phi_over_sigma
 from mlscore.margins import (
-    InteractionWeights,
     MarginConfig,
     MarginKind,
     MarginModel,
-    _sq_distances,
+    _centred,
+    _finish_sq,
+    _mean_pair_sq,
     temperature,
 )
 
@@ -40,7 +45,29 @@ def traced_peak(run):
             tracemalloc.stop()
 
 
-def mls_naive(f, weights: InteractionWeights, u) -> float:
+def sq_distances_dense(X: np.ndarray) -> tuple[np.ndarray, float]:
+    """Dense squared Euclidean distances between the rows of X, and their
+    mean over the n(n-1)/2 pairs, from one product Xc Xc' of the centred
+    rows. D is exactly symmetric with an exactly zero diagonal, which the
+    row blocks of ``_sq_blocks`` do not promise."""
+    centred = _centred(X)
+    D = centred.Xc @ centred.Xc.T
+    _finish_sq(D, centred, 0, 0)
+    return D, _mean_pair_sq(centred.sq)
+
+
+def margin_kernel_dense(model: MarginModel) -> np.ndarray:
+    """The n x n margin kernel w_ij = exp(-|m_i - m_j| / t) over every row
+    of ``model.margin_rep``, which ``mls`` streams over its weighted rows
+    only; the diagonal is exactly 1."""
+    W, _ = sq_distances_dense(model.margin_rep)
+    np.sqrt(W, out=W)
+    W /= -model.t
+    np.exp(W, out=W)
+    return W
+
+
+def mls_naive(f, W: np.ndarray, u) -> float:
     """Reference double sum over all ordered pairs:
     sum_ij (f_i - f_j)^2 * w_ij * u_i / Var(f).
 
@@ -53,7 +80,7 @@ def mls_naive(f, weights: InteractionWeights, u) -> float:
     if var == 0.0:
         raise ValueError("variance is zero; score undefined")
     diff = f[:, None] - f[None, :]
-    return float(np.sum(diff * diff * weights.weights * u[:, None]) / var)
+    return float(np.sum(diff * diff * W * u[:, None]) / var)
 
 
 def mls_numerators_dense(F: np.ndarray, W: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -207,7 +234,7 @@ def dufs_core_dense(
     column sums. ``gates._dufs_core`` must match it to rounding."""
     # a bandwidth of None is taken from the same distances the kernel uses
     gated = F * z
-    W, mean_sq = _sq_distances(gated)
+    W, mean_sq = sq_distances_dense(gated)
     if bandwidth is None:
         bandwidth = max(1.0, mean_sq)
     W /= -bandwidth

@@ -16,7 +16,6 @@ import pytest
 from mlscore.cli import main
 from mlscore.data import Dataset, standardize
 from mlscore.evaluation import (
-    auc_roc,
     ks_statistic,
     margin_weight_separation,
     run_recovery_benchmark,
@@ -29,16 +28,11 @@ from mlscore.gates import (
     loss_gradient,
     open_prob,
 )
-from mlscore.margins import (
-    InteractionWeights,
-    MarginConfig,
-    build_margin_model,
-    interaction_weights,
-)
+from mlscore.margins import MarginConfig, build_margin_model
 from mlscore.scores import laplacian_score, mls
 from mlscore.synth import SynthSpec, gen_setup
 
-from oracles import mls_naive
+from oracles import margin_kernel_dense, mls_naive
 
 
 @pytest.fixture
@@ -72,9 +66,9 @@ def test_criterion_1_matrix_equals_naive(check):
         ds = _random_instance(rng, 50, 10)
         model = build_margin_model(ds, MarginConfig())
         fast = mls(ds, model).scores
-        weights = interaction_weights(model)
+        W = margin_kernel_dense(model)
         for r in range(ds.n_features):
-            slow = mls_naive(ds.values[:, r], weights, model.u)
+            slow = mls_naive(ds.values[:, r], W, model.u)
             rel = abs(fast[r] - slow) / max(abs(slow), 1e-12)
             worst = max(worst, rel)
     elapsed = time.perf_counter() - started
@@ -234,20 +228,7 @@ def test_criterion_6_margin_weights_separate_classes(check):
     )
 
 
-# ------------------------------------------------------- 7: metric oracles
-
-
-def _auc_pairs(scores, labels):
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    wins = 0.0
-    for p in pos:
-        for q in neg:
-            if p > q:
-                wins += 1.0
-            elif p == q:
-                wins += 0.5
-    return wins / (pos.size * neg.size)
+# ------------------------------------------- 7: KS metric matches brute force
 
 
 def _ks_sup(a, b):
@@ -260,24 +241,13 @@ def _ks_sup(a, b):
 
 def test_criterion_7_metrics_match_brute_force(check):
     rng = np.random.default_rng(11)
-    auc_exact = 0
-    for _ in range(100):
-        scores = rng.integers(0, 8, size=30) / 7.0
-        labels = np.zeros(30, dtype=int)
-        labels[rng.permutation(30)[: rng.integers(1, 30)]] = 1
-        auc_exact += auc_roc(scores, labels) == _auc_pairs(scores, labels)
-
     ks_exact = 0
     for _ in range(100):
         a = rng.integers(0, 10, size=rng.integers(5, 40)) / 3.0
         b = rng.integers(0, 10, size=rng.integers(5, 40)) / 3.0
         fast, _ = ks_statistic(a, b)
         ks_exact += fast == _ks_sup(a, b)
-    check(
-        7,
-        auc_exact == 100 and ks_exact == 100,
-        f"auc exact {auc_exact}/100, ks exact {ks_exact}/100",
-    )
+    check(7, ks_exact == 100, f"ks exact {ks_exact}/100")
 
 
 # ------------------------------------------- 8: CLI rerun byte determinism
@@ -356,7 +326,7 @@ def test_criterion_8_cli_reruns_are_byte_identical(check, tmp_path, monkeypatch)
 def _trial_kernel(rng, n):
     points = rng.standard_normal((n, 2))
     gaps = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
-    return InteractionWeights(weights=np.exp(-gaps), t=1.0)
+    return np.exp(-gaps)
 
 
 def test_criterion_9_invariants_hold_over_1000_trials(check):
@@ -432,9 +402,7 @@ def test_criterion_9_invariants_hold_over_1000_trials(check):
 
     for _ in range(1000):
         ds = _random_instance(rng, 12, 4)
-        W = interaction_weights(
-            build_margin_model(ds, MarginConfig(quantile=0.2))
-        ).weights
+        W = margin_kernel_dense(build_margin_model(ds, MarginConfig(quantile=0.2)))
         if not (
             (W == W.T).all()
             and (np.diag(W) == 1.0).all()

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from mlscore.data import DataError, Dataset
 from mlscore.evaluation import (
-    auc_roc,
     bench_margin_config,
     ks_statistic,
     margin_weight_separation,
@@ -89,44 +88,6 @@ def test_ks_invariant_under_monotone_transform(rng):
     d0, _ = ks_statistic(a, b)
     d1, _ = ks_statistic(np.exp(a), np.exp(b))
     assert d0 == d1
-
-
-# ------------------------------------------------------------------ auc_roc
-
-
-def test_auc_reference_points():
-    assert auc_roc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]) == 1.0
-    assert auc_roc([0.5, 0.5, 0.5, 0.5], [0, 1, 0, 1]) == 0.5
-    assert auc_roc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]) == 0.75
-
-
-def test_auc_errors():
-    with pytest.raises(ValueError, match="both classes"):
-        auc_roc([0.1, 0.2], [1, 1])
-    with pytest.raises(ValueError, match="align"):
-        auc_roc([0.1, 0.2], [0, 1, 1])
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_auc_rejects_non_finite_scores(bad):
-    with pytest.raises(ValueError, match="scores must be finite"):
-        auc_roc([bad, 0.2, 0.3], [0, 1, 1])
-
-
-def test_auc_monotone_transform_invariant(rng):
-    scores = rng.standard_normal(50)
-    labels = rng.integers(0, 2, 50)
-    labels[0], labels[1] = 0, 1
-    base = auc_roc(scores, labels)
-    assert auc_roc(np.exp(scores), labels) == base
-    assert auc_roc(3.0 * scores + 7.0, labels) == base
-
-
-def test_auc_negation_complements(rng):
-    scores = rng.permutation(50).astype(float)  # distinct -> no ties
-    labels = rng.integers(0, 2, 50)
-    labels[0], labels[1] = 0, 1
-    assert auc_roc(scores, labels) + auc_roc(-scores, labels) == 1.0
 
 
 # ------------------------------------------------- margin_weight_separation

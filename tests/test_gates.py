@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -24,7 +25,7 @@ from mlscore.gates import (
 )
 from mlscore.margins import MarginConfig, build_margin_model
 from mlscore.scores import mls
-from oracles import dufs_core_dense, kernel_blocks, traced_peak
+from oracles import dufs_core_dense, kernel_blocks, margin_kernel_dense, traced_peak
 
 
 def _instance(rng, n=20, d=5):
@@ -34,16 +35,6 @@ def _instance(rng, n=20, d=5):
     )
     scaled, _ = standardize(ds)
     return scaled
-
-
-def _state_like(state, mu):
-    return GateState(
-        mu=mu,
-        sigma=state.sigma,
-        delta=state.delta,
-        m_gates=state.m_gates,
-        sign_flip=state.sign_flip,
-    )
 
 
 def _fd_gradient(loss_of_mu, mu, h=1e-4):
@@ -73,10 +64,11 @@ def test_gate_state_validation():
         GateState(mu=np.array([np.nan]))
     with pytest.raises(ValueError, match="sigma"):
         GateState(mu=np.zeros(3), sigma=0.0)
-    with pytest.raises(ValueError, match="delta"):
-        GateState(mu=np.zeros(3), delta=-1.0)
-    with pytest.raises(ValueError, match="m_gates"):
-        GateState(mu=np.zeros(3), m_gates=0)
+    # the gate count follows mu and delta is a constant: neither is set
+    with pytest.raises(TypeError, match="delta"):
+        GateState(mu=np.zeros(3), delta=1e-3)
+    with pytest.raises(TypeError, match="m_gates"):
+        GateState(mu=np.zeros(3), m_gates=2)
 
 
 def test_gate_state_fresh_defaults():
@@ -84,6 +76,7 @@ def test_gate_state_fresh_defaults():
     assert np.array_equal(state.mu, np.zeros(4))
     assert state.sigma == 0.5
     assert state.m_gates == 4
+    assert state.delta == 1e-4
 
 
 def test_train_config_validation():
@@ -169,10 +162,7 @@ def test_dufs_mls_loss_matches_loop_oracle(rng):
     state = GateState.fresh(6)
     z = rng.uniform(0.1, 1.0, 6)
     loss = dufs_mls_loss(ds, z, state, model)
-
-    from mlscore.margins import interaction_weights
-
-    W = interaction_weights(model).weights
+    W = margin_kernel_dense(model)
     total = 0.0
     for r in range(6):
         g = ds.values[:, r] * z[r]
@@ -257,7 +247,7 @@ def test_dufs_gradient_matches_finite_differences(rng):
 
     def loss_of_mu(m):
         return dufs_loss(
-            ds, np.clip(0.5 + m + eps, 0.0, 1.0), _state_like(state, m), bandwidth=bw
+            ds, np.clip(0.5 + m + eps, 0.0, 1.0), replace(state, mu=m), bandwidth=bw
         )
 
     fd = _fd_gradient(loss_of_mu, mu)
@@ -317,7 +307,7 @@ def test_dufs_mls_gradient_matches_finite_differences(rng):
     grad = loss_gradient(ds, z, state, "dufs-mls", model=model)
 
     def loss_of_mu(m):
-        return dufs_mls_loss(ds, np.clip(0.5 + m + eps, 0.0, 1.0), _state_like(state, m), model)
+        return dufs_mls_loss(ds, np.clip(0.5 + m + eps, 0.0, 1.0), replace(state, mu=m), model)
 
     fd = _fd_gradient(loss_of_mu, mu)
     keep = _checkable(mu, eps)

@@ -12,22 +12,27 @@ from mlscore import margins
 from mlscore.data import DataError, Dataset
 from mlscore.evaluation import BENCH_RHOS, bench_margin_config
 from mlscore.margins import (
-    InteractionWeights,
     MarginConfig,
     MarginKind,
     MarginModel,
     _centred,
     _laplacian_forms,
-    _sq_distances,
+    _mean_pair_sq,
+    _sq_blocks,
     build_margin_model,
     export_margin_csv,
-    interaction_weights,
     skewness,
     temperature,
 )
 from mlscore.scores import _mls_terms
 from mlscore.synth import SynthSpec, gen_setup
-from oracles import build_margin_model_loop, kernel_blocks, skewness_1d
+from oracles import (
+    build_margin_model_loop,
+    kernel_blocks,
+    margin_kernel_dense,
+    skewness_1d,
+    sq_distances_dense,
+)
 
 
 def _model_from_rep(rep, t=1.0):
@@ -383,7 +388,17 @@ def test_build_margin_model_kinds_on_the_grid_draws():
                 _assert_same_model(model, build_margin_model_loop(drawn.dataset, config))
 
 
-# -------------------------------------------------------------- _sq_distances
+# ---------------------------------------------------------- squared distances
+
+
+def _blocked_sq(X, block):
+    """The squared distances between the rows of X as the full rows that
+    ``_sq_blocks`` yields with blocks of ``block`` rows, stacked, and the
+    pair mean that the library takes from the same centred rows."""
+    centred = _centred(X)
+    with patch.object(margins, "_KERNEL_BLOCK", block):
+        D = np.vstack([D.copy() for _, _, D in _sq_blocks(centred, upper=False)])
+    return D, _mean_pair_sq(centred.sq)
 
 
 @pytest.mark.parametrize("shape", [(1, 3), (2, 1), (17, 4), (100, 300)])
@@ -393,29 +408,39 @@ def test_sq_distances_symmetric_zero_diagonal_nonnegative(rng, shape):
     # their zero distances below 0
     half = shape[0] // 2
     X[half : 2 * half] = X[:half]
-    D, _ = _sq_distances(X)
-    assert D.shape == (shape[0], shape[0])
-    assert np.array_equal(D, D.T)
-    assert not np.diag(D).any()
-    assert (D >= 0).all()
+    for block in kernel_blocks(shape[0]):
+        D, _ = _blocked_sq(X, block)
+        assert D.shape == (shape[0], shape[0])
+        assert not np.diag(D).any()
+        assert not D[half : 2 * half, :half][np.diag_indices(half)].any()
+        assert (D >= 0).all()
+    # gemm over row blocks does not promise exact symmetry; one product of
+    # the centred rows with themselves does
+    dense, _ = sq_distances_dense(X)
+    assert np.array_equal(dense, dense.T)
+    assert not np.diag(dense).any()
 
 
 def test_sq_distances_match_pdist_far_from_origin(rng):
     # the offset makes the uncentred Gram form lose about six digits
     X = rng.standard_normal((60, 5)) + 1e3
-    D, _ = _sq_distances(X)
     ref = squareform(pdist(X, metric="sqeuclidean"))
     off = ~np.eye(60, dtype=bool)
-    assert np.max(np.abs(D - ref)[off] / ref[off]) < 1e-12
+    for block in kernel_blocks(60):
+        D, _ = _blocked_sq(X, block)
+        assert np.max(np.abs(D - ref)[off] / ref[off]) < 1e-12
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e3])
 def test_sq_distances_closed_form_mean(rng, offset):
     X = rng.standard_normal((50, 7)) + offset
-    _, mean_pair_sq = _sq_distances(X)
-    triu_mean = squareform(pdist(X, metric="sqeuclidean"))[np.triu_indices(50, k=1)].mean()
-    assert abs(mean_pair_sq - triu_mean) <= 1e-12 * triu_mean
-    assert _sq_distances(np.ones((1, 3)))[1] == 0.0
+    D = squareform(pdist(X, metric="sqeuclidean"))
+    triu_mean = D[np.triu_indices(50, k=1)].mean()
+    for block in kernel_blocks(50):
+        blocked, mean_pair_sq = _blocked_sq(X, block)
+        assert abs(mean_pair_sq - triu_mean) <= 1e-12 * triu_mean
+        assert abs(blocked[np.triu_indices(50, k=1)].mean() - triu_mean) <= 1e-12 * triu_mean
+    assert _blocked_sq(np.ones((1, 3)), 1)[1] == 0.0
 
 
 @pytest.mark.parametrize("value", [1.0, 1e30, 1e150, -1e300])
@@ -423,29 +448,78 @@ def test_sq_distances_ignore_a_constant_column(rng, value):
     # its mean rounds away from the value it repeats; centring at that mean
     # left a residual that swamped the other columns, or overflowed
     X = rng.standard_normal((50, 3))
-    D, mean_pair_sq = _sq_distances(np.column_stack([X, np.full(50, value)]))
-    ref, ref_mean = _sq_distances(X)
-    # the extra zero column may change the BLAS's summation order
-    assert np.allclose(D, ref, rtol=1e-12, atol=0.0)
-    assert abs(mean_pair_sq - ref_mean) <= 1e-12 * ref_mean
+    for block in kernel_blocks(50):
+        D, mean_pair_sq = _blocked_sq(np.column_stack([X, np.full(50, value)]), block)
+        ref, ref_mean = _blocked_sq(X, block)
+        # the extra zero column may change the BLAS's summation order
+        assert np.allclose(D, ref, rtol=1e-12, atol=0.0)
+        assert abs(mean_pair_sq - ref_mean) <= 1e-12 * ref_mean
 
 
 def test_sq_distances_overflow_names_the_row():
     # each centred row has |x|^2 = 4e306; four times the running sum of
     # those passes the largest double at the 12th row
     X = np.resize([2e153, -2e153], (20, 1))
-    with pytest.raises(DataError, match="row 12 overflow"):
-        _sq_distances(X)
-    D, _ = _sq_distances(X / 2.0)
-    assert np.isfinite(D).all()
+    for block in kernel_blocks(20):
+        with pytest.raises(DataError, match="row 12 overflow"):
+            _blocked_sq(X, block)
+        D, _ = _blocked_sq(X / 2.0, block)
+        assert np.isfinite(D).all()
 
 
-# -------------------------------------------------------- interaction_weights
+@st.composite
+def _distance_problems(draw):
+    """Rows on a grid of 1/4, some of them copies of another, shifted by an
+    offset that the grid keeps exact, and maybe a constant column, so the
+    exact pairwise differences give the squared distances."""
+    n = draw(st.integers(1, 24))
+    p = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(-8, 8), min_size=n * p, max_size=n * p))
+    X = np.array(cells, dtype=float).reshape(n, p) / 4.0
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=4)):
+        X[dst] = X[src]
+    X += draw(st.sampled_from([0.0, 1e3, -1e6]))
+    constant = draw(st.sampled_from([None, 1.0, 1e30, -1e300]))
+    if constant is not None:
+        X = np.column_stack([X, np.full(n, constant)])
+    return X
+
+
+@given(_distance_problems())
+def test_sq_blocks_match_dense_oracle(X):
+    # every block of the upper triangle and of full rows, at every block
+    # size, against the exact distances: zero on the diagonal and between
+    # equal rows, and otherwise off by no more than the rounding of the
+    # Gram form, which scales with the centred norms
+    n = X.shape[0]
+    exact = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    event(f"duplicated rows: {len(np.unique(X, axis=0)) < n}")
+    centred = _centred(X)
+    sq = centred.sq
+    for block in kernel_blocks(n):
+        for upper in (True, False):
+            rows = []
+            with patch.object(margins, "_KERNEL_BLOCK", block):
+                for a, b, D in _sq_blocks(centred, upper):
+                    c = a if upper else 0
+                    want = exact[a:b, c:]
+                    assert D.shape == want.shape
+                    assert not D[want == 0.0].any()
+                    tol = 1e-14 * X.shape[1] * (sq[a:b, None] + sq[None, c:])
+                    assert (np.abs(D - want) <= tol).all()
+                    rows.append((a, b))
+            assert rows == [(a, min(a + block, n)) for a in range(0, n, block)]
+    dense, _ = sq_distances_dense(X)
+    assert np.array_equal(dense, dense.T)
+
+
+# ------------------------------------------------- dense margin kernel oracle
 
 
 def test_interaction_weights_hand_value():
     model = _model_from_rep([[1.0, 0.0], [0.0, 0.0]], t=1.0)
-    W = interaction_weights(model).weights
+    W = margin_kernel_dense(model)
     assert W[0, 0] == 1.0 and W[1, 1] == 1.0
     assert abs(W[0, 1] - math.exp(-1.0)) < 1e-12
     assert W[0, 1] == W[1, 0]
@@ -454,7 +528,7 @@ def test_interaction_weights_hand_value():
 def test_interaction_weights_structure(rng):
     rep = rng.standard_normal((15, 4)) * rng.integers(0, 2, (15, 4))
     model = _model_from_rep(rep, t=1.3)
-    W = interaction_weights(model).weights
+    W = margin_kernel_dense(model)
     assert np.array_equal(W, W.T)
     assert np.array_equal(np.diag(W), np.ones(15))
     assert (W > 0).all() and (W <= 1).all()
@@ -462,20 +536,8 @@ def test_interaction_weights_structure(rng):
 
 def test_interaction_weights_decay_with_distance():
     model = _model_from_rep([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], t=1.0)
-    W = interaction_weights(model).weights
+    W = margin_kernel_dense(model)
     assert W[0, 1] > W[0, 2]
-
-
-def test_interaction_weights_cached():
-    model = _model_from_rep([[1.0], [0.0]])
-    first = interaction_weights(model)
-    assert interaction_weights(model) is first
-
-
-def test_interaction_weights_returns_temperature():
-    model = _model_from_rep([[1.0], [0.0]], t=2.0)
-    assert interaction_weights(model).t == 2.0
-    assert isinstance(interaction_weights(model), InteractionWeights)
 
 
 # ---------------------------------------------------- margin kernel, streamed

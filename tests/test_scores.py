@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 from mlscore import margins
 from mlscore.data import DataError, Dataset, standardize
 from mlscore.margins import (
-    InteractionWeights,
     MarginConfig,
     MarginKind,
     MarginModel,
     _centred,
     _knn_neighbours,
-    _sq_distances,
     build_margin_model,
-    interaction_weights,
 )
 from mlscore.scores import (
     KERNEL_MODES,
@@ -33,8 +30,10 @@ from mlscore.scores import (
 from oracles import (
     kernel_blocks,
     ls_scores_dense,
+    margin_kernel_dense,
     mls_naive,
     mls_numerators_dense,
+    sq_distances_dense,
     traced_peak,
 )
 
@@ -234,7 +233,7 @@ def _assert_ls_matches(report, X, S):
 def test_ls_heat_matches_dense_oracle(X, bandwidth):
     n, d = X.shape
     ds = Dataset(values=X, feature_names=[f"f{j}" for j in range(d)])
-    D, mean_sq = _sq_distances(X)
+    D, mean_sq = sq_distances_dense(X)
     t = bandwidth or (mean_sq if mean_sq > 0 else 1.0)
     S = np.exp(D / -t)
     event(f"bandwidth: {'mean' if bandwidth is None else 'fixed'}")
@@ -279,17 +278,15 @@ def test_kernel_config_validation():
 
 def test_mls_naive_hand_value():
     W = np.array([[1.0, math.exp(-1.0)], [math.exp(-1.0), 1.0]])
-    weights = InteractionWeights(weights=W, t=1.0)
     u = np.array([math.log(2.0), 0.0])
     # single ordered pair contributes e^-1 * ln 2, then Var([0,1]) = 0.5
     expected = 2.0 * math.exp(-1.0) * math.log(2.0)
-    assert abs(mls_naive([0.0, 1.0], weights, u) - expected) < 1e-12
+    assert abs(mls_naive([0.0, 1.0], W, u) - expected) < 1e-12
 
 
 def test_mls_naive_rejects_constant():
-    weights = InteractionWeights(weights=np.ones((2, 2)), t=1.0)
     with pytest.raises(ValueError, match="variance is zero"):
-        mls_naive([3.0, 3.0], weights, np.ones(2))
+        mls_naive([3.0, 3.0], np.ones((2, 2)), np.ones(2))
 
 
 def test_mls_matches_naive(rng):
@@ -298,7 +295,7 @@ def test_mls_matches_naive(rng):
     scaled, _ = standardize(ds)
     model = build_margin_model(scaled, MarginConfig(quantile=0.1))
     report = mls(scaled, model)
-    W = interaction_weights(model)
+    W = margin_kernel_dense(model)
     for r in range(6):
         naive = mls_naive(scaled.values[:, r], W, model.u)
         assert abs(report.scores[r] - naive) <= 1e-9 * max(abs(naive), 1e-12)
@@ -330,7 +327,7 @@ def test_mls_matches_naive_with_unweighted_rows(rng):
     model = build_margin_model(ds, MarginConfig(quantile=0.2, k=2))
     assert ((model.counts == 1) & (model.u == 0)).any() and model.u.any()
     report = mls(ds, model)
-    W = interaction_weights(model)
+    W = margin_kernel_dense(model)
     for r in range(6):
         naive = mls_naive(X[:, r], W, model.u)
         assert abs(report.scores[r] - naive) <= 1e-9 * max(abs(naive), 1e-12)
@@ -363,7 +360,7 @@ def _margin_problems(draw):
     n = draw(st.integers(2, 24))
     d = draw(st.integers(1, 5))
     # cells on a grid of 1/4, so rows coincide or lie at least 1/4 apart:
-    # nearly coincident rows carry the rounding of _sq_distances, which the
+    # nearly coincident rows carry the rounding of the distances, which the
     # square root in the kernel amplifies on either path
     cells = draw(st.lists(st.integers(-40, 40), min_size=n * d, max_size=n * d))
     F = np.array(cells, dtype=float).reshape(n, d) / 4.0
@@ -393,7 +390,7 @@ def test_mls_numerators_match_dense_oracle(problem):
     F, model = problem
     n, d = F.shape
     ds = Dataset(values=F, feature_names=[f"f{j}" for j in range(d)])
-    W = interaction_weights(model).weights
+    W = margin_kernel_dense(model)
     want, want_isolated = mls_numerators_dense(F, W, model.u)
     variances = F.var(axis=0, ddof=1)
     live = variances != 0
@@ -457,9 +454,7 @@ def test_mls_no_margin_weight_warns(rng):
 def test_mls_scale_invariant_with_fixed_kernel(rng):
     rep = rng.standard_normal((12, 3)) * rng.integers(0, 2, (12, 3))
     counts = (rep != 0).sum(axis=1)
-    weights = InteractionWeights(
-        weights=np.exp(-np.abs(rep[:, None, :] - rep[None, :, :]).sum(axis=2)), t=1.0
-    )
+    weights = np.exp(-np.abs(rep[:, None, :] - rep[None, :, :]).sum(axis=2))
     u = np.where(counts > 0, np.log(counts + 1.0), 0.0)
     f = rng.standard_normal(12)
     base = mls_naive(f, weights, u)
