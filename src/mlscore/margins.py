@@ -39,6 +39,9 @@ _ROW_BLOCK = 64
 # rows of kernel or distance held at once by _sq_blocks and _knn_forms:
 # 256 x n doubles
 _KERNEL_BLOCK = 256
+# values per chunk of columns whose moments build_margin_model takes at
+# once: 256 kB of deviations instead of n x d
+_COLUMN_CHUNK = 1 << 15
 
 
 class MarginKind(Enum):
@@ -81,10 +84,11 @@ class MarginModel:
     """Everything derived from one dataset + MarginConfig pass.
 
     membership is the n x d boolean margin-indicator matrix, counts its row
-    sums, u the log weights (zero off-margin), margin_rep the n x d matrix
-    of feature values masked to margins and zeroed for rows below the k
-    threshold, and t the kernel temperature. A row of u = 0 has an all-zero
-    margin_rep row.
+    sums, u the log weights (zero off-margin) and t the kernel temperature.
+    The margin representation of a row of u > 0 is its feature values
+    where ``membership`` is set and 0 elsewhere; every row of u = 0 is the
+    origin. It is not held: ``scores`` forms it for the weighted rows from
+    membership and the dataset the model was built on.
     """
 
     config: MarginConfig
@@ -94,7 +98,6 @@ class MarginModel:
     counts: np.ndarray
     in_dataset_margin: np.ndarray
     u: np.ndarray
-    margin_rep: np.ndarray
     t: float
 
 
@@ -129,6 +132,26 @@ def skewness(X) -> np.ndarray:
     return m3 / (m2.astype(object) ** 1.5).astype(float)
 
 
+def _live_skewness(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows of the d x n array cols are live, not constant and of
+    nonzero variance, and the skewness of each live row (NaN for the
+    others), taken over chunks of _COLUMN_CHUNK values. A row reduces the
+    same way in a chunk as in the whole array, so the chunks change no
+    bit of the result."""
+    d, n = cols.shape
+    live = np.empty(d, dtype=bool)
+    s = np.full(d, np.nan)
+    step = max(1, _COLUMN_CHUNK // n)
+    for a in range(0, d, step):
+        chunk = cols[a : a + step]
+        with np.errstate(over="ignore"):  # an overflowing variance is not 0
+            ok = (chunk.max(axis=1) != chunk.min(axis=1)) & (chunk.var(axis=1) != 0.0)
+        live[a : a + step] = ok
+        if ok.any():
+            s[a : a + step][ok] = skewness(chunk.T if ok.all() else chunk[ok].T)
+    return live, s
+
+
 def temperature(n_features: int) -> float:
     """Kernel temperature max(1, 2*sqrt(d)/10); the floor stops the kernel
     from collapsing at small d."""
@@ -145,19 +168,19 @@ def build_margin_model(ds: Dataset, config: MarginConfig) -> MarginModel:
     right margin holds the values above Q(1 - q), a left one those below
     Q(q), a two-sided one those outside [Q(q/2), Q(1 - q/2)]. Constant
     features are two-sided with an empty margin; rows with fewer than
-    ``config.k`` memberships get a zero weight and margin_rep row.
+    ``config.k`` memberships get a zero weight.
+
+    Beyond the membership matrix the pass holds one copy of the data, with
+    the moments taken over chunks of _COLUMN_CHUNK values.
     """
     X = ds.values
     n, d = X.shape
     if n < 3:
         raise DataError(f"margins need at least 3 data rows for skewness, got {n}")
     cols = X.T.copy()  # rows reduce like 1-d arrays; a copy, even where d = 1
-    with np.errstate(over="ignore"):  # an overflowing variance is not 0
-        live = (cols.max(axis=1) != cols.min(axis=1)) & (cols.var(axis=1) != 0.0)
     # a constant feature gets NaN skewness and cutoffs, which pass no
     # threshold and no comparison: two-sided, with an empty margin
-    s = np.full(d, np.nan)
-    s[live] = skewness(cols.T if live.all() else cols[live].T)
+    live, s = _live_skewness(cols)
     q = config.quantile
     # cols is this function's own copy, so the quantiles may reorder it
     cut = np.quantile(
@@ -183,8 +206,6 @@ def build_margin_model(ds: Dataset, config: MarginConfig) -> MarginModel:
     counts = membership.sum(axis=1)
     in_margin = counts >= config.k
     u = np.where(in_margin, np.log(counts + 1.0), 0.0)
-    margin_rep = np.where(membership, X, 0.0)
-    margin_rep[~in_margin] = 0.0
     t = config.temperature_override
     if t is None:
         t = temperature(d)
@@ -196,7 +217,6 @@ def build_margin_model(ds: Dataset, config: MarginConfig) -> MarginModel:
         counts=counts,
         in_dataset_margin=in_margin,
         u=u,
-        margin_rep=margin_rep,
         t=float(t),
     )
 
@@ -211,7 +231,9 @@ class _Centred(NamedTuple):
     twin: np.ndarray | None
 
 
-def _centred(X: np.ndarray, rows: np.ndarray | None = None) -> _Centred:
+def _centred(
+    X: np.ndarray, rows: np.ndarray | None = None, overwrite: bool = False
+) -> _Centred:
     """The first half of every squared-distance computation in the package.
 
     Centring leaves the distances as they are but keeps |x_i|^2 + |x_j|^2 -
@@ -221,12 +243,15 @@ def _centred(X: np.ndarray, rows: np.ndarray | None = None) -> _Centred:
     column. Equal rows have equal norms, so only rows whose norms tie are
     compared to find them. Values too large for finite distances raise a
     DataError naming the row: ``rows``, the dataset row index of each row of
-    X, names the dataset row when X is a subset of the dataset's rows.
+    X, names the dataset row when X is a subset of the dataset's rows. With
+    ``overwrite`` X, an array the caller owns, is centred in place and
+    becomes Xc, so no second copy of the rows is made.
     """
     # every D_ij is at most 4 max(sq) and the pair mean sums all of sq, so
     # both stay finite while 4x the running sum of sq does
     with np.errstate(over="ignore", invalid="ignore"):
-        Xc = X - np.where(X.max(axis=0) == X.min(axis=0), X[0], X.mean(axis=0))
+        centre = np.where(X.max(axis=0) == X.min(axis=0), X[0], X.mean(axis=0))
+        Xc = np.subtract(X, centre, out=X if overwrite else None)
         sq = np.einsum("ij,ij->i", Xc, Xc)
         overflow = ~np.isfinite(4.0 * np.cumsum(sq))
     if overflow.any():

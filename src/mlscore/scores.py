@@ -10,6 +10,7 @@ import numpy as np
 from .data import DataError, Dataset
 from .margins import (
     MarginModel,
+    _Centred,
     _centred,
     _knn_forms,
     _knn_neighbours,
@@ -66,21 +67,22 @@ def _constant_features(ds: Dataset) -> np.ndarray:
 
 
 def _graph_forms(
-    X: np.ndarray, F0: np.ndarray, config: KernelConfig
+    centred: _Centred, config: KernelConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Degrees S 1 and the quadratic forms diag(F0'S F0) of the sample graph
-    S of X that ``config`` names, without forming S.
+    S that ``config`` names over the rows that ``_centred`` prepared, with
+    F0 = ``centred.Xc``, without forming S.
 
     The heat graph is streamed (``_laplacian_forms``), the binary-knn graph
     built in row blocks from its n x k neighbour list (``_knn_forms``).
     """
-    n = X.shape[0]
+    F0 = centred.Xc
+    n = F0.shape[0]
     k = config.n_neighbors
     if config.mode == "binary-knn" and k > n - 1:
         raise DataError(
             f"binary-knn needs n_neighbors <= n - 1, got n_neighbors={k} with n={n} rows"
         )
-    centred = _centred(X)
     if config.mode == "heat":
         t = config.bandwidth
         if t is None:
@@ -100,24 +102,24 @@ def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreRep
     raises a DataError naming the feature.
 
     S is never formed: the graph enters only through d = S 1 and the
-    quadratic forms f0'S f0, f0 the feature centred by its plain mean. A
-    Laplacian ignores a shift (L 1 = 0), so the numerator is the quadratic
-    form f~' L f~ = f0' L f0 = d'f0^2 - f0'S f0. The denominator is d'f~^2,
-    with f0 recentred in place by c = d'f0 / 1'd, with no n x d temporary.
+    quadratic forms f0'S f0, f0 the feature centred by its plain mean: the
+    rows that ``_centred`` makes for the kernel, the one n x d copy of the
+    data the score holds. A Laplacian ignores a shift (L 1 = 0), so the
+    numerator is the quadratic form f~' L f~ = f0' L f0 = d'f0^2 - f0'S f0.
+    The denominator is d'f~^2, with f0 recentred in place by
+    c = d'f0 / 1'd once the graph is done with it.
     """
     config = config or KernelConfig()
-    X = ds.values
     constant = _constant_features(ds)
-    F = X[:, ~constant] if constant.any() else X
-    weighted_sq = np.zeros(X.shape[1])
-    numerators = np.zeros(X.shape[1])
+    centred = _centred(ds.values)
+    dvec, q = _graph_forms(centred, config)
+    # _centred puts a constant column at exactly 0, which adds 0 to every
+    # form; its score is set to +inf below
+    F0 = centred.Xc
     with np.errstate(over="ignore", invalid="ignore"):
-        F0 = F - F.mean(axis=0)
-    dvec, q = _graph_forms(X, F0, config)
-    with np.errstate(over="ignore", invalid="ignore"):
-        numerators[~constant] = np.einsum("i,ij,ij->j", dvec, F0, F0) - q
+        numerators = np.einsum("i,ij,ij->j", dvec, F0, F0) - q
         F0 -= (dvec @ F0) / dvec.sum()
-        weighted_sq[~constant] = np.einsum("i,ij,ij->j", dvec, F0, F0)
+        weighted_sq = np.einsum("i,ij,ij->j", dvec, F0, F0)
     _check_finite(ds, weighted_sq, "ls denominator")
     _check_finite(ds, numerators, "ls numerator")
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -149,10 +151,13 @@ def _mls_terms(ds: Dataset, model: MarginModel) -> tuple[np.ndarray, np.ndarray,
     The numerator of a column f is the quadratic form
     1/2 sum_ij W_ij (u_i + u_j)(f_i - f_j)^2 = (u o d + W u)'f^2 - f'V f,
     with W_ij = exp(-|m_i - m_j| / t) the margin kernel over the rows m_i
-    of ``model.margin_rep``, d = W 1 and V_ij = W_ij (u_i + u_j), none of
-    them held as n x n matrices. Every term enters through u, so only the
-    weighted rows M need their kernel K, which is streamed once
-    (``_laplacian_forms``) to give K 1, K u_M and q = diag(F_M'V_MM F_M).
+    of the margin representation (see ``MarginModel``), d = W 1 and
+    V_ij = W_ij (u_i + u_j), none of them held as n x n matrices. Every
+    term enters through u, so only the weighted rows M need their kernel
+    K, which is streamed once (``_laplacian_forms``) to give K 1, K u_M and
+    q = diag(F_M'V_MM F_M). Their representation, formed here from
+    ``model.membership`` and ds, is the one m x d working copy: its row
+    norms are taken first, then it is centred in place for the kernel.
     Each of the other rows Z is the origin, at weight e_i = exp(-|m_i| / t)
     from weighted row i. So d_M = K 1 + |Z| e, W u is K u_M on M and u_M'e
     on every row of Z, and V is e_i u_i between i in M and every row of Z,
@@ -173,11 +178,14 @@ def _mls_terms(ds: Dataset, model: MarginModel) -> tuple[np.ndarray, np.ndarray,
         if m:
             u_M = u[rows]
             F_M = F[rows]
-            centred = _centred(model.margin_rep[rows], weighted)
+            rep = np.where(model.membership[rows], F_M, 0.0)
+            if m < n:
+                e = np.exp(_row_norms(rep) / -model.t)
+            centred = _centred(rep, weighted, overwrite=True)
+            del rep
             d_M, Ku, q = _laplacian_forms(centred, F_M, model.t, root=True, u=u_M)
             del centred
             if m < n:
-                e = np.exp(_row_norms(model.margin_rep[rows]) / -model.t)
                 d_M += (n - m) * e
             isolated = bool((d_M == 1.0).all())
             if not isolated:

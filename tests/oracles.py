@@ -10,8 +10,8 @@ import tracemalloc
 
 import numpy as np
 
-from mlscore.data import DataError, Dataset
-from mlscore.gates import GateState, _denominator, _phi_over_sigma
+from mlscore.data import DataError, Dataset, standardize
+from mlscore.gates import GateState, _denominator, _gate_x, _phi_over_sigma
 from mlscore.margins import (
     MarginConfig,
     MarginKind,
@@ -45,6 +45,14 @@ def traced_peak(run):
             tracemalloc.stop()
 
 
+def wide_table() -> Dataset:
+    """A standardized 2000 x 309 N(0, 1) table, the shape of the wide CSV
+    benchmark: 4.9 MB of values, and 4.1 MB in a 256-row kernel block."""
+    X = np.random.default_rng(9).standard_normal((2000, 309))
+    ds, _ = standardize(Dataset(values=X, feature_names=[f"f{j}" for j in range(309)]))
+    return ds
+
+
 def sq_distances_dense(X: np.ndarray) -> tuple[np.ndarray, float]:
     """Dense squared Euclidean distances between the rows of X, and their
     mean over the n(n-1)/2 pairs, from one product Xc Xc' of the centred
@@ -56,11 +64,20 @@ def sq_distances_dense(X: np.ndarray) -> tuple[np.ndarray, float]:
     return D, _mean_pair_sq(centred.sq)
 
 
-def margin_kernel_dense(model: MarginModel) -> np.ndarray:
+def margin_rep_dense(model: MarginModel, X) -> np.ndarray:
+    """The n x d margin representation of the data X the model was built
+    on: each row's values in its margins and 0 elsewhere, and an all-zero
+    row for every row of zero weight."""
+    rep = np.where(model.membership, np.asarray(X, dtype=float), 0.0)
+    rep[model.u == 0] = 0.0
+    return rep
+
+
+def margin_kernel_dense(model: MarginModel, X) -> np.ndarray:
     """The n x n margin kernel w_ij = exp(-|m_i - m_j| / t) over every row
-    of ``model.margin_rep``, which ``mls`` streams over its weighted rows
-    only; the diagonal is exactly 1."""
-    W, _ = sq_distances_dense(model.margin_rep)
+    m_i of the margin representation of X (``margin_rep_dense``), which
+    ``mls`` streams over its weighted rows only; the diagonal is exactly 1."""
+    W, _ = sq_distances_dense(margin_rep_dense(model, X))
     np.sqrt(W, out=W)
     W /= -model.t
     np.exp(W, out=W)
@@ -178,9 +195,8 @@ def build_margin_model_loop(ds: Dataset, config: MarginConfig) -> MarginModel:
     ``build_margin_model`` must match it bitwise on every field.
 
     Constant features are treated as two-sided with an empty margin rather
-    than rejected. The margin representation row for any sample with fewer
-    than ``config.k`` memberships is zeroed entirely, matching its zero
-    weight.
+    than rejected. A sample with fewer than ``config.k`` memberships gets
+    zero weight.
     """
     X = ds.values
     n, d = X.shape
@@ -204,8 +220,6 @@ def build_margin_model_loop(ds: Dataset, config: MarginConfig) -> MarginModel:
     counts = membership.sum(axis=1)
     in_margin = counts >= config.k
     u = np.where(in_margin, np.log(counts + 1.0), 0.0)
-    margin_rep = np.where(membership, X, 0.0)
-    margin_rep[~in_margin] = 0.0
     t = config.temperature_override
     if t is None:
         t = temperature(d)
@@ -217,7 +231,6 @@ def build_margin_model_loop(ds: Dataset, config: MarginConfig) -> MarginModel:
         counts=counts,
         in_dataset_margin=in_margin,
         u=u,
-        margin_rep=margin_rep,
         t=float(t),
     )
 
@@ -246,7 +259,8 @@ def dufs_core_dense(
 
     H = (W @ gated) / dvec[:, None]
     trace = float((gated * gated).sum() - (gated * H).sum())
-    denom = _denominator(state)
+    x = _gate_x(state)
+    denom = _denominator(state, x)
     loss = -trace / denom
     if state.sign_flip:
         loss = -loss
@@ -268,7 +282,7 @@ def dufs_core_dense(
 
     open_mask = (z > 0.0) & (z < 1.0)
     grad = -(dT_dz * open_mask) / denom + trace * (
-        state.m_gates * _phi_over_sigma(state)
+        state.m_gates * _phi_over_sigma(state, x)
     ) / denom**2
     if state.sign_flip:
         grad = -grad

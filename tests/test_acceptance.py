@@ -66,7 +66,7 @@ def test_criterion_1_matrix_equals_naive(check):
         ds = _random_instance(rng, 50, 10)
         model = build_margin_model(ds, MarginConfig())
         fast = mls(ds, model).scores
-        W = margin_kernel_dense(model)
+        W = margin_kernel_dense(model, ds.values)
         for r in range(ds.n_features):
             slow = mls_naive(ds.values[:, r], W, model.u)
             rel = abs(fast[r] - slow) / max(abs(slow), 1e-12)
@@ -402,7 +402,8 @@ def test_criterion_9_invariants_hold_over_1000_trials(check):
 
     for _ in range(1000):
         ds = _random_instance(rng, 12, 4)
-        W = margin_kernel_dense(build_margin_model(ds, MarginConfig(quantile=0.2)))
+        model = build_margin_model(ds, MarginConfig(quantile=0.2))
+        W = margin_kernel_dense(model, ds.values)
         if not (
             (W == W.T).all()
             and (np.diag(W) == 1.0).all()

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import kolmogorov
 
 from mlscore.data import DataError, Dataset
 from mlscore.evaluation import (
+    _kolmogorov_sf,
     bench_margin_config,
     ks_statistic,
     margin_weight_separation,
@@ -15,6 +17,7 @@ from mlscore.evaluation import (
 from mlscore.gates import TrainConfig
 from mlscore.margins import MarginConfig
 from mlscore.synth import SynthSpec, gen_setup
+from oracles import traced_peak, wide_table
 
 
 # ------------------------------------------------------- selection_accuracy
@@ -80,6 +83,25 @@ def test_ks_symmetric_and_bounded(a, b):
     assert p_ab == p_ba
     assert 0.0 <= d_ab <= 1.0
     assert 0.0 <= p_ab <= 1.0
+
+
+def test_kolmogorov_series_match_scipy():
+    # y < 1 takes the series in exp(-(2k - 1)^2 pi^2 / (8 y^2)), y >= 1 the
+    # alternating one in exp(-2 k^2 y^2); both meet at y = 1
+    y = np.concatenate([np.geomspace(1e-3, 19.0, 4001), np.linspace(0.95, 1.05, 201),
+                        [np.nextafter(1.0, 0.0), 1.0]])
+    got = np.array([_kolmogorov_sf(float(v)) for v in y])
+    want = kolmogorov(y)
+    assert (want > 0.0).all()
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+    assert _kolmogorov_sf(0.0) == 1.0 and _kolmogorov_sf(-1.0) == 1.0
+
+
+def test_ks_p_value_is_kolmogorov_at_scaled_statistic(rng):
+    a, b = rng.standard_normal(30), rng.standard_normal(45) + 0.4
+    d, p = ks_statistic(a, b)
+    want = float(kolmogorov(np.sqrt(30 * 45 / 75) * d))
+    assert abs(p - want) <= 1e-13 * want
 
 
 def test_ks_invariant_under_monotone_transform(rng):
@@ -199,6 +221,22 @@ def test_score_dataset_gate_methods_flag_constant_features(method, rng):
     ds = Dataset(values=X, feature_names=["a", "b", "k"])
     report, _ = score_dataset(ds, method, train_config=TrainConfig(epochs=2))
     assert report.constant_feature_flags.tolist() == [False, False, True]
+
+
+@pytest.mark.parametrize("method", ["ls", "mls"])
+def test_score_dataset_holds_one_working_copy(method):
+    # beyond the 4.9 MB table, ls holds its centred rows and mls the margin
+    # rows it centres in place (every row is weighted here), each with a
+    # 4.1 MB kernel block and the 1 MB block that finishes its distances:
+    # 10.2 and 10.9 MB. One more n x d array, as a separate centred copy or
+    # a margin representation kept on the model, took them to 15.2 and
+    # 15.9 MB.
+    ds = wide_table()
+    small = Dataset(values=ds.values[:50, :4], feature_names=ds.feature_names[:4])
+    score_dataset(small, method)  # the first np.quantile imports numpy.ma
+    report, peak = traced_peak(lambda: score_dataset(ds, method)[0])
+    assert np.isfinite(report.scores).all()
+    assert peak < 12.5e6, f"{method} peaked at {peak / 1e6:.1f} MB"
 
 
 def test_score_dataset_rejects_unknown_method():

@@ -111,6 +111,17 @@ def test_open_prob_reference_points():
     assert abs(open_prob(GateState.fresh(1))[0] - 0.8413447460685429) < 1e-12
 
 
+def test_open_prob_matches_scipy_ndtr():
+    # over the arguments x = (mu + 0.5) / sigma in [-30, 30], down to
+    # Phi(-30) = 4.9e-198, at three noise scales
+    for sigma in (0.25, 0.5, 1.0):
+        state = GateState(mu=np.linspace(-30.0, 30.0, 6001) * sigma - 0.5, sigma=sigma)
+        x = (state.mu + 0.5) / state.sigma
+        want = ndtr(x)
+        assert x.min() == -30.0 and x.max() == 30.0
+        assert np.all(np.abs(open_prob(state) - want) <= 1e-13 * want)
+
+
 def test_open_prob_monotone():
     mu = np.linspace(-3, 3, 61)
     p = open_prob(GateState(mu=mu))
@@ -162,7 +173,7 @@ def test_dufs_mls_loss_matches_loop_oracle(rng):
     state = GateState.fresh(6)
     z = rng.uniform(0.1, 1.0, 6)
     loss = dufs_mls_loss(ds, z, state, model)
-    W = margin_kernel_dense(model)
+    W = margin_kernel_dense(model, ds.values)
     total = 0.0
     for r in range(6):
         g = ds.values[:, r] * z[r]
@@ -195,13 +206,11 @@ def test_dufs_mls_dead_feature_contributes_zero(rng):
     state = GateState.fresh(4)
     z = np.array([1.0, 0.0, 1.0, 1.0])
     with_dead = dufs_mls_loss(ds, z, state, model)
-    # zeroing the same column in the data changes nothing: that feature is off
-    X = ds.values.copy()
-    X[:, 1] = 0.0
-    other = dufs_mls_loss(
-        Dataset(values=X, feature_names=ds.feature_names), np.ones(4), state, model
-    )
-    assert abs(with_dead - other) <= 1e-12
+    # closing gate 1 takes exactly feature 1's term, its mls score, out of
+    # the sum that all open gates give
+    full = dufs_mls_loss(ds, np.ones(4), state, model)
+    denom = state.m_gates * open_prob(state).sum() + state.delta
+    assert abs(with_dead - (full + mls(ds, model).scores[1] / denom)) <= 1e-12
 
 
 def test_sign_flip_negates_losses(rng):
@@ -366,9 +375,10 @@ def test_dufs_gradient_of_a_constant_column_is_the_open_probability_term():
     z = np.array([0.6, 0.6, 0.4, 0.6])
     bw = dufs_bandwidth(ds.values * z)
     grad = loss_gradient(ds, z, state, "dufs", bandwidth=bw)
-    denom = gates._denominator(state)
+    x = gates._gate_x(state)
+    denom = gates._denominator(state, x)
     trace = -dufs_loss(ds, z, state, bandwidth=bw) * denom
-    want = trace * state.m_gates * gates._phi_over_sigma(state)[3] / denom**2
+    want = trace * state.m_gates * gates._phi_over_sigma(state, x)[3] / denom**2
     assert abs(grad[3] - want) <= 1e-12 * abs(want)
     assert np.isfinite(grad).all() and np.abs(grad).max() < 10.0
 
@@ -515,12 +525,11 @@ def test_train_dufs_buffers_match_public_loss_loop(rng, n):
 def test_dufs_gradient_holds_no_n_by_n_matrix():
     # two 3000 x 3000 matrices, the kernel and W o G, would take 144 MB;
     # two 256-row blocks of them take 12.3 MB, and the n x d terms 0.5 MB
-    # each. open_prob imports scipy.special on its first call, which
-    # tracemalloc counts, so that import is done before tracing.
+    # each. The open probabilities come from math.erfc, which imports
+    # nothing that tracemalloc would count.
     ds = Dataset(values=np.random.default_rng(0).standard_normal((3000, 20)),
                  feature_names=[f"f{j}" for j in range(20)])
     state = GateState.fresh(20)
-    open_prob(state)
     grad, peak = traced_peak(lambda: loss_gradient(ds, np.full(20, 0.5), state, "dufs"))
     assert np.isfinite(grad).all()
     assert peak < 20e6, f"dufs peaked at {peak / 1e6:.1f} MB"

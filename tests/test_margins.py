@@ -32,10 +32,14 @@ from oracles import (
     margin_kernel_dense,
     skewness_1d,
     sq_distances_dense,
+    traced_peak,
+    wide_table,
 )
 
 
 def _model_from_rep(rep, t=1.0):
+    """A model of the data rep in which every nonzero value is in its
+    feature's margin, so that rep is its own margin representation."""
     rep = np.asarray(rep, dtype=float)
     counts = (rep != 0).sum(axis=1)
     return MarginModel(
@@ -46,7 +50,6 @@ def _model_from_rep(rep, t=1.0):
         counts=counts,
         in_dataset_margin=counts >= 1,
         u=np.where(counts >= 1, np.log(counts + 1.0), 0.0),
-        margin_rep=rep,
         t=t,
     )
 
@@ -240,9 +243,9 @@ def test_build_margin_model_weight_of_shared_outlier():
     assert model.u[:11].tolist() == [0.0] * 11
     assert abs(model.u[11] - math.log(4.0)) < 1e-12
     assert model.in_dataset_margin.tolist() == [False] * 11 + [True]
-    # margin rows carry the raw values, everything else is zeroed
-    assert np.array_equal(model.margin_rep[11], [100.0, 100.0, 100.0])
-    assert not model.margin_rep[:11].any()
+    # the outlier row is in every margin, no other row in any
+    assert model.membership[11].all()
+    assert not model.membership[:11].any()
 
 
 def test_build_margin_model_k_above_counts_zeroes_everything():
@@ -250,7 +253,6 @@ def test_build_margin_model_k_above_counts_zeroes_everything():
     model = build_margin_model(ds, MarginConfig(quantile=0.05, k=4))
     assert not model.in_dataset_margin.any()
     assert not model.u.any()
-    assert not model.margin_rep.any()
     # membership itself is unaffected by k
     assert model.counts[11] == 3
 
@@ -274,10 +276,21 @@ def test_build_margin_model_counts_match_membership(rng):
     assert np.array_equal(model.in_dataset_margin, model.counts >= 1)
     expect_u = np.where(model.in_dataset_margin, np.log(model.counts + 1.0), 0.0)
     assert np.array_equal(model.u, expect_u)
-    masked = np.where(model.membership, ds.values, 0.0)
-    masked[~model.in_dataset_margin] = 0.0
-    assert np.array_equal(model.margin_rep, masked)
     assert model.t == temperature(6)
+
+
+def test_build_margin_model_holds_one_copy_of_the_table():
+    # the quantiles reorder a 4.9 MB transposed copy of the table; the
+    # moments of 16 columns at a time add 0.5 MB, and the membership mask
+    # 0.6 MB once that copy is gone: 5.5 MB. Moments over all columns at
+    # once held two more n x d arrays, and the model's margin
+    # representation a third: 14.9 MB.
+    ds = wide_table()
+    build_margin_model(Dataset(values=ds.values[:50, :4], feature_names=list("abcd")),
+                       MarginConfig())  # the first np.quantile imports numpy.ma
+    model, peak = traced_peak(lambda: build_margin_model(ds, MarginConfig()))
+    assert model.u.any()
+    assert peak < 7.5e6, f"build_margin_model peaked at {peak / 1e6:.1f} MB"
 
 
 def test_build_margin_model_needs_three_rows():
@@ -315,7 +328,7 @@ def _assert_same_model(got: MarginModel, ref: MarginModel) -> None:
         return [tuple(None if v is None else float(v).hex() for v in c) for c in cutoffs]
 
     assert bits(got.cutoffs) == bits(ref.cutoffs)
-    for name in ("membership", "counts", "in_dataset_margin", "u", "margin_rep"):
+    for name in ("membership", "counts", "in_dataset_margin", "u"):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
@@ -349,19 +362,25 @@ def _tables(draw):
     st.floats(-1.0, 1.0),
     st.floats(0.01, 2.0),
     st.integers(1, 3),
+    st.sampled_from([1, 2, 3, None]),
 )
 # -0.0 and 0.0 in one column: the two quantile calls returned zero cutoffs
 # of opposite sign
 @example(
     X=np.column_stack([[0.0] * 4 + [2.0**-250] * 2 + [-0.0] * 2, np.zeros(8)]),
-    quantile=0.3125, skew_right=0.0, gap=1.0, k=1,
+    quantile=0.3125, skew_right=0.0, gap=1.0, k=1, chunk=None,
 )
-def test_build_margin_model_matches_feature_loop(X, quantile, skew_right, gap, k):
+def test_build_margin_model_matches_feature_loop(X, quantile, skew_right, gap, k, chunk):
+    # the moments are taken over chunks of ``chunk`` columns, or of
+    # _COLUMN_CHUNK values with None, which at these sizes is every column
     ds = Dataset(values=X, feature_names=[f"f{j}" for j in range(X.shape[1])])
     config = MarginConfig(
         quantile=quantile, skew_right=skew_right, skew_left=skew_right - gap, k=k
     )
-    _assert_same_model(build_margin_model(ds, config), build_margin_model_loop(ds, config))
+    values = margins._COLUMN_CHUNK if chunk is None else chunk * X.shape[0]
+    with patch.object(margins, "_COLUMN_CHUNK", values):
+        got = build_margin_model(ds, config)
+    _assert_same_model(got, build_margin_model_loop(ds, config))
 
 
 @given(_tables())
@@ -518,8 +537,8 @@ def test_sq_blocks_match_dense_oracle(X):
 
 
 def test_interaction_weights_hand_value():
-    model = _model_from_rep([[1.0, 0.0], [0.0, 0.0]], t=1.0)
-    W = margin_kernel_dense(model)
+    rep = [[1.0, 0.0], [0.0, 0.0]]
+    W = margin_kernel_dense(_model_from_rep(rep, t=1.0), rep)
     assert W[0, 0] == 1.0 and W[1, 1] == 1.0
     assert abs(W[0, 1] - math.exp(-1.0)) < 1e-12
     assert W[0, 1] == W[1, 0]
@@ -527,16 +546,15 @@ def test_interaction_weights_hand_value():
 
 def test_interaction_weights_structure(rng):
     rep = rng.standard_normal((15, 4)) * rng.integers(0, 2, (15, 4))
-    model = _model_from_rep(rep, t=1.3)
-    W = margin_kernel_dense(model)
+    W = margin_kernel_dense(_model_from_rep(rep, t=1.3), rep)
     assert np.array_equal(W, W.T)
     assert np.array_equal(np.diag(W), np.ones(15))
     assert (W > 0).all() and (W <= 1).all()
 
 
 def test_interaction_weights_decay_with_distance():
-    model = _model_from_rep([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], t=1.0)
-    W = margin_kernel_dense(model)
+    rep = [[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]
+    W = margin_kernel_dense(_model_from_rep(rep, t=1.0), rep)
     assert W[0, 1] > W[0, 2]
 
 
@@ -603,14 +621,17 @@ def test_margin_kernel_without_weighted_rows_is_empty():
 
 
 def test_margin_kernel_origin_weight_without_squaring_into_overflow():
-    # |(3e200, 4e200)| = 5e200 is finite, though its squares overflow; the
-    # one weighted pair (0, 1) adds u_0 exp(-5) (0 - 1)^2, and Var = 1/2
-    model = _model_from_rep([[3e200, 4e200], [0.0, 0.0]], t=1e200)
-    ds = Dataset(values=[[0.0], [1.0]], feature_names=["f"])
-    scores, _, isolated = _mls_terms(ds, model)
+    # row 0 is v = 5e153 in all 8 margins, with weight ln 9, and row 1 the
+    # origin. |m_0| = v sqrt(8) is finite, though the sum of its squares
+    # overflows. Each column's one weighted pair (0, 1) adds
+    # u_0 exp(-|m_0| / t) v^2 and Var = v^2 / 2, every term finite.
+    v, t = 5e153, 1e154
+    rep = np.array([[v] * 8, [0.0] * 8])
+    ds = Dataset(values=rep, feature_names=[f"f{j}" for j in range(8)])
+    scores, _, isolated = _mls_terms(ds, _model_from_rep(rep, t=t))
     assert not isolated
-    want = 2.0 * math.log(3.0) * math.exp(-5.0)
-    assert abs(scores[0] - want) <= 1e-15 * want
+    want = 2.0 * math.log(9.0) * math.exp(-v * math.sqrt(8.0) / t)
+    assert np.all(np.abs(scores - want) <= 1e-14 * want)
 
 
 # --------------------------------------------------------------- u-monotone

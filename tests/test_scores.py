@@ -35,6 +35,7 @@ from oracles import (
     mls_numerators_dense,
     sq_distances_dense,
     traced_peak,
+    wide_table,
 )
 
 
@@ -295,15 +296,17 @@ def test_mls_matches_naive(rng):
     scaled, _ = standardize(ds)
     model = build_margin_model(scaled, MarginConfig(quantile=0.1))
     report = mls(scaled, model)
-    W = margin_kernel_dense(model)
+    W = margin_kernel_dense(model, scaled.values)
     for r in range(6):
         naive = mls_naive(scaled.values[:, r], W, model.u)
         assert abs(report.scores[r] - naive) <= 1e-9 * max(abs(naive), 1e-12)
 
 
 def test_mls_hand_value_through_report():
-    # row 0 carries margin weight ln 2 at margin_rep 1, row 1 none at the
-    # origin, so with t = 1 their kernel weight is exp(-|1 - 0| / 1)
+    # f = (1, 0) with a right margin above 0.5: row 0 is in it, with weight
+    # ln 2 and margin representation 1, and row 1 is not, at the origin. So
+    # with t = 1 their kernel weight is w = exp(-|1 - 0| / 1), the pair sum
+    # (1 - 0)^2 w ln 2 and Var(f) = 1/2
     model = MarginModel(
         config=MarginConfig(),
         kinds=[MarginKind.RIGHT],
@@ -312,10 +315,9 @@ def test_mls_hand_value_through_report():
         counts=np.array([1, 0]),
         in_dataset_margin=np.array([True, False]),
         u=np.array([math.log(2.0), 0.0]),
-        margin_rep=np.array([[1.0], [0.0]]),
         t=1.0,
     )
-    ds = Dataset(values=[[0.0], [1.0]], feature_names=["f"])
+    ds = Dataset(values=[[1.0], [0.0]], feature_names=["f"])
     report = mls(ds, model)
     assert abs(report.scores[0] - 2.0 * math.exp(-1.0) * math.log(2.0)) < 1e-12
 
@@ -327,7 +329,7 @@ def test_mls_matches_naive_with_unweighted_rows(rng):
     model = build_margin_model(ds, MarginConfig(quantile=0.2, k=2))
     assert ((model.counts == 1) & (model.u == 0)).any() and model.u.any()
     report = mls(ds, model)
-    W = margin_kernel_dense(model)
+    W = margin_kernel_dense(model, X)
     for r in range(6):
         naive = mls_naive(X[:, r], W, model.u)
         assert abs(report.scores[r] - naive) <= 1e-9 * max(abs(naive), 1e-12)
@@ -335,13 +337,10 @@ def test_mls_matches_naive_with_unweighted_rows(rng):
 
 def _model_from(F, membership, k, t):
     """A MarginModel assembled from a given membership matrix as
-    build_margin_model assembles it: rows below k memberships get u = 0
-    and an all-zero margin_rep row."""
+    build_margin_model assembles it: rows below k memberships get u = 0."""
     d = F.shape[1]
     counts = membership.sum(axis=1)
     in_margin = counts >= k
-    rep = np.where(membership, F, 0.0)
-    rep[~in_margin] = 0.0
     return MarginModel(
         config=MarginConfig(k=k),
         kinds=[MarginKind.TWO_SIDED] * d,
@@ -350,7 +349,6 @@ def _model_from(F, membership, k, t):
         counts=counts,
         in_dataset_margin=in_margin,
         u=np.where(in_margin, np.log(counts + 1.0), 0.0),
-        margin_rep=rep,
         t=t,
     )
 
@@ -390,7 +388,7 @@ def test_mls_numerators_match_dense_oracle(problem):
     F, model = problem
     n, d = F.shape
     ds = Dataset(values=F, feature_names=[f"f{j}" for j in range(d)])
-    W = margin_kernel_dense(model)
+    W = margin_kernel_dense(model, F)
     want, want_isolated = mls_numerators_dense(F, W, model.u)
     variances = F.var(axis=0, ddof=1)
     live = variances != 0
@@ -497,12 +495,11 @@ def test_scores_never_hold_an_n_by_n_matrix(method):
 @pytest.mark.parametrize("method", ["ls heat", "mls"])
 def test_scores_hold_no_n_by_d_accumulator(method):
     # one 2000 x 309 array takes 4.9 MB. Beyond the data, ls holds the
-    # centred rows and features and mls the centred margin rows, plus a
-    # 256-row kernel block; an n x d product such as K F would add 4.9 MB
-    # more, and two took both to 23.3 MB
-    rng = np.random.default_rng(9)
-    ds, _ = standardize(Dataset(values=rng.standard_normal((2000, 309)),
-                                feature_names=[f"f{j}" for j in range(309)]))
+    # centred rows, which are also the centred features it scores, and mls
+    # the centred margin rows, plus a 256-row kernel block; an n x d
+    # product such as K F would add 4.9 MB more, and two took both to
+    # 23.3 MB
+    ds = wide_table()
     model = build_margin_model(ds, MarginConfig())
     run = {"ls heat": lambda: laplacian_score(ds), "mls": lambda: mls(ds, model)}[method]
     report, peak = traced_peak(run)
