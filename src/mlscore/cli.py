@@ -107,8 +107,8 @@ def _kernel_config(args, parser) -> KernelConfig:
 
 
 def _train_config(args, parser) -> TrainConfig:
-    if args.sigma <= 0:
-        parser.error(f"sigma must be positive, got {args.sigma}")
+    if not 0.0 < args.sigma < np.inf:
+        parser.error(f"sigma must be positive and finite, got {args.sigma}")
     try:
         return TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
     except ValueError as err:
@@ -221,12 +221,7 @@ def cmd_synth(args, parser) -> int:
 
 
 def _parse_quantiles(text: str, parser) -> tuple[float, ...]:
-    try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        parser.error(f"could not parse quantile list {text!r}")
-    if not values:
-        parser.error("empty quantile list")
+    values = _parse_list(text, parser, float, "quantile")
     for q in values:
         if not 0.0 < q < 0.5:
             parser.error(f"quantile must be in (0, 0.5), got {q}")
@@ -273,11 +268,18 @@ def cmd_validate_margin(args, parser) -> int:
     return 0
 
 
-def _parse_list(text: str, parser, kind, label: str):
+def _parse_list(text: str, parser, kind, label: str) -> tuple:
+    """The comma list ``text`` as a tuple of ``kind``; an entry that does
+    not parse, an empty list or a repeated entry is a usage error."""
     try:
-        return tuple(kind(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(kind(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         parser.error(f"could not parse {label} list {text!r}")
+    if not values:
+        parser.error(f"empty {label} list")
+    if len(set(values)) < len(values):
+        parser.error(f"repeated entry in {label} list {text!r}")
+    return values
 
 
 def cmd_bench(args, parser) -> int:
@@ -285,15 +287,15 @@ def cmd_bench(args, parser) -> int:
         parser.error("reps must be >= 1")
     setups = _parse_list(args.setups, parser, int, "setup")
     rhos = _parse_list(args.rhos, parser, float, "rho")
-    methods = tuple(tok for tok in args.methods.split(",") if tok.strip())
-    if not setups or any(s not in (1, 2, 3) for s in setups):
+    methods = _parse_list(args.methods, parser, str, "method")
+    if any(s not in (1, 2, 3) for s in setups):
         parser.error("setups must be a comma list drawn from 1,2,3")
-    if not rhos or any(not 0.0 < r < 1.0 for r in rhos):
+    if any(not 0.0 < r < 1.0 for r in rhos):
         parser.error("rhos must be a comma list of values in (0, 1)")
     if args.quantile is None and any(r <= 0.5 for r in rhos):
         # the default margin quantile 1 - rho must stay below 0.5
         parser.error("rhos must be above 0.5 unless --quantile is given")
-    if not methods or any(m not in METHODS for m in methods):
+    if any(m not in METHODS for m in methods):
         parser.error(f"methods must be drawn from {','.join(METHODS)}")
     try:
         # SynthSpec owns the sample-count floor

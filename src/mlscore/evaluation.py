@@ -209,6 +209,9 @@ def run_recovery_benchmark(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    for name, values in (("setups", setups), ("rhos", rhos), ("methods", methods)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"repeated entry in {name}: {list(values)}")
     train_config = train_config or TrainConfig()
     cells: list[EvalReport] = []
     for setup in setups:

@@ -71,8 +71,8 @@ class GateState:
             raise ValueError("mu must be a non-empty 1-d vector")
         if not np.all(np.isfinite(mu)):
             raise ValueError("mu must be finite")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         self.mu = mu
 
     @property
@@ -94,8 +94,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.loss_variant not in LOSS_VARIANTS:
             raise ValueError(f"loss_variant must be one of {LOSS_VARIANTS}")
 

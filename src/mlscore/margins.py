@@ -17,8 +17,8 @@ distances, and ``_sq_blocks`` streams them in row blocks, for the upper
 triangle or for full rows. Over those blocks ``_laplacian_forms`` takes the
 degrees and Laplacian quadratic forms of a kernel (``mls`` and the heat
 graph of the Laplacian Score), ``_knn_neighbours`` the kNN graph's edges,
-and ``gates`` the DUFS gate kernel of every epoch; ``_knn_forms`` takes the
-kNN graph's degrees and forms.
+and ``gates`` the DUFS gate kernel of every epoch. ``_knn_forms`` takes the
+kNN graph's degrees and forms from its edge list alone.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ from .data import DataError, Dataset
 # rows of a distance block finished per step of _finish_sq; keeps the
 # |x_i|^2 + |x_j|^2 term a small temporary instead of a second n x n matrix
 _ROW_BLOCK = 64
-# rows of kernel or distance held at once by _sq_blocks and _knn_forms:
-# 256 x n doubles
+# rows of kernel or distance held at once by _sq_blocks: 256 x n doubles
 _KERNEL_BLOCK = 256
 # values per chunk of columns whose moments build_margin_model takes at
-# once: 256 kB of deviations instead of n x d
+# once, 256 kB of deviations instead of n x d; _knn_forms gathers the rows
+# of its edges in chunks of the same size
 _COLUMN_CHUNK = 1 << 15
 
 
@@ -69,14 +69,15 @@ class MarginConfig:
     def __post_init__(self):
         if not 0.0 < self.quantile < 0.5:
             raise ValueError(f"quantile must be in (0, 0.5), got {self.quantile}")
-        if self.skew_left >= self.skew_right:
+        if not self.skew_left < self.skew_right:  # NaN included
             raise ValueError(
                 f"skew_left ({self.skew_left}) must be below skew_right ({self.skew_right})"
             )
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.temperature_override is not None and self.temperature_override <= 0:
-            raise ValueError("temperature_override must be positive")
+        t = self.temperature_override
+        if t is not None and not 0.0 < t < math.inf:
+            raise ValueError(f"temperature_override must be positive and finite, got {t}")
 
 
 @dataclass
@@ -379,6 +380,8 @@ def _knn_neighbours(centred: _Centred, k: int) -> np.ndarray:
         if twin is not None:
             D = D[:, twin]
         D[np.arange(b - a), np.arange(a, b)] = -1.0
+        # no entry above the k + 1 smallest (self among them) can be kept
+        D[D > np.partition(D, k, axis=1)[:, k, None]] = np.inf
         nbrs[a:b] = np.argsort(D, axis=1, kind="stable")[:, 1 : k + 1]
     return nbrs
 
@@ -388,29 +391,22 @@ def _knn_forms(nbrs: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     graph S whose directed edges i -> nbrs[i, s] ``_knn_neighbours`` lists:
     S_ij = 1 where i = j or either of i -> j and j -> i is an edge, else 0.
 
-    S is formed _KERNEL_BLOCK rows at a time from each row's out-edges and
-    its in-edges, which a sort of the edges by head groups together; each
-    block's product S_blk F is contracted at once with F[a:b]. Memory is
-    O(_KERNEL_BLOCK (n + d) + n k) beyond F.
+    Each edge is coded as i * n + j with i < j; a sort of the codes keeps
+    the first of each run, the undirected edges. Over them the degrees are
+    1 + the edges at a row and q = sum f^2 + 2 sum f_i f_j, gathered
+    _COLUMN_CHUNK values at a time. Memory is O(n k) beyond F.
     """
     n, k = nbrs.shape
-    order = np.argsort(nbrs, axis=None, kind="stable")
-    heads = nbrs.ravel()[order]
-    tails = order // k
-    starts = np.searchsorted(heads, np.arange(n + 1))
-    deg = np.empty(n)
-    q = np.zeros(F.shape[1])
-    buf = _block_buffer(n)
-    for a in range(0, n, _KERNEL_BLOCK):
-        b = min(a + _KERNEL_BLOCK, n)
-        S = buf[: (b - a) * n].reshape(b - a, n)
-        S.fill(0.0)
-        rows = np.arange(b - a)
-        S[rows, rows + a] = 1.0
-        S[rows[:, None], nbrs[a:b]] = 1.0
-        S[heads[starts[a] : starts[b]] - a, tails[starts[a] : starts[b]]] = 1.0
-        deg[a:b] = S.sum(axis=1)
-        q += np.einsum("ij,ij->j", F[a:b], S @ F)
+    tails = np.repeat(np.arange(n), k)
+    heads = nbrs.ravel()
+    key = np.minimum(tails, heads) * n + np.maximum(tails, heads)
+    key.sort()
+    i, j = np.divmod(key[np.r_[True, key[1:] != key[:-1]]], n)
+    deg = 1.0 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+    q = np.einsum("ij,ij->j", F, F)
+    step = max(1, _COLUMN_CHUNK // F.shape[1])
+    for a in range(0, i.size, step):
+        q += 2.0 * np.einsum("ij,ij->j", F[i[a : a + step]], F[j[a : a + step]])
     return deg, q
 
 

@@ -41,8 +41,10 @@ class KernelConfig:
     def __post_init__(self):
         if self.mode not in KERNEL_MODES:
             raise ValueError(f"mode must be one of {KERNEL_MODES}, got {self.mode!r}")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
+            raise ValueError(
+                f"bandwidth must be positive and finite, got {self.bandwidth}"
+            )
         if self.n_neighbors < 1:
             raise ValueError("n_neighbors must be >= 1")
 
@@ -74,7 +76,7 @@ def _graph_forms(
     F0 = ``centred.Xc``, without forming S.
 
     The heat graph is streamed (``_laplacian_forms``), the binary-knn graph
-    built in row blocks from its n x k neighbour list (``_knn_forms``).
+    summed over the edges of its n x k neighbour list (``_knn_forms``).
     """
     F0 = centred.Xc
     n = F0.shape[0]

@@ -46,8 +46,12 @@ class SynthSpec:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
         if self.n_samples < 20:
             raise ValueError(f"n_samples must be >= 20, got {self.n_samples}")
-        if self.marginal_spread <= 0:
-            raise ValueError("marginal_spread must be positive")
+        if not np.isfinite(self.marginal_shift):
+            raise ValueError(f"marginal_shift must be finite, got {self.marginal_shift}")
+        if not 0.0 < self.marginal_spread < np.inf:
+            raise ValueError(
+                f"marginal_spread must be positive and finite, got {self.marginal_spread}"
+            )
         if not -1.0 < self.corr < 1.0:
             raise ValueError(f"corr must be in (-1, 1), got {self.corr}")
 

@@ -293,6 +293,31 @@ def test_select_bad_training_flags_are_usage_errors(labeled_csv, flags):
     assert exc.value.code == 2
 
 
+_DUFS = ["select", "--method", "dufs", "--num-features", "2", "--epochs", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["score", "--method", "ls", "--bandwidth", "nan"],
+     ["score", "--method", "ls", "--bandwidth", "inf"],
+     ["score", "--method", "mls", "--skew-right", "nan"],
+     ["score", "--method", "mls", "--skew-left", "nan"],
+     _DUFS + ["--lr", "nan"],
+     _DUFS + ["--lr", "inf"],
+     _DUFS + ["--sigma", "nan"],
+     _DUFS + ["--sigma", "inf"]],
+)
+def test_non_finite_settings_are_usage_errors(labeled_csv, tmp_path, argv):
+    # these used to exit 0 with a wrong answer (every ls score 1.0, dufs
+    # scores of inf, feature order) or 1 blaming the data for an overflow
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", str(labeled_csv), "--label-col", "label",
+                     "--output", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_select_gate_method_writes_trace(labeled_csv, tmp_path):
     out = tmp_path / "gates.csv"
     code = main(
@@ -505,6 +530,32 @@ def test_bench_validates_lists(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--reps", "1", "--n", "19"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--methods", "mls,mls"], ["--setups", "1,1"], ["--rhos", "0.9,0.90"]],
+)
+def test_bench_rejects_repeated_list_entries(tmp_path, monkeypatch, capsys, flags):
+    # a repeated entry ran each of its cells twice and wrote 2 reps per
+    # cell, twice over, under reps = 1
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--reps", "1", "--n", "30", "--output", "g"] + flags)
+    assert exc.value.code == 2
+    assert f"repeated entry in {flags[0][2:-1]} list" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_validate_margin_quantile_list_errors(labeled_csv, capsys):
+    for text, message in [("0.05,0.05", "repeated entry in quantile list"),
+                          ("0.05,x", "could not parse quantile list '0.05,x'"),
+                          (",", "empty quantile list")]:
+        with pytest.raises(SystemExit) as exc:
+            main(["validate-margin", "--input", str(labeled_csv),
+                  "--label-col", "label", "--quantiles", text])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_bench_matches_recovery_benchmark(tmp_path, capsys, monkeypatch):

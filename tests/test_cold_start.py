@@ -21,6 +21,8 @@ _SCRIPT = textwrap.dedent(
         epochs = ["--epochs", "2"] if method.startswith("dufs") else []
         assert main(["select", "--method", method, "--num-features", "2",
                      "--input", data, "--output", out, *epochs]) == 0
+    assert main(["score", "--method", "ls", "--kernel", "binary-knn",
+                 "--input", data, "--output", out]) == 0
     assert main(["validate-margin", "--input", data, "--label-col", "label",
                  "--output", out]) == 0
 

@@ -250,6 +250,18 @@ def test_recovery_benchmark_rejects_bad_reps():
         run_recovery_benchmark(reps=0)
 
 
+@pytest.mark.parametrize(
+    "grid, name",
+    [(dict(methods=("mls", "mls")), "methods"),
+     (dict(setups=(1, 1)), "setups"),
+     (dict(rhos=(0.9, 0.9)), "rhos")],
+)
+def test_recovery_benchmark_rejects_repeated_entries(grid, name):
+    # a repeated entry ran its cells twice and wrote each twice
+    with pytest.raises(ValueError, match=f"repeated entry in {name}"):
+        run_recovery_benchmark(reps=1, n_samples=30, **grid)
+
+
 def test_recovery_benchmark_respects_explicit_margin_config():
     fixed = MarginConfig(quantile=0.2)
     cells = run_recovery_benchmark(

@@ -62,8 +62,9 @@ def test_gate_state_validation():
         GateState(mu=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="finite"):
         GateState(mu=np.array([np.nan]))
-    with pytest.raises(ValueError, match="sigma"):
-        GateState(mu=np.zeros(3), sigma=0.0)
+    for sigma in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sigma"):
+            GateState(mu=np.zeros(3), sigma=sigma)
     # the gate count follows mu and delta is a constant: neither is set
     with pytest.raises(TypeError, match="delta"):
         GateState(mu=np.zeros(3), delta=1e-3)
@@ -82,8 +83,9 @@ def test_gate_state_fresh_defaults():
 def test_train_config_validation():
     with pytest.raises(ValueError, match="epochs"):
         TrainConfig(epochs=0)
-    with pytest.raises(ValueError, match="learning_rate"):
-        TrainConfig(learning_rate=0.0)
+    for rate in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
     with pytest.raises(ValueError, match="loss_variant"):
         TrainConfig(loss_variant="nope")
 

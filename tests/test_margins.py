@@ -310,10 +310,15 @@ def test_margin_config_validation():
         MarginConfig(quantile=0.5)
     with pytest.raises(ValueError, match="skew_left"):
         MarginConfig(skew_left=0.5, skew_right=0.5)
+    # a NaN threshold passes no comparison, so it used to be accepted
+    for skew in (dict(skew_right=math.nan), dict(skew_left=math.nan)):
+        with pytest.raises(ValueError, match="skew_left"):
+            MarginConfig(**skew)
     with pytest.raises(ValueError, match="k"):
         MarginConfig(k=0)
-    with pytest.raises(ValueError, match="temperature_override"):
-        MarginConfig(temperature_override=0.0)
+    for t in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="temperature_override"):
+            MarginConfig(temperature_override=t)
 
 
 # ------------------------------------------- column-wise pass vs. the loop

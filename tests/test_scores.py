@@ -13,6 +13,7 @@ from mlscore.margins import (
     MarginKind,
     MarginModel,
     _centred,
+    _knn_forms,
     _knn_neighbours,
     build_margin_model,
 )
@@ -256,6 +257,14 @@ def test_knn_graph_matches_dense_oracle(X, k):
             assert np.array_equal(_knn_graph(X, k), want)
             report = laplacian_score(ds, KernelConfig(mode="binary-knn", n_neighbors=k))
         _assert_ls_matches(report, X, want)
+    # the degrees count edges, exactly; q sums products over the edges in
+    # another order than the dense diag(F'SF)
+    centred = _centred(X)
+    F = centred.Xc
+    deg, q = _knn_forms(_knn_neighbours(centred, k), F)
+    assert np.array_equal(deg, want.sum(axis=1))
+    scale = np.einsum("ij,ik,kj->j", np.abs(F), want, np.abs(F))
+    assert np.all(np.abs(q - np.einsum("ij,ik,kj->j", F, want, F)) <= 1e-12 * scale)
 
 
 def test_ls_binary_knn_neighbor_bound(rng):
@@ -267,8 +276,9 @@ def test_ls_binary_knn_neighbor_bound(rng):
 def test_kernel_config_validation():
     with pytest.raises(ValueError, match="mode"):
         KernelConfig(mode="nope")
-    with pytest.raises(ValueError, match="bandwidth"):
-        KernelConfig(bandwidth=-1.0)
+    for bandwidth in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="bandwidth"):
+            KernelConfig(bandwidth=bandwidth)
     with pytest.raises(ValueError, match="n_neighbors"):
         KernelConfig(n_neighbors=0)
     assert set(KERNEL_MODES) == {"heat", "binary-knn"}
@@ -505,6 +515,17 @@ def test_scores_hold_no_n_by_d_accumulator(method):
     report, peak = traced_peak(run)
     assert np.isfinite(report.scores).all()
     assert peak < 17e6, f"{method} peaked at {peak / 1e6:.1f} MB"
+
+
+def test_knn_forms_hold_only_the_edge_list():
+    # a 256 x n block of the 0/1 graph is 6.1 MB at n = 3000; the 15 000
+    # edges are a few 120 kB arrays, and each gathered chunk of rows 256 kB
+    n, d, k = 3000, 20, 5
+    centred = _centred(np.random.default_rng(7).standard_normal((n, d)))
+    nbrs = _knn_neighbours(centred, k)
+    (deg, q), peak = traced_peak(lambda: _knn_forms(nbrs, centred.Xc))
+    assert deg.min() >= k + 1 and np.isfinite(q).all()
+    assert peak < 2e6, f"_knn_forms peaked at {peak / 1e6:.1f} MB"
 
 
 def test_binary_knn_with_k_n_minus_1_holds_a_few_edge_lists():
