@@ -163,7 +163,7 @@ def cmd_select(args, parser) -> int:
         )
     report, trace = score_dataset(
         ds, args.method, margin_config, kernel_config, train_config,
-        sigma=args.sigma, sign_flip=args.sign_flip,
+        sigma=args.sigma,
     )
     picked = select_top(report, args.num_features)
     out = Path(args.output) if args.output else _default_output(args.input, "selected")
@@ -409,8 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument("--lr", type=float, default=0.1)
     select.add_argument("--sigma", type=float, default=0.5)
     select.add_argument("--seed", type=int, default=0)
-    select.add_argument("--sign-flip", action="store_true",
-                        help="negate the training loss")
     select.set_defaults(func=cmd_select)
 
     synth = subs.add_parser("synth", help="generate a benchmark dataset CSV")

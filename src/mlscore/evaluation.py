@@ -131,7 +131,6 @@ def score_dataset(
     kernel_config: KernelConfig | None = None,
     train_config: TrainConfig | None = None,
     sigma: float = 0.5,
-    sign_flip: bool = False,
 ) -> tuple[ScoreReport, TrainTrace | None]:
     """Score every feature of ds with one of METHODS.
 
@@ -139,9 +138,10 @@ def score_dataset(
     gates (noise scale sigma) with train_config, whose loss variant is set
     to the method, and score each feature by its trained gate mean; their
     training trace comes back too, and training warnings go into the
-    report. ``mls`` and ``dufs-mls`` build their margin model from
-    margin_config. Every method rejects a table whose features are all
-    constant with a DataError.
+    report, among them one for gates saturated at a clamp edge. ``mls``
+    and ``dufs-mls`` build their margin model from margin_config. Every
+    method rejects a table whose features are all constant with a
+    DataError.
     """
     if method == "ls":
         return laplacian_score(ds, kernel_config), None
@@ -154,7 +154,7 @@ def score_dataset(
     if method == "dufs-mls":
         model = build_margin_model(ds, margin_config or MarginConfig())
     config = replace(train_config or TrainConfig(), loss_variant=method)
-    state = GateState.fresh(ds.n_features, sigma=sigma, sign_flip=sign_flip)
+    state = GateState.fresh(ds.n_features, sigma=sigma)
     trace = train(ds, config, state, model)
     report = ScoreReport(
         method=method,
@@ -170,6 +170,15 @@ def score_dataset(
         report.warnings.append(
             "all gate means are equal; the selection is feature order"
         )
+    # past a clamp edge by 2 sigma a fresh draw clamps the gate about 98%
+    # of the time, so the order among such gates is noise
+    gate = 0.5 + trace.mu
+    for edge, past in (("open", gate - 1.0), ("closed", -gate)):
+        if np.count_nonzero(past > 2.0 * sigma) >= 2:
+            report.warnings.append(
+                f"two or more gates are saturated {edge}, past the clamp by 2 sigma;"
+                " the order among them is noise"
+            )
     return report, trace
 
 

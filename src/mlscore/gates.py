@@ -2,18 +2,25 @@
 
 A gate is z_r = clamp(0.5 + mu_r + eps_r, 0, 1) with Gaussian noise eps;
 P(Z_r >= 0) = Phi((mu_r + 0.5) / sigma) is the smooth open-gate probability
-that feeds the loss denominators. It is taken from ``math.erfc``, so gate
-training, like every other path, needs numpy only. Both losses are
-implemented exactly as stated, leading minus included; ``sign_flip``
-negates them for callers who want minimization to reward smooth
-(low-score) features instead.
+that feeds the loss denominator. It is taken from ``math.erfc``, so gate
+training, like every other path, needs numpy only.
+
+Both losses have one shape, DUFS's: a Laplacian term N(z) of the gated
+features over the open-gate mass, leading minus included,
+
+    loss = -N(z) / (m * sum_r P(Z_r >= 0) + delta)
+
+where m is the number of gates and delta = 1e-4 keeps the denominator
+above 0 when every gate is closed; ``GateState`` derives the first from mu
+and holds the second as a constant. The two differ only in N.
 
 Gradients are analytic in mu for a fixed noise draw and, for the graph
 loss, a fixed kernel bandwidth; the clamp contributes subgradient zero at
 its boundaries. Finite differences of the same frozen-everything loss are
 the ground truth the tests compare against.
 
-The graph loss ``dufs`` rebuilds its heat kernel W from the gated rows every
+The graph loss ``dufs`` takes N = Tr[F~' (I - D^-1 W) F~] over the gated
+features F~, with the heat kernel W of the gated rows rebuilt every
 epoch. An epoch costs four n x n x d products: the Gram matrix behind the
 distances, G = gated gated', W @ F and (W o G) @ F. It streams W over
 blocks of full rows (``margins._sq_blocks``), and every term it needs is
@@ -27,13 +34,7 @@ loss or gradient raises a DataError naming the feature.
 The margin loss ``dufs-mls`` reduces to a closed form. Its kernel and
 sample weights are frozen, and gating column r by z_r scales both the
 column's numerator and its variance by z_r^2, so every live term is the
-``mls`` score of the ungated feature:
-
-    loss = -sum_{live r} mls_r / (m * sum_r P(Z_r >= 0) + delta)
-
-In both denominators m is the number of gates and delta = 1e-4 keeps the
-denominator above 0 when every gate is closed; ``GateState`` derives the
-first from mu and holds the second as a constant.
+``mls`` score of the ungated feature: N = sum_{live r} mls_r.
 
 Training computes those scores and variances once, so an epoch costs O(d).
 Only the open-probability term moves mu, by the same amount for equal
@@ -62,7 +63,6 @@ _SQRT1_2 = math.sqrt(0.5)
 class GateState:
     mu: np.ndarray
     sigma: float = 0.5
-    sign_flip: bool = False
     delta = 1e-4  # unannotated: a class constant, not an __init__ argument
 
     def __post_init__(self):
@@ -138,15 +138,26 @@ def open_prob(state: GateState) -> np.ndarray:
     return _phi(_gate_x(state))
 
 
-def _denominator(state: GateState, x: np.ndarray) -> float:
-    """m * sum_r P(Z_r >= 0) + delta, the denominator of both losses, at
-    x = ``_gate_x(state)``."""
-    return state.m_gates * float(_phi(x).sum()) + state.delta
-
-
-def _phi_over_sigma(state: GateState, x: np.ndarray) -> np.ndarray:
-    # d/dmu of Phi((mu + 0.5)/sigma) at x = _gate_x(state)
-    return np.exp(-0.5 * x * x) / (_SQRT_2PI * state.sigma)
+def _ratio(
+    state: GateState, total: float, d_total: np.ndarray | None, want_grad: bool
+) -> tuple[float, np.ndarray | None]:
+    """The loss -total / (m * sum_r P(Z_r >= 0) + delta) of both variants
+    and, with ``want_grad``, its gradient in mu, given d_total, the
+    gradient of total in mu; None means total does not move with mu, and
+    only the open-probability mass does. An overflow in the gradient is
+    left for the caller's finiteness check to name."""
+    x = _gate_x(state)
+    denom = state.m_gates * float(_phi(x).sum()) + state.delta
+    loss = -total / denom
+    if not want_grad:
+        return loss, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        # d/dmu of Phi((mu + 0.5)/sigma)
+        phi_over_sigma = np.exp(-0.5 * x * x) / (_SQRT_2PI * state.sigma)
+        grad = total * (state.m_gates * phi_over_sigma) / denom**2
+        if d_total is not None:
+            grad = -d_total / denom + grad
+    return loss, grad
 
 
 def dufs_bandwidth(gated: np.ndarray) -> float:
@@ -230,27 +241,18 @@ def _dufs_core(
     smooth[~varying] = 0.0
     _check_finite(ds, smooth, "dufs loss")
     trace = float((z * z) @ smooth)
-    x = _gate_x(state)
-    denom = _denominator(state, x)
-    loss = -trace / denom
-    if state.sign_flip:
-        loss = -loss
     if not want_grad:
-        return loss, None
+        return _ratio(state, trace, None, want_grad=False)
 
     with np.errstate(over="ignore", invalid="ignore"):
         kernel_path = (2.0 * z / bandwidth) * (
             P_colsums @ F2 - 2.0 * (F * PF).sum(axis=0)
         )
         kernel_path[~varying] = 0.0
-        dT_dz = 2.0 * z * smooth + kernel_path
-        open_mask = (z > 0.0) & (z < 1.0)
-        grad = -(dT_dz * open_mask) / denom + trace * (
-            state.m_gates * _phi_over_sigma(state, x)
-        ) / denom**2
+        # dz/dmu is 1 inside the clamp and 0 at its edges
+        dT_dmu = (2.0 * z * smooth + kernel_path) * ((z > 0.0) & (z < 1.0))
+    loss, grad = _ratio(state, trace, dT_dmu, want_grad=True)
     _check_finite(ds, grad, "dufs gradient")
-    if state.sign_flip:
-        grad = -grad
     return loss, grad
 
 
@@ -276,24 +278,11 @@ def _dufs_mls_core(
 ) -> tuple[float, np.ndarray | None]:
     # terms: the ungated mls score and variance of every column, the first
     # two of ``_mls_terms``; gating column r by z_r scales its numerator
-    # and its variance alike by z_r^2
+    # and its variance alike by z_r^2, so the live scores do not depend on
+    # z and only the open-probability mass moves with mu
     scores, variances = terms
     live = z * z * variances > VAR_GUARD
-    total = float(scores[live].sum())
-    x = _gate_x(state)
-    denom = _denominator(state, x)
-    loss = -total / denom
-    if state.sign_flip:
-        loss = -loss
-    if not want_grad:
-        return loss, None
-
-    # the live scores do not depend on z, so only the open-probability
-    # mass in the denominator moves with mu
-    grad = total * (state.m_gates * _phi_over_sigma(state, x)) / denom**2
-    if state.sign_flip:
-        grad = -grad
-    return loss, grad
+    return _ratio(state, float(scores[live].sum()), None, want_grad)
 
 
 def dufs_mls_loss(

@@ -243,8 +243,6 @@ def select_top(report: ScoreReport, num_features: int) -> list[int]:
         raise ValueError(f"num_features must be in [1, {d}], got {num_features}")
     keys = report.scores if report.method in LOWER_IS_BETTER else -report.scores
     order = np.argsort(keys, kind="stable")
-    if report.constant_feature_flags.all():
-        report.warnings.append("all features constant; selection is arbitrary")
     return [int(i) for i in order[:num_features]]
 
 

@@ -2,10 +2,10 @@
 only a known block of features separates the minority class.
 
 Three layouts share the same marginal block (negatives N(0,1), positives
-N(shift, spread^2) in each of 5 columns):
+N(3, 0.5^2) in each of 5 columns):
 
   setup 1: 5 independent N(0,1) noise features + the 5 marginal features
-  setup 2: the noise block is equicorrelated Gaussian instead
+  setup 2: the noise block is equicorrelated (0.9) Gaussian instead
   setup 3: setup 2 plus 90 extra independent N(0,1) features (d = 100)
 
 Columns are ordered noise block, marginal block, extras; the ground-truth
@@ -22,6 +22,9 @@ from .data import DataError, Dataset
 
 NOISE_BLOCK = 5
 MARGINAL_BLOCK = 5
+MARGINAL_SHIFT = 3.0  # positives' mean in the marginal block
+MARGINAL_SPREAD = 0.5  # and their standard deviation
+NOISE_CORR = 0.9  # pairwise correlation of the setup 2 and 3 noise block
 EXTRA_BLOCK = 90
 AUGMENT_TOTAL = 309  # target width after add_noise_features
 AUGMENT_CORR_COLS = 10
@@ -35,9 +38,6 @@ class SynthSpec:
     rho: float
     n_samples: int = 1000
     seed: int = 0
-    marginal_shift: float = 3.0
-    marginal_spread: float = 0.5
-    corr: float = 0.9
 
     def __post_init__(self):
         if self.setup not in (1, 2, 3):
@@ -46,14 +46,6 @@ class SynthSpec:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
         if self.n_samples < 20:
             raise ValueError(f"n_samples must be >= 20, got {self.n_samples}")
-        if not np.isfinite(self.marginal_shift):
-            raise ValueError(f"marginal_shift must be finite, got {self.marginal_shift}")
-        if not 0.0 < self.marginal_spread < np.inf:
-            raise ValueError(
-                f"marginal_spread must be positive and finite, got {self.marginal_spread}"
-            )
-        if not -1.0 < self.corr < 1.0:
-            raise ValueError(f"corr must be in (-1, 1), got {self.corr}")
 
 
 @dataclass(frozen=True)
@@ -96,10 +88,10 @@ def gen_setup(spec: SynthSpec) -> SynthDataset:
     if spec.setup == 1:
         noise = rng.standard_normal((n, NOISE_BLOCK))
     else:
-        noise = gen_correlated_block(n, NOISE_BLOCK, spec.corr, rng)
+        noise = gen_correlated_block(n, NOISE_BLOCK, NOISE_CORR, rng)
 
     marginal = rng.standard_normal((n, MARGINAL_BLOCK))
-    marginal[pos_rows] = spec.marginal_shift + spec.marginal_spread * rng.standard_normal(
+    marginal[pos_rows] = MARGINAL_SHIFT + MARGINAL_SPREAD * rng.standard_normal(
         (n_pos, MARGINAL_BLOCK)
     )
 

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 
 from mlscore.data import DataError, Dataset, standardize
-from mlscore.gates import GateState, _denominator, _gate_x, _phi_over_sigma
+from mlscore.gates import GateState, open_prob
 from mlscore.margins import (
     MarginConfig,
     MarginKind,
@@ -259,11 +259,8 @@ def dufs_core_dense(
 
     H = (W @ gated) / dvec[:, None]
     trace = float((gated * gated).sum() - (gated * H).sum())
-    x = _gate_x(state)
-    denom = _denominator(state, x)
+    denom = state.m_gates * open_prob(state).sum() + state.delta
     loss = -trace / denom
-    if state.sign_flip:
-        loss = -loss
     if not want_grad:
         return loss, None
 
@@ -280,10 +277,9 @@ def dufs_core_dense(
     direct_path = 2.0 * z * (F2.sum(axis=0) - (F * Hf).sum(axis=0))
     dT_dz = direct_path + kernel_path
 
+    # the open-probability term: d/dmu of Phi((mu + 0.5) / sigma)
+    x = (state.mu + 0.5) / state.sigma
+    phi_over_sigma = np.exp(-0.5 * x * x) / (np.sqrt(2.0 * np.pi) * state.sigma)
     open_mask = (z > 0.0) & (z < 1.0)
-    grad = -(dT_dz * open_mask) / denom + trace * (
-        state.m_gates * _phi_over_sigma(state, x)
-    ) / denom**2
-    if state.sign_flip:
-        grad = -grad
+    grad = -(dT_dz * open_mask) / denom + trace * state.m_gates * phi_over_sigma / denom**2
     return loss, grad

@@ -284,7 +284,9 @@ def test_select_num_features_bounds(labeled_csv):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--epochs", "0"], ["--lr", "0"], ["--lr", "-1"], ["--sigma", "0"]],
+    # --sign-flip, which negated the loss, is gone: every gate it trained
+    # moved toward closed
+    [["--epochs", "0"], ["--lr", "0"], ["--lr", "-1"], ["--sigma", "0"], ["--sign-flip"]],
 )
 def test_select_bad_training_flags_are_usage_errors(labeled_csv, flags):
     with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import kolmogorov
 
-from mlscore.data import DataError, Dataset
+from mlscore.data import DataError, Dataset, standardize
 from mlscore.evaluation import (
     _kolmogorov_sf,
     bench_margin_config,
@@ -206,6 +206,38 @@ def test_score_dataset_dufs_mls_warns_that_gate_means_are_equal():
     assert len(trace.loss_history) == 3
     assert np.array_equal(report.scores, trace.mu)
     assert "all gate means are equal; the selection is feature order" in report.warnings
+
+
+_SATURATED = ("two or more gates are saturated {}, past the clamp by 2 sigma;"
+              " the order among them is noise")
+
+
+def _standardized_setup_1():
+    ds = gen_setup(SynthSpec(setup=1, rho=0.95, n_samples=300, seed=1)).dataset
+    return standardize(ds)[0]
+
+
+def test_score_dataset_warns_when_gates_saturate_open():
+    # 50 dufs epochs take 7 of the 10 gates past 0.5 + mu = 1 + 2 sigma and
+    # one past -2 sigma, too few to warn; after 20 epochs none is past
+    ds = _standardized_setup_1()
+    report, trace = score_dataset(ds, "dufs", train_config=TrainConfig(epochs=50))
+    assert np.count_nonzero(0.5 + trace.mu > 2.0) == 7
+    assert np.count_nonzero(0.5 + trace.mu < -1.0) == 1
+    assert report.warnings == [_SATURATED.format("open")]
+    report, _ = score_dataset(ds, "dufs", train_config=TrainConfig(epochs=20))
+    assert report.warnings == []
+
+
+def test_score_dataset_warns_when_gates_saturate_closed():
+    # dufs-mls closes every gate in lockstep, past -2 sigma by 20 epochs
+    ds = _standardized_setup_1()
+    report, trace = score_dataset(ds, "dufs-mls", train_config=TrainConfig(epochs=20))
+    assert (0.5 + trace.mu < -1.0).all()
+    assert report.warnings == [
+        "all gate means are equal; the selection is feature order",
+        _SATURATED.format("closed"),
+    ]
 
 
 @pytest.mark.parametrize("method", ["dufs", "dufs-mls"])

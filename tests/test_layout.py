@@ -5,6 +5,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "mlscore"
+# the code the program runs: the library (a re-export in __init__.py is not
+# a caller), the benchmark and the experiment scripts
+CALLERS = [p for p in LIBRARY.glob("*.py") if p.name != "__init__.py"]
+CALLERS += list((ROOT / "perfbench").glob("*.py")) + list((ROOT / "scripts").glob("*.py"))
+# read by perfbench/workloads.py, so it goes with the benchmark change of
+# ROADMAP item 3(b)
+UNSET_KNOBS_ALLOWED = {"MarginConfig.temperature_override"}
 
 
 def _parse(path):
@@ -13,16 +20,14 @@ def _parse(path):
 
 def test_every_library_function_has_a_caller_outside_tests():
     # a function or class that only the tests call is code the program
-    # never runs; a re-export in __init__.py is not a caller
+    # never runs
     defined = {}
     for path in sorted(LIBRARY.glob("*.py")):
         for node in _parse(path).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined[node.name] = path.name
-    callers = [p for p in LIBRARY.glob("*.py") if p.name != "__init__.py"]
-    callers += list((ROOT / "perfbench").glob("*.py")) + list((ROOT / "scripts").glob("*.py"))
     used = set()
-    for path in callers:
+    for path in CALLERS:
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -30,3 +35,59 @@ def test_every_library_function_has_a_caller_outside_tests():
                 used.add(node.attr)
     unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
     assert not unused, f"defined in src/mlscore but used only by tests: {unused}"
+
+
+def _defaulted(tree):
+    """(owner, name, position) of every parameter and dataclass field with a
+    default: the owner is the function or the class, the position the one
+    a call passes it at (after self or cls for a method), None if it is
+    keyword-only."""
+    skip = {}  # methods, by node, and the leading arguments a call omits
+    for node in ast.walk(tree):  # breadth first: a class before its methods
+        if isinstance(node, ast.ClassDef):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+                    fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+                    for pos, field in enumerate(fields):
+                        if field.value is not None:
+                            yield node.name, field.target.id, pos
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in method.decorator_list)
+                    skip[method] = 0 if static else 1
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for pos, arg in enumerate(positional[first:], start=first):
+                yield node.name, arg.arg, pos - skip.get(node, 0)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def test_every_library_knob_is_set_outside_tests():
+    # a parameter or dataclass field with a default that no call outside
+    # the tests passes, by keyword or by position to its owner, is a
+    # setting only the tests change; the program always runs its default
+    keywords, most_positional = set(), {}
+    for path in CALLERS:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call):
+                keywords.update(k.arg for k in node.keywords if k.arg)
+                owner = getattr(node.func, "id", getattr(node.func, "attr", None))
+                count = len(node.args)
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    count = float("inf")
+                most_positional[owner] = max(most_positional.get(owner, 0), count)
+    unset = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for owner, name, pos in _defaulted(_parse(path)):
+            passed = name in keywords or (
+                pos is not None and most_positional.get(owner, 0) > pos
+            )
+            if not passed and f"{owner}.{name}" not in UNSET_KNOBS_ALLOWED:
+                unset.append(f"{path.name}:{owner}.{name}")
+    assert not unset, f"defaults in src/mlscore that only tests set: {unset}"

@@ -65,14 +65,12 @@ def _ls_oracle(X, S):
     return np.asarray(out)
 
 
-def _report(scores, method="ls", constant=None):
+def _report(scores, method="ls"):
     scores = np.asarray(scores, dtype=float)
-    if constant is None:
-        constant = np.zeros(scores.size, dtype=bool)
     return ScoreReport(
         method=method,
         scores=scores,
-        constant_feature_flags=np.asarray(constant),
+        constant_feature_flags=np.zeros(scores.size, dtype=bool),
         feature_names=[f"f{j}" for j in range(scores.size)],
     )
 
@@ -571,12 +569,6 @@ def test_select_top_bounds_checked():
         select_top(report, 0)
     with pytest.raises(ValueError, match="num_features"):
         select_top(report, 3)
-
-
-def test_select_top_all_constant_warns():
-    report = _report([np.inf, np.inf], constant=[True, True])
-    assert select_top(report, 1) == [0]
-    assert any("selection is arbitrary" in w for w in report.warnings)
 
 
 def test_ranked_rows_full_ordering():
