@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import DataError, load_csv, save_csv, standardize
+from .data import DataError, LabelColumnError, load_csv, save_csv, standardize
 from .evaluation import (
     BENCH_RHOS,
     BENCH_SETUPS,
@@ -229,11 +229,10 @@ def _parse_quantiles(text: str, parser) -> tuple[float, ...]:
 
 
 def cmd_validate_margin(args, parser) -> int:
-    with open(args.input, newline="") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None or args.label_col not in header:
+    try:
+        ds = load_csv(args.input, label_column=args.label_col)
+    except LabelColumnError:
         parser.error(f"label column {args.label_col!r} not found in input")
-    ds = load_csv(args.input, label_column=args.label_col)
     quantiles = (
         _parse_quantiles(args.quantiles, parser)
         if args.quantiles

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +14,11 @@ import numpy as np
 
 class DataError(ValueError):
     """Raised for malformed inputs: bad CSV cells, bad labels, bad shapes."""
+
+
+class LabelColumnError(DataError):
+    """Raised by ``load_csv`` when the label column it is given is not in
+    the header, which a command may report as a usage error."""
 
 
 def _as_label(value: str, row: int, column: str) -> int:
@@ -82,9 +89,9 @@ class Dataset:
             labels = np.array(self.labels, dtype=int)
             if labels.shape != (n,):
                 raise DataError(f"labels shape {labels.shape} does not match {n} rows")
-            bad = np.setdiff1d(np.unique(labels), [0, 1])
+            bad = labels[(labels != 0) & (labels != 1)]
             if bad.size:
-                raise DataError(f"labels must be 0/1, found {bad.tolist()}")
+                raise DataError(f"labels must be 0/1, found {sorted(set(bad.tolist()))}")
             labels.setflags(write=False)
             object.__setattr__(self, "labels", labels)
 
@@ -127,7 +134,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     path from the start. Only a file that fails there too is scanned cell by
     cell, to report its first fault in file order. On that path a cell
     longer than ``csv.field_size_limit()`` is a fault of its row; the C
-    parser has no such limit.
+    parser has no such limit. Bytes that are not UTF-8 are a fault of the
+    header or of the body row that holds them.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -139,6 +147,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
             header = next(reader, None)
         except csv.Error as exc:  # a cell over csv.field_size_limit()
             raise DataError(f"{path}: header: {exc}") from None
+        except UnicodeDecodeError as exc:  # in the header or a later line
+            raise _undecodable(path, exc) from None
         if header is None:
             raise DataError(f"{path}: empty file")
         header = [h.strip() for h in header]
@@ -146,7 +156,7 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
             dupes = sorted({h for h in header if header.count(h) > 1})
             raise DataError(f"{path}: duplicate header columns: {dupes}")
         if label_column is not None and label_column not in header:
-            raise DataError(f"{path}: label column {label_column!r} not in header")
+            raise LabelColumnError(f"{path}: label column {label_column!r} not in header")
         label_idx = header.index(label_column) if label_column is not None else None
 
         table = None
@@ -162,6 +172,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
             except csv.Error as exc:  # a cell over csv.field_size_limit()
                 _first_fault(path, header, rows, label_idx)
                 raise DataError(f"{path}: row {len(rows) + 1}: {exc}") from None
+            except UnicodeDecodeError as exc:  # decoded ahead of the rows read
+                raise _undecodable(path, exc) from None
             if all(len(raw) == len(header) for raw in rows):
                 if label_idx is not None:
                     # read labels as _as_label does: str.strip() also drops
@@ -222,6 +234,33 @@ def _c_table(lines, width: int, label_idx) -> np.ndarray | None:
         return None
     return table
 
+
+def _undecodable(path, exc: UnicodeDecodeError) -> DataError:
+    """The DataError for bytes of the file at path that are not UTF-8,
+    naming the header or the body row, counted from 1 as ``csv.reader``
+    counts records, that holds the first of them. A text file decodes
+    ahead of the records read, so a regular file is read again as bytes;
+    a pipe, which cannot be, is named without a row."""
+    where, reason, data = str(path), exc.reason, b""
+    if os.path.isfile(path):
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError:
+            pass
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as first:
+        reason = first.reason
+        # the records that the valid prefix opens, the last of them cut
+        # short by a sentinel so that it counts even where it is empty
+        head = data[: first.start].decode("utf-8") + "."
+        try:
+            records = sum(1 for _ in csv.reader(io.StringIO(head, newline="")))
+            where += ": header" if records == 1 else f": row {records - 1}"
+        except csv.Error:  # a cell over csv.field_size_limit()
+            pass
+    return DataError(f"{where}: bytes that are not UTF-8 ({reason})")
 
 def _sound(table: np.ndarray, label_idx) -> bool:
     """Whether every cell is finite and the label column, if any, is 0/1."""

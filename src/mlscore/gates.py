@@ -21,15 +21,18 @@ the ground truth the tests compare against.
 
 The graph loss ``dufs`` takes N = Tr[F~' (I - D^-1 W) F~] over the gated
 features F~, with the heat kernel W of the gated rows rebuilt every
-epoch. An epoch costs four n x n x d products: the Gram matrix behind the
-distances, G = gated gated', W @ F and (W o G) @ F. It streams W over
-blocks of full rows (``margins._sq_blocks``), and every term it needs is
-local to a row or a sum over rows, so no n x n matrix is held: memory is
-O(256 n + n d), as for ``ls`` and ``mls``. ``train`` works out F * F, its
-column sums, the columns that are constant over the rows and the buffers
-an epoch fills once per run. A constant column adds exactly 0 to the trace
-and to the kernel path of the gradient, and nothing to G. An overflowing
-loss or gradient raises a DataError naming the feature.
+epoch. ``train`` centres the features once per run, Fc = F - c_F, so an
+epoch's gated rows centred at c_F z are Fc z, and an epoch costs three
+n x n x d products: the Gram matrix behind the distances, W @ Fc and
+(W o G) @ Fc, with G = gated gated' taken from the distances up to a
+constant per row, which the gradient does not see. It streams W over
+blocks of full rows (``margins._sq_blocks``, one block up to n = 512),
+and every term it needs is local to a row or a sum over rows, so no n x n
+matrix is held beyond n = 512: memory is O(256 n + n d), as for ``ls``
+and ``mls``. ``train`` also works out Fc * Fc, the column sums and the
+buffers an epoch fills once per run. A constant column is 0 in Fc, so it
+adds exactly 0 to the trace and to the kernel path of the gradient. An
+overflowing loss or gradient raises a DataError naming the feature.
 
 The margin loss ``dufs-mls`` reduces to a closed form. Its kernel and
 sample weights are frozen, and gating column r by z_r scales both the
@@ -46,11 +49,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset
-from .margins import MarginModel, _block_buffer, _centred, _mean_pair_sq, _sq_blocks
+from .margins import (
+    MarginModel,
+    _block_buffer,
+    _centre,
+    _centred,
+    _mean_pair_sq,
+    _normed,
+    _sq_blocks,
+)
 from .scores import _check_finite, _mls_terms
 
 VAR_GUARD = 1e-12  # below this a gated feature counts as switched off
@@ -166,21 +178,43 @@ def dufs_bandwidth(gated: np.ndarray) -> float:
     return max(1.0, _mean_pair_sq(_centred(gated).sq))
 
 
-def _dufs_buffers(F: np.ndarray, want_grad: bool) -> tuple:
-    """What a dufs epoch needs that does not depend on z: F * F, its column
-    sums, the mask of columns that are not constant over the rows, the
-    buffers for a row block of the kernel W and for the n x d D^-1 W F
-    and, for gradients, those for a row block of W o G and for P F.
-    ``train`` builds it once per run; the public functions once per call.
-    Buffers this size made fresh every epoch can be handed back to the
-    system and faulted in again, a page fault per 4 kB, which at n = 300
-    made an epoch up to 75% slower."""
+class _DufsBuffers(NamedTuple):
+    """What a dufs epoch needs that does not depend on z: the rows Fc = F -
+    c_F centred once at c_F = ``margins._centre(F)``, a constant column at
+    exactly 0, with Fc * Fc and the column sums of both; and the buffers
+    for the gated rows Fc z, for a row block of the kernel W and for the
+    n x d D^-1 W Fc and, for gradients, those for a row block of W o G and
+    for P Fc. ``train`` builds them once per run, the public functions once
+    per call. Buffers this size made fresh every epoch can be handed back
+    to the system and faulted in again, a page fault per 4 kB, which at
+    n = 300 made an epoch up to 75% slower."""
+
+    Fc: np.ndarray
+    centre: np.ndarray
+    Fc_sums: np.ndarray
+    Fc2: np.ndarray
+    Fc2_sums: np.ndarray
+    Xc: np.ndarray
+    W: np.ndarray
+    Hf: np.ndarray
+    WG: np.ndarray | None
+    PF: np.ndarray | None
+
+
+def _dufs_buffers(F: np.ndarray, want_grad: bool) -> _DufsBuffers:
     n = F.shape[0]
-    with np.errstate(over="ignore"):  # the epoch names what overflows
-        F2 = F * F
-    varying = F.max(axis=0) != F.min(axis=0)
-    WG_buf, PF = (_block_buffer(n), np.empty_like(F)) if want_grad else (None, None)
-    return F2, F2.sum(axis=0), varying, _block_buffer(n), WG_buf, np.empty_like(F), PF
+    centre = _centre(F)
+    with np.errstate(over="ignore", invalid="ignore"):  # the epoch names it
+        Fc = F - centre
+        Fc2 = Fc * Fc
+    return _DufsBuffers(
+        Fc, centre, Fc.sum(axis=0), Fc2, Fc2.sum(axis=0),
+        Xc=np.empty_like(F),
+        W=_block_buffer(n, upper=False),
+        Hf=np.empty_like(F),
+        WG=_block_buffer(n, upper=False) if want_grad else None,
+        PF=np.empty_like(F) if want_grad else None,
+    )
 
 
 def _dufs_core(
@@ -189,66 +223,75 @@ def _dufs_core(
     state: GateState,
     bandwidth: float | None,
     want_grad: bool,
-    buffers: tuple | None = None,
+    buffers: _DufsBuffers | None = None,
 ) -> tuple[float, np.ndarray | None]:
     """Loss and, with ``want_grad``, gradient of ``dufs`` for the gate draw
     z, over row blocks [a, b) of the kernel W and of W o G: each block
-    fills rows a..b-1 of the degrees and of the n x d products with F and
+    fills rows a..b-1 of the degrees and of the n x d products with Fc and
     adds its rows' share to the column sums of P, so the loss and gradient
     are formed after the last block from n and n x d arrays only."""
-    F = ds.values
-    F2, F2_sums, varying, W_buf, WG_buf, Hf, PF = buffers or _dufs_buffers(F, want_grad)
-    gated = F * z
-    centred = _centred(gated)
+    buf = buffers or _dufs_buffers(ds.values, want_grad)
+    Fc, Hf, PF = buf.Fc, buf.Hf, buf.PF
+    # the gated rows F z centred at c = c_F z are Xc = Fc z; gating can make
+    # rows equal, so their norms and twins are taken every epoch
+    with np.errstate(over="ignore", invalid="ignore"):  # _normed names it
+        Xc = np.multiply(Fc, z, out=buf.Xc)
+    centred = _normed(Xc)
     if bandwidth is None:  # dufs_bandwidth, from the rows the kernel uses
         bandwidth = max(1.0, _mean_pair_sq(centred.sq))
-    dvec = np.empty(F.shape[0])  # at least 1: the diagonal of W is exactly 1
+    dvec = np.empty(Fc.shape[0])  # at least 1: the diagonal of W is exactly 1
 
     # dT/dz splits into the direct path through the gated columns and the
     # kernel path through W and its degrees. The kernel path needs the
-    # column sums and the product with F of P = W o (G / d_i - R_i / d_i^2),
+    # column sums and the product with Fc of P = W o (G / d_i - R_i / d_i^2),
     # where G = gated gated' and R = (W o G) 1; P's rows sum to 0. Both come
-    # from WG = W o G and matvecs, so P is never formed. Raw values of large
-    # magnitude overflow here (about x^4) before the distances do. A constant
-    # column adds a constant to G, which P's zero row sums cancel: it is left
-    # out of G, and its own kernel path, c^2 1'P 1 = 0, is set to 0.
-    if want_grad:
-        live = gated if varying.all() else gated[:, varying]
-        r2 = np.empty_like(dvec)
-        P_colsums = np.zeros_like(dvec)
+    # from WG = W o G and matvecs, so P is never formed. A constant added to
+    # row i of G adds d_i times it to R_i and leaves P as it is, and G_ij =
+    # h_i + h_j + |c|^2 - D_ij / 2 with h = |Xc_i|^2 / 2 + Xc_i . c, so G is
+    # taken as h_j - D_ij / 2 from the distances the kernel uses: no second
+    # Gram product, and no cancellation of terms of size |c|^2 on rows far
+    # from the origin.
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b, W in _sq_blocks(centred, upper=False, buf=W_buf):
+        if want_grad:
+            h = 0.5 * centred.sq + Xc @ (buf.centre * z)
+            r2 = np.empty_like(dvec)
+            P_colsums = np.zeros_like(dvec)
+        for a, b, W in _sq_blocks(centred, upper=False, buf=buf.W):
+            if want_grad:
+                WG = buf.WG[: W.size].reshape(W.shape)
+                np.multiply(W, -0.5, out=WG)
+                WG += h
             W /= -bandwidth
             np.exp(W, out=W)
             d_blk = dvec[a:b] = W.sum(axis=1)
-            # W @ gated = (W @ F) * z, so one product serves the trace and
+            # W @ (Fc z) = (W @ Fc) * z, so one product serves the trace and
             # the direct path
-            np.matmul(W, F, out=Hf[a:b])
+            np.matmul(W, Fc, out=Hf[a:b])
             Hf[a:b] /= d_blk[:, None]
             if want_grad:
-                WG = WG_buf[: W.size].reshape(W.shape)
-                np.matmul(live[a:b], live.T, out=WG)
                 WG *= W
                 r2_blk = r2[a:b] = WG.sum(axis=1) / (d_blk * d_blk)
                 P_colsums += (1.0 / d_blk) @ WG - r2_blk @ W
-                np.matmul(WG, F, out=PF[a:b])
+                np.matmul(WG, Fc, out=PF[a:b])
                 PF[a:b] /= d_blk[:, None]
                 PF[a:b] -= (r2_blk * d_blk)[:, None] * Hf[a:b]
-        # smooth_r = f_r'f_r - f_r' D^-1 W f_r and T = sum z^2 smooth. A
-        # constant column f = c1 has smooth 0, as (I - D^-1 W) 1 = 0; its
-        # uncentred form would leave rounding of size eps n c^2 instead.
-        smooth = F2_sums - (F * Hf).sum(axis=0)
-    smooth[~varying] = 0.0
+        # smooth_r = f_r'(I - D^-1 W) f_r and T = sum z^2 smooth. With f =
+        # fc + c_F 1 and (I - D^-1 W) 1 = 0 it is fc'fc - fc' D^-1 W fc +
+        # c_F 1'(fc - D^-1 W fc): no term of size c_F^2 to cancel, and 0 for
+        # a constant column, whose fc is 0.
+        smooth = buf.Fc2_sums - (Fc * Hf).sum(axis=0)
+        smooth += buf.centre * (buf.Fc_sums - Hf.sum(axis=0))
     _check_finite(ds, smooth, "dufs loss")
     trace = float((z * z) @ smooth)
     if not want_grad:
         return _ratio(state, trace, None, want_grad=False)
 
     with np.errstate(over="ignore", invalid="ignore"):
+        # sum_ij P_ij (f_i - f_j)^2, as P's rows sum to 0: it does not move
+        # with c_F, so it is taken on Fc
         kernel_path = (2.0 * z / bandwidth) * (
-            P_colsums @ F2 - 2.0 * (F * PF).sum(axis=0)
+            P_colsums @ buf.Fc2 - 2.0 * (Fc * PF).sum(axis=0)
         )
-        kernel_path[~varying] = 0.0
         # dz/dmu is 1 inside the clamp and 0 at its edges
         dT_dmu = (2.0 * z * smooth + kernel_path) * ((z > 0.0) & (z < 1.0))
     loss, grad = _ratio(state, trace, dT_dmu, want_grad=True)

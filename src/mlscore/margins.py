@@ -12,12 +12,13 @@ only among the m weighted rows, plus each weighted row's weight to the
 origin; no n x n kernel is ever formed.
 
 This module also holds the pairwise-distance arithmetic behind every sample
-kernel in the package: ``_centred`` and ``_finish_sq`` form squared
-distances, and ``_sq_blocks`` streams them in row blocks, for the upper
-triangle or for full rows. Over those blocks ``_laplacian_forms`` takes the
-degrees and Laplacian quadratic forms of a kernel (``mls`` and the heat
-graph of the Laplacian Score), ``_knn_neighbours`` the kNN graph's edges,
-and ``gates`` the DUFS gate kernel of every epoch. ``_knn_forms`` takes the
+kernel in the package: ``_centred`` (``_centre``, then ``_normed``) and
+``_finish_sq`` form squared distances, and ``_sq_blocks`` streams them in
+row blocks, for the upper triangle or for full rows. Over those blocks
+``_laplacian_forms`` takes the degrees and Laplacian quadratic forms of a
+kernel (``mls`` and the heat graph of the Laplacian Score),
+``_knn_neighbours`` the kNN graph's edges, and ``gates`` the DUFS gate
+kernel of every epoch. ``_knn_forms`` takes the
 kNN graph's degrees and forms from its edge list alone.
 """
 
@@ -38,6 +39,10 @@ from .data import DataError, Dataset
 _ROW_BLOCK = 64
 # rows of kernel or distance held at once by _sq_blocks: 256 x n doubles
 _KERNEL_BLOCK = 256
+# full-row distances up to this many rows come as one n x n block, at most
+# 2 MB, so that their Gram matrix is one symmetric product (BLAS syrk, half
+# the multiply-adds of the general product a row block takes)
+_ONE_BLOCK_ROWS = 2 * _KERNEL_BLOCK
 # values per chunk of columns whose moments build_margin_model takes at
 # once, 256 kB of deviations instead of n x d; _knn_forms gathers the rows
 # of its edges in chunks of the same size
@@ -183,13 +188,12 @@ def build_margin_model(ds: Dataset, config: MarginConfig) -> MarginModel:
     # threshold and no comparison: two-sided, with an empty margin
     live, s = _live_skewness(cols)
     q = config.quantile
-    # cols is this function's own copy, so the quantiles may reorder it
-    cut = np.quantile(
-        cols, [q / 2.0, q, 1.0 - q, 1.0 - q / 2.0], axis=1, overwrite_input=True
-    )
+    # cols is this function's own copy, so it may be sorted in place
+    cols.sort(axis=1)
+    cut = _linear_quantiles(cols, np.array([q / 2.0, q, 1.0 - q, 1.0 - q / 2.0]))
     del cols
     # -0.0 and 0.0 tie, so which one a quantile of a column holding both
-    # returns depends on the partition order; a zero cutoff is always +0.0
+    # returns depends on the sort order; a zero cutoff is always +0.0
     cut += 0.0
     cut[:, ~live] = np.nan
     right = s >= config.skew_right
@@ -222,6 +226,28 @@ def build_margin_model(ds: Dataset, config: MarginConfig) -> MarginModel:
     )
 
 
+def _linear_quantiles(ordered: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """The len(qs) x d quantiles qs of each row of the d x n array ordered,
+    sorted along its rows, bitwise as ``np.quantile(..., method="linear")``
+    takes them: its virtual index (n - 1) q, its neighbours (both the last
+    value from n - 1 on) and its interpolation ``_lerp``, which counts back
+    from the upper neighbour where the weight is 0.5 or more. Indexing a
+    sorted copy avoids the partition, and the import of numpy.ma that
+    np.quantile's np.unique makes, about 2 MB."""
+    n = ordered.shape[1]
+    virtual = (n - 1) * qs
+    floor = np.floor(virtual)
+    end = virtual >= n - 1
+    below = np.where(end, -1, floor).astype(np.intp)
+    above = np.where(end, -1, floor + 1).astype(np.intp)
+    gamma = (virtual - below)[:, None]
+    a, b = ordered[:, below].T, ordered[:, above].T
+    diff = b - a
+    cut = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=cut, where=gamma >= 0.5)
+    return cut
+
+
 class _Centred(NamedTuple):
     """Rows ready for squared distances, from ``_centred``: the centred rows
     Xc, their squared norms sq and, where two rows are equal, twin, the
@@ -235,24 +261,37 @@ class _Centred(NamedTuple):
 def _centred(
     X: np.ndarray, rows: np.ndarray | None = None, overwrite: bool = False
 ) -> _Centred:
-    """The first half of every squared-distance computation in the package.
-
-    Centring leaves the distances as they are but keeps |x_i|^2 + |x_j|^2 -
-    2 x_i . x_j from cancelling the digits of rows far from the origin. A
-    column whose values are all equal is centred at that value, not at its
-    mean, whose rounding would leave a residual that can swamp every other
-    column. Equal rows have equal norms, so only rows whose norms tie are
-    compared to find them. Values too large for finite distances raise a
-    DataError naming the row: ``rows``, the dataset row index of each row of
-    X, names the dataset row when X is a subset of the dataset's rows. With
-    ``overwrite`` X, an array the caller owns, is centred in place and
-    becomes Xc, so no second copy of the rows is made.
+    """The first half of every squared-distance computation in the package:
+    X less ``_centre(X)``, then ``_normed``. ``rows``, the dataset row index
+    of each row of X, names the dataset row in an overflow error when X is
+    a subset of the dataset's rows. With ``overwrite`` X, an array the
+    caller owns, is centred in place and becomes Xc, so no second copy of
+    the rows is made.
     """
+    with np.errstate(over="ignore", invalid="ignore"):  # _normed names it
+        Xc = np.subtract(X, _centre(X), out=X if overwrite else None)
+    return _normed(Xc, rows)
+
+
+def _centre(X: np.ndarray) -> np.ndarray:
+    """The point the rows of X are centred at before their distances are
+    formed. Centring leaves the distances as they are but keeps |x_i|^2 +
+    |x_j|^2 - 2 x_i . x_j from cancelling the digits of rows far from the
+    origin. A column whose values are all equal is centred at that value,
+    not at its mean, whose rounding would leave a residual that can swamp
+    every other column: it becomes exactly 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(X.max(axis=0) == X.min(axis=0), X[0], X.mean(axis=0))
+
+
+def _normed(Xc: np.ndarray, rows: np.ndarray | None = None) -> _Centred:
+    """Squared norms and twins of the centred rows Xc. Equal rows have equal
+    norms, so only rows whose norms tie are compared to find them. Values
+    too large for finite distances raise a DataError naming the row, as
+    ``rows`` maps it (see ``_centred``)."""
     # every D_ij is at most 4 max(sq) and the pair mean sums all of sq, so
     # both stay finite while 4x the running sum of sq does
     with np.errstate(over="ignore", invalid="ignore"):
-        centre = np.where(X.max(axis=0) == X.min(axis=0), X[0], X.mean(axis=0))
-        Xc = np.subtract(X, centre, out=X if overwrite else None)
         sq = np.einsum("ij,ij->i", Xc, Xc)
         overflow = ~np.isfinite(4.0 * np.cumsum(sq))
     if overflow.any():
@@ -263,11 +302,15 @@ def _centred(
     tie = np.flatnonzero(sq[order[1:]] == sq[order[:-1]])
     if not tie.size:
         return _Centred(Xc, sq, None)
-    suspects = np.union1d(order[tie], order[tie + 1])
+    # the rows of every tie, sorted, as np.union1d gives them without its
+    # import of numpy.ma
+    suspect = np.zeros(sq.shape[0], dtype=bool)
+    suspect[order[tie]] = suspect[order[tie + 1]] = True
+    suspects = np.flatnonzero(suspect)
     _, first, group = np.unique(
         Xc[suspects], axis=0, return_index=True, return_inverse=True
     )
-    twin = np.arange(X.shape[0])
+    twin = np.arange(Xc.shape[0])
     twin[suspects] = suspects[first][group.ravel()]
     return _Centred(Xc, sq, twin)
 
@@ -302,26 +345,33 @@ def _mean_pair_sq(sq: np.ndarray) -> float:
     return 2.0 * float(sq.sum()) / (n - 1) if n > 1 else 0.0
 
 
-def _block_buffer(n: int) -> np.ndarray:
+def _block_rows(n: int, upper: bool) -> int:
+    """Rows per block that ``_sq_blocks`` yields for n rows: _KERNEL_BLOCK,
+    or all n for full rows where n <= _ONE_BLOCK_ROWS."""
+    return n if not upper and n <= _ONE_BLOCK_ROWS else min(_KERNEL_BLOCK, n)
+
+
+def _block_buffer(n: int, upper: bool) -> np.ndarray:
     """A flat buffer that holds the largest row block of an n-column matrix
     that ``_sq_blocks`` yields, or another block of its shape."""
-    return np.empty(min(_KERNEL_BLOCK, n) * n)
+    return np.empty(_block_rows(n, upper) * n)
 
 
 def _sq_blocks(centred: _Centred, upper: bool, buf: np.ndarray | None = None):
     """Squared distances between the rows that ``_centred`` prepared, in
-    blocks of _KERNEL_BLOCK rows: yields (a, b, D), D the distances of rows
-    [a, b) to rows [a, n) with ``upper``, to every row without. Each D is
-    a view of one buffer, which the next block overwrites, so a caller may
-    change it in place. ``buf``, from ``_block_buffer``, is that buffer in
-    place of a fresh one: a caller that streams distances every epoch
+    blocks of ``_block_rows`` rows: yields (a, b, D), D the distances of
+    rows [a, b) to rows [a, n) with ``upper``, to every row without. Each D
+    is a view of one buffer, which the next block overwrites, so a caller
+    may change it in place. ``buf``, from ``_block_buffer``, is that buffer
+    in place of a fresh one: a caller that streams distances every epoch
     passes the same one each time."""
     Xc = centred.Xc
     n = Xc.shape[0]
     if buf is None:
-        buf = _block_buffer(n)
-    for a in range(0, n, _KERNEL_BLOCK):
-        b = min(a + _KERNEL_BLOCK, n)
+        buf = _block_buffer(n, upper)
+    step = _block_rows(n, upper)
+    for a in range(0, n, step):
+        b = min(a + step, n)
         c = a if upper else 0
         D = buf[: (b - a) * (n - c)].reshape(b - a, n - c)
         np.matmul(Xc[a:b], Xc[c:].T, out=D)

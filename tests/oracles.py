@@ -7,9 +7,12 @@ steps (``_centred``, one Gram product, ``_finish_sq``), so their distance
 arithmetic is the code under test; only the blocking differs."""
 
 import tracemalloc
+from contextlib import contextmanager
+from unittest.mock import patch
 
 import numpy as np
 
+from mlscore import margins
 from mlscore.data import DataError, Dataset, standardize
 from mlscore.gates import GateState, open_prob
 from mlscore.margins import (
@@ -27,6 +30,23 @@ def kernel_blocks(*sizes):
     """Kernel block sizes that cut a matrix of these row counts at every
     kind of edge: one row, a few, one short of whole, whole and past it."""
     return sorted({b for n in sizes for b in (1, 2, 7, n - 1, n, n + 1) if b >= 1})
+
+
+def kernel_blockings(*sizes):
+    """(block, one-block limit) pairs for ``blocking``: every size of
+    ``kernel_blocks``, with full rows cut into blocks of that size (limit
+    0) and cut as the library cuts them, in one block up to twice that
+    size."""
+    return [(b, limit) for b in kernel_blocks(*sizes) for limit in (0, 2 * b)]
+
+
+@contextmanager
+def blocking(block, one_block_rows=0):
+    """The kernel blocks of ``margins`` patched to ``block`` rows, with full
+    rows taken in one block only up to ``one_block_rows`` rows."""
+    with patch.object(margins, "_KERNEL_BLOCK", block), \
+            patch.object(margins, "_ONE_BLOCK_ROWS", one_block_rows):
+        yield
 
 
 def traced_peak(run):

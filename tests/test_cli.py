@@ -195,8 +195,11 @@ def _scaled_normal_csv(path, scale, offset=0.0):
     # at 1e100 the squared distances (about 1e200) are finite, but the kernel
     # path of the gradient grows as x^4; it used to warn, turn the gate means
     # NaN and then blame the distances. Far from the origin the distances
-    # are small but the squares in the loss overflow; that was a traceback.
-    [(1e100, 0.0, "gradient"), (1e145, 1e160, "loss")],
+    # are small, but the loss takes the offset times sums of the centred
+    # values (about 1e315 at 1e150 around 1e165), and the gradient the
+    # offset times their products with the centred rows; that was a
+    # traceback.
+    [(1e100, 0.0, "gradient"), (1e145, 1e160, "gradient"), (1e150, 1e165, "loss")],
 )
 def test_dufs_overflow_names_the_feature(tmp_path, capsys, scale, offset, part):
     path = _scaled_normal_csv(tmp_path / "big.csv", scale, offset)
@@ -478,6 +481,30 @@ def test_validate_margin_missing_file_is_data_error(capsys):
                  "--label-col", "label"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["score", "--method", "ls"],
+    ["select", "--method", "mls", "--num-features", "1"],
+    ["validate-margin", "--label-col", "label"],
+])
+def test_bytes_not_utf8_are_a_data_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("a,caf\u00e9,label\n1,2,0\n3,4,1\n5,6,0\n".encode("latin-1"))
+    code = main(command + ["--input", str(path), "--output", str(tmp_path / "out.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: header: bytes that are not UTF-8 (")
+
+
+def test_validate_margin_header_cell_over_field_limit_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text(f"a,{'b' * 140001},label\n1,2,0\n3,4,1\n")
+    code = main(["validate-margin", "--input", str(path), "--label-col", "label"])
+    assert code == 1
+    limit = csv.field_size_limit()
+    assert capsys.readouterr().err == (
+        f"error: {path}: header: field larger than field limit ({limit})\n")
 
 
 def test_validate_margin_bad_quantile_list(labeled_csv):

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import mlscore
 
-# run in a fresh interpreter: other tests import scipy into this one
+# run in a fresh interpreter: other tests import scipy and numpy.ma into
+# this one
 _SCRIPT = textwrap.dedent(
     """
     import sys
@@ -34,6 +35,8 @@ _SCRIPT = textwrap.dedent(
     assert ks_statistic([0.0, 1.0], [2.0, 3.0])[0] == 1.0
     loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     assert not loaded, loaded
+    # numpy.ma costs every process about 2 MB of RSS
+    assert "numpy.ma" not in sys.modules
     """
 )
 

@@ -441,17 +441,34 @@ def test_load_csv_header_cell_over_field_limit_is_a_data_error(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("content, where", [
+    (b"a,caf\xe9\n1,2\n3,4\n", "header"),
+    # the record that spans two lines is one row
+    (b'a,b\n1,2\n3,"4\n5"\n6,\xff7\n', "row 3"),
+    # past the first block of text the file decodes, so in the C parser
+    (b"a,b\n" + b"1,2\n" * 5000 + b"3,\xe94\n", "row 5001"),
+])
+def test_load_csv_bytes_not_utf8_name_the_header_or_row(tmp_path, content, where):
+    path = tmp_path / "t.csv"
+    path.write_bytes(content)
+    with pytest.raises(DataError) as info:
+        load_csv(path)
+    assert str(info.value).startswith(f"{path}: {where}: bytes that are not UTF-8 (")
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 @pytest.mark.parametrize("body, want", [
     ("1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
     ("1,2\n3,1_000\n", [[1.0, 2.0], [3.0, 1000.0]]),
     ("1,2\n3,x\n", "cannot parse cell at row 2, column 'b'"),
+    # the byte 0xe9; a pipe cannot be read again to find its row
+    ("1,2\n3,\udce9\n", r"/dev/fd/\d+: bytes that are not UTF-8 \("),
 ])
 def test_load_csv_reads_a_pipe(body, want):
     # a pipe cannot seek back to the body, so it goes straight to csv.reader
     r, w = os.pipe()
     with os.fdopen(w, "wb") as sink:
-        sink.write(("a,b\n" + body).encode("utf-8"))
+        sink.write(("a,b\n" + body).encode("utf-8", "surrogateescape"))
     try:
         if isinstance(want, str):
             with pytest.raises(DataError, match=want):

@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from mlscore import margins
 from mlscore.data import Dataset, standardize
 from mlscore.gates import (
     GateState,
@@ -26,7 +24,13 @@ from mlscore.gates import (
 from mlscore.margins import MarginConfig, build_margin_model
 from mlscore.scores import mls
 from mlscore.synth import SynthSpec, gen_setup
-from oracles import dufs_core_dense, kernel_blocks, margin_kernel_dense, traced_peak
+from oracles import (
+    blocking,
+    dufs_core_dense,
+    kernel_blockings,
+    margin_kernel_dense,
+    traced_peak,
+)
 
 
 def _instance(rng, n=20, d=5):
@@ -288,12 +292,33 @@ def test_dufs_core_matches_dense_oracle(data):
     denom = state.m_gates * open_prob(state).sum() + state.delta
     loss_scale = float(((F * z) ** 2).sum()) / denom
     grad_scale = np.abs(want_grad).max() + loss_scale * state.m_gates / (state.sigma * denom)
-    for block in kernel_blocks(n):
-        with patch.object(margins, "_KERNEL_BLOCK", block):
+    for block, one_block in kernel_blockings(n):
+        with blocking(block, one_block):
             loss, grad = _dufs_core(ds, z, state, bandwidth, want_grad=True)
             assert _dufs_core(ds, z, state, bandwidth, want_grad=False) == (loss, None)
         assert abs(loss - want_loss) <= 1e-12 * loss_scale
         assert np.abs(grad - want_grad).max() <= 1e-12 * grad_scale
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("seed", range(3))
+def test_dufs_far_from_origin_matches_long_double_dense_oracle(seed):
+    # columns with means of 1e4: the entries of G = gated gated' are about
+    # 1e8 d, and forming P from them lost about 1e-3 of the gradient; the
+    # oracle takes every step in long double
+    gen = np.random.default_rng(seed)
+    n, d = 100, 10
+    F = 1e4 + gen.standard_normal((n, d))
+    z = gen.uniform(0.05, 0.95, d)
+    state = GateState(mu=gen.normal(0.0, 0.5, d))
+    ds = Dataset(values=F, feature_names=[f"f{j}" for j in range(d)])
+    want_loss, want_grad = dufs_core_dense(
+        F.astype(np.longdouble), z.astype(np.longdouble), state, None, want_grad=True)
+    loss, grad = _dufs_core(ds, z, state, None, want_grad=True)
+    assert abs(loss - float(want_loss)) <= 1e-8 * abs(float(want_loss))
+    want_grad = want_grad.astype(float)
+    assert np.abs(grad - want_grad).max() <= 1e-8 * np.abs(want_grad).max()
 
 
 def test_dufs_mls_gradient_matches_finite_differences(rng):

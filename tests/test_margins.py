@@ -27,7 +27,9 @@ from mlscore.margins import (
 from mlscore.scores import _mls_terms
 from mlscore.synth import SynthSpec, gen_setup
 from oracles import (
+    blocking,
     build_margin_model_loop,
+    kernel_blockings,
     kernel_blocks,
     margin_kernel_dense,
     skewness_1d,
@@ -420,7 +422,7 @@ def _blocked_sq(X, block):
     ``_sq_blocks`` yields with blocks of ``block`` rows, stacked, and the
     pair mean that the library takes from the same centred rows."""
     centred = _centred(X)
-    with patch.object(margins, "_KERNEL_BLOCK", block):
+    with blocking(block):
         D = np.vstack([D.copy() for _, _, D in _sq_blocks(centred, upper=False)])
     return D, _mean_pair_sq(centred.sq)
 
@@ -521,10 +523,10 @@ def test_sq_blocks_match_dense_oracle(X):
     event(f"duplicated rows: {len(np.unique(X, axis=0)) < n}")
     centred = _centred(X)
     sq = centred.sq
-    for block in kernel_blocks(n):
+    for block, one_block in kernel_blockings(n):
         for upper in (True, False):
             rows = []
-            with patch.object(margins, "_KERNEL_BLOCK", block):
+            with blocking(block, one_block):
                 for a, b, D in _sq_blocks(centred, upper):
                     c = a if upper else 0
                     want = exact[a:b, c:]
@@ -533,7 +535,8 @@ def test_sq_blocks_match_dense_oracle(X):
                     tol = 1e-14 * X.shape[1] * (sq[a:b, None] + sq[None, c:])
                     assert (np.abs(D - want) <= tol).all()
                     rows.append((a, b))
-            assert rows == [(a, min(a + block, n)) for a in range(0, n, block)]
+            step = n if not upper and n <= one_block else block
+            assert rows == [(a, min(a + step, n)) for a in range(0, n, step)]
     dense, _ = sq_distances_dense(X)
     assert np.array_equal(dense, dense.T)
 

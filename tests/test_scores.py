@@ -29,6 +29,8 @@ from mlscore.scores import (
 )
 
 from oracles import (
+    blocking,
+    kernel_blockings,
     kernel_blocks,
     ls_scores_dense,
     margin_kernel_dense,
@@ -250,8 +252,8 @@ def test_knn_graph_matches_dense_oracle(X, k):
     want = _knn_graph_oracle(X, k)
     event(f"duplicated rows: {len(np.unique(X, axis=0)) < n}")
     ds = Dataset(values=X, feature_names=[f"f{j}" for j in range(d)])
-    for block in kernel_blocks(n):
-        with patch.object(margins, "_KERNEL_BLOCK", block):
+    for block, one_block in kernel_blockings(n):
+        with blocking(block, one_block):
             assert np.array_equal(_knn_graph(X, k), want)
             report = laplacian_score(ds, KernelConfig(mode="binary-knn", n_neighbors=k))
         _assert_ls_matches(report, X, want)
