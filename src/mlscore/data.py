@@ -135,10 +135,12 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     cell, to report its first fault in file order. On that path a cell
     longer than ``csv.field_size_limit()`` is a fault of its row; the C
     parser has no such limit. Bytes that are not UTF-8 are a fault of the
-    header or of the body row that holds them.
+    header or of the body row that holds them. A UTF-8 byte-order mark at
+    the start of the file, which spreadsheet "CSV UTF-8" exports write, is
+    dropped rather than read into the first header name.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
     with fh:

@@ -12,9 +12,11 @@ only among the m weighted rows, plus each weighted row's weight to the
 origin; no n x n kernel is ever formed.
 
 This module also holds the pairwise-distance arithmetic behind every sample
-kernel in the package: ``_centred`` (``_centre``, then ``_normed``) and
-``_finish_sq`` form squared distances, and ``_sq_blocks`` streams them in
-row blocks, for the upper triangle or for full rows. Over those blocks
+kernel in the package: ``_centred`` (``_centre``, then ``_normed``) lays
+the centred rows out as [Xc | 1 | |xc|^2], and ``_sq_blocks`` streams
+their squared distances in row blocks, for the upper triangle or for full
+rows, each block one BLAS product that ``_finish_sq`` clamps and zeroes
+between equal rows. Over those blocks
 ``_laplacian_forms`` takes the degrees and Laplacian quadratic forms of a
 kernel (``mls`` and the heat graph of the Laplacian Score),
 ``_knn_neighbours`` the kNN graph's edges, and ``gates`` the DUFS gate
@@ -34,15 +36,12 @@ import numpy as np
 
 from .data import DataError, Dataset
 
-# rows of a distance block finished per step of _finish_sq; keeps the
-# |x_i|^2 + |x_j|^2 term a small temporary instead of a second n x n matrix
-_ROW_BLOCK = 64
+# rows of a kernel block per step where a step needs a temporary as wide
+# as the block: the equal-row mask of _finish_sq and the u_i + u_j factor
+# of _laplacian_forms, which 32 x n doubles of its work buffer hold
+_ROW_BLOCK = 32
 # rows of kernel or distance held at once by _sq_blocks: 256 x n doubles
 _KERNEL_BLOCK = 256
-# full-row distances up to this many rows come as one n x n block, at most
-# 2 MB, so that their Gram matrix is one symmetric product (BLAS syrk, half
-# the multiply-adds of the general product a row block takes)
-_ONE_BLOCK_ROWS = 2 * _KERNEL_BLOCK
 # values per chunk of columns whose moments build_margin_model takes at
 # once, 256 kB of deviations instead of n x d; _knn_forms gathers the rows
 # of its edges in chunks of the same size
@@ -249,28 +248,40 @@ def _linear_quantiles(ordered: np.ndarray, qs: np.ndarray) -> np.ndarray:
 
 
 class _Centred(NamedTuple):
-    """Rows ready for squared distances, from ``_centred``: the centred rows
-    Xc, their squared norms sq and, where two rows are equal, twin, the
-    index of the first row equal to each row (None when all rows differ)."""
+    """Rows ready for squared distances, from ``_centred``: aug, the n x
+    (d + 2) array [Xc | 1 | sq] of the centred rows Xc, a column of ones and
+    their squared norms sq, which is the right operand of every distance
+    product; and, where two rows are equal, twin, the index of the first row
+    equal to each row (None when all rows differ)."""
 
-    Xc: np.ndarray
-    sq: np.ndarray
+    aug: np.ndarray
     twin: np.ndarray | None
+
+    @property
+    def Xc(self) -> np.ndarray:
+        return self.aug[:, :-2]
+
+    @property
+    def sq(self) -> np.ndarray:
+        return self.aug[:, -1]
 
 
 def _centred(
-    X: np.ndarray, rows: np.ndarray | None = None, overwrite: bool = False
+    X: np.ndarray, rows: np.ndarray | None = None, out: np.ndarray | None = None
 ) -> _Centred:
     """The first half of every squared-distance computation in the package:
     X less ``_centre(X)``, then ``_normed``. ``rows``, the dataset row index
     of each row of X, names the dataset row in an overflow error when X is
-    a subset of the dataset's rows. With ``overwrite`` X, an array the
-    caller owns, is centred in place and becomes Xc, so no second copy of
-    the rows is made.
+    a subset of the dataset's rows. The centred rows go into the first d
+    columns of ``out``, an n x (d + 2) array, or of a fresh one: a caller
+    that builds X as those columns of ``out`` has it centred in place, so no
+    second copy of the rows is made.
     """
+    if out is None:
+        out = np.empty((X.shape[0], X.shape[1] + 2))
     with np.errstate(over="ignore", invalid="ignore"):  # _normed names it
-        Xc = np.subtract(X, _centre(X), out=X if overwrite else None)
-    return _normed(Xc, rows)
+        np.subtract(X, _centre(X), out=out[:, :-2])
+    return _normed(out, rows)
 
 
 def _centre(X: np.ndarray) -> np.ndarray:
@@ -284,15 +295,19 @@ def _centre(X: np.ndarray) -> np.ndarray:
         return np.where(X.max(axis=0) == X.min(axis=0), X[0], X.mean(axis=0))
 
 
-def _normed(Xc: np.ndarray, rows: np.ndarray | None = None) -> _Centred:
-    """Squared norms and twins of the centred rows Xc. Equal rows have equal
-    norms, so only rows whose norms tie are compared to find them. Values
-    too large for finite distances raise a DataError naming the row, as
-    ``rows`` maps it (see ``_centred``)."""
+def _normed(aug: np.ndarray, rows: np.ndarray | None = None) -> _Centred:
+    """Fill the last two columns of aug, an n x (d + 2) array whose first d
+    columns hold the centred rows Xc, with ones and the squared norms of Xc,
+    and find the twins. Equal rows have equal norms, so only rows whose
+    norms tie are compared to find them. Values too large for finite
+    distances raise a DataError naming the row, as ``rows`` maps it (see
+    ``_centred``)."""
+    Xc = aug[:, :-2]
+    aug[:, -2] = 1.0
     # every D_ij is at most 4 max(sq) and the pair mean sums all of sq, so
     # both stay finite while 4x the running sum of sq does
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.einsum("ij,ij->i", Xc, Xc)
+        sq = np.einsum("ij,ij->i", Xc, Xc, out=aug[:, -1])
         overflow = ~np.isfinite(4.0 * np.cumsum(sq))
     if overflow.any():
         row = int(overflow.argmax())
@@ -301,7 +316,7 @@ def _normed(Xc: np.ndarray, rows: np.ndarray | None = None) -> _Centred:
     order = np.argsort(sq, kind="stable")
     tie = np.flatnonzero(sq[order[1:]] == sq[order[:-1]])
     if not tie.size:
-        return _Centred(Xc, sq, None)
+        return _Centred(aug, None)
     # the rows of every tie, sorted, as np.union1d gives them without its
     # import of numpy.ma
     suspect = np.zeros(sq.shape[0], dtype=bool)
@@ -312,30 +327,24 @@ def _normed(Xc: np.ndarray, rows: np.ndarray | None = None) -> _Centred:
     )
     twin = np.arange(Xc.shape[0])
     twin[suspects] = suspects[first][group.ravel()]
-    return _Centred(Xc, sq, twin)
+    return _Centred(aug, twin)
 
 
 def _finish_sq(D: np.ndarray, centred: _Centred, start: int, col0: int) -> None:
-    """Turn D, the Gram block of centred rows start.. against rows col0..,
-    into their squared distances in place.
-
-    D_ij = |x_i|^2 + |x_j|^2 - 2 x_i . x_j with the norm sum added as one
-    term, so a full matrix comes out exactly symmetric when its Gram matrix
-    is. Rounding below 0 is clamped, and the distance between equal rows,
-    which the Gram form can miss by a few ulps of their norms, is exactly 0.
-    """
-    sq, twin = centred.sq, centred.twin
-    D *= -2.0
-    for lo in range(0, D.shape[0], _ROW_BLOCK):
-        part = D[lo : lo + _ROW_BLOCK]
-        hi = start + lo + part.shape[0]
-        part += sq[start + lo : hi, None] + sq[None, col0:]
-        np.maximum(part, 0.0, out=part)
-        if twin is not None:
-            part[twin[start + lo : hi, None] == twin[None, col0:]] = 0.0
+    """Finish D, the squared distances of centred rows start.. to rows
+    col0.. as one product forms them, in place: rounding below 0 is clamped,
+    and the distance between equal rows, which the Gram form can miss by a
+    few ulps of their norms, is made exactly 0."""
+    twin = centred.twin
+    np.maximum(D, 0.0, out=D)
     if twin is None:
         own = np.arange(max(start, col0), min(start + D.shape[0], col0 + D.shape[1]))
         D[own - start, own - col0] = 0.0
+        return
+    for lo in range(0, D.shape[0], _ROW_BLOCK):
+        part = D[lo : lo + _ROW_BLOCK]
+        hi = start + lo + part.shape[0]
+        part[twin[start + lo : hi, None] == twin[None, col0:]] = 0.0
 
 
 def _mean_pair_sq(sq: np.ndarray) -> float:
@@ -345,36 +354,48 @@ def _mean_pair_sq(sq: np.ndarray) -> float:
     return 2.0 * float(sq.sum()) / (n - 1) if n > 1 else 0.0
 
 
-def _block_rows(n: int, upper: bool) -> int:
-    """Rows per block that ``_sq_blocks`` yields for n rows: _KERNEL_BLOCK,
-    or all n for full rows where n <= _ONE_BLOCK_ROWS."""
-    return n if not upper and n <= _ONE_BLOCK_ROWS else min(_KERNEL_BLOCK, n)
-
-
-def _block_buffer(n: int, upper: bool) -> np.ndarray:
+def _block_buffer(n: int, width: int = 0) -> np.ndarray:
     """A flat buffer that holds the largest row block of an n-column matrix
-    that ``_sq_blocks`` yields, or another block of its shape."""
-    return np.empty(_block_rows(n, upper) * n)
+    that ``_sq_blocks`` yields for n rows, or another block of its shape;
+    with ``width``, one that holds such a block of ``width`` columns."""
+    return np.empty(min(_KERNEL_BLOCK, n) * (width or n))
 
 
-def _sq_blocks(centred: _Centred, upper: bool, buf: np.ndarray | None = None):
+def _sq_blocks(
+    centred: _Centred,
+    upper: bool,
+    buf: np.ndarray | None = None,
+    left: np.ndarray | None = None,
+):
     """Squared distances between the rows that ``_centred`` prepared, in
-    blocks of ``_block_rows`` rows: yields (a, b, D), D the distances of
-    rows [a, b) to rows [a, n) with ``upper``, to every row without. Each D
-    is a view of one buffer, which the next block overwrites, so a caller
-    may change it in place. ``buf``, from ``_block_buffer``, is that buffer
-    in place of a fresh one: a caller that streams distances every epoch
-    passes the same one each time."""
-    Xc = centred.Xc
-    n = Xc.shape[0]
+    blocks of _KERNEL_BLOCK rows: yields (a, b, D), D the distances of rows
+    [a, b) to rows [a, n) with ``upper``, to every row without.
+
+    Each D is one product L aug[c:]', with the left operand L = [-2 Xc | sq
+    | 1] of rows [a, b), so its entries come out as |x_i|^2 + |x_j|^2 -
+    2 x_i . x_j from the BLAS, and ``_finish_sq`` only clamps them and sets
+    the exact zeros. Each D is a view of one buffer, which the next block
+    overwrites, so a caller may change it in place. ``buf`` and ``left``,
+    from ``_block_buffer`` (``left`` of width d + 2 or more), are that
+    buffer and the one L is built in, in place of fresh ones: a caller that
+    streams distances every epoch passes the same ones each time. L is
+    consumed before a block is yielded, so a caller may use ``left`` for
+    its own work until it asks for the next block."""
+    aug = centred.aug
+    n, width = aug.shape
     if buf is None:
-        buf = _block_buffer(n, upper)
-    step = _block_rows(n, upper)
-    for a in range(0, n, step):
-        b = min(a + step, n)
+        buf = _block_buffer(n)
+    if left is None:
+        left = _block_buffer(n, width)
+    for a in range(0, n, _KERNEL_BLOCK):
+        b = min(a + _KERNEL_BLOCK, n)
         c = a if upper else 0
+        L = left[: (b - a) * width].reshape(b - a, width)
+        np.multiply(aug[a:b, :-2], -2.0, out=L[:, :-2])  # exact
+        L[:, -2] = aug[a:b, -1]
+        L[:, -1] = 1.0
         D = buf[: (b - a) * (n - c)].reshape(b - a, n - c)
-        np.matmul(Xc[a:b], Xc[c:].T, out=D)
+        np.matmul(L, aug[c:].T, out=D)
         _finish_sq(D, centred, a, c)
         yield a, b, D
 
@@ -389,33 +410,50 @@ def _laplacian_forms(
     ``u``.
 
     K is streamed in blocks of rows [a, b) against columns [a, n), the upper
-    triangle; rows b:n take their degrees and K u from the column sums of a
-    block's part right of the diagonal. V is symmetric, so that part counts
-    twice in q: it is doubled, which is exact, and each block takes one
-    product V_blk F[a:], contracted at once with F[a:b]. Memory is
+    triangle. A block's product with the n x 2 columns [1 | u] gives K 1
+    and K u of rows [a, b); u = 0 without ``u``, so the degrees come from
+    the same product, bit for bit, either way. Rows b:n take theirs from
+    [1 | u]' times the block's part right of the diagonal. V is symmetric,
+    so that part counts twice in q: each block takes its diagonal part's
+    product with F[a:b] and its right part's with F[b:], contracts both
+    with F[a:b] and doubles the second, which is exact. Memory is
     O(_KERNEL_BLOCK (n + d)) beyond F.
     """
-    n = centred.Xc.shape[0]
-    deg = np.zeros(n)
-    Ku = None if u is None else np.zeros(n)
-    q = np.zeros(F.shape[1])
-    for a, b, K in _sq_blocks(centred, upper=True):
+    n = centred.aug.shape[0]
+    d = F.shape[1]
+    ones_u = np.zeros((n, 2))
+    ones_u[:, 0] = 1.0
+    if u is not None:
+        ones_u[:, 1] = u
+    sums = np.zeros((2, n))
+    q = np.zeros(d)
+    # one buffer holds in turn a block's left operand, its u_i + u_j
+    # factors and its products with F
+    width = max(centred.aug.shape[1], d)
+    work = np.empty(max(min(_KERNEL_BLOCK, n) * width, _ROW_BLOCK * n))
+    scale = -1.0 / t
+    for a, b, K in _sq_blocks(centred, upper=True, left=work):
         if root:
             np.sqrt(K, out=K)
-        K /= -t
+        K *= scale
         np.exp(K, out=K)
-        right = K[:, b - a :]
-        deg[a:b] += K.sum(axis=1)
-        deg[b:] += right.sum(axis=0)
+        m = b - a
+        right = K[:, m:]
+        sums[:, a:b] += (K @ ones_u[a:]).T
+        sums[:, b:] += ones_u[a:b].T @ right
         if u is not None:
-            Ku[a:b] += K @ u[a:]
-            Ku[b:] += u[a:b] @ right
-            for lo in range(0, b - a, _ROW_BLOCK):  # V = K o (u_i + u_j)
+            for lo in range(0, m, _ROW_BLOCK):  # V = K o (u_i + u_j)
                 part = K[lo : lo + _ROW_BLOCK]
-                part *= u[a + lo : a + lo + part.shape[0], None] + u[None, a:]
-        right *= 2.0
-        q += np.einsum("ij,ij->j", F[a:b], K @ F[a:])
-    return deg, Ku, q
+                pair = work[: part.size].reshape(part.shape)
+                np.add(u[a + lo : a + lo + part.shape[0], None], u[None, a:], out=pair)
+                part *= pair
+        KF = work[: m * d].reshape(m, d)
+        np.matmul(K[:, :m], F[a:b], out=KF)
+        q += np.einsum("ij,ij->j", F[a:b], KF)
+        np.matmul(right, F[b:], out=KF)
+        q += 2.0 * np.einsum("ij,ij->j", F[a:b], KF)
+    deg, Ku = sums
+    return deg, None if u is None else Ku, q
 
 
 def _knn_neighbours(centred: _Centred, k: int) -> np.ndarray:

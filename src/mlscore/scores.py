@@ -180,11 +180,15 @@ def _mls_terms(ds: Dataset, model: MarginModel) -> tuple[np.ndarray, np.ndarray,
         if m:
             u_M = u[rows]
             F_M = F[rows]
-            rep = np.where(model.membership[rows], F_M, 0.0)
+            # built as the first d columns of the array _centred lays the
+            # distances out in: F_M in the margins, 0 (or -0) elsewhere
+            aug = np.empty((m, d + 2))
+            rep = aug[:, :d]
+            np.multiply(F_M, model.membership[rows], out=rep)
             if m < n:
                 e = np.exp(_row_norms(rep) / -model.t)
-            centred = _centred(rep, weighted, overwrite=True)
-            del rep
+            centred = _centred(rep, weighted, out=aug)
+            del aug, rep
             d_M, Ku, q = _laplacian_forms(centred, F_M, model.t, root=True, u=u_M)
             del centred
             if m < n:

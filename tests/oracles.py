@@ -3,8 +3,9 @@ the kernel block sizes at which they compare the blocked paths, and the
 tracemalloc peak that bounds the memory of a blocked path.
 
 The dense n x n kernels here are built from the library's own distance
-steps (``_centred``, one Gram product, ``_finish_sq``), so their distance
-arithmetic is the code under test; only the blocking differs."""
+steps (``_centred``, ``_finish_sq``), so those steps are the code under
+test; the distances themselves come from one Gram product with the norm sum
+added as one term, where the library forms each row block as one product."""
 
 import tracemalloc
 from contextlib import contextmanager
@@ -32,20 +33,10 @@ def kernel_blocks(*sizes):
     return sorted({b for n in sizes for b in (1, 2, 7, n - 1, n, n + 1) if b >= 1})
 
 
-def kernel_blockings(*sizes):
-    """(block, one-block limit) pairs for ``blocking``: every size of
-    ``kernel_blocks``, with full rows cut into blocks of that size (limit
-    0) and cut as the library cuts them, in one block up to twice that
-    size."""
-    return [(b, limit) for b in kernel_blocks(*sizes) for limit in (0, 2 * b)]
-
-
 @contextmanager
-def blocking(block, one_block_rows=0):
-    """The kernel blocks of ``margins`` patched to ``block`` rows, with full
-    rows taken in one block only up to ``one_block_rows`` rows."""
-    with patch.object(margins, "_KERNEL_BLOCK", block), \
-            patch.object(margins, "_ONE_BLOCK_ROWS", one_block_rows):
+def blocking(block):
+    """The kernel blocks of ``margins`` patched to ``block`` rows."""
+    with patch.object(margins, "_KERNEL_BLOCK", block):
         yield
 
 
@@ -76,12 +67,16 @@ def wide_table() -> Dataset:
 def sq_distances_dense(X: np.ndarray) -> tuple[np.ndarray, float]:
     """Dense squared Euclidean distances between the rows of X, and their
     mean over the n(n-1)/2 pairs, from one product Xc Xc' of the centred
-    rows. D is exactly symmetric with an exactly zero diagonal, which the
-    row blocks of ``_sq_blocks`` do not promise."""
+    rows, with |x_i|^2 + |x_j|^2 added as one term. D is exactly symmetric
+    with an exactly zero diagonal, which the row blocks of ``_sq_blocks``
+    do not promise."""
     centred = _centred(X)
-    D = centred.Xc @ centred.Xc.T
+    Xc, sq = np.ascontiguousarray(centred.Xc), centred.sq
+    D = Xc @ Xc.T
+    D *= -2.0
+    D += sq[:, None] + sq[None, :]
     _finish_sq(D, centred, 0, 0)
-    return D, _mean_pair_sq(centred.sq)
+    return D, _mean_pair_sq(sq)
 
 
 def margin_rep_dense(model: MarginModel, X) -> np.ndarray:

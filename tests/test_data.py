@@ -1,7 +1,9 @@
+import codecs
 import csv
 import os
 import tracemalloc
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from mlscore.data import (
     DataError,
     Dataset,
     _as_label,
+    _c_table,
     load_csv,
     save_csv,
     standardize,
@@ -477,6 +480,35 @@ def test_load_csv_reads_a_pipe(body, want):
             assert load_csv(f"/dev/fd/{r}").values.tolist() == want
     finally:
         os.close(r)
+
+
+@pytest.mark.parametrize("body, c_parser", [
+    ("1,2,3\n0,4,5\n", True),
+    # loadtxt rejects 1_000, so this file is read by csv.reader
+    ("1,2,3\n0,1_000,5\n", False),
+])
+def test_load_csv_drops_a_utf8_byte_order_mark(tmp_path, body, c_parser):
+    # spreadsheet "CSV UTF-8" exports start with a byte-order mark; decoded
+    # as plain UTF-8 it became part of the first header name, '\ufefflabel'
+    text = ("label,a,b\n" + body).encode("utf-8")
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(text)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(codecs.BOM_UTF8 + text)
+    kept = []
+
+    def c_table(*args):
+        table = _c_table(*args)
+        kept.append(table is not None)
+        return table
+
+    with patch("mlscore.data._c_table", c_table):
+        for label in (None, "label"):
+            want, got = load_csv(plain, label), load_csv(marked, label)
+            assert got.feature_names == want.feature_names
+            assert got.values.tobytes() == want.values.tobytes()
+            assert np.array_equal(got.labels, want.labels)
+    assert kept == [c_parser] * 4
 
 
 def test_load_csv_peak_memory_on_a_wide_table(tmp_path, rng):

@@ -258,11 +258,12 @@ def test_score_dataset_gate_methods_flag_constant_features(method, rng):
 @pytest.mark.parametrize("method", ["ls", "mls"])
 def test_score_dataset_holds_one_working_copy(method):
     # beyond the 4.9 MB table, ls holds its centred rows and mls the margin
-    # rows it centres in place (every row is weighted here), each with a
-    # 4.1 MB kernel block and the 1 MB block that finishes its distances:
-    # 10.2 and 10.9 MB. One more n x d array, as a separate centred copy or
-    # a margin representation kept on the model, took them to 15.2 and
-    # 15.9 MB.
+    # rows it centres in place (every row is weighted here), each 5.0 MB
+    # with their norms, a 4.1 MB kernel block and a 0.6 MB buffer for the
+    # block's left operand and its products with the features: 9.9 and
+    # 10.6 MB, mls with its margin model. One more n x d array, as a
+    # separate centred copy or a margin representation kept on the model,
+    # would take them to about 14.8 and 15.5 MB.
     ds = wide_table()
     small = Dataset(values=ds.values[:50, :4], feature_names=ds.feature_names[:4])
     score_dataset(small, method)  # the first np.quantile imports numpy.ma

@@ -27,7 +27,7 @@ from mlscore.synth import SynthSpec, gen_setup
 from oracles import (
     blocking,
     dufs_core_dense,
-    kernel_blockings,
+    kernel_blocks,
     margin_kernel_dense,
     traced_peak,
 )
@@ -292,8 +292,8 @@ def test_dufs_core_matches_dense_oracle(data):
     denom = state.m_gates * open_prob(state).sum() + state.delta
     loss_scale = float(((F * z) ** 2).sum()) / denom
     grad_scale = np.abs(want_grad).max() + loss_scale * state.m_gates / (state.sigma * denom)
-    for block, one_block in kernel_blockings(n):
-        with blocking(block, one_block):
+    for block in kernel_blocks(n):
+        with blocking(block):
             loss, grad = _dufs_core(ds, z, state, bandwidth, want_grad=True)
             assert _dufs_core(ds, z, state, bandwidth, want_grad=False) == (loss, None)
         assert abs(loss - want_loss) <= 1e-12 * loss_scale
@@ -533,19 +533,43 @@ def test_train_dufs_matches_separate_bandwidth_loop(rng):
     assert trace.mu.tobytes() == mu.tobytes()
 
 
-@pytest.mark.parametrize("n", [25, 65])
-def test_train_dufs_buffers_match_public_loss_loop(rng, n):
-    # train reuses its block and n x d buffers across epochs and the public
-    # functions allocate their own per call; n = 65 spans two row blocks of
-    # the distance finish
-    ds = _instance(rng, n=n, d=6)
+def test_train_dufs_matches_separate_bandwidth_loop_on_raw_data(rng):
+    # with column means of 1e4, train centres F before gating (Fc z) and
+    # dufs_bandwidth centres the gated rows F z, so the two bandwidths
+    # differ in their last bits (up to 5e-13 relative over 30 draws) and
+    # the runs part by up to 5e-12 relative in the loss and 1e-13 in mu
+    ds = Dataset(values=rng.standard_normal((25, 6)) + 1e4,
+                 feature_names=[f"f{j}" for j in range(6)])
     config = TrainConfig(epochs=15, seed=11)
     trace = train(ds, config, GateState.fresh(6))
 
     def loss_and_grad(z, state):
-        return dufs_loss(ds, z, state), loss_gradient(ds, z, state, "dufs")
+        bandwidth = dufs_bandwidth(ds.values * z)
+        return (
+            dufs_loss(ds, z, state, bandwidth=bandwidth),
+            loss_gradient(ds, z, state, "dufs", bandwidth=bandwidth),
+        )
 
     losses, mu = _adam_loop(ds, config, loss_and_grad)
+    assert np.allclose(trace.loss_history, losses, rtol=1e-10, atol=0.0)
+    assert np.allclose(trace.mu, mu, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [25, 65])
+def test_train_dufs_buffers_match_public_loss_loop(rng, n):
+    # train reuses its block and n x d buffers across epochs and the public
+    # functions allocate their own per call; with 32-row kernel blocks
+    # n = 65 takes three blocks, the last of one row, so the reused buffers
+    # also hold blocks of a shape they were not sized for
+    ds = _instance(rng, n=n, d=6)
+    config = TrainConfig(epochs=15, seed=11)
+
+    def loss_and_grad(z, state):
+        return dufs_loss(ds, z, state), loss_gradient(ds, z, state, "dufs")
+
+    with blocking(32):
+        trace = train(ds, config, GateState.fresh(6))
+        losses, mu = _adam_loop(ds, config, loss_and_grad)
     assert np.array_equal(trace.loss_history, losses)
     assert trace.mu.tobytes() == mu.tobytes()
 

@@ -29,7 +29,6 @@ from mlscore.synth import SynthSpec, gen_setup
 from oracles import (
     blocking,
     build_margin_model_loop,
-    kernel_blockings,
     kernel_blocks,
     margin_kernel_dense,
     skewness_1d,
@@ -523,10 +522,10 @@ def test_sq_blocks_match_dense_oracle(X):
     event(f"duplicated rows: {len(np.unique(X, axis=0)) < n}")
     centred = _centred(X)
     sq = centred.sq
-    for block, one_block in kernel_blockings(n):
+    for block in kernel_blocks(n):
         for upper in (True, False):
             rows = []
-            with blocking(block, one_block):
+            with blocking(block):
                 for a, b, D in _sq_blocks(centred, upper):
                     c = a if upper else 0
                     want = exact[a:b, c:]
@@ -535,8 +534,7 @@ def test_sq_blocks_match_dense_oracle(X):
                     tol = 1e-14 * X.shape[1] * (sq[a:b, None] + sq[None, c:])
                     assert (np.abs(D - want) <= tol).all()
                     rows.append((a, b))
-            step = n if not upper and n <= one_block else block
-            assert rows == [(a, min(a + step, n)) for a in range(0, n, step)]
+            assert rows == [(a, min(a + block, n)) for a in range(0, n, block)]
     dense, _ = sq_distances_dense(X)
     assert np.array_equal(dense, dense.T)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mlscore import margins
 from mlscore.data import DataError, Dataset, standardize
+from mlscore.evaluation import bench_margin_config
 from mlscore.margins import (
     MarginConfig,
     MarginKind,
@@ -27,13 +28,14 @@ from mlscore.scores import (
     ranked_rows,
     select_top,
 )
+from mlscore.synth import SynthSpec, gen_setup
 
 from oracles import (
     blocking,
-    kernel_blockings,
     kernel_blocks,
     ls_scores_dense,
     margin_kernel_dense,
+    margin_rep_dense,
     mls_naive,
     mls_numerators_dense,
     sq_distances_dense,
@@ -252,8 +254,8 @@ def test_knn_graph_matches_dense_oracle(X, k):
     want = _knn_graph_oracle(X, k)
     event(f"duplicated rows: {len(np.unique(X, axis=0)) < n}")
     ds = Dataset(values=X, feature_names=[f"f{j}" for j in range(d)])
-    for block, one_block in kernel_blockings(n):
-        with blocking(block, one_block):
+    for block in kernel_blocks(n):
+        with blocking(block):
             assert np.array_equal(_knn_graph(X, k), want)
             report = laplacian_score(ds, KernelConfig(mode="binary-knn", n_neighbors=k))
         _assert_ls_matches(report, X, want)
@@ -485,6 +487,36 @@ def test_mls_row_permutation_invariant(rng):
     assert np.max(np.abs(la - lb)) <= 1e-12
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("setup", [1, 2])
+def test_ls_and_mls_match_long_double_dense_scores(setup):
+    # a raw draw as the recovery grid scores it, against dense scores whose
+    # distances, kernels and sums are all taken in long double. On these two
+    # draws the worst feature is off by up to 1.8e-15 (ls) and 8.1e-15 (mls)
+    # relative; the bounds are a few times that.
+    ds = gen_setup(SynthSpec(setup=setup, rho=0.9, n_samples=300, seed=1)).dataset
+    X = ds.values
+    n = X.shape[0]
+    wide = X.astype(np.longdouble)
+
+    def pair_sq(A):
+        A = np.asarray(A, dtype=np.longdouble)
+        return ((A[:, None, :] - A[None, :, :]) ** 2).sum(axis=2)
+
+    D = pair_sq(X)
+    want = ls_scores_dense(wide, np.exp(-D / (D.sum() / (n * (n - 1)))))
+    got = laplacian_score(ds).scores
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
+
+    model = build_margin_model(ds, bench_margin_config(0.9))
+    W = np.exp(-np.sqrt(pair_sq(margin_rep_dense(model, X))) / np.longdouble(model.t))
+    numerators, _ = mls_numerators_dense(wide, W, model.u.astype(np.longdouble))
+    want = numerators / wide.var(axis=0, ddof=1)
+    got = mls(ds, model).scores
+    assert np.max(np.abs(got - want) / np.abs(want)) < 3e-14
+
+
 @pytest.mark.parametrize("method", ["ls heat", "ls binary-knn", "mls"])
 def test_scores_never_hold_an_n_by_n_matrix(method):
     # one dense 3000 x 3000 kernel takes 72 MB
@@ -506,9 +538,10 @@ def test_scores_never_hold_an_n_by_n_matrix(method):
 def test_scores_hold_no_n_by_d_accumulator(method):
     # one 2000 x 309 array takes 4.9 MB. Beyond the data, ls holds the
     # centred rows, which are also the centred features it scores, and mls
-    # the centred margin rows, plus a 256-row kernel block; an n x d
-    # product such as K F would add 4.9 MB more, and two took both to
-    # 23.3 MB
+    # the centred margin rows, plus a 4.1 MB 256-row kernel block and a
+    # 0.6 MB buffer for the block's left operand and its products with the
+    # features: 9.9 MB each. An n x d product such as K F would add 4.9 MB
+    # more, and two took both to 23.3 MB
     ds = wide_table()
     model = build_margin_model(ds, MarginConfig())
     run = {"ls heat": lambda: laplacian_score(ds), "mls": lambda: mls(ds, model)}[method]
