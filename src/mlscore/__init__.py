@@ -12,11 +12,9 @@ from .data import (
 )
 from .margins import (
     MarginConfig,
-    MarginKind,
     MarginModel,
     build_margin_model,
     export_margin_csv,
-    skewness,
     temperature,
 )
 from .scores import (

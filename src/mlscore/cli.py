@@ -115,6 +115,17 @@ def _train_config(args, parser) -> TrainConfig:
         parser.error(str(err))
 
 
+def _refuse_overwrite(args, parser, *flags) -> None:
+    """A usage error, before anything is read, if the path that one of the
+    ``flags`` of args names resolves to ``--input``: the command would
+    write over the table it reads."""
+    source = Path(args.input).resolve()
+    for flag in flags:
+        path = getattr(args, flag)
+        if path and Path(path).resolve() == source:
+            parser.error(f"--{flag.replace('_', '-')} {path} would write over --input")
+
+
 def _load_for_scoring(args):
     ds = load_csv(args.input, label_column=args.label_col)
     if not args.no_standardize:
@@ -137,6 +148,7 @@ def _print_warnings(lines: list[str]) -> None:
 
 
 def cmd_score(args, parser) -> int:
+    _refuse_overwrite(args, parser, "output")
     margin_config = _margin_config(args, parser)
     kernel_config = _kernel_config(args, parser)
     ds = _load_for_scoring(args)
@@ -153,6 +165,7 @@ def cmd_score(args, parser) -> int:
 def cmd_select(args, parser) -> int:
     if args.num_features < 1:
         parser.error("num-features must be >= 1")
+    _refuse_overwrite(args, parser, "output")
     margin_config = _margin_config(args, parser)
     kernel_config = _kernel_config(args, parser)
     train_config = _train_config(args, parser)
@@ -229,6 +242,7 @@ def _parse_quantiles(text: str, parser) -> tuple[float, ...]:
 
 
 def cmd_validate_margin(args, parser) -> int:
+    _refuse_overwrite(args, parser, "output", "dump_margins")
     try:
         ds = load_csv(args.input, label_column=args.label_col)
     except LabelColumnError:
@@ -268,10 +282,11 @@ def cmd_validate_margin(args, parser) -> int:
 
 
 def _parse_list(text: str, parser, kind, label: str) -> tuple:
-    """The comma list ``text`` as a tuple of ``kind``; an entry that does
-    not parse, an empty list or a repeated entry is a usage error."""
+    """The comma list ``text`` as a tuple of ``kind``, each entry stripped of
+    spaces; an entry that does not parse, an empty list or a repeated entry
+    is a usage error."""
     try:
-        values = tuple(kind(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(kind(tok.strip()) for tok in text.split(",") if tok.strip())
     except ValueError:
         parser.error(f"could not parse {label} list {text!r}")
     if not values:

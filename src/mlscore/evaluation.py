@@ -149,7 +149,7 @@ def score_dataset(
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method == "mls":
         return mls(ds, build_margin_model(ds, margin_config or MarginConfig())), None
-    constant = _constant_features(ds)
+    _constant_features(ds)  # a DataError if every feature is constant
     model = None
     if method == "dufs-mls":
         model = build_margin_model(ds, margin_config or MarginConfig())
@@ -157,10 +157,7 @@ def score_dataset(
     state = GateState.fresh(ds.n_features, sigma=sigma)
     trace = train(ds, config, state, model)
     report = ScoreReport(
-        method=method,
-        scores=trace.mu,
-        constant_feature_flags=constant,
-        feature_names=list(ds.feature_names),
+        method=method, scores=trace.mu, feature_names=list(ds.feature_names)
     )
     if trace.no_margin_signal:
         report.warnings.append(

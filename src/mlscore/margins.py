@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -46,12 +45,6 @@ _KERNEL_BLOCK = 256
 # once, 256 kB of deviations instead of n x d; _knn_forms gathers the rows
 # of its edges in chunks of the same size
 _COLUMN_CHUNK = 1 << 15
-
-
-class MarginKind(Enum):
-    RIGHT = "right"
-    TWO_SIDED = "two-sided"
-    LEFT = "left"
 
 
 @dataclass(frozen=True)
@@ -97,63 +90,54 @@ class MarginModel:
     """
 
     config: MarginConfig
-    kinds: list[MarginKind]
-    cutoffs: list[tuple[float | None, float | None]]
     membership: np.ndarray
     counts: np.ndarray
-    in_dataset_margin: np.ndarray
     u: np.ndarray
     t: float
 
 
-def skewness(X) -> np.ndarray:
-    """Moment coefficient of skewness m3 / m2^(3/2) of each column of the
-    n x d array X, central moments over n. Needs n >= 3 and no constant
-    column."""
-    cols = np.ascontiguousarray(np.asarray(X, dtype=float).T)
-    if cols.shape[1] < 3:
-        raise ValueError(f"skewness needs at least 3 values, got {cols.shape[1]}")
-    top, bottom = cols.max(axis=1), cols.min(axis=1)
-    if (top == bottom).any():
-        raise ValueError("skewness undefined for a constant column")
-    # skewness is scale-free, so a column far from 1 in magnitude, whose
-    # mean, dev^3 or m2^(3/2) could under- or overflow, is divided by a
-    # power of two near its largest value, which is exact. Its largest
-    # deviation is then at least about 2^-54, so the moments stay normal.
-    # Within 2^+-200 a column is left as it is: pow is not exact under
-    # scaling. A row of cols is summed pairwise, as a 1-d array would be.
-    _, exponent = np.frexp(np.maximum(top, -bottom))
-    far = np.abs(exponent) > 200
-    if far.any():
-        cols = np.ldexp(cols, np.where(far, -exponent, 0)[:, None])
-    dev = cols - cols.mean(axis=1, keepdims=True)
-    # dev^3 as (dev * dev) * dev, in the one n x d buffer that held dev^2
-    power = dev * dev
-    m2 = np.mean(power, axis=1)
-    power *= dev
-    m3 = np.mean(power, axis=1)
-    # Python floats take C's pow, as a scalar does; NumPy's vectorised
-    # float64 power can differ from it in the last bit on some CPUs
-    return m3 / (m2.astype(object) ** 1.5).astype(float)
-
-
 def _live_skewness(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which rows of the d x n array cols are live, not constant and of
-    nonzero variance, and the skewness of each live row (NaN for the
-    others), taken over chunks of _COLUMN_CHUNK values. A row reduces the
-    same way in a chunk as in the whole array, so the chunks change no
-    bit of the result."""
+    nonzero variance, and the moment coefficient of skewness m3 / m2^(3/2)
+    of each live row, central moments over n (NaN for the other rows).
+    The moments are taken once, over chunks of _COLUMN_CHUNK values; a row
+    reduces the same way in a chunk as in the whole array, and as a 1-d
+    array would, so the chunks change no bit of the result."""
     d, n = cols.shape
     live = np.empty(d, dtype=bool)
     s = np.full(d, np.nan)
     step = max(1, _COLUMN_CHUNK // n)
     for a in range(0, d, step):
         chunk = cols[a : a + step]
-        with np.errstate(over="ignore"):  # an overflowing variance is not 0
-            ok = (chunk.max(axis=1) != chunk.min(axis=1)) & (chunk.var(axis=1) != 0.0)
+        top, bottom = chunk.max(axis=1), chunk.min(axis=1)
+        # skewness is scale-free, so a row far from 1 in magnitude, whose
+        # mean, dev^3 or m2^(3/2) could under- or overflow, is divided by a
+        # power of two near its largest value, which is exact. Its largest
+        # deviation is then at least about 2^-54, so the moments stay
+        # normal. Within 2^+-200 a row is left as it is: pow is not exact
+        # under scaling.
+        _, exponent = np.frexp(np.maximum(top, -bottom))
+        far = np.abs(exponent) > 200
+        scaled = chunk
+        if far.any():
+            scaled = np.ldexp(chunk, np.where(far, -exponent, 0)[:, None])
+        dev = scaled - scaled.mean(axis=1, keepdims=True)
+        # dev^3 as (dev * dev) * dev, in the one buffer that held dev^2
+        power = dev * dev
+        m2 = np.mean(power, axis=1)
+        power *= dev
+        m3 = np.mean(power, axis=1)
+        # m2 is the variance, bit for bit, of a row left unscaled; only a
+        # scaled row needs its own, which may underflow to 0 (or overflow,
+        # which is not 0)
+        varies = m2 != 0.0
+        with np.errstate(over="ignore"):
+            varies[far] = chunk[far].var(axis=1) != 0.0
+        ok = (top != bottom) & varies
         live[a : a + step] = ok
-        if ok.any():
-            s[a : a + step][ok] = skewness(chunk.T if ok.all() else chunk[ok].T)
+        # Python floats take C's pow, as a scalar does; NumPy's vectorised
+        # float64 power can differ from it in the last bit on some CPUs
+        s[a : a + step][ok] = m3[ok] / (m2[ok].astype(object) ** 1.5).astype(float)
     return live, s
 
 
@@ -201,27 +185,13 @@ def build_margin_model(ds: Dataset, config: MarginConfig) -> MarginModel:
     lo = np.where(right, -np.inf, np.where(left, cut[1], cut[0]))
     hi = np.where(left, np.inf, np.where(right, cut[2], cut[3]))
     membership = (X < lo) | (X > hi)
-    kinds = np.where(
-        right, MarginKind.RIGHT, np.where(left, MarginKind.LEFT, MarginKind.TWO_SIDED)
-    )
-    cutoffs = list(zip(np.where(np.isfinite(lo), lo, None).tolist(),
-                       np.where(np.isfinite(hi), hi, None).tolist()))
-
     counts = membership.sum(axis=1)
-    in_margin = counts >= config.k
-    u = np.where(in_margin, np.log(counts + 1.0), 0.0)
+    u = np.where(counts >= config.k, np.log(counts + 1.0), 0.0)
     t = config.temperature_override
     if t is None:
         t = temperature(d)
     return MarginModel(
-        config=config,
-        kinds=kinds.tolist(),
-        cutoffs=cutoffs,
-        membership=membership,
-        counts=counts,
-        in_dataset_margin=in_margin,
-        u=u,
-        t=float(t),
+        config=config, membership=membership, counts=counts, u=u, t=float(t)
     )
 
 
@@ -334,17 +304,23 @@ def _finish_sq(D: np.ndarray, centred: _Centred, start: int, col0: int) -> None:
     """Finish D, the squared distances of centred rows start.. to rows
     col0.. as one product forms them, in place: rounding below 0 is clamped,
     and the distance between equal rows, which the Gram form can miss by a
-    few ulps of their norms, is made exactly 0."""
+    few ulps of their norms, is made exactly 0. Only the rows that have an
+    equal other row are compared with every column, in copies of
+    _ROW_BLOCK of them at a time; the others are equal only to themselves,
+    on the diagonal."""
     twin = centred.twin
     np.maximum(D, 0.0, out=D)
+    own = np.arange(max(start, col0), min(start + D.shape[0], col0 + D.shape[1]))
+    D[own - start, own - col0] = 0.0
     if twin is None:
-        own = np.arange(max(start, col0), min(start + D.shape[0], col0 + D.shape[1]))
-        D[own - start, own - col0] = 0.0
         return
-    for lo in range(0, D.shape[0], _ROW_BLOCK):
-        part = D[lo : lo + _ROW_BLOCK]
-        hi = start + lo + part.shape[0]
-        part[twin[start + lo : hi, None] == twin[None, col0:]] = 0.0
+    mine = twin[start : start + D.shape[0]]
+    paired = np.flatnonzero(np.bincount(twin, minlength=twin.shape[0])[mine] > 1)
+    for lo in range(0, paired.size, _ROW_BLOCK):
+        rows = paired[lo : lo + _ROW_BLOCK]
+        part = D[rows]
+        part[mine[rows, None] == twin[None, col0:]] = 0.0
+        D[rows] = part
 
 
 def _mean_pair_sq(sq: np.ndarray) -> float:
@@ -519,6 +495,6 @@ def export_margin_csv(model: MarginModel, path) -> None:
                     i,
                     int(model.counts[i]),
                     repr(float(model.u[i])),
-                    int(model.in_dataset_margin[i]),
+                    int(model.u[i] > 0.0),
                 ]
             )

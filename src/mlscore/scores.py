@@ -53,7 +53,6 @@ class KernelConfig:
 class ScoreReport:
     method: str
     scores: np.ndarray
-    constant_feature_flags: np.ndarray
     feature_names: list[str]
     warnings: list[str] = field(default_factory=list)
 
@@ -99,9 +98,9 @@ def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreRep
     """Graph smoothness score f~' L f~ / f~' D f~ per feature.
 
     f~ is the feature centered by its degree-weighted mean, L = D - S the
-    unnormalized graph Laplacian of the affinity S. Constant features score
-    +inf and are flagged; only the others are scored. A term that overflows
-    raises a DataError naming the feature.
+    unnormalized graph Laplacian of the affinity S. Constant features, and
+    features whose degree-weighted variance underflows to 0, score +inf. A
+    term that overflows raises a DataError naming the feature.
 
     S is never formed: the graph enters only through d = S 1 and the
     quadratic forms f0'S f0, f0 the feature centred by its plain mean: the
@@ -112,11 +111,12 @@ def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreRep
     c = d'f0 / 1'd once the graph is done with it.
     """
     config = config or KernelConfig()
-    constant = _constant_features(ds)
+    _constant_features(ds)  # a DataError if every feature is constant
     centred = _centred(ds.values)
     dvec, q = _graph_forms(centred, config)
     # _centred puts a constant column at exactly 0, which adds 0 to every
-    # form; its score is set to +inf below
+    # form; its denominator is 0, as is one that underflows, and the 0/0
+    # score is set to +inf below
     F0 = centred.Xc
     with np.errstate(over="ignore", invalid="ignore"):
         numerators = np.einsum("i,ij,ij->j", dvec, F0, F0) - q
@@ -126,13 +126,8 @@ def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreRep
     _check_finite(ds, numerators, "ls numerator")
     with np.errstate(invalid="ignore", divide="ignore"):
         scores = numerators / weighted_sq
-    scores[constant] = np.inf
-    return ScoreReport(
-        method="ls",
-        scores=scores,
-        constant_feature_flags=constant,
-        feature_names=list(ds.feature_names),
-    )
+    scores[weighted_sq == 0.0] = np.inf
+    return ScoreReport(method="ls", scores=scores, feature_names=list(ds.feature_names))
 
 
 def _check_finite(ds: Dataset, per_feature: np.ndarray, what: str) -> None:
@@ -221,10 +216,7 @@ def mls(ds: Dataset, model: MarginModel) -> ScoreReport:
     scores, variances, isolated = _mls_terms(ds, model)
     scores = np.where(constant | (variances == 0), np.inf, scores)
     report = ScoreReport(
-        method="mls",
-        scores=scores,
-        constant_feature_flags=constant,
-        feature_names=list(ds.feature_names),
+        method="mls", scores=scores, feature_names=list(ds.feature_names)
     )
     if not model.u.any():
         report.warnings.append("no sample carries margin weight; scores are all zero")

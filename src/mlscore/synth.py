@@ -52,7 +52,6 @@ class SynthSpec:
 class SynthDataset:
     dataset: Dataset
     marginal_feature_indices: list[int]
-    spec: SynthSpec
 
 
 def gen_correlated_block(
@@ -104,7 +103,6 @@ def gen_setup(spec: SynthSpec) -> SynthDataset:
     return SynthDataset(
         dataset=Dataset(values=X, feature_names=names, labels=labels),
         marginal_feature_indices=marginal_idx,
-        spec=spec,
     )
 
 

@@ -9,6 +9,8 @@ added as one term, where the library forms each row block as one product."""
 
 import tracemalloc
 from contextlib import contextmanager
+from enum import Enum
+from typing import NamedTuple
 from unittest.mock import patch
 
 import numpy as np
@@ -18,7 +20,6 @@ from mlscore.data import DataError, Dataset, standardize
 from mlscore.gates import GateState, open_prob
 from mlscore.margins import (
     MarginConfig,
-    MarginKind,
     MarginModel,
     _centred,
     _finish_sq,
@@ -172,17 +173,26 @@ def skewness_1d(f) -> float:
     return float(m3 / m2**1.5)
 
 
-def _classify_skew(s: float, config: MarginConfig) -> MarginKind:
+class Side(Enum):
+    """The tail(s) a feature's margin covers, as the reference labels them;
+    the library keeps only the margins themselves."""
+
+    RIGHT = "right"
+    TWO_SIDED = "two-sided"
+    LEFT = "left"
+
+
+def _classify_skew(s: float, config: MarginConfig) -> Side:
     """Map a skewness value to a margin side; thresholds are inclusive."""
     if s >= config.skew_right:
-        return MarginKind.RIGHT
+        return Side.RIGHT
     if s <= config.skew_left:
-        return MarginKind.LEFT
-    return MarginKind.TWO_SIDED
+        return Side.LEFT
+    return Side.TWO_SIDED
 
 
-def _feature_margin(
-    f, kind: MarginKind, quantile: float
+def feature_margin(
+    f, side: Side, quantile: float
 ) -> tuple[np.ndarray, tuple[float | None, float | None]]:
     """Boolean margin mask for one feature plus the (lower, upper) cutoffs.
 
@@ -194,10 +204,10 @@ def _feature_margin(
     f = np.asarray(f, dtype=float)
     if not 0.0 < quantile < 0.5:
         raise ValueError(f"quantile must be in (0, 0.5), got {quantile}")
-    if kind is MarginKind.RIGHT:
+    if side is Side.RIGHT:
         hi = float(np.quantile(f, 1.0 - quantile)) + 0.0
         return f > hi, (None, hi)
-    if kind is MarginKind.LEFT:
+    if side is Side.LEFT:
         lo = float(np.quantile(f, quantile)) + 0.0
         return f < lo, (lo, None)
     lo = float(np.quantile(f, quantile / 2.0)) + 0.0
@@ -205,9 +215,18 @@ def _feature_margin(
     return (f < lo) | (f > hi), (lo, hi)
 
 
-def build_margin_model_loop(ds: Dataset, config: MarginConfig) -> MarginModel:
+class ReferenceMargins(NamedTuple):
+    """The reference margin model, and the side and (lower, upper) cutoffs
+    of each feature's margin, None for a tail it leaves out."""
+
+    model: MarginModel
+    sides: list[Side]
+    cutoffs: list[tuple[float | None, float | None]]
+
+
+def build_margin_model_loop(ds: Dataset, config: MarginConfig) -> ReferenceMargins:
     """Reference margin model, built one feature at a time;
-    ``build_margin_model`` must match it bitwise on every field.
+    ``build_margin_model`` must match its model bitwise on every field.
 
     Constant features are treated as two-sided with an empty margin rather
     than rejected. A sample with fewer than ``config.k`` memberships gets
@@ -217,37 +236,30 @@ def build_margin_model_loop(ds: Dataset, config: MarginConfig) -> MarginModel:
     n, d = X.shape
     if n < 3:
         raise DataError(f"margins need at least 3 data rows for skewness, got {n}")
-    kinds: list[MarginKind] = []
+    sides: list[Side] = []
     cutoffs: list[tuple[float | None, float | None]] = []
     membership = np.zeros((n, d), dtype=bool)
     for r in range(d):
         f = X[:, r]
         if f.max() == f.min() or np.var(f) == 0.0:
-            kinds.append(MarginKind.TWO_SIDED)
+            sides.append(Side.TWO_SIDED)
             cutoffs.append((None, None))
             continue
-        kind = _classify_skew(skewness_1d(f), config)
-        mask, cut = _feature_margin(f, kind, config.quantile)
-        kinds.append(kind)
+        side = _classify_skew(skewness_1d(f), config)
+        mask, cut = feature_margin(f, side, config.quantile)
+        sides.append(side)
         cutoffs.append(cut)
         membership[:, r] = mask
 
     counts = membership.sum(axis=1)
-    in_margin = counts >= config.k
-    u = np.where(in_margin, np.log(counts + 1.0), 0.0)
+    u = np.where(counts >= config.k, np.log(counts + 1.0), 0.0)
     t = config.temperature_override
     if t is None:
         t = temperature(d)
-    return MarginModel(
-        config=config,
-        kinds=kinds,
-        cutoffs=cutoffs,
-        membership=membership,
-        counts=counts,
-        in_dataset_margin=in_margin,
-        u=u,
-        t=float(t),
+    model = MarginModel(
+        config=config, membership=membership, counts=counts, u=u, t=float(t)
     )
+    return ReferenceMargins(model, sides, cutoffs)
 
 
 def dufs_core_dense(

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -462,6 +463,33 @@ def test_validate_margin_dump_margins(labeled_csv, tmp_path):
     assert set(rows[0]) == {"sample_index", "margin_count", "weight", "in_dataset_margin"}
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["score", "--method", "mls", "--output", "{same}"], "--output"),
+    (["select", "--method", "ls", "--num-features", "2", "--output", "{same}"],
+     "--output"),
+    (["validate-margin", "--label-col", "label", "--output", "{same}"], "--output"),
+    (["validate-margin", "--label-col", "label", "--quantiles", "0.1",
+      "--output", "{other}", "--dump-margins", "{same}"], "--dump-margins"),
+])
+def test_a_command_may_not_write_over_its_input(labeled_csv, monkeypatch, capsys,
+                                                argv, flag):
+    # select --output d.csv over --input d.csv replaced the table with the
+    # selection, and its manifest recorded the selection's hash as the input's
+    monkeypatch.chdir(labeled_csv.parent)
+    before = labeled_csv.read_bytes()
+    # the same file by another spelling of its path
+    same = str(Path("sub", "..", labeled_csv.name))
+    (labeled_csv.parent / "sub").mkdir()
+    argv = [a.format(same=same, other="ks.csv") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--input", str(labeled_csv)] + argv[1:])
+    assert exc.value.code == 2
+    assert f"{flag} {same} would write over --input" in capsys.readouterr().err
+    assert labeled_csv.read_bytes() == before
+    assert sorted(p.name for p in labeled_csv.parent.iterdir()) == [
+        "data.csv", "data.csv.manifest.json", "sub"]
+
+
 def test_validate_margin_needs_label_column(labeled_csv):
     with pytest.raises(SystemExit) as exc:
         main(["validate-margin", "--input", str(labeled_csv), "--label-col", "y"])
@@ -563,7 +591,9 @@ def test_bench_validates_lists(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--methods", "mls,mls"], ["--setups", "1,1"], ["--rhos", "0.9,0.90"]],
+    # every entry is stripped of spaces, whatever type it parses to
+    [["--methods", "mls,mls"], ["--setups", "1,1"], ["--rhos", "0.9,0.90"],
+     ["--methods", "mls, mls"], ["--setups", "1, 1"]],
 )
 def test_bench_rejects_repeated_list_entries(tmp_path, monkeypatch, capsys, flags):
     # a repeated entry ran each of its cells twice and wrote 2 reps per
@@ -592,7 +622,7 @@ def test_bench_matches_recovery_benchmark(tmp_path, capsys, monkeypatch):
     # with 500 epochs, so a dropped --n or --epochs shows
     monkeypatch.chdir(tmp_path)
     code = main(
-        ["bench", "--n", "60", "--epochs", "2", "--methods", "dufs,dufs-mls",
+        ["bench", "--n", "60", "--epochs", "2", "--methods", "dufs, dufs-mls",
          "--reps", "1", "--setups", "1", "--rhos", "0.9", "--seed", "1",
          "--output", "g"]
     )

@@ -16,6 +16,7 @@ from mlscore.evaluation import (
 )
 from mlscore.gates import TrainConfig
 from mlscore.margins import MarginConfig
+from mlscore.scores import select_top
 from mlscore.synth import SynthSpec, gen_setup
 from oracles import traced_peak, wide_table
 
@@ -248,11 +249,14 @@ def test_score_dataset_gate_methods_reject_all_constant_table(method):
 
 
 @pytest.mark.parametrize("method", ["dufs", "dufs-mls"])
-def test_score_dataset_gate_methods_flag_constant_features(method, rng):
+def test_score_dataset_gate_methods_score_constant_features(method, rng):
+    # a constant feature is scored with the others, not rejected, and ranks
+    # last: it adds nothing to the loss
     X = np.column_stack([rng.standard_normal((30, 2)), np.full(30, 3.0)])
     ds = Dataset(values=X, feature_names=["a", "b", "k"])
     report, _ = score_dataset(ds, method, train_config=TrainConfig(epochs=2))
-    assert report.constant_feature_flags.tolist() == [False, False, True]
+    assert np.isfinite(report.scores).all() and report.scores.shape == (3,)
+    assert select_top(report, 3)[-1] == 2
 
 
 @pytest.mark.parametrize("method", ["ls", "mls"])

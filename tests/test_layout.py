@@ -12,6 +12,9 @@ CALLERS += list((ROOT / "perfbench").glob("*.py")) + list((ROOT / "scripts").glo
 # read by perfbench/workloads.py, so it goes with the benchmark change of
 # ROADMAP item 3(b)
 UNSET_KNOBS_ALLOWED = {"MarginConfig.temperature_override"}
+# perfbench/workloads.py unpacks the pair standardize returns and reads no
+# field of its stats, so they go with the same benchmark change, ROADMAP 3(b)
+UNREAD_FIELDS_ALLOWED = {"ScalerStats.means", "ScalerStats.std_devs", "ScalerStats.constant"}
 
 
 def _parse(path):
@@ -91,3 +94,32 @@ def test_every_library_knob_is_set_outside_tests():
             if not passed and f"{owner}.{name}" not in UNSET_KNOBS_ALLOWED:
                 unset.append(f"{path.name}:{owner}.{name}")
     assert not unset, f"defaults in src/mlscore that only tests set: {unset}"
+
+
+def _record_fields(tree):
+    """(class, field) of every field of a dataclass or NamedTuple."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            names = {getattr(m, "id", getattr(m, "attr", None)) for m in marks + node.bases}
+            if names & {"dataclass", "NamedTuple"}:
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign):
+                        yield node.name, stmt.target.id
+
+
+def test_every_library_field_is_read_outside_tests():
+    # a field that no code outside the tests reads as an attribute is
+    # built on every record for the tests alone
+    read = set()
+    for path in CALLERS:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [
+        f"{path.name}:{owner}.{name}"
+        for path in sorted(LIBRARY.glob("*.py"))
+        for owner, name in _record_fields(_parse(path))
+        if name not in read and f"{owner}.{name}" not in UNREAD_FIELDS_ALLOWED
+    ]
+    assert not unread, f"fields in src/mlscore that only tests read: {unread}"

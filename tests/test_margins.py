@@ -13,22 +13,23 @@ from mlscore.data import DataError, Dataset
 from mlscore.evaluation import BENCH_RHOS, bench_margin_config
 from mlscore.margins import (
     MarginConfig,
-    MarginKind,
     MarginModel,
     _centred,
     _laplacian_forms,
+    _live_skewness,
     _mean_pair_sq,
     _sq_blocks,
     build_margin_model,
     export_margin_csv,
-    skewness,
     temperature,
 )
 from mlscore.scores import _mls_terms
 from mlscore.synth import SynthSpec, gen_setup
 from oracles import (
+    Side,
     blocking,
     build_margin_model_loop,
+    feature_margin,
     kernel_blocks,
     margin_kernel_dense,
     skewness_1d,
@@ -45,11 +46,8 @@ def _model_from_rep(rep, t=1.0):
     counts = (rep != 0).sum(axis=1)
     return MarginModel(
         config=MarginConfig(),
-        kinds=[MarginKind.TWO_SIDED] * rep.shape[1],
-        cutoffs=[(None, None)] * rep.shape[1],
         membership=rep != 0,
         counts=counts,
-        in_dataset_margin=counts >= 1,
         u=np.where(counts >= 1, np.log(counts + 1.0), 0.0),
         t=t,
     )
@@ -59,7 +57,9 @@ def _model_from_rep(rep, t=1.0):
 
 
 def _skew(f) -> float:
-    return float(skewness(np.asarray(f, dtype=float)[:, None])[0])
+    live, s = _live_skewness(np.asarray(f, dtype=float)[None, :])
+    assert live[0] == (not math.isnan(s[0]))
+    return float(s[0])
 
 
 def test_skewness_symmetric_is_zero():
@@ -71,14 +71,13 @@ def test_skewness_hand_value():
     assert abs(_skew([0.0, 0.0, 0.0, 10.0]) - 2.0 / math.sqrt(3.0)) < 1e-12
 
 
-def test_skewness_rejects_constant():
-    with pytest.raises(ValueError, match="constant"):
-        _skew([2.0, 2.0, 2.0])
-
-
-def test_skewness_needs_three_values():
-    with pytest.raises(ValueError, match="at least 3"):
-        _skew([1.0, 2.0])
+def test_skewness_of_a_row_without_variance_is_not_taken():
+    # a constant row, and one that varies but whose variance underflows to
+    # 0 although its scaled moments would not
+    cols = np.array([[2.0, 2.0, 2.0], [0.0, 0.0, 2.0**-1074]])
+    live, s = _live_skewness(cols)
+    assert live.tolist() == [False, False]
+    assert np.isnan(s).all()
 
 
 @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=3, max_size=40))
@@ -101,55 +100,67 @@ def test_skewness_far_from_unit_scale(spike):
 
 
 def test_skewness_scales_each_column_alone():
-    # one column is rescaled by a power of two, its neighbour is not
+    # one row is rescaled by a power of two, its neighbours are not
     f = np.array([0.0, 0.0, 0.0, 10.0])
-    X = np.column_stack([f * 2.0**250, f, -f * 2.0**-250])
-    s = skewness(X)
-    assert s.shape == (3,)
+    live, s = _live_skewness(np.vstack([f * 2.0**250, f, -f * 2.0**-250]))
+    assert live.tolist() == [True] * 3
     assert s.tolist() == [_skew(f), _skew(f), -_skew(f)]
 
 
 # ------------------------------------------------------------- margin sides
 # A config forces a side whatever the skewness: skew_right = -1e308 makes
 # every feature right-sided, skew_left = 1e308 left-sided, and infinite
-# thresholds two-sided.
+# thresholds two-sided. The library keeps no side, so a test tells which
+# tail a margin covers by comparing it with np.quantile's tails of each
+# side (``feature_margin`` of the reference).
 
 _FORCE = {
-    MarginKind.RIGHT: dict(skew_right=-1e308, skew_left=-math.inf),
-    MarginKind.LEFT: dict(skew_right=math.inf, skew_left=1e308),
-    MarginKind.TWO_SIDED: dict(skew_right=math.inf, skew_left=-math.inf),
+    Side.RIGHT: dict(skew_right=-1e308, skew_left=-math.inf),
+    Side.LEFT: dict(skew_right=math.inf, skew_left=1e308),
+    Side.TWO_SIDED: dict(skew_right=math.inf, skew_left=-math.inf),
 }
 
 
-def _one_feature(f, kind: MarginKind, quantile: float):
-    """Margin mask, cutoffs and side of the single feature f when its side
-    is forced to kind."""
+def _one_feature(f, side: Side, quantile: float) -> np.ndarray:
+    """Margin mask of the single feature f when its side is forced."""
     ds = Dataset(values=np.asarray(f, dtype=float)[:, None], feature_names=["f"])
-    model = build_margin_model(ds, MarginConfig(quantile=quantile, **_FORCE[kind]))
-    return model.membership[:, 0], model.cutoffs[0], model.kinds[0]
+    model = build_margin_model(ds, MarginConfig(quantile=quantile, **_FORCE[side]))
+    return model.membership[:, 0]
+
+
+def _side(f, mask, quantile: float) -> Side:
+    """The one side whose tails, cut by np.quantile, make the margin mask of
+    the feature f; f must tell the three sides apart."""
+    tails = {side: feature_margin(f, side, quantile)[0] for side in Side}
+    assert len({t.tobytes() for t in tails.values()}) == 3, "f has no distinct tails"
+    (side,) = [side for side, tail in tails.items() if np.array_equal(tail, mask)]
+    return side
 
 
 def test_classify_skew_sides():
-    f = np.array([0.0, 0.0, 0.0, 10.0])  # skewness 2/sqrt(3)
-    X = np.column_stack([f, [-1.0, 0.0, 0.0, 1.0], -f])
+    f = np.exp(np.linspace(0.0, 3.0, 20))  # skewness about 1.1
+    X = np.column_stack([f, np.linspace(-1.0, 1.0, 20), -f])
     ds = Dataset(values=X, feature_names=["right", "flat", "left"])
-    model = build_margin_model(ds, MarginConfig())
-    assert model.kinds == [MarginKind.RIGHT, MarginKind.TWO_SIDED, MarginKind.LEFT]
+    model = build_margin_model(ds, MarginConfig(quantile=0.2))
+    sides = [_side(X[:, j], model.membership[:, j], 0.2) for j in range(3)]
+    assert sides == [Side.RIGHT, Side.TWO_SIDED, Side.LEFT]
 
 
 def test_classify_skew_boundaries_inclusive():
     f = np.array([0.0, 1.0, 1.0, 2.0, 9.0])
-    s = _skew(f)
+    s = skewness_1d(f)
+    assert s == _skew(f)
     ds = Dataset(values=f[:, None], feature_names=["f"])
 
-    def kind(**thresholds):
-        return build_margin_model(ds, MarginConfig(**thresholds)).kinds[0]
+    def side(**thresholds):
+        model = build_margin_model(ds, MarginConfig(**thresholds))
+        return _side(f, model.membership[:, 0], MarginConfig().quantile)
 
-    assert kind(skew_right=s, skew_left=-s) is MarginKind.RIGHT
-    assert kind(skew_right=s + 1.0, skew_left=s) is MarginKind.LEFT
-    assert kind(skew_right=np.nextafter(s, math.inf), skew_left=-s) is MarginKind.TWO_SIDED
-    assert kind(skew_right=s + 1.0, skew_left=np.nextafter(s, -math.inf)) is (
-        MarginKind.TWO_SIDED
+    assert side(skew_right=s, skew_left=-s) is Side.RIGHT
+    assert side(skew_right=s + 1.0, skew_left=s) is Side.LEFT
+    assert side(skew_right=np.nextafter(s, math.inf), skew_left=-s) is Side.TWO_SIDED
+    assert side(skew_right=s + 1.0, skew_left=np.nextafter(s, -math.inf)) is (
+        Side.TWO_SIDED
     )
 
 
@@ -158,57 +169,51 @@ def test_classify_skew_boundaries_inclusive():
 
 def test_feature_margin_right_top_of_range():
     f = np.arange(1.0, 101.0)
-    mask, (lo, hi), kind = _one_feature(f, MarginKind.RIGHT, 0.05)
-    assert kind is MarginKind.RIGHT
-    assert lo is None
-    assert hi == np.quantile(f, 0.95)
+    mask = _one_feature(f, Side.RIGHT, 0.05)
+    assert np.array_equal(mask, f > np.quantile(f, 0.95))
     assert sorted(f[mask]) == [96.0, 97.0, 98.0, 99.0, 100.0]
 
 
 def test_feature_margin_left_bottom_of_range():
     f = np.arange(1.0, 101.0)
-    mask, (lo, hi), kind = _one_feature(f, MarginKind.LEFT, 0.05)
-    assert kind is MarginKind.LEFT
-    assert hi is None
+    mask = _one_feature(f, Side.LEFT, 0.05)
+    assert np.array_equal(mask, f < np.quantile(f, 0.05))
     assert sorted(f[mask]) == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_feature_margin_two_sided_both_tails():
     f = np.arange(1.0, 101.0)
-    mask, (lo, hi), kind = _one_feature(f, MarginKind.TWO_SIDED, 0.1)
-    assert kind is MarginKind.TWO_SIDED
-    assert lo < hi
+    mask = _one_feature(f, Side.TWO_SIDED, 0.1)
+    want = (f < np.quantile(f, 0.05)) | (f > np.quantile(f, 0.95))
+    assert np.array_equal(mask, want)
     assert sorted(f[mask]) == [1.0, 2.0, 3.0, 4.0, 5.0, 96.0, 97.0, 98.0, 99.0, 100.0]
 
 
 def test_feature_margin_strict_at_cutoff():
     # Q(0.75) of [0..4] is exactly 3.0; the sample sitting on it stays out
     f = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    mask, (_, hi), _ = _one_feature(f, MarginKind.RIGHT, 0.25)
-    assert hi == 3.0
+    assert np.quantile(f, 0.75) == 3.0
+    mask = _one_feature(f, Side.RIGHT, 0.25)
     assert f[mask].tolist() == [4.0]
 
 
 def test_feature_margin_constant_is_empty():
     f = np.full(10, 7.0)
-    for kind in MarginKind:
-        mask, cut, got = _one_feature(f, kind, 0.1)
-        assert not mask.any()
-        assert cut == (None, None)
-        assert got is MarginKind.TWO_SIDED
+    for side in Side:
+        assert not _one_feature(f, side, 0.1).any()
 
 
 @given(
     st.lists(st.floats(-50, 50, allow_nan=False), min_size=4, max_size=60),
-    st.sampled_from(list(MarginKind)),
+    st.sampled_from(list(Side)),
     st.floats(0.02, 0.49),
     st.floats(0.02, 0.49),
 )
-def test_feature_margin_monotone_in_quantile(f, kind, q1, q2):
+def test_feature_margin_monotone_in_quantile(f, side, q1, q2):
     f = np.asarray(f)
     lo_q, hi_q = min(q1, q2), max(q1, q2)
-    small, _, _ = _one_feature(f, kind, lo_q)
-    large, _, _ = _one_feature(f, kind, hi_q)
+    small = _one_feature(f, side, lo_q)
+    large = _one_feature(f, side, hi_q)
     assert not (small & ~large).any()
 
 
@@ -239,11 +244,11 @@ def _outlier_dataset():
 def test_build_margin_model_weight_of_shared_outlier():
     ds = _outlier_dataset()
     model = build_margin_model(ds, MarginConfig(quantile=0.05))
-    assert all(kind is MarginKind.RIGHT for kind in model.kinds)
+    for j in range(3):
+        assert _side(ds.values[:, j], model.membership[:, j], 0.05) is Side.RIGHT
     assert model.counts.tolist() == [0] * 11 + [3]
     assert model.u[:11].tolist() == [0.0] * 11
     assert abs(model.u[11] - math.log(4.0)) < 1e-12
-    assert model.in_dataset_margin.tolist() == [False] * 11 + [True]
     # the outlier row is in every margin, no other row in any
     assert model.membership[11].all()
     assert not model.membership[:11].any()
@@ -252,7 +257,6 @@ def test_build_margin_model_weight_of_shared_outlier():
 def test_build_margin_model_k_above_counts_zeroes_everything():
     ds = _outlier_dataset()
     model = build_margin_model(ds, MarginConfig(quantile=0.05, k=4))
-    assert not model.in_dataset_margin.any()
     assert not model.u.any()
     # membership itself is unaffected by k
     assert model.counts[11] == 3
@@ -262,9 +266,8 @@ def test_build_margin_model_constant_feature():
     X = np.column_stack([np.full(12, 3.0), np.arange(12.0)])
     ds = Dataset(values=X, feature_names=["const", "ramp"])
     model = build_margin_model(ds, MarginConfig(quantile=0.1))
-    assert model.kinds[0] is MarginKind.TWO_SIDED
-    assert model.cutoffs[0] == (None, None)
     assert not model.membership[:, 0].any()
+    assert _side(X[:, 1], model.membership[:, 1], 0.1) is Side.TWO_SIDED
 
 
 def test_build_margin_model_counts_match_membership(rng):
@@ -274,8 +277,7 @@ def test_build_margin_model_counts_match_membership(rng):
     )
     model = build_margin_model(ds, MarginConfig(quantile=0.1))
     assert np.array_equal(model.counts, model.membership.sum(axis=1))
-    assert np.array_equal(model.in_dataset_margin, model.counts >= 1)
-    expect_u = np.where(model.in_dataset_margin, np.log(model.counts + 1.0), 0.0)
+    expect_u = np.where(model.counts >= 1, np.log(model.counts + 1.0), 0.0)
     assert np.array_equal(model.u, expect_u)
     assert model.t == temperature(6)
 
@@ -324,21 +326,42 @@ def test_margin_config_validation():
 
 # ------------------------------------------- column-wise pass vs. the loop
 
+# the rows of the quantiles Q(q/2), Q(q), Q(1 - q), Q(1 - q/2) that
+# build_margin_model takes that each side cuts at, None for the tail it
+# leaves out
+_CUT_ROWS = {Side.RIGHT: (None, 2), Side.LEFT: (1, None), Side.TWO_SIDED: (0, 3)}
 
-def _assert_same_model(got: MarginModel, ref: MarginModel) -> None:
-    """Every field of the two models is equal bit for bit."""
-    assert got.config == ref.config
-    assert got.kinds == ref.kinds
 
-    def bits(cutoffs):
-        return [tuple(None if v is None else float(v).hex() for v in c) for c in cutoffs]
+def _model_and_cuts(ds, config):
+    """build_margin_model's model of ds, and the 4 x d quantiles it cut
+    each feature's tails at, NaN for a feature without a margin."""
+    seen = []
+    take = margins._linear_quantiles
 
-    assert bits(got.cutoffs) == bits(ref.cutoffs)
-    for name in ("membership", "counts", "in_dataset_margin", "u"):
-        a, b = getattr(got, name), getattr(ref, name)
+    def spy(ordered, qs):
+        seen.append(take(ordered, qs))
+        return seen[-1]
+
+    with patch.object(margins, "_linear_quantiles", spy):
+        model = build_margin_model(ds, config)
+    (cut,) = seen
+    return model, cut
+
+
+def _assert_same_model(got: MarginModel, cut: np.ndarray, ref) -> None:
+    """Every field of the model is equal bit for bit to the reference's, and
+    each feature is cut where the reference cuts it on its side."""
+    want = ref.model
+    assert got.config == want.config
+    for name in ("membership", "counts", "u"):
+        a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
-    assert float(got.t).hex() == float(ref.t).hex()
+    assert float(got.t).hex() == float(want.t).hex()
+    for j, (side, (lo, hi)) in enumerate(zip(ref.sides, ref.cutoffs)):
+        got_cuts = [None if r is None or math.isnan(cut[r, j]) else float(cut[r, j]).hex()
+                    for r in _CUT_ROWS[side]]
+        assert got_cuts == [None if v is None else v.hex() for v in (lo, hi)], j
 
 
 @st.composite
@@ -385,15 +408,19 @@ def test_build_margin_model_matches_feature_loop(X, quantile, skew_right, gap, k
     )
     values = margins._COLUMN_CHUNK if chunk is None else chunk * X.shape[0]
     with patch.object(margins, "_COLUMN_CHUNK", values):
-        got = build_margin_model(ds, config)
-    _assert_same_model(got, build_margin_model_loop(ds, config))
+        got, cut = _model_and_cuts(ds, config)
+    _assert_same_model(got, cut, build_margin_model_loop(ds, config))
 
 
 @given(_tables())
 def test_skewness_matches_one_column_at_a_time(X):
-    X = X[:, X.max(axis=0) != X.min(axis=0)]
-    got = [v.hex() for v in skewness(X).tolist()]
-    assert got == [skewness_1d(f).hex() for f in X.T]
+    live, s = _live_skewness(X.T.copy())
+    want = [f.max() != f.min() and np.var(f) != 0.0 for f in X.T]
+    assert live.tolist() == want
+    assert [v.hex() for v in s[live].tolist()] == [
+        skewness_1d(f).hex() for f in X.T[live]
+    ]
+    assert np.isnan(s[~live]).all()
 
 
 def test_build_margin_model_kinds_on_the_grid_draws():
@@ -406,11 +433,16 @@ def test_build_margin_model_kinds_on_the_grid_draws():
                 drawn = gen_setup(
                     SynthSpec(setup=setup, rho=rho, n_samples=1000, seed=seed)
                 )
-                model = build_margin_model(drawn.dataset, config)
-                expected = [MarginKind.TWO_SIDED] * drawn.dataset.n_features
-                expected[5:10] = [MarginKind.RIGHT] * 5
-                assert model.kinds == expected, (setup, rho, seed)
-                _assert_same_model(model, build_margin_model_loop(drawn.dataset, config))
+                X = drawn.dataset.values
+                model, cut = _model_and_cuts(drawn.dataset, config)
+                expected = [Side.TWO_SIDED] * X.shape[1]
+                expected[5:10] = [Side.RIGHT] * 5
+                sides = [_side(X[:, j], model.membership[:, j], config.quantile)
+                         for j in range(X.shape[1])]
+                assert sides == expected, (setup, rho, seed)
+                ref = build_margin_model_loop(drawn.dataset, config)
+                assert ref.sides == expected, (setup, rho, seed)
+                _assert_same_model(model, cut, ref)
 
 
 # ---------------------------------------------------------- squared distances
@@ -651,7 +683,7 @@ def test_u_monotone_in_counts(seed, k):
         feature_names=[f"f{j}" for j in range(5)],
     )
     model = build_margin_model(ds, MarginConfig(quantile=0.15, k=k))
-    c, u, inside = model.counts, model.u, model.in_dataset_margin
+    c, u, inside = model.counts, model.u, model.counts >= k
     for i in np.flatnonzero(inside):
         for j in np.flatnonzero(inside):
             if c[i] > c[j]:

@@ -11,7 +11,6 @@ from mlscore.data import DataError, Dataset, standardize
 from mlscore.evaluation import bench_margin_config
 from mlscore.margins import (
     MarginConfig,
-    MarginKind,
     MarginModel,
     _centred,
     _knn_forms,
@@ -74,7 +73,6 @@ def _report(scores, method="ls"):
     return ScoreReport(
         method=method,
         scores=scores,
-        constant_feature_flags=np.zeros(scores.size, dtype=bool),
         feature_names=[f"f{j}" for j in range(scores.size)],
     )
 
@@ -117,8 +115,21 @@ def test_ls_prefers_cluster_structure(rng):
 def test_ls_constant_feature_scores_inf(rng):
     X = np.column_stack([np.full(10, 2.0), rng.standard_normal(10)])
     report = laplacian_score(Dataset(values=X, feature_names=["c", "f"]))
-    assert np.isinf(report.scores[0])
-    assert report.constant_feature_flags.tolist() == [True, False]
+    assert report.scores[0] == np.inf
+    assert np.isfinite(report.scores[1])
+
+
+@pytest.mark.parametrize("mode", KERNEL_MODES)
+def test_ls_underflowing_variance_scores_inf(rng, mode):
+    # the degree-weighted variance of a column near 1e-200 underflows to 0
+    # although the column is not constant; it scored 0/0 = nan, where mls
+    # scores such a column +inf
+    X = np.column_stack([rng.standard_normal(20), 1e-200 * rng.standard_normal(20)])
+    ds = Dataset(values=X, feature_names=["f", "tiny"])
+    report = laplacian_score(ds, KernelConfig(mode=mode))
+    assert report.scores[1] == np.inf
+    assert np.isfinite(report.scores[0])
+    assert mls(ds, build_margin_model(ds, MarginConfig(quantile=0.1))).scores[1] == np.inf
 
 
 @pytest.mark.parametrize("value", [1.0, 1e30, 1e100, 1e150, 1e200])
@@ -132,7 +143,6 @@ def test_ls_constant_column_leaves_other_scores(rng, value):
     report = laplacian_score(ds)
     assert np.max(np.abs(report.scores[:3] - ref) / np.abs(ref)) < 1e-12
     assert report.scores[3] == np.inf
-    assert report.constant_feature_flags.tolist() == [False, False, False, True]
 
 
 def test_ls_overflow_names_the_feature(rng):
@@ -227,7 +237,7 @@ def _assert_ls_matches(report, X, S):
     # a score is 1 - f~'S f~ / f~'D f~, and f~'S f~ <= f~'D f~ for S >= 0, so
     # both forms round it to within a few ulps of 1 however small it is
     want = ls_scores_dense(X, S)
-    live = ~report.constant_feature_flags
+    live = X.max(axis=0) != X.min(axis=0)
     err = np.abs(report.scores[live] - want[live])
     assert np.all(err <= 1e-12 * np.maximum(np.abs(want[live]), 1.0))
     assert np.isinf(report.scores[~live]).all()
@@ -321,11 +331,8 @@ def test_mls_hand_value_through_report():
     # (1 - 0)^2 w ln 2 and Var(f) = 1/2
     model = MarginModel(
         config=MarginConfig(),
-        kinds=[MarginKind.RIGHT],
-        cutoffs=[(None, 0.5)],
         membership=np.array([[True], [False]]),
         counts=np.array([1, 0]),
-        in_dataset_margin=np.array([True, False]),
         u=np.array([math.log(2.0), 0.0]),
         t=1.0,
     )
@@ -347,20 +354,15 @@ def test_mls_matches_naive_with_unweighted_rows(rng):
         assert abs(report.scores[r] - naive) <= 1e-9 * max(abs(naive), 1e-12)
 
 
-def _model_from(F, membership, k, t):
+def _model_from(membership, k, t):
     """A MarginModel assembled from a given membership matrix as
     build_margin_model assembles it: rows below k memberships get u = 0."""
-    d = F.shape[1]
     counts = membership.sum(axis=1)
-    in_margin = counts >= k
     return MarginModel(
         config=MarginConfig(k=k),
-        kinds=[MarginKind.TWO_SIDED] * d,
-        cutoffs=[(None, None)] * d,
         membership=membership,
         counts=counts,
-        in_dataset_margin=in_margin,
-        u=np.where(in_margin, np.log(counts + 1.0), 0.0),
+        u=np.where(counts >= k, np.log(counts + 1.0), 0.0),
         t=t,
     )
 
@@ -390,7 +392,7 @@ def _margin_problems(draw):
     # at 1e140 every kernel weight between distinct points underflows
     F *= draw(st.sampled_from([1.0, 1e140]))
     t = draw(st.sampled_from([0.5, 1.0, 3.0]))
-    return F, _model_from(F, membership, k, t)
+    return F, _model_from(membership, k, t)
 
 
 @given(_margin_problems())
@@ -426,8 +428,8 @@ def test_mls_constant_feature_scores_inf(rng):
     ds = Dataset(values=X, feature_names=["f", "c"])
     model = build_margin_model(ds, MarginConfig(quantile=0.1))
     report = mls(ds, model)
-    assert np.isinf(report.scores[1])
-    assert report.constant_feature_flags.tolist() == [False, True]
+    assert report.scores[1] == np.inf
+    assert np.isfinite(report.scores[0])
 
 
 def test_mls_underflowing_variance_scores_inf(rng):
@@ -437,9 +439,8 @@ def test_mls_underflowing_variance_scores_inf(rng):
     X[3, 1] = 1e-170
     ds = Dataset(values=X, feature_names=["f", "c"])
     report = mls(ds, build_margin_model(ds, MarginConfig(quantile=0.1)))
-    assert np.isinf(report.scores[1])
+    assert report.scores[1] == np.inf
     assert np.isfinite(report.scores[0])
-    assert report.constant_feature_flags.tolist() == [False, False]
 
 
 def test_mls_all_constant_rejected():
