@@ -31,7 +31,7 @@ from .evaluation import (
     run_recovery_benchmark,
     score_dataset,
 )
-from .gates import TrainConfig
+from .gates import GateState, TrainConfig
 from .margins import MarginConfig, build_margin_model, export_margin_csv
 from .scores import KERNEL_MODES, KernelConfig, ScoreReport, ranked_rows, select_top
 from .synth import SynthSpec, add_noise_features, gen_setup
@@ -408,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Margin-aware Laplacian feature scoring and selection",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    train_defaults = TrainConfig()
     subs = parser.add_subparsers(dest="command", required=True)
 
     score = subs.add_parser("score", help="score every feature of a CSV")
@@ -419,9 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scoring_flags(select)
     select.add_argument("--method", choices=METHODS, required=True)
     select.add_argument("--num-features", type=int, required=True)
-    select.add_argument("--epochs", type=int, default=500)
-    select.add_argument("--lr", type=float, default=0.1)
-    select.add_argument("--sigma", type=float, default=0.5)
+    select.add_argument("--epochs", type=int, default=train_defaults.epochs)
+    select.add_argument("--lr", type=float, default=train_defaults.learning_rate)
+    select.add_argument("--sigma", type=float, default=GateState.sigma)
     select.add_argument("--seed", type=int, default=0)
     select.set_defaults(func=cmd_select)
 
@@ -457,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--methods", default="mls,ls")
     bench.add_argument("--n", type=int, default=1000,
                        help="sample count of every draw")
-    bench.add_argument("--epochs", type=int, default=TrainConfig().epochs,
+    bench.add_argument("--epochs", type=int, default=train_defaults.epochs,
                        help="gate training epochs for dufs and dufs-mls")
     bench.add_argument("--setups",
                        default=",".join(str(s) for s in BENCH_SETUPS))

@@ -130,7 +130,7 @@ def score_dataset(
     margin_config: MarginConfig | None = None,
     kernel_config: KernelConfig | None = None,
     train_config: TrainConfig | None = None,
-    sigma: float = 0.5,
+    sigma: float = GateState.sigma,
 ) -> tuple[ScoreReport, TrainTrace | None]:
     """Score every feature of ds with one of METHODS.
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -219,26 +221,30 @@ def _standardized_setup_1():
 
 
 def test_score_dataset_warns_when_gates_saturate_open():
-    # 50 dufs epochs take 7 of the 10 gates past 0.5 + mu = 1 + 2 sigma and
-    # one past -2 sigma, too few to warn; after 20 epochs none is past
+    # every dufs gate opens on this draw, slowly: at lr 0.01, 200 epochs
+    # take only gate 1 past 0.5 + mu = 1 + 2 sigma, too few to warn, and
+    # 250 take gates 1 and 6 past it
     ds = _standardized_setup_1()
-    report, trace = score_dataset(ds, "dufs", train_config=TrainConfig(epochs=50))
-    assert np.count_nonzero(0.5 + trace.mu > 2.0) == 7
-    assert np.count_nonzero(0.5 + trace.mu < -1.0) == 1
+    config = TrainConfig(epochs=250, learning_rate=0.01)
+    report, trace = score_dataset(ds, "dufs", train_config=config)
+    assert np.flatnonzero(0.5 + trace.mu > 2.0).tolist() == [1, 6]
     assert report.warnings == [_SATURATED.format("open")]
-    report, _ = score_dataset(ds, "dufs", train_config=TrainConfig(epochs=20))
+    report, trace = score_dataset(ds, "dufs", train_config=replace(config, epochs=200))
+    assert np.flatnonzero(0.5 + trace.mu > 2.0).tolist() == [1]
     assert report.warnings == []
 
 
 def test_score_dataset_warns_when_gates_saturate_closed():
-    # dufs-mls closes every gate in lockstep, past -2 sigma by 20 epochs
+    # dufs-mls closes every gate in lockstep: at the default lr 36 epochs
+    # take them past -2 sigma, and after 35 they sit at 0.5 + mu = -0.94
     ds = _standardized_setup_1()
-    report, trace = score_dataset(ds, "dufs-mls", train_config=TrainConfig(epochs=20))
+    equal = "all gate means are equal; the selection is feature order"
+    report, trace = score_dataset(ds, "dufs-mls", train_config=TrainConfig(epochs=36))
     assert (0.5 + trace.mu < -1.0).all()
-    assert report.warnings == [
-        "all gate means are equal; the selection is feature order",
-        _SATURATED.format("closed"),
-    ]
+    assert report.warnings == [equal, _SATURATED.format("closed")]
+    report, trace = score_dataset(ds, "dufs-mls", train_config=TrainConfig(epochs=35))
+    assert (0.5 + trace.mu > -1.0).all()
+    assert report.warnings == [equal]
 
 
 @pytest.mark.parametrize("method", ["dufs", "dufs-mls"])
