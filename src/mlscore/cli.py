@@ -1,10 +1,11 @@
 """Command-line surface: score, select, synth, validate-margin, bench.
 
 Every command writes a JSON manifest next to its primary output so a run
-can be replayed: command name, parameter echo, seed, sha256 of each input
-file, output list, tool version, timestamp, and the warnings of score,
-select and bench. Reruns with the same seed and inputs are byte-identical
-except for the manifest timestamp.
+can be replayed: command name, parameter echo, seed, the sha256 of the
+bytes read from each input, output list, tool version, the BLAS thread
+settings of the environment, timestamp, and the warnings of score, select
+and bench. Reruns with the same seed, inputs and environment are
+byte-identical except for the manifest timestamp.
 
 Exit codes: 0 success, 1 data error, 2 usage error.
 """
@@ -13,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -38,44 +39,27 @@ from .synth import SynthSpec, add_noise_features, gen_setup
 
 SCORE_METHODS = ("ls", "mls")
 DEFAULT_KS_GRID = tuple(round(0.01 * i, 2) for i in range(1, 31))
+# scores differ across BLAS thread counts in the last bits; unset is the default
+BLAS_THREAD_VARIABLES = ("MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 
 
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _echo_params(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        out[key] = str(value) if isinstance(value, Path) else value
-    return out
-
-
-def _write_manifest(primary, command: str, args, seed, inputs, outputs,
-                    extra: dict | None = None) -> Path:
+def _write_manifest(primary, command: str, args, seed, inputs: dict, outputs,
+                    extra: dict | None = None) -> None:
     manifest = {
         "command": command,
-        "params": _echo_params(args),
+        "params": {key: value for key, value in vars(args).items() if key != "func"},
         "seed": seed,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": inputs,
         "outputs": [str(p) for p in outputs],
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     if extra:
         manifest.update(extra)
-    path = Path(str(primary) + ".manifest.json")
-    with open(path, "w") as fh:
+    with open(str(primary) + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _default_output(input_path: str, tag: str) -> Path:
@@ -115,11 +99,15 @@ def _train_config(args, parser) -> TrainConfig:
         parser.error(str(err))
 
 
-def _refuse_overwrite(args, parser, *flags) -> None:
-    """A usage error, before anything is read, if the path that one of the
-    ``flags`` of args names resolves to ``--input``: the command would
-    write over the table it reads."""
-    source = Path(args.input).resolve()
+def _check_outputs(args, parser, *flags) -> None:
+    """A usage error, before anything is read, if ``--input`` is not a
+    regular file (a pipe, a FIFO) and no ``--output`` is named, or if the
+    path that one of the ``flags`` of args names resolves to ``--input``:
+    the command would write over the table it reads."""
+    source = Path(args.input)
+    if args.output is None and source.exists() and not source.is_file():
+        parser.error("--output is required when --input is not a regular file")
+    source = source.resolve()
     for flag in flags:
         path = getattr(args, flag)
         if path and Path(path).resolve() == source:
@@ -128,9 +116,10 @@ def _refuse_overwrite(args, parser, *flags) -> None:
 
 def _load_for_scoring(args):
     ds = load_csv(args.input, label_column=args.label_col)
+    inputs = {args.input: ds.source_sha256}
     if not args.no_standardize:
         ds, _ = standardize(ds)
-    return ds
+    return ds, inputs
 
 
 def _write_scores_csv(report: ScoreReport, path) -> None:
@@ -148,15 +137,15 @@ def _print_warnings(lines: list[str]) -> None:
 
 
 def cmd_score(args, parser) -> int:
-    _refuse_overwrite(args, parser, "output")
+    _check_outputs(args, parser, "output")
     margin_config = _margin_config(args, parser)
     kernel_config = _kernel_config(args, parser)
-    ds = _load_for_scoring(args)
+    ds, inputs = _load_for_scoring(args)
     report, _ = score_dataset(ds, args.method, margin_config, kernel_config)
     out = Path(args.output) if args.output else _default_output(args.input, "scores")
     _write_scores_csv(report, out)
     _print_warnings(report.warnings)
-    _write_manifest(out, "score", args, None, [args.input], [out],
+    _write_manifest(out, "score", args, None, inputs, [out],
                     extra={"warnings": report.warnings})
     print(f"wrote {out}")
     return 0
@@ -165,11 +154,11 @@ def cmd_score(args, parser) -> int:
 def cmd_select(args, parser) -> int:
     if args.num_features < 1:
         parser.error("num-features must be >= 1")
-    _refuse_overwrite(args, parser, "output")
+    _check_outputs(args, parser, "output")
     margin_config = _margin_config(args, parser)
     kernel_config = _kernel_config(args, parser)
     train_config = _train_config(args, parser)
-    ds = _load_for_scoring(args)
+    ds, inputs = _load_for_scoring(args)
     if args.num_features > ds.n_features:
         parser.error(
             f"num-features {args.num_features} exceeds {ds.n_features} features"
@@ -202,7 +191,7 @@ def cmd_select(args, parser) -> int:
         outputs.append(trace_path)
     _print_warnings(report.warnings)
     seed = args.seed if trace is not None else None
-    _write_manifest(out, "select", args, seed, [args.input], outputs,
+    _write_manifest(out, "select", args, seed, inputs, outputs,
                     extra={"warnings": report.warnings})
     print(f"wrote {out}")
     return 0
@@ -224,7 +213,7 @@ def cmd_synth(args, parser) -> int:
     out = Path(args.output)
     save_csv(ds, out, label_column="label")
     _write_manifest(
-        out, "synth", args, args.seed, [], [out],
+        out, "synth", args, args.seed, {}, [out],
         extra={"marginal_columns": marginal_columns},
     )
     n_pos = int(ds.labels.sum())
@@ -242,7 +231,7 @@ def _parse_quantiles(text: str, parser) -> tuple[float, ...]:
 
 
 def cmd_validate_margin(args, parser) -> int:
-    _refuse_overwrite(args, parser, "output", "dump_margins")
+    _check_outputs(args, parser, "output", "dump_margins")
     try:
         ds = load_csv(args.input, label_column=args.label_col)
     except LabelColumnError:
@@ -276,7 +265,8 @@ def cmd_validate_margin(args, parser) -> int:
         model = build_margin_model(scaled, base)
         export_margin_csv(model, args.dump_margins)
         outputs.append(Path(args.dump_margins))
-    _write_manifest(out, "validate-margin", args, None, [args.input], outputs)
+    _write_manifest(out, "validate-margin", args, None,
+                    {args.input: ds.source_sha256}, outputs)
     print(f"wrote {out}")
     return 0
 
@@ -364,7 +354,7 @@ def cmd_bench(args, parser) -> int:
     warnings = [f"setup {cell.setup} rho {cell.rho:g} {cell.method}: {line}"
                 for cell in cells for line in cell.warnings]
     _print_warnings(warnings)
-    _write_manifest(summary, "bench", args, args.seed, [], [summary, per_rep],
+    _write_manifest(summary, "bench", args, args.seed, {}, [summary, per_rep],
                     extra={"warnings": warnings})
     print(f"wrote {summary} and {per_rep}")
     return 0

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +52,14 @@ class Dataset:
 
     Invariants are enforced at construction: finite values, at least two
     rows and one column, unique feature names, labels (when present) binary
-    and aligned with the rows.
+    and aligned with the rows. ``source_sha256`` is the hex sha256 of the
+    bytes ``load_csv`` read the table from, None for a table made otherwise.
     """
 
     values: np.ndarray
     feature_names: list[str]
     labels: np.ndarray | None = None
+    source_sha256: str | None = None
 
     def __post_init__(self):
         if isinstance(self.values, _Owned):
@@ -113,6 +115,29 @@ class ScalerStats:
     constant: np.ndarray  # bool mask; std_devs is 0 exactly on these features
 
 
+class _Hashed(io.FileIO):
+    """A file opened for reading that feeds each byte read from it to
+    ``sha256``. Its one seek, back to the start, begins the digest again."""
+
+    # read through readinto, so that no byte escapes the digest
+    read, readall = io.RawIOBase.read, io.RawIOBase.readall
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.sha256 = hashlib.sha256()
+
+    def readinto(self, buffer):
+        n = super().readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+    def seek(self, pos, whence):  # BufferedReader passes both
+        if (pos, whence) != (0, io.SEEK_SET):
+            raise io.UnsupportedOperation("only a seek to the start keeps the digest whole")
+        self.sha256 = hashlib.sha256()
+        return super().seek(0)
+
+
 def load_csv(path, label_column: str | None = None) -> Dataset:
     """Load a numeric CSV with a header row into a Dataset.
 
@@ -121,38 +146,37 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     is given, that column is validated as 0/1, removed from the feature
     matrix, and attached as labels.
 
-    The header is read with ``csv.reader``. The body lines are then streamed
-    into NumPy's C parser (``np.loadtxt``), which holds no Python object per
-    cell. Its table is kept only where it must equal what ``csv.reader`` and
-    Python's ``float`` give: the parse succeeds, it has one row per line read
-    and one column per header name, and its values are finite with 0/1
-    labels. Anything else takes the ``csv.reader`` path, which reads the
-    file again and converts its rows in one NumPy call: a header-only body,
-    blank lines, records spanning lines, spellings the C parser rejects
-    (``1_000``, non-ASCII digits), the separators ``\\x1c``-``\\x1f`` it
-    takes for space, and every bad file; a non-seekable input takes that
-    path from the start. Only a file that fails there too is scanned cell by
-    cell, to report its first fault in file order. On that path a cell
-    longer than ``csv.field_size_limit()`` is a fault of its row; the C
-    parser has no such limit. Bytes that are not UTF-8 are a fault of the
-    header or of the body row that holds them. A UTF-8 byte-order mark at
-    the start of the file, which spreadsheet "CSV UTF-8" exports write, is
-    dropped rather than read into the first header name.
+    The path is opened once, so a pipe or a FIFO reads as a file does; its
+    bytes stream through the sha256 that becomes ``source_sha256``. They
+    decode as UTF-8 with ``errors="surrogateescape"``, so a byte that is not
+    UTF-8 stays in its cell as a lone surrogate. The header is read with
+    ``csv.reader`` and the body streamed into NumPy's C parser
+    (``np.loadtxt``), whose table is kept only where it must equal what
+    ``csv.reader`` and ``float`` give. Anything else (blank lines, records
+    spanning lines, ``1_000``, the separators ``\\x1c``-``\\x1f``, every
+    bad file) is read again with ``csv.reader`` after a seek back to the
+    start, which restarts the digest; a non-seekable input is read that
+    way from the start. A file that fails there too is scanned for its first fault in
+    file order: the header's, then the first bad row's, where bytes that
+    are not UTF-8 come before a wrong cell count and that before a bad
+    cell. A cell longer than ``csv.field_size_limit()`` is a fault of its
+    row. A UTF-8 byte-order mark at the start is dropped.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")
+        source = _Hashed(path)
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
+    fh = io.TextIOWrapper(io.BufferedReader(source, 1 << 16), encoding="utf-8-sig",
+                          errors="surrogateescape", newline="")
     with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
         except csv.Error as exc:  # a cell over csv.field_size_limit()
             raise DataError(f"{path}: header: {exc}") from None
-        except UnicodeDecodeError as exc:  # in the header or a later line
-            raise _undecodable(path, exc) from None
         if header is None:
             raise DataError(f"{path}: empty file")
+        _check_utf8(f"{path}: header", header)
         header = [h.strip() for h in header]
         if len(set(header)) != len(header):
             dupes = sorted({h for h in header if header.count(h) > 1})
@@ -174,8 +198,6 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
             except csv.Error as exc:  # a cell over csv.field_size_limit()
                 _first_fault(path, header, rows, label_idx)
                 raise DataError(f"{path}: row {len(rows) + 1}: {exc}") from None
-            except UnicodeDecodeError as exc:  # decoded ahead of the rows read
-                raise _undecodable(path, exc) from None
             if all(len(raw) == len(header) for raw in rows):
                 if label_idx is not None:
                     # read labels as _as_label does: str.strip() also drops
@@ -194,12 +216,14 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
 
     if len(table) < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {len(table)}")
+    digest = source.sha256.hexdigest()
     if label_idx is None:
-        return Dataset(values=_Owned(table), feature_names=header)
+        return Dataset(values=_Owned(table), feature_names=header, source_sha256=digest)
     return Dataset(
         values=_Owned(np.delete(table, label_idx, axis=1)),
         feature_names=header[:label_idx] + header[label_idx + 1:],
         labels=table[:, label_idx].astype(int),
+        source_sha256=digest,
     )
 
 
@@ -237,32 +261,14 @@ def _c_table(lines, width: int, label_idx) -> np.ndarray | None:
     return table
 
 
-def _undecodable(path, exc: UnicodeDecodeError) -> DataError:
-    """The DataError for bytes of the file at path that are not UTF-8,
-    naming the header or the body row, counted from 1 as ``csv.reader``
-    counts records, that holds the first of them. A text file decodes
-    ahead of the records read, so a regular file is read again as bytes;
-    a pipe, which cannot be, is named without a row."""
-    where, reason, data = str(path), exc.reason, b""
-    if os.path.isfile(path):
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except OSError:
-            pass
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as first:
-        reason = first.reason
-        # the records that the valid prefix opens, the last of them cut
-        # short by a sentinel so that it counts even where it is empty
-        head = data[: first.start].decode("utf-8") + "."
-        try:
-            records = sum(1 for _ in csv.reader(io.StringIO(head, newline="")))
-            where += ": header" if records == 1 else f": row {records - 1}"
-        except csv.Error:  # a cell over csv.field_size_limit()
-            pass
-    return DataError(f"{where}: bytes that are not UTF-8 ({reason})")
+def _check_utf8(where: str, cells: list[str]) -> None:
+    """Raise the DataError for the bytes that are not UTF-8 in cells, which
+    surrogateescape decoding left as lone surrogates U+DC80-U+DCFF."""
+    bad = bytes(ord(c) - 0xDC00 for cell in cells if not cell.isascii()
+                for c in cell if "\udc80" <= c <= "\udcff")
+    if bad:
+        raise DataError(f"{where}: bytes that are not UTF-8 ({bad!r})")
+
 
 def _sound(table: np.ndarray, label_idx) -> bool:
     """Whether every cell is finite and the label column, if any, is 0/1."""
@@ -274,9 +280,10 @@ def _sound(table: np.ndarray, label_idx) -> bool:
 
 
 def _first_fault(path, header: list[str], rows: list[list[str]], label_idx) -> None:
-    """Raise the DataError for the first ragged row or bad cell in file
-    order, if there is one."""
+    """Raise the DataError for the first row in file order with bytes that
+    are not UTF-8, a wrong cell count or a bad cell, if there is one."""
     for i, raw in enumerate(rows, start=1):
+        _check_utf8(f"{path}: row {i}", raw)
         if len(raw) != len(header):
             raise DataError(
                 f"{path}: row {i} has {len(raw)} cells, expected {len(header)}"

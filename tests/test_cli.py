@@ -1,11 +1,17 @@
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mlscore.cli import main
+import mlscore
+from mlscore.cli import BLAS_THREAD_VARIABLES, main
 from mlscore.data import load_csv
 from mlscore.evaluation import run_recovery_benchmark
 from mlscore.gates import TrainConfig
@@ -540,6 +546,91 @@ def test_validate_margin_bad_quantile_list(labeled_csv):
         main(["validate-margin", "--input", str(labeled_csv),
               "--label-col", "label", "--quantiles", "0.05,0.9"])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------- inputs and manifest
+
+_READ_COMMANDS = [
+    ["score", "--method", "mls", "--label-col", "label"],
+    ["select", "--method", "ls", "--num-features", "2", "--label-col", "label"],
+    ["validate-margin", "--label-col", "label", "--quantiles", "0.1"],
+]
+needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+
+
+@needs_dev_fd
+@pytest.mark.parametrize("command", _READ_COMMANDS)
+def test_a_pipe_input_records_the_sha256_of_its_bytes(labeled_csv, tmp_path, command):
+    # the digest was taken by opening the path again after the run, which
+    # for a pipe read no bytes and recorded the sha256 of nothing
+    data = labeled_csv.read_bytes()
+    out = tmp_path / "out.csv"
+    r, w = os.pipe()
+    with os.fdopen(w, "wb") as sink:
+        sink.write(data)
+    try:
+        source = f"/dev/fd/{r}"
+        assert main(command + ["--input", source, "--output", str(out)]) == 0
+    finally:
+        os.close(r)
+    assert _manifest(out)["inputs"] == {source: hashlib.sha256(data).hexdigest()}
+
+
+@needs_dev_fd
+@pytest.mark.parametrize("command", _READ_COMMANDS)
+def test_a_pipe_input_without_output_is_a_usage_error(tmp_path, capsys, command):
+    # the default output is named after the input, /dev/fd/N-scores.csv
+    data = b"a,b,label\n1,2,0\n3,4,1\n5,6,0\n"
+    r, w = os.pipe()
+    with os.fdopen(w, "wb") as sink:
+        sink.write(data)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--input", f"/dev/fd/{r}"])
+        # refused before anything was read
+        assert os.read(r, 1 << 10) == data
+    finally:
+        os.close(r)
+    assert exc.value.code == 2
+    assert "--output is required when --input is not a regular file" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_fifo_input_is_read_once(labeled_csv, tmp_path):
+    # a second open of a FIFO waits for a writer that never comes: the
+    # command used to block after writing its scores, before its manifest
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+    data = labeled_csv.read_bytes()
+
+    def feed():
+        with open(fifo, "wb") as sink:  # waits for the command to open it
+            sink.write(data)
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    src = str(Path(mlscore.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    out = tmp_path / "scores.csv"
+    argv = [sys.executable, "-m", "mlscore.cli", "score", "--method", "mls",
+            "--input", str(fifo), "--label-col", "label", "--output", str(out)]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    feeder.join(10)
+    assert not feeder.is_alive()
+    assert _manifest(out)["inputs"] == {str(fifo): hashlib.sha256(data).hexdigest()}
+
+
+def test_manifest_records_blas_thread_settings(labeled_csv, tmp_path, monkeypatch):
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    out = tmp_path / "scores.csv"
+    argv = ["score", "--method", "ls", "--input", str(labeled_csv), "--output", str(out)]
+    assert main(argv) == 0
+    assert _manifest(out)["blas_threads"] == {
+        "MKL_NUM_THREADS": None, "OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "1"}
 
 
 # -------------------------------------------------------------------- bench

@@ -1,5 +1,6 @@
 import codecs
 import csv
+import hashlib
 import os
 import tracemalloc
 import warnings
@@ -447,7 +448,7 @@ def test_load_csv_header_cell_over_field_limit_is_a_data_error(tmp_path):
 @pytest.mark.parametrize("content, where", [
     (b"a,caf\xe9\n1,2\n3,4\n", "header"),
     # the record that spans two lines is one row
-    (b'a,b\n1,2\n3,"4\n5"\n6,\xff7\n', "row 3"),
+    (b'a,b\n1,2\n3,"4\n"\n6,\xff7\n', "row 3"),
     # past the first block of text the file decodes, so in the C parser
     (b"a,b\n" + b"1,2\n" * 5000 + b"3,\xe94\n", "row 5001"),
 ])
@@ -459,13 +460,45 @@ def test_load_csv_bytes_not_utf8_name_the_header_or_row(tmp_path, content, where
     assert str(info.value).startswith(f"{path}: {where}: bytes that are not UTF-8 (")
 
 
+@pytest.mark.parametrize("content, want", [
+    # header faults come before any fault of the body
+    (b"a,a\n1,\xe9\n3,4\n", "{path}: duplicate header columns: ['a']"),
+    (b"a,b\n1,\xe9\n3,4\n", "{path}: label column 'y' not in header"),
+    # a bad cell in row 1 comes before a bad byte in row 3
+    (b"a,y\nx,0\n1,0\n\xe9,1\n", "{path}: cannot parse cell at row 1, column 'a': 'x'"),
+    (b"a,y\n1,2\n1,0\n\xe9,1\n", "label at row 1, column 'y' must be 0 or 1, got '2'"),
+    (b"a,y\n1,0,5\n1,0\n\xe9,1\n", "{path}: row 1 has 3 cells, expected 2"),
+    # a bad byte in a row comes before that row's wrong cell count
+    (b"a,y\n1,0\n\xe9,1,5\n", "{path}: row 2: bytes that are not UTF-8 (b'\\xe9')"),
+])
+def test_load_csv_reports_faults_in_file_order(tmp_path, content, want):
+    path = tmp_path / "t.csv"
+    path.write_bytes(content)
+    with pytest.raises(DataError) as info:
+        load_csv(path, "y")
+    assert str(info.value) == want.format(path=path)
+
+
+@pytest.mark.parametrize("body", [
+    "1,2\n3,4\n",
+    # the csv.reader path rereads from the start, within the first buffer
+    # and past it
+    "1,2\n3,1_000\n",
+    "1,2\n" * 40000 + "3,1_000\n",
+], ids=["c-parser", "reread-within-buffer", "reread-past-buffer"])
+def test_load_csv_digest_is_the_sha256_of_the_file(tmp_path, body):
+    path = tmp_path / "t.csv"
+    path.write_bytes(codecs.BOM_UTF8 + ("a,b\n" + body).encode("utf-8"))
+    assert load_csv(path).source_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 @pytest.mark.parametrize("body, want", [
     ("1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
     ("1,2\n3,1_000\n", [[1.0, 2.0], [3.0, 1000.0]]),
     ("1,2\n3,x\n", "cannot parse cell at row 2, column 'b'"),
-    # the byte 0xe9; a pipe cannot be read again to find its row
-    ("1,2\n3,\udce9\n", r"/dev/fd/\d+: bytes that are not UTF-8 \("),
+    # the byte 0xe9, found in the row that holds it, not by a second read
+    ("1,2\n3,\udce9\n", r"/dev/fd/\d+: row 2: bytes that are not UTF-8 \(b'\\xe9'\)"),
 ])
 def test_load_csv_reads_a_pipe(body, want):
     # a pipe cannot seek back to the body, so it goes straight to csv.reader
@@ -477,7 +510,10 @@ def test_load_csv_reads_a_pipe(body, want):
             with pytest.raises(DataError, match=want):
                 load_csv(f"/dev/fd/{r}")
         else:
-            assert load_csv(f"/dev/fd/{r}").values.tolist() == want
+            ds = load_csv(f"/dev/fd/{r}")
+            assert ds.values.tolist() == want
+            sent = ("a,b\n" + body).encode("utf-8")
+            assert ds.source_sha256 == hashlib.sha256(sent).hexdigest()
     finally:
         os.close(r)
 
