@@ -57,7 +57,7 @@ def main(argv=None):
             setup=setup, rho=args.rho, n_samples=args.n_samples, seed=args.seed
         )
         ds = gen_setup(spec).dataset
-        report = margin_weight_separation(ds, config, quantiles)
+        rows = margin_weight_separation(ds, config, quantiles)
 
         rng = np.random.default_rng(args.seed + 1)
         control = np.zeros(len(quantiles))
@@ -65,9 +65,9 @@ def main(argv=None):
             noise = margin_weight_separation(
                 shuffled_copy(ds, rng), config, quantiles
             )
-            control = np.maximum(control, [d for _, d, _ in noise.ks_by_quantile])
+            control = np.maximum(control, [d for _, d, _ in noise])
 
-        for (q, d, p), ctrl in zip(report.ks_by_quantile, control):
+        for (q, d, p), ctrl in zip(rows, control):
             print(f"{setup:>5} {q:>6.3f} {d:>12.3f} {p:>10.2e} {ctrl:>15.3f}")
     return 0
 

@@ -14,7 +14,6 @@ from .margins import (
     MarginConfig,
     MarginModel,
     build_margin_model,
-    export_margin_csv,
     temperature,
 )
 from .scores import (

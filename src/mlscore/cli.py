@@ -5,7 +5,8 @@ can be replayed: command name, parameter echo, seed, the sha256 of the
 bytes read from each input, output list, tool version, the BLAS thread
 settings of the environment, timestamp, and the warnings of score, select
 and bench. Reruns with the same seed, inputs and environment are
-byte-identical except for the manifest timestamp.
+byte-identical except for the manifest timestamp. Every CSV and JSON file a
+command writes is UTF-8, whatever the locale.
 
 Exit codes: 0 success, 1 data error, 2 usage error.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -33,8 +35,8 @@ from .evaluation import (
     score_dataset,
 )
 from .gates import GateState, TrainConfig
-from .margins import MarginConfig, build_margin_model, export_margin_csv
-from .scores import KERNEL_MODES, KernelConfig, ScoreReport, ranked_rows, select_top
+from .margins import MarginConfig, build_margin_model
+from .scores import KERNEL_MODES, KernelConfig, ranked_rows, select_top
 from .synth import SynthSpec, add_noise_features, gen_setup
 
 SCORE_METHODS = ("ls", "mls")
@@ -57,9 +59,7 @@ def _write_manifest(primary, command: str, args, seed, inputs: dict, outputs,
     }
     if extra:
         manifest.update(extra)
-    with open(str(primary) + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(str(primary) + ".manifest.json", manifest)
 
 
 def _default_output(input_path: str, tag: str) -> Path:
@@ -67,34 +67,26 @@ def _default_output(input_path: str, tag: str) -> Path:
     return src.with_name(f"{src.stem}-{tag}.csv")
 
 
-def _margin_config(args, parser) -> MarginConfig:
+def _write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _usage_errors(parser, call, *args, **kwargs):
+    """call(*args, **kwargs), with the ValueError it raises for a bad
+    setting reported as a usage error of parser; a DataError stays one."""
     try:
-        return MarginConfig(
-            quantile=args.quantile,
-            skew_right=args.skew_right,
-            skew_left=args.skew_left,
-            k=args.k,
-        )
-    except ValueError as err:
-        parser.error(str(err))
-
-
-def _kernel_config(args, parser) -> KernelConfig:
-    try:
-        return KernelConfig(
-            bandwidth=args.bandwidth,
-            mode=args.kernel,
-            n_neighbors=args.n_neighbors,
-        )
-    except ValueError as err:
-        parser.error(str(err))
-
-
-def _train_config(args, parser) -> TrainConfig:
-    if not 0.0 < args.sigma < np.inf:
-        parser.error(f"sigma must be positive and finite, got {args.sigma}")
-    try:
-        return TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
+        return call(*args, **kwargs)
+    except DataError:
+        raise
     except ValueError as err:
         parser.error(str(err))
 
@@ -122,15 +114,6 @@ def _load_for_scoring(args):
     return ds, inputs
 
 
-def _write_scores_csv(report: ScoreReport, path) -> None:
-    rank_of = {name: rank for name, _, rank in ranked_rows(report)}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "score", "rank"])
-        for name, value in zip(report.feature_names, report.scores):
-            writer.writerow([name, repr(float(value)), rank_of[name]])
-
-
 def _print_warnings(lines: list[str]) -> None:
     for line in lines:
         print(f"warning: {line}", file=sys.stderr)
@@ -138,12 +121,17 @@ def _print_warnings(lines: list[str]) -> None:
 
 def cmd_score(args, parser) -> int:
     _check_outputs(args, parser, "output")
-    margin_config = _margin_config(args, parser)
-    kernel_config = _kernel_config(args, parser)
+    margin_config = _usage_errors(parser, MarginConfig, quantile=args.quantile, k=args.k,
+                                  skew_right=args.skew_right, skew_left=args.skew_left)
+    kernel_config = _usage_errors(parser, KernelConfig, bandwidth=args.bandwidth,
+                                  mode=args.kernel, n_neighbors=args.n_neighbors)
     ds, inputs = _load_for_scoring(args)
     report, _ = score_dataset(ds, args.method, margin_config, kernel_config)
     out = Path(args.output) if args.output else _default_output(args.input, "scores")
-    _write_scores_csv(report, out)
+    rank_of = {name: rank for name, _, rank in ranked_rows(report)}
+    _write_csv(out, ["feature", "score", "rank"],
+               ([name, repr(float(value)), rank_of[name]]
+                for name, value in zip(report.feature_names, report.scores)))
     _print_warnings(report.warnings)
     _write_manifest(out, "score", args, None, inputs, [out],
                     extra={"warnings": report.warnings})
@@ -155,9 +143,14 @@ def cmd_select(args, parser) -> int:
     if args.num_features < 1:
         parser.error("num-features must be >= 1")
     _check_outputs(args, parser, "output")
-    margin_config = _margin_config(args, parser)
-    kernel_config = _kernel_config(args, parser)
-    train_config = _train_config(args, parser)
+    margin_config = _usage_errors(parser, MarginConfig, quantile=args.quantile, k=args.k,
+                                  skew_right=args.skew_right, skew_left=args.skew_left)
+    kernel_config = _usage_errors(parser, KernelConfig, bandwidth=args.bandwidth,
+                                  mode=args.kernel, n_neighbors=args.n_neighbors)
+    if not 0.0 < args.sigma < np.inf:
+        parser.error(f"sigma must be positive and finite, got {args.sigma}")
+    train_config = _usage_errors(parser, TrainConfig, epochs=args.epochs,
+                                 learning_rate=args.lr, seed=args.seed)
     ds, inputs = _load_for_scoring(args)
     if args.num_features > ds.n_features:
         parser.error(
@@ -169,25 +162,18 @@ def cmd_select(args, parser) -> int:
     )
     picked = select_top(report, args.num_features)
     out = Path(args.output) if args.output else _default_output(args.input, "selected")
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "feature", "score"])
-        for rank, idx in enumerate(picked, start=1):
-            writer.writerow(
-                [rank, report.feature_names[idx], repr(float(report.scores[idx]))]
-            )
+    _write_csv(out, ["rank", "feature", "score"],
+               ([rank, report.feature_names[idx], repr(float(report.scores[idx]))]
+                for rank, idx in enumerate(picked, start=1)))
     outputs = [out]
     if trace is not None:
         trace_path = Path(str(out).removesuffix(".csv") + "-trace.json")
-        payload = {
+        _write_json(trace_path, {
             "loss_history": [float(x) for x in trace.loss_history],
             "mu": [float(x) for x in trace.mu],
             "open_probabilities": [float(x) for x in trace.open_probabilities],
             "no_margin_signal": bool(trace.no_margin_signal),
-        }
-        with open(trace_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
         outputs.append(trace_path)
     _print_warnings(report.warnings)
     seed = args.seed if trace is not None else None
@@ -198,12 +184,8 @@ def cmd_select(args, parser) -> int:
 
 
 def cmd_synth(args, parser) -> int:
-    try:
-        spec = SynthSpec(
-            setup=args.setup, rho=args.rho, n_samples=args.n, seed=args.seed
-        )
-    except ValueError as err:
-        parser.error(str(err))
+    spec = _usage_errors(parser, SynthSpec, setup=args.setup, rho=args.rho,
+                         n_samples=args.n, seed=args.seed)
     drawn = gen_setup(spec)
     ds = drawn.dataset
     marginal_columns = [ds.feature_names[i] for i in drawn.marginal_feature_indices]
@@ -241,29 +223,26 @@ def cmd_validate_margin(args, parser) -> int:
         if args.quantiles
         else DEFAULT_KS_GRID
     )
-    base = _margin_config(args, parser)
-    try:
-        report = margin_weight_separation(ds, base, quantiles=quantiles)
-    except ValueError as err:
-        parser.error(str(err))
-    best = max(range(len(report.ks_by_quantile)),
-               key=lambda i: report.ks_by_quantile[i][1])
+    base = _usage_errors(parser, MarginConfig, quantile=args.quantile, k=args.k,
+                         skew_right=args.skew_right, skew_left=args.skew_left)
+    rows = _usage_errors(parser, margin_weight_separation, ds, base, quantiles=quantiles)
+    best = max(range(len(rows)), key=lambda i: rows[i][1])
     print(f"{'quantile':>10} {'D':>10} {'p':>12}")
-    for i, (q, d, p) in enumerate(report.ks_by_quantile):
+    for i, (q, d, p) in enumerate(rows):
         marker = "  <- max D" if i == best else ""
         print(f"{q:>10.3f} {d:>10.4f} {p:>12.3e}{marker}")
     out = Path(args.output) if args.output else _default_output(args.input, "margin-ks")
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["quantile", "ks_distance", "p_value", "is_max"])
-        for i, (q, d, p) in enumerate(report.ks_by_quantile):
-            writer.writerow([repr(float(q)), repr(float(d)), repr(float(p)),
-                             int(i == best)])
+    _write_csv(out, ["quantile", "ks_distance", "p_value", "is_max"],
+               ([repr(float(q)), repr(float(d)), repr(float(p)), int(i == best)]
+                for i, (q, d, p) in enumerate(rows)))
     outputs = [out]
     if args.dump_margins:
         scaled, _ = standardize(ds)
         model = build_margin_model(scaled, base)
-        export_margin_csv(model, args.dump_margins)
+        _write_csv(args.dump_margins,
+                   ["sample_index", "margin_count", "weight", "in_dataset_margin"],
+                   ([i, count, repr(u), int(u > 0.0)] for i, (count, u)
+                    in enumerate(zip(model.counts.tolist(), model.u.tolist()))))
         outputs.append(Path(args.dump_margins))
     _write_manifest(out, "validate-margin", args, None,
                     {args.input: ds.source_sha256}, outputs)
@@ -301,15 +280,14 @@ def cmd_bench(args, parser) -> int:
         parser.error("rhos must be above 0.5 unless --quantile is given")
     if any(m not in METHODS for m in methods):
         parser.error(f"methods must be drawn from {','.join(METHODS)}")
-    try:
-        # SynthSpec owns the sample-count floor
-        SynthSpec(setup=setups[0], rho=rhos[0], n_samples=args.n)
-        train_config = TrainConfig(epochs=args.epochs)
-    except ValueError as err:
-        parser.error(str(err))
+    # SynthSpec owns the sample-count floor
+    _usage_errors(parser, SynthSpec, setup=setups[0], rho=rhos[0], n_samples=args.n)
+    train_config = _usage_errors(parser, TrainConfig, epochs=args.epochs)
     margin_config = None
     if args.quantile is not None:
-        margin_config = _margin_config(args, parser)
+        margin_config = _usage_errors(parser, MarginConfig, quantile=args.quantile,
+                                      k=args.k, skew_right=args.skew_right,
+                                      skew_left=args.skew_left)
     cells = run_recovery_benchmark(
         setups=setups,
         rhos=rhos,
@@ -334,23 +312,14 @@ def cmd_bench(args, parser) -> int:
                 mean, std = by_cell[(setup, rho)][m]
                 row += f" {mean:>8.1f} +-{std:>5.2f}"
             print(row)
-    prefix = args.output
-    summary = Path(f"{prefix}-summary.csv")
-    with open(summary, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["setup", "rho", "method", "reps", "mean", "std"])
-        for cell in cells:
-            writer.writerow([cell.setup, repr(float(cell.rho)), cell.method,
-                             cell.repetitions, repr(float(cell.mean)),
-                             repr(float(cell.std))])
-    per_rep = Path(f"{prefix}-reps.csv")
-    with open(per_rep, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["setup", "rho", "method", "rep", "accuracy"])
-        for cell in cells:
-            for rep, value in enumerate(cell.per_rep):
-                writer.writerow([cell.setup, repr(float(cell.rho)), cell.method,
-                                 rep, repr(float(value))])
+    summary = Path(f"{args.output}-summary.csv")
+    _write_csv(summary, ["setup", "rho", "method", "reps", "mean", "std"],
+               ([cell.setup, repr(float(cell.rho)), cell.method, cell.repetitions,
+                 repr(float(cell.mean)), repr(float(cell.std))] for cell in cells))
+    per_rep = Path(f"{args.output}-reps.csv")
+    _write_csv(per_rep, ["setup", "rho", "method", "rep", "accuracy"],
+               ([cell.setup, repr(float(cell.rho)), cell.method, rep, repr(float(value))]
+                for cell in cells for rep, value in enumerate(cell.per_rep)))
     warnings = [f"setup {cell.setup} rho {cell.rho:g} {cell.method}: {line}"
                 for cell in cells for line in cell.warnings]
     _print_warnings(warnings)
@@ -404,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     score = subs.add_parser("score", help="score every feature of a CSV")
     _add_scoring_flags(score)
     score.add_argument("--method", choices=SCORE_METHODS, required=True)
-    score.set_defaults(func=cmd_score)
+    score.set_defaults(func=functools.partial(cmd_score, parser=score))
 
     select = subs.add_parser("select", help="rank and keep the top features")
     _add_scoring_flags(select)
@@ -414,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument("--lr", type=float, default=train_defaults.learning_rate)
     select.add_argument("--sigma", type=float, default=GateState.sigma)
     select.add_argument("--seed", type=int, default=0)
-    select.set_defaults(func=cmd_select)
+    select.set_defaults(func=functools.partial(cmd_select, parser=select))
 
     synth = subs.add_parser("synth", help="generate a benchmark dataset CSV")
     synth.add_argument("--setup", type=int, choices=(1, 2, 3), required=True)
@@ -425,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--noisy", action="store_true",
                        help="append correlated plus iid noise features")
     synth.add_argument("--output", required=True, help="output CSV path")
-    synth.set_defaults(func=cmd_synth)
+    synth.set_defaults(func=functools.partial(cmd_synth, parser=synth))
 
     validate = subs.add_parser(
         "validate-margin",
@@ -440,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--dump-margins", default=None,
                           help="also write per-sample margin stats to this path")
     _add_margin_flags(validate)
-    validate.set_defaults(func=cmd_validate_margin)
+    validate.set_defaults(func=functools.partial(cmd_validate_margin, parser=validate))
 
     bench = subs.add_parser("bench", help="run the synthetic recovery grid")
     bench.add_argument("--reps", type=int, default=100)
@@ -456,15 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--output", default="bench",
                        help="prefix for the summary and per-rep CSVs")
     _add_margin_flags(bench, fixed_quantile=False)
-    bench.set_defaults(func=cmd_bench)
+    bench.set_defaults(func=functools.partial(cmd_bench, parser=bench))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except (DataError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

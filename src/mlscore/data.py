@@ -21,18 +21,20 @@ class LabelColumnError(DataError):
     the header, which a command may report as a usage error."""
 
 
-def _as_label(value: str, row: int, column: str) -> int:
+def _as_label(path, value: str, row: int, column: str) -> int:
     try:
         x = float(value)
     except ValueError:
         raise DataError(
-            f"label at row {row}, column {column!r} is not numeric: {value!r}"
+            f"{path}: label at row {row}, column {column!r} is not numeric: {value!r}"
         ) from None
     if x == 0.0:
         return 0
     if x == 1.0:
         return 1
-    raise DataError(f"label at row {row}, column {column!r} must be 0 or 1, got {value!r}")
+    raise DataError(
+        f"{path}: label at row {row}, column {column!r} must be 0 or 1, got {value!r}"
+    )
 
 
 class _Owned:
@@ -290,7 +292,7 @@ def _first_fault(path, header: list[str], rows: list[list[str]], label_idx) -> N
             )
         for j, cell in enumerate(raw):
             if j == label_idx:
-                _as_label(cell.strip(), i, header[j])
+                _as_label(path, cell.strip(), i, header[j])
                 continue
             try:
                 x = float(cell)

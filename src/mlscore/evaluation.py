@@ -7,7 +7,7 @@ observed point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,15 +32,17 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass
 class EvalReport:
+    """One cell of the recovery grid: a method's accuracies over the draws
+    of one (setup, rho)."""
+
     method: str
-    ks_by_quantile: list[tuple[float, float, float]] | None = None
-    repetitions: int | None = None
-    mean: float | None = None
-    std: float | None = None
-    setup: int | None = None
-    rho: float | None = None
-    per_rep: list[float] | None = None
-    warnings: list[str] = field(default_factory=list)
+    repetitions: int
+    mean: float
+    std: float
+    setup: int
+    rho: float
+    per_rep: list[float]
+    warnings: list[str]
 
 
 def selection_accuracy(selected, truth) -> float:
@@ -103,9 +105,9 @@ def _kolmogorov_sf(y: float) -> float:
 
 def margin_weight_separation(
     ds: Dataset, config: MarginConfig, quantiles
-) -> EvalReport:
-    """KS separation of the margin weights u between the two label classes,
-    one row per quantile.
+) -> list[tuple[float, float, float]]:
+    """KS separation of the margin weights u between the two label classes:
+    one (quantile, D, p) row per quantile.
 
     The weights only depend on per-feature quantile memberships, so this is
     a label-free construction tested against the labels.
@@ -121,7 +123,7 @@ def margin_weight_separation(
         model = build_margin_model(scaled, replace(config, quantile=float(q)))
         d, p = ks_statistic(model.u[pos], model.u[~pos])
         rows.append((float(q), d, p))
-    return EvalReport(method="margin-weight-ks", ks_by_quantile=rows)
+    return rows
 
 
 def score_dataset(

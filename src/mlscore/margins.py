@@ -26,7 +26,6 @@ kNN graph's degrees and forms from its edge list alone.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -482,19 +481,3 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     unit = X / np.where(scale > 0.0, scale, 1.0)[:, None]
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
         return scale * np.sqrt(np.einsum("ij,ij->i", unit, unit))
-
-
-def export_margin_csv(model: MarginModel, path) -> None:
-    """Per-sample margin summary (count, weight, in-margin flag) as CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "margin_count", "weight", "in_dataset_margin"])
-        for i in range(model.u.shape[0]):
-            writer.writerow(
-                [
-                    i,
-                    int(model.counts[i]),
-                    repr(float(model.u[i])),
-                    int(model.u[i] > 0.0),
-                ]
-            )

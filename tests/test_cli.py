@@ -12,9 +12,10 @@ import pytest
 
 import mlscore
 from mlscore.cli import BLAS_THREAD_VARIABLES, main
-from mlscore.data import load_csv
+from mlscore.data import load_csv, standardize
 from mlscore.evaluation import run_recovery_benchmark
 from mlscore.gates import TrainConfig
+from mlscore.margins import MarginConfig, build_margin_model
 
 
 @pytest.fixture
@@ -36,6 +37,15 @@ def _read_rows(path):
 def _manifest(path):
     with open(str(path) + ".manifest.json") as fh:
         return json.load(fh)
+
+
+def _cli_env(**settings):
+    """The environment, plus settings, for ``python -m mlscore.cli`` run
+    from the source tree of the mlscore under test."""
+    src = str(Path(mlscore.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path,
+                **settings)
 
 
 # -------------------------------------------------------------------- score
@@ -120,11 +130,13 @@ def test_score_binary_knn_too_few_rows_is_data_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [["score", "--method", "mls"],
-     ["select", "--method", "dufs-mls", "--num-features", "1", "--epochs", "2"]],
+     ["select", "--method", "dufs-mls", "--num-features", "1", "--epochs", "2"],
+     # a data fault of the margin model, not a usage error
+     ["validate-margin", "--label-col", "y"]],
 )
 def test_margin_methods_on_two_rows_are_data_errors(tmp_path, capsys, argv):
     path = tmp_path / "two.csv"
-    path.write_text("a,b\n1,2\n3,1\n")
+    path.write_text("a,b,y\n1,2,0\n3,1,1\n")
     code = main(argv + ["--input", str(path)])
     assert code == 1
     err = capsys.readouterr().err
@@ -465,8 +477,16 @@ def test_validate_margin_dump_margins(labeled_csv, tmp_path):
     )
     assert code == 0
     rows = _read_rows(dump)
-    assert len(rows) == 60
-    assert set(rows[0]) == {"sample_index", "margin_count", "weight", "in_dataset_margin"}
+    assert list(rows[0]) == ["sample_index", "margin_count", "weight", "in_dataset_margin"]
+    # the margin model of the standardized input at the default --quantile
+    scaled, _ = standardize(load_csv(labeled_csv, label_column="label"))
+    model = build_margin_model(scaled, MarginConfig())
+    assert [int(r["sample_index"]) for r in rows] == list(range(60))
+    assert [int(r["margin_count"]) for r in rows] == model.counts.tolist()
+    assert [float(r["weight"]) for r in rows] == model.u.tolist()
+    flags = [r["in_dataset_margin"] for r in rows]
+    assert flags == [str(int(u > 0.0)) for u in model.u.tolist()]
+    assert {"0", "1"} <= set(flags)
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -609,17 +629,41 @@ def test_a_fifo_input_is_read_once(labeled_csv, tmp_path):
 
     feeder = threading.Thread(target=feed, daemon=True)
     feeder.start()
-    src = str(Path(mlscore.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
     out = tmp_path / "scores.csv"
     argv = [sys.executable, "-m", "mlscore.cli", "score", "--method", "mls",
             "--input", str(fifo), "--label-col", "label", "--output", str(out)]
-    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    result = subprocess.run(argv, env=_cli_env(), capture_output=True, text=True,
+                            timeout=120)
     assert result.returncode == 0, result.stderr
     feeder.join(10)
     assert not feeder.is_alive()
     assert _manifest(out)["inputs"] == {str(fifo): hashlib.sha256(data).hexdigest()}
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
+    # the outputs were opened in the locale's encoding, so under an ASCII
+    # locale a header cell "a\xe9" ended score in a UnicodeEncodeError
+    # traceback and left a half-written scores CSV
+    rng = np.random.default_rng(5)
+    table = "a\xe9,b,c\n" + "".join(f"{x!r},{y!r},{z!r}\n"
+                                     for x, y, z in rng.standard_normal((20, 3)).tolist())
+    locales = {"default": {},
+               "ascii": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}}
+    written = {}
+    for name, settings in locales.items():
+        run = tmp_path / name
+        run.mkdir()
+        (run / "in.csv").write_text(table, encoding="utf-8")
+        argv = [sys.executable, "-m", "mlscore.cli", "score", "--method", "mls",
+                "--input", "in.csv", "--output", "scores.csv"]
+        result = subprocess.run(argv, cwd=run, env=_cli_env(**settings),
+                                capture_output=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        manifest = _manifest(run / "scores.csv")
+        del manifest["timestamp"]
+        written[name] = ((run / "scores.csv").read_bytes(), manifest)
+    assert "a\xe9,".encode("utf-8") in written["ascii"][0]
+    assert written["ascii"] == written["default"]
 
 
 def test_manifest_records_blas_thread_settings(labeled_csv, tmp_path, monkeypatch):
@@ -748,6 +792,25 @@ def test_bench_fixed_quantile_flows_through(tmp_path, monkeypatch):
 
 
 # ------------------------------------------------------------------ general
+
+
+@pytest.mark.parametrize("argv", [
+    # a bad setting, turned into a usage error after parsing
+    ["score", "--method", "mls", "--input", "{csv}", "--quantile", "0.7"],
+    # found once the table is read
+    ["select", "--method", "ls", "--num-features", "99", "--input", "{csv}",
+     "--label-col", "label", "--output", "top.csv"],
+    ["bench", "--reps", "1", "--n", "5"],
+    ["validate-margin", "--input", "{csv}", "--label-col", "label",
+     "--output", "{csv}"],
+])
+def test_usage_errors_print_the_usage_of_their_command(labeled_csv, monkeypatch, capsys,
+                                                       argv):
+    monkeypatch.chdir(labeled_csv.parent)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(csv=labeled_csv) for a in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: mlscore {argv[0]} [-h]")
 
 
 def test_version_flag(capsys):

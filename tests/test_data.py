@@ -222,7 +222,7 @@ def _reference_load(path, label_column=None):
             parsed = []
             for j, cell in enumerate(raw):
                 if j == label_idx:
-                    labels.append(_as_label(cell.strip(), i, header[j]))
+                    labels.append(_as_label(path, cell.strip(), i, header[j]))
                     continue
                 try:
                     x = float(cell)
@@ -466,7 +466,8 @@ def test_load_csv_bytes_not_utf8_name_the_header_or_row(tmp_path, content, where
     (b"a,b\n1,\xe9\n3,4\n", "{path}: label column 'y' not in header"),
     # a bad cell in row 1 comes before a bad byte in row 3
     (b"a,y\nx,0\n1,0\n\xe9,1\n", "{path}: cannot parse cell at row 1, column 'a': 'x'"),
-    (b"a,y\n1,2\n1,0\n\xe9,1\n", "label at row 1, column 'y' must be 0 or 1, got '2'"),
+    (b"a,y\n1,2\n1,0\n\xe9,1\n",
+     "{path}: label at row 1, column 'y' must be 0 or 1, got '2'"),
     (b"a,y\n1,0,5\n1,0\n\xe9,1\n", "{path}: row 1 has 3 cells, expected 2"),
     # a bad byte in a row comes before that row's wrong cell count
     (b"a,y\n1,0\n\xe9,1,5\n", "{path}: row 2: bytes that are not UTF-8 (b'\\xe9')"),

@@ -136,11 +136,11 @@ def test_separation_requires_both_classes(rng):
 
 def test_separation_detects_planted_structure():
     drawn = gen_setup(SynthSpec(setup=1, rho=0.9, n_samples=1000, seed=11))
-    report = margin_weight_separation(
+    rows = margin_weight_separation(
         drawn.dataset, MarginConfig(), quantiles=[0.025, 0.05, 0.1]
     )
-    assert [q for q, _, _ in report.ks_by_quantile] == [0.025, 0.05, 0.1]
-    for _, d, p in report.ks_by_quantile:
+    assert [q for q, _, _ in rows] == [0.025, 0.05, 0.1]
+    for _, d, p in rows:
         assert d > 0.3
         assert p < 0.01
 
@@ -153,8 +153,7 @@ def test_separation_vanishes_under_shuffled_labels():
         feature_names=drawn.dataset.feature_names,
         labels=rng.permutation(drawn.dataset.labels),
     )
-    report = margin_weight_separation(shuffled, MarginConfig(), quantiles=[0.05])
-    _, d, p = report.ks_by_quantile[0]
+    [(_, d, p)] = margin_weight_separation(shuffled, MarginConfig(), quantiles=[0.05])
     assert p > 0.05
 
 

@@ -1,4 +1,3 @@
-import csv
 import math
 from unittest.mock import patch
 
@@ -20,7 +19,6 @@ from mlscore.margins import (
     _mean_pair_sq,
     _sq_blocks,
     build_margin_model,
-    export_margin_csv,
     temperature,
 )
 from mlscore.scores import _mls_terms
@@ -688,20 +686,3 @@ def test_u_monotone_in_counts(seed, k):
         for j in np.flatnonzero(inside):
             if c[i] > c[j]:
                 assert u[i] > u[j]
-
-
-# ------------------------------------------------------------------- export
-
-
-def test_export_margin_csv_round_trip(tmp_path):
-    ds = _outlier_dataset()
-    model = build_margin_model(ds, MarginConfig(quantile=0.05))
-    path = tmp_path / "margins.csv"
-    export_margin_csv(model, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 12
-    assert rows[11]["margin_count"] == "3"
-    assert float(rows[11]["weight"]) == model.u[11]
-    assert rows[0]["in_dataset_margin"] == "0"
-    assert rows[11]["in_dataset_margin"] == "1"
