@@ -1,3 +1,4 @@
+import csv
 import math
 from unittest.mock import patch
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
 from mlscore import margins
-from mlscore.data import DataError, Dataset
+from mlscore.cli import main
+from mlscore.data import DataError, Dataset, save_csv, standardize
 from mlscore.evaluation import BENCH_RHOS, bench_margin_config
 from mlscore.margins import (
     MarginConfig,
@@ -258,6 +260,29 @@ def test_build_margin_model_k_above_counts_zeroes_everything():
     assert not model.u.any()
     # membership itself is unaffected by k
     assert model.counts[11] == 3
+
+
+def test_export_margin_csv_round_trip(tmp_path):
+    # the margin table validate-margin --dump-margins writes, read back
+    ds = _outlier_dataset()
+    labeled = Dataset(values=ds.values, feature_names=ds.feature_names,
+                      labels=np.arange(12) % 2)
+    src, dump = tmp_path / "outlier.csv", tmp_path / "margins.csv"
+    save_csv(labeled, src)
+    code = main(["validate-margin", "--input", str(src), "--label-col", "label",
+                 "--quantile", "0.05", "--quantiles", "0.05",
+                 "--output", str(tmp_path / "ks.csv"), "--dump-margins", str(dump)])
+    assert code == 0
+    with open(dump, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    scaled, _ = standardize(labeled)
+    model = build_margin_model(scaled, MarginConfig(quantile=0.05))
+    assert len(rows) == 12
+    assert rows[11]["margin_count"] == "3"
+    assert float(rows[11]["weight"]) == model.u[11]
+    assert abs(model.u[11] - math.log(4.0)) < 1e-12
+    assert rows[0]["in_dataset_margin"] == "0"
+    assert rows[11]["in_dataset_margin"] == "1"
 
 
 def test_build_margin_model_constant_feature():
