@@ -173,6 +173,7 @@ def cmd_select(args, parser) -> int:
             "mu": [float(x) for x in trace.mu],
             "open_probabilities": [float(x) for x in trace.open_probabilities],
             "no_margin_signal": bool(trace.no_margin_signal),
+            "warnings": report.warnings,
         })
         outputs.append(trace_path)
     _print_warnings(report.warnings)

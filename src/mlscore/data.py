@@ -90,12 +90,19 @@ class Dataset:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "feature_names", names)
         if self.labels is not None:
-            labels = np.array(self.labels, dtype=int)
-            if labels.shape != (n,):
-                raise DataError(f"labels shape {labels.shape} does not match {n} rows")
-            bad = labels[(labels != 0) & (labels != 1)]
+            try:
+                given = np.array(self.labels, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"labels must be 0/1 numbers: {exc}") from None
+            if given.shape != (n,):
+                raise DataError(f"labels shape {given.shape} does not match {n} rows")
+            # checked before the cast to int, which would truncate 0.5 to 0
+            # and fail on NaN without naming the row
+            bad = np.flatnonzero((given != 0.0) & (given != 1.0))
             if bad.size:
-                raise DataError(f"labels must be 0/1, found {sorted(set(bad.tolist()))}")
+                i = int(bad[0])
+                raise DataError(f"labels must be 0/1, got {float(given[i])} at row {i + 1}")
+            labels = given.astype(int)
             labels.setflags(write=False)
             object.__setattr__(self, "labels", labels)
 

@@ -29,9 +29,9 @@ epoch's gated rows centred at c_F z are Fc z, and an epoch costs three
 n x n x d products: the one that gives the squared distances directly
 (``margins._sq_blocks``), W @ Fc and (W o G) @ Fc, with G = gated gated'
 taken from the distances up to a constant per row, which the gradient does
-not see. It streams W over blocks of 256 full rows, and every term it
+not see. It streams W over blocks of 128 full rows, and every term it
 needs is local to a row or a sum over rows, so no n x n matrix is held
-beyond n = 256: memory is O(256 n + n d), as for ``ls`` and ``mls``.
+beyond n = 128: memory is O(128 n + n d), as for ``ls`` and ``mls``.
 ``train`` also works out Fc * Fc, the column sums and the
 buffers an epoch fills once per run. A constant column is 0 in Fc, so it
 adds exactly 0 to the trace and to the kernel path of the gradient. An

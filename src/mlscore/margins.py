@@ -38,8 +38,10 @@ from .data import DataError, Dataset
 # as the block: the equal-row mask of _finish_sq and the u_i + u_j factor
 # of _laplacian_forms, which 32 x n doubles of its work buffer hold
 _ROW_BLOCK = 32
-# rows of kernel or distance held at once by _sq_blocks: 256 x n doubles
-_KERNEL_BLOCK = 256
+# rows of kernel or distance held at once by _sq_blocks: 128 x n doubles.
+# Fewer rows save little memory and cost time, since each block's product
+# packs the whole right operand again
+_KERNEL_BLOCK = 128
 # values per chunk of columns whose moments build_margin_model takes at
 # once, 256 kB of deviations instead of n x d; _knn_forms gathers the rows
 # of its edges in chunks of the same size
@@ -343,8 +345,8 @@ def _sq_blocks(
     left: np.ndarray | None = None,
 ):
     """Squared distances between the rows that ``_centred`` prepared, in
-    blocks of _KERNEL_BLOCK rows: yields (a, b, D), D the distances of rows
-    [a, b) to rows [a, n) with ``upper``, to every row without.
+    blocks of 128 rows (_KERNEL_BLOCK): yields (a, b, D), D the distances of
+    rows [a, b) to rows [a, n) with ``upper``, to every row without.
 
     Each D is one product L aug[c:]', with the left operand L = [-2 Xc | sq
     | 1] of rows [a, b), so its entries come out as |x_i|^2 + |x_j|^2 -
@@ -391,8 +393,8 @@ def _laplacian_forms(
     [1 | u]' times the block's part right of the diagonal. V is symmetric,
     so that part counts twice in q: each block takes its diagonal part's
     product with F[a:b] and its right part's with F[b:], contracts both
-    with F[a:b] and doubles the second, which is exact. Memory is
-    O(_KERNEL_BLOCK (n + d)) beyond F.
+    with F[a:b] and doubles the second, which is exact. Each block holds
+    128 rows (_KERNEL_BLOCK), and memory is O(128 n + n d) beyond F.
     """
     n = centred.aug.shape[0]
     d = F.shape[1]

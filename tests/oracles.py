@@ -59,7 +59,7 @@ def traced_peak(run):
 
 def wide_table() -> Dataset:
     """A standardized 2000 x 309 N(0, 1) table, the shape of the wide CSV
-    benchmark: 4.9 MB of values, and 4.1 MB in a 256-row kernel block."""
+    benchmark: 4.9 MB of values, and 2.0 MB in a 128-row kernel block."""
     X = np.random.default_rng(9).standard_normal((2000, 309))
     ds, _ = standardize(Dataset(values=X, feature_names=[f"f{j}" for j in range(309)]))
     return ds

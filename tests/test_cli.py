@@ -357,6 +357,7 @@ def test_select_gate_method_writes_trace(labeled_csv, tmp_path):
     assert len(trace["open_probabilities"]) == 10
     assert trace["no_margin_signal"] is False
     manifest = _manifest(out)
+    assert trace["warnings"] == manifest["warnings"]
     assert manifest["seed"] == 9
     assert str(tmp_path / "gates-trace.json") in manifest["outputs"]
 
@@ -389,6 +390,28 @@ def test_select_dufs_mls_warns_that_gate_means_are_equal(labeled_csv, tmp_path, 
     assert _manifest(out)["warnings"] == [
         "all gate means are equal; the selection is feature order"
     ]
+
+
+def test_select_dufs_mls_writes_its_warnings_to_the_trace(labeled_csv, tmp_path, capsys):
+    # the trace JSON carried the loss history and the gate means, but not
+    # the warning that the gates had closed, which only stderr and the
+    # manifest got
+    out = tmp_path / "gm.csv"
+    code = main(
+        ["select", "--method", "dufs-mls", "--num-features", "3",
+         "--input", str(labeled_csv), "--label-col", "label",
+         "--epochs", "10", "--lr", "0.1", "--output", str(out)]
+    )
+    assert code == 0
+    warnings = [
+        "all gate means are equal; the selection is feature order",
+        "two or more gates are saturated closed, past the clamp by 2 sigma;"
+        " the order among them is noise",
+    ]
+    assert capsys.readouterr().err.splitlines() == [f"warning: {w}" for w in warnings]
+    trace = json.loads((tmp_path / "gm-trace.json").read_text(encoding="utf-8"))
+    assert max(trace["mu"]) < -1.5
+    assert trace["warnings"] == _manifest(out)["warnings"] == warnings
 
 
 # -------------------------------------------------------------------- synth

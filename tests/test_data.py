@@ -64,6 +64,20 @@ def test_dataset_rejects_bad_label_values():
         Dataset(values=[[1.0], [2.0]], feature_names=["a"], labels=[0, 2])
 
 
+@pytest.mark.parametrize("bad, shown", [(0.5, "0.5"), (1.9, "1.9"), (np.nan, "nan")])
+def test_dataset_rejects_labels_that_are_not_exactly_0_or_1(bad, shown):
+    # the labels were cast to int before the check: 0.5 was stored as 0,
+    # 1.9 as 1, and NaN failed in the cast without naming its row
+    with pytest.raises(DataError, match=rf"labels must be 0/1, got {shown} at row 2$"):
+        Dataset(values=[[1.0], [2.0], [3.0]], feature_names=["a"], labels=[1.0, bad, 0.5])
+
+
+@pytest.mark.parametrize("labels", [[True, False, True], [1.0, 0.0, 1.0], [1, 0, 1]])
+def test_dataset_takes_booleans_and_whole_float_labels(labels):
+    ds = Dataset(values=[[1.0], [2.0], [3.0]], feature_names=["a"], labels=labels)
+    assert ds.labels.dtype == int and ds.labels.tolist() == [1, 0, 1]
+
+
 def test_dataset_rejects_misaligned_labels():
     with pytest.raises(DataError, match="labels shape"):
         Dataset(values=[[1.0], [2.0]], feature_names=["a"], labels=[0, 1, 0])

@@ -268,17 +268,18 @@ def test_score_dataset_gate_methods_score_constant_features(method, rng):
 def test_score_dataset_holds_one_working_copy(method):
     # beyond the 4.9 MB table, ls holds its centred rows and mls the margin
     # rows it centres in place (every row is weighted here), each 5.0 MB
-    # with their norms, a 4.1 MB kernel block and a 0.6 MB buffer for the
-    # block's left operand and its products with the features: 9.9 and
-    # 10.6 MB, mls with its margin model. One more n x d array, as a
-    # separate centred copy or a margin representation kept on the model,
-    # would take them to about 14.8 and 15.5 MB.
+    # with their norms, a 2.0 MB 128-row kernel block and a 0.5 MB buffer
+    # for the block's left operand, its u_i + u_j factors and its products
+    # with the features: 7.7 and 8.4 MB, mls with its margin model. One
+    # more n x d array, as a separate centred copy or a margin
+    # representation kept on the model, would take them to about 12.6 and
+    # 13.3 MB; a 256-row block took mls to 10.6 MB.
     ds = wide_table()
     small = Dataset(values=ds.values[:50, :4], feature_names=ds.feature_names[:4])
     score_dataset(small, method)  # the first np.quantile imports numpy.ma
     report, peak = traced_peak(lambda: score_dataset(ds, method)[0])
     assert np.isfinite(report.scores).all()
-    assert peak < 12.5e6, f"{method} peaked at {peak / 1e6:.1f} MB"
+    assert peak < 10e6, f"{method} peaked at {peak / 1e6:.1f} MB"
 
 
 def test_score_dataset_rejects_unknown_method():

@@ -571,15 +571,15 @@ def test_train_dufs_buffers_match_public_loss_loop(rng, n):
 
 def test_dufs_gradient_holds_no_n_by_n_matrix():
     # two 3000 x 3000 matrices, the kernel and W o G, would take 144 MB;
-    # two 256-row blocks of them take 12.3 MB, and the n x d terms 0.5 MB
-    # each. The open probabilities come from math.erfc, which imports
+    # two 128-row blocks of them take 6.1 MB, and the n x d terms 0.5 MB
+    # each: 9.2 MB in all, where two 256-row blocks took 15.4 MB. The open probabilities come from math.erfc, which imports
     # nothing that tracemalloc would count.
     ds = Dataset(values=np.random.default_rng(0).standard_normal((3000, 20)),
                  feature_names=[f"f{j}" for j in range(20)])
     state = GateState.fresh(20)
     grad, peak = traced_peak(lambda: loss_gradient(ds, np.full(20, 0.5), state, "dufs"))
     assert np.isfinite(grad).all()
-    assert peak < 20e6, f"dufs peaked at {peak / 1e6:.1f} MB"
+    assert peak < 11e6, f"dufs peaked at {peak / 1e6:.1f} MB"
 
 
 def test_train_dufs_mls_matches_public_loss_loop(rng):

@@ -1,7 +1,10 @@
 """Rules on the shape of the code base rather than on what it computes."""
 
 import ast
+import re
 from pathlib import Path
+
+from mlscore import margins
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "mlscore"
@@ -123,3 +126,24 @@ def test_every_library_field_is_read_outside_tests():
         if name not in read and f"{owner}.{name}" not in UNREAD_FIELDS_ALLOWED
     ]
     assert not unread, f"fields in src/mlscore that only tests read: {unread}"
+
+
+# the kernel block as prose gives it: "128-row blocks", "blocks of 128
+# (full) rows", "O(128 n + n d)"
+BLOCK_FIGURE = re.compile(
+    r"(\d+)-row (?:kernel )?blocks?|blocks of (\d+) (?:full )?rows|O\((\d+) n \+ n d\)"
+)
+
+
+def test_block_figures_in_prose_match_the_kernel_block():
+    # a block size written out in prose goes stale when _KERNEL_BLOCK
+    # changes, and with it every memory figure derived from it
+    figures, stale = 0, []
+    for path in [ROOT / "README.md", *sorted(LIBRARY.glob("*.py"))]:
+        text = " ".join(path.read_text(encoding="utf-8").split())
+        for match in BLOCK_FIGURE.finditer(text):
+            figures += 1
+            if int(next(g for g in match.groups() if g)) != margins._KERNEL_BLOCK:
+                stale.append(f"{path.name}: {match.group()!r}")
+    assert figures >= 5, "the block figures are no longer written as the pattern reads them"
+    assert not stale, f"figures that are not margins._KERNEL_BLOCK: {stale}"

@@ -520,7 +520,11 @@ def test_ls_and_mls_match_long_double_dense_scores(setup):
 
 @pytest.mark.parametrize("method", ["ls heat", "ls binary-knn", "mls"])
 def test_scores_never_hold_an_n_by_n_matrix(method):
-    # one dense 3000 x 3000 kernel takes 72 MB
+    # one dense 3000 x 3000 kernel takes 72 MB, and a 128-row block of it
+    # 3.1 MB. binary-knn peaks highest, at 7.3 MB: beside a block of
+    # full-row distances it holds a partitioned copy of it, and then its
+    # 3.1 MB of sorted indices. ls heat peaks at 4.5 MB and mls at 3.4 MB;
+    # a 256-row block took binary-knn to 13.8 MB
     rng = np.random.default_rng(7)
     ds, _ = standardize(Dataset(values=rng.standard_normal((3000, 20)),
                                 feature_names=[f"f{j}" for j in range(20)]))
@@ -532,27 +536,27 @@ def test_scores_never_hold_an_n_by_n_matrix(method):
     }[method]
     report, peak = traced_peak(run)
     assert np.isfinite(report.scores).all()
-    assert peak < 20e6, f"{method} peaked at {peak / 1e6:.1f} MB"
+    assert peak < 8.7e6, f"{method} peaked at {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("method", ["ls heat", "mls"])
 def test_scores_hold_no_n_by_d_accumulator(method):
     # one 2000 x 309 array takes 4.9 MB. Beyond the data, ls holds the
     # centred rows, which are also the centred features it scores, and mls
-    # the centred margin rows, plus a 4.1 MB 256-row kernel block and a
-    # 0.6 MB buffer for the block's left operand and its products with the
-    # features: 9.9 MB each. An n x d product such as K F would add 4.9 MB
-    # more, and two took both to 23.3 MB
+    # the centred margin rows, 5.0 MB with their norms, plus a 2.0 MB
+    # 128-row kernel block and a 0.5 MB buffer for the block's left operand
+    # and its products with the features: 7.7 and 7.8 MB. An n x d product
+    # such as K F would add 4.9 MB more, as would a 256-row block 2.0 MB
     ds = wide_table()
     model = build_margin_model(ds, MarginConfig())
     run = {"ls heat": lambda: laplacian_score(ds), "mls": lambda: mls(ds, model)}[method]
     report, peak = traced_peak(run)
     assert np.isfinite(report.scores).all()
-    assert peak < 17e6, f"{method} peaked at {peak / 1e6:.1f} MB"
+    assert peak < 9.3e6, f"{method} peaked at {peak / 1e6:.1f} MB"
 
 
 def test_knn_forms_hold_only_the_edge_list():
-    # a 256 x n block of the 0/1 graph is 6.1 MB at n = 3000; the 15 000
+    # a 128 x n block of the 0/1 graph is 3.1 MB at n = 3000; the 15 000
     # edges are a few 120 kB arrays, and each gathered chunk of rows 256 kB
     n, d, k = 3000, 20, 5
     centred = _centred(np.random.default_rng(7).standard_normal((n, d)))
