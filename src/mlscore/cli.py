@@ -91,19 +91,30 @@ def _usage_errors(parser, call, *args, **kwargs):
         parser.error(str(err))
 
 
-def _check_outputs(args, parser, *flags) -> None:
-    """A usage error, before anything is read, if ``--input`` is not a
-    regular file (a pipe, a FIFO) and no ``--output`` is named, or if the
-    path that one of the ``flags`` of args names resolves to ``--input``:
-    the command would write over the table it reads."""
+def _check_outputs(args, parser, tag: str, *extra) -> Path:
+    """The command's table: ``--output``, or the default named by ``tag``
+    beside ``--input``. A usage error, before anything is read, if
+    ``--input`` is not a regular file (a pipe, a FIFO) and no ``--output``
+    is named, if ``--output`` resolves to ``--input``, or if the path that
+    one of the ``extra`` flags of args names resolves to ``--input``, the
+    table or its manifest: the command would write over a file it reads or
+    writes."""
     source = Path(args.input)
     if args.output is None and source.exists() and not source.is_file():
         parser.error("--output is required when --input is not a regular file")
+    out = Path(args.output) if args.output else _default_output(args.input, tag)
     source = source.resolve()
-    for flag in flags:
+    if args.output and out.resolve() == source:
+        parser.error(f"--output {args.output} would write over --input")
+    manifest = Path(f"{out}.manifest.json")
+    taken = {source: "--input", out.resolve(): f"the table {out}",
+             manifest.resolve(): f"the manifest {manifest}"}
+    for flag in extra:
         path = getattr(args, flag)
-        if path and Path(path).resolve() == source:
-            parser.error(f"--{flag.replace('_', '-')} {path} would write over --input")
+        if path and Path(path).resolve() in taken:
+            parser.error(f"--{flag.replace('_', '-')} {path} would write over "
+                         f"{taken[Path(path).resolve()]}")
+    return out
 
 
 def _load_for_scoring(args):
@@ -120,14 +131,13 @@ def _print_warnings(lines: list[str]) -> None:
 
 
 def cmd_score(args, parser) -> int:
-    _check_outputs(args, parser, "output")
+    out = _check_outputs(args, parser, "scores")
     margin_config = _usage_errors(parser, MarginConfig, quantile=args.quantile, k=args.k,
                                   skew_right=args.skew_right, skew_left=args.skew_left)
     kernel_config = _usage_errors(parser, KernelConfig, bandwidth=args.bandwidth,
                                   mode=args.kernel, n_neighbors=args.n_neighbors)
     ds, inputs = _load_for_scoring(args)
     report, _ = score_dataset(ds, args.method, margin_config, kernel_config)
-    out = Path(args.output) if args.output else _default_output(args.input, "scores")
     rank_of = {name: rank for name, _, rank in ranked_rows(report)}
     _write_csv(out, ["feature", "score", "rank"],
                ([name, repr(float(value)), rank_of[name]]
@@ -142,7 +152,7 @@ def cmd_score(args, parser) -> int:
 def cmd_select(args, parser) -> int:
     if args.num_features < 1:
         parser.error("num-features must be >= 1")
-    _check_outputs(args, parser, "output")
+    out = _check_outputs(args, parser, "selected")
     margin_config = _usage_errors(parser, MarginConfig, quantile=args.quantile, k=args.k,
                                   skew_right=args.skew_right, skew_left=args.skew_left)
     kernel_config = _usage_errors(parser, KernelConfig, bandwidth=args.bandwidth,
@@ -161,7 +171,6 @@ def cmd_select(args, parser) -> int:
         sigma=args.sigma,
     )
     picked = select_top(report, args.num_features)
-    out = Path(args.output) if args.output else _default_output(args.input, "selected")
     _write_csv(out, ["rank", "feature", "score"],
                ([rank, report.feature_names[idx], repr(float(report.scores[idx]))]
                 for rank, idx in enumerate(picked, start=1)))
@@ -214,7 +223,7 @@ def _parse_quantiles(text: str, parser) -> tuple[float, ...]:
 
 
 def cmd_validate_margin(args, parser) -> int:
-    _check_outputs(args, parser, "output", "dump_margins")
+    out = _check_outputs(args, parser, "margin-ks", "dump_margins")
     try:
         ds = load_csv(args.input, label_column=args.label_col)
     except LabelColumnError:
@@ -232,7 +241,6 @@ def cmd_validate_margin(args, parser) -> int:
     for i, (q, d, p) in enumerate(rows):
         marker = "  <- max D" if i == best else ""
         print(f"{q:>10.3f} {d:>10.4f} {p:>12.3e}{marker}")
-    out = Path(args.output) if args.output else _default_output(args.input, "margin-ks")
     _write_csv(out, ["quantile", "ks_distance", "p_value", "is_max"],
                ([repr(float(q)), repr(float(d)), repr(float(p)), int(i == best)]
                 for i, (q, d, p) in enumerate(rows)))
@@ -281,14 +289,19 @@ def cmd_bench(args, parser) -> int:
         parser.error("rhos must be above 0.5 unless --quantile is given")
     if any(m not in METHODS for m in methods):
         parser.error(f"methods must be drawn from {','.join(METHODS)}")
-    # SynthSpec owns the sample-count floor
-    _usage_errors(parser, SynthSpec, setup=setups[0], rho=rhos[0], n_samples=args.n)
+    # SynthSpec owns the sample-count floor and the class sizes of a draw
+    for rho in rhos:
+        _usage_errors(parser, SynthSpec, setup=setups[0], rho=rho, n_samples=args.n)
     train_config = _usage_errors(parser, TrainConfig, epochs=args.epochs)
+    margin_flags = {name: getattr(args, name) for name in ("k", "skew_right", "skew_left")
+                    if getattr(args, name) is not None}
     margin_config = None
     if args.quantile is not None:
         margin_config = _usage_errors(parser, MarginConfig, quantile=args.quantile,
-                                      k=args.k, skew_right=args.skew_right,
-                                      skew_left=args.skew_left)
+                                      **margin_flags)
+    elif margin_flags:
+        flags = ", ".join(f"--{name.replace('_', '-')}" for name in margin_flags)
+        parser.error(f"--quantile is required with {flags}")
     cells = run_recovery_benchmark(
         setups=setups,
         rhos=rhos,
@@ -331,18 +344,21 @@ def cmd_bench(args, parser) -> int:
 
 
 def _add_margin_flags(sub, fixed_quantile=True) -> None:
-    defaults = MarginConfig()
+    """The margin flags, with MarginConfig's defaults; with no fixed
+    quantile every flag defaults to None, and the command takes the
+    others only together with --quantile."""
+    defaults = vars(MarginConfig()) if fixed_quantile else {}
     sub.add_argument("--quantile", type=float,
-                     default=defaults.quantile if fixed_quantile else None,
+                     default=defaults.get("quantile"),
                      help="margin quantile in (0, 0.5)" if fixed_quantile else
                      "fixed margin quantile for every cell; when omitted each"
                      " cell matches the quantile to its contamination 1-rho"
                      " (the other margin flags apply only together with this)")
-    sub.add_argument("--k", type=int, default=defaults.k,
+    sub.add_argument("--k", type=int, default=defaults.get("k"),
                      help="minimum margin memberships for a sample to count")
-    sub.add_argument("--skew-right", type=float, default=defaults.skew_right,
+    sub.add_argument("--skew-right", type=float, default=defaults.get("skew_right"),
                      help="skewness at or above this uses the right margin")
-    sub.add_argument("--skew-left", type=float, default=defaults.skew_left,
+    sub.add_argument("--skew-left", type=float, default=defaults.get("skew_left"),
                      help="skewness at or below this uses the left margin")
 
 

@@ -32,8 +32,12 @@ taken from the distances up to a constant per row, which the gradient does
 not see. It streams W over blocks of 128 full rows, and every term it
 needs is local to a row or a sum over rows, so no n x n matrix is held
 beyond n = 128: memory is O(128 n + n d), as for ``ls`` and ``mls``.
-``train`` also works out Fc * Fc, the column sums and the
-buffers an epoch fills once per run. A constant column is 0 in Fc, so it
+The two n x d products keep no row factor: the block loop only fills
+them, and 1/d_i and R_i/d_i^2 weight the row sums taken after it.
+``train`` also works out the column sums and the buffers an epoch fills
+once per run, and picks its variant's step before the first epoch. Loss
+and gradient come from one call, so the public loss functions run the
+gradient's work and checks too. A constant column is 0 in Fc, so it
 adds exactly 0 to the trace and to the kernel path of the gradient. An
 overflowing loss or gradient raises a DataError naming the feature.
 
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -154,18 +159,16 @@ def open_prob(state: GateState) -> np.ndarray:
 
 
 def _ratio(
-    state: GateState, total: float, d_total: np.ndarray | None, want_grad: bool
-) -> tuple[float, np.ndarray | None]:
+    state: GateState, total: float, d_total: np.ndarray | None
+) -> tuple[float, np.ndarray]:
     """The loss -total / (m * sum_r P(Z_r >= 0) + delta) of both variants
-    and, with ``want_grad``, its gradient in mu, given d_total, the
-    gradient of total in mu; None means total does not move with mu, and
-    only the open-probability mass does. An overflow in the gradient is
-    left for the caller's finiteness check to name."""
+    and its gradient in mu, given d_total, the gradient of total in mu;
+    None means total does not move with mu, and only the open-probability
+    mass does. An overflow in the gradient is left for the caller's
+    finiteness check to name."""
     x = _gate_x(state)
     denom = state.m_gates * float(_phi(x).sum()) + state.delta
     loss = -total / denom
-    if not want_grad:
-        return loss, None
     with np.errstate(over="ignore", invalid="ignore"):
         # d/dmu of Phi((mu + 0.5)/sigma)
         phi_over_sigma = np.exp(-0.5 * x * x) / (_SQRT_2PI * state.sigma)
@@ -190,43 +193,42 @@ def dufs_bandwidth(gated: np.ndarray) -> float:
 class _DufsBuffers(NamedTuple):
     """What a dufs epoch needs that does not depend on z: the rows Fc = F -
     c_F centred once at c_F = ``margins._centre(F)``, a constant column at
-    exactly 0, with Fc * Fc and the column sums of both; and the buffers
+    exactly 0, with the column sums of Fc and of Fc * Fc; and the buffers
     for the gated rows Fc z, as the first d columns of the n x (d + 2)
     array that ``margins._normed`` completes, for a row block of the kernel
-    W and of the left operand of its distances, and for the n x d
-    D^-1 W Fc and, for gradients, those for a row block of W o G and for
-    P Fc. ``train`` builds them once per run, the public functions once
-    per call. Buffers this size made fresh every epoch can be handed back
-    to the system and faulted in again, a page fault per 4 kB, which at
-    n = 300 made an epoch up to 75% slower."""
+    W, of W o G and of the left operand of their distances, and for the
+    n x d products W @ Fc and (W o G) @ Fc, which keep no row factor.
+    ``train`` builds them once per run, the public functions once per call.
+    Buffers this size made fresh every epoch can be handed back to the
+    system and faulted in again, a page fault per 4 kB, which at n = 300
+    made an epoch up to 75% slower."""
 
     Fc: np.ndarray
     centre: np.ndarray
     Fc_sums: np.ndarray
-    Fc2: np.ndarray
     Fc2_sums: np.ndarray
     aug: np.ndarray
     W: np.ndarray
+    WG: np.ndarray
     left: np.ndarray
     Hf: np.ndarray
-    WG: np.ndarray | None
-    PF: np.ndarray | None
+    PF: np.ndarray
 
 
-def _dufs_buffers(F: np.ndarray, want_grad: bool) -> _DufsBuffers:
+def _dufs_buffers(F: np.ndarray) -> _DufsBuffers:
     n = F.shape[0]
     centre = _centre(F)
     with np.errstate(over="ignore", invalid="ignore"):  # the epoch names it
         Fc = F - centre
-        Fc2 = Fc * Fc
+        Fc2_sums = np.einsum("ij,ij->j", Fc, Fc)
     return _DufsBuffers(
-        Fc, centre, Fc.sum(axis=0), Fc2, Fc2.sum(axis=0),
+        Fc, centre, Fc.sum(axis=0), Fc2_sums,
         aug=np.empty((n, F.shape[1] + 2)),
         W=_block_buffer(n),
+        WG=_block_buffer(n),
         left=_block_buffer(n, F.shape[1] + 2),
         Hf=np.empty_like(F),
-        WG=_block_buffer(n) if want_grad else None,
-        PF=np.empty_like(F) if want_grad else None,
+        PF=np.empty_like(F),
     )
 
 
@@ -235,15 +237,15 @@ def _dufs_core(
     z: np.ndarray,
     state: GateState,
     bandwidth: float | None,
-    want_grad: bool,
     buffers: _DufsBuffers | None = None,
-) -> tuple[float, np.ndarray | None]:
-    """Loss and, with ``want_grad``, gradient of ``dufs`` for the gate draw
-    z, over row blocks [a, b) of the kernel W and of W o G: each block
-    fills rows a..b-1 of the degrees and of the n x d products with Fc and
-    adds its rows' share to the column sums of P, so the loss and gradient
-    are formed after the last block from n and n x d arrays only."""
-    buf = buffers or _dufs_buffers(ds.values, want_grad)
+) -> tuple[float, np.ndarray]:
+    """Loss and gradient of ``dufs`` for the gate draw z, over row blocks
+    [a, b) of the kernel W and of W o G: each block fills rows a..b-1 of
+    the degrees, of their products with Fc and of R = (W o G) 1, and adds
+    its rows' share to the column sums of P, so the loss and gradient are
+    formed after the last block from n and n x d arrays only, with the row
+    factors 1/d_i and R_i/d_i^2 applied there once."""
+    buf = buffers or _dufs_buffers(ds.values)
     Fc, Hf, PF = buf.Fc, buf.Hf, buf.PF
     # the gated rows F z centred at c = c_F z are Xc = Fc z; gating can make
     # rows equal, so their norms and twins are taken every epoch
@@ -253,6 +255,7 @@ def _dufs_core(
     if bandwidth is None:  # dufs_bandwidth, from the rows the kernel uses
         bandwidth = max(1.0, _mean_pair_sq(centred.sq))
     dvec = np.empty(Fc.shape[0])  # at least 1: the diagonal of W is exactly 1
+    rvec = np.empty_like(dvec)
 
     # dT/dz splits into the direct path through the gated columns and the
     # kernel path through W and its degrees. The kernel path needs the
@@ -265,50 +268,44 @@ def _dufs_core(
     # Gram product, and no cancellation of terms of size |c|^2 on rows far
     # from the origin.
     with np.errstate(over="ignore", invalid="ignore"):
-        if want_grad:
-            h = 0.5 * centred.sq + Xc @ (buf.centre * z)
-            r2 = np.empty_like(dvec)
-            P_colsums = np.zeros_like(dvec)
+        h = 0.5 * centred.sq + Xc @ (buf.centre * z)
+        P_colsums = np.zeros_like(dvec)
         scale = -1.0 / bandwidth
         for a, b, W in _sq_blocks(centred, upper=False, buf=buf.W, left=buf.left):
-            if want_grad:
-                WG = buf.WG[: W.size].reshape(W.shape)
-                np.multiply(W, -0.5, out=WG)
-                WG += h
+            WG = buf.WG[: W.size].reshape(W.shape)
+            np.multiply(W, -0.5, out=WG)
+            WG += h
             W *= scale
             np.exp(W, out=W)
+            WG *= W
             d_blk = dvec[a:b] = W.sum(axis=1)
+            r_blk = rvec[a:b] = WG.sum(axis=1)
+            P_colsums += (1.0 / d_blk) @ WG - (r_blk / (d_blk * d_blk)) @ W
             # W @ (Fc z) = (W @ Fc) * z, so one product serves the trace and
             # the direct path
             np.matmul(W, Fc, out=Hf[a:b])
-            Hf[a:b] /= d_blk[:, None]
-            if want_grad:
-                WG *= W
-                r2_blk = r2[a:b] = WG.sum(axis=1) / (d_blk * d_blk)
-                P_colsums += (1.0 / d_blk) @ WG - r2_blk @ W
-                np.matmul(WG, Fc, out=PF[a:b])
-                PF[a:b] /= d_blk[:, None]
-                PF[a:b] -= (r2_blk * d_blk)[:, None] * Hf[a:b]
+            np.matmul(WG, Fc, out=PF[a:b])
+        inv_d = 1.0 / dvec
         # smooth_r = f_r'(I - D^-1 W) f_r and T = sum z^2 smooth. With f =
         # fc + c_F 1 and (I - D^-1 W) 1 = 0 it is fc'fc - fc' D^-1 W fc +
         # c_F 1'(fc - D^-1 W fc): no term of size c_F^2 to cancel, and 0 for
         # a constant column, whose fc is 0.
-        smooth = buf.Fc2_sums - (Fc * Hf).sum(axis=0)
-        smooth += buf.centre * (buf.Fc_sums - Hf.sum(axis=0))
+        smooth = buf.Fc2_sums - np.einsum("i,ij,ij->j", inv_d, Fc, Hf)
+        smooth += buf.centre * (buf.Fc_sums - inv_d @ Hf)
     _check_finite(ds, smooth, "dufs loss")
     trace = float((z * z) @ smooth)
-    if not want_grad:
-        return _ratio(state, trace, None, want_grad=False)
 
     with np.errstate(over="ignore", invalid="ignore"):
         # sum_ij P_ij (f_i - f_j)^2, as P's rows sum to 0: it does not move
-        # with c_F, so it is taken on Fc
+        # with c_F, so it is taken on Fc; P Fc = D^-1 (W o G) Fc - R D^-2 W Fc
+        fc_pf = (np.einsum("i,ij,ij->j", inv_d, Fc, PF)
+                 - np.einsum("i,ij,ij->j", rvec * inv_d * inv_d, Fc, Hf))
         kernel_path = (2.0 * z / bandwidth) * (
-            P_colsums @ buf.Fc2 - 2.0 * (Fc * PF).sum(axis=0)
+            np.einsum("i,ij,ij->j", P_colsums, Fc, Fc) - 2.0 * fc_pf
         )
         # dz/dmu is 1 inside the clamp and 0 at its edges
         dT_dmu = (2.0 * z * smooth + kernel_path) * ((z > 0.0) & (z < 1.0))
-    loss, grad = _ratio(state, trace, dT_dmu, want_grad=True)
+    loss, grad = _ratio(state, trace, dT_dmu)
     _check_finite(ds, grad, "dufs gradient")
     return loss, grad
 
@@ -323,7 +320,7 @@ def dufs_loss(
     to hold it fixed while mu varies (gradient checks do).
     """
     z = np.asarray(z, dtype=float)
-    loss, _ = _dufs_core(ds, z, state, bandwidth, want_grad=False)
+    loss, _ = _dufs_core(ds, z, state, bandwidth)
     return loss
 
 
@@ -331,15 +328,14 @@ def _dufs_mls_core(
     terms: tuple[np.ndarray, np.ndarray],
     z: np.ndarray,
     state: GateState,
-    want_grad: bool,
-) -> tuple[float, np.ndarray | None]:
+) -> tuple[float, np.ndarray]:
     # terms: the ungated mls score and variance of every column, the first
     # two of ``_mls_terms``; gating column r by z_r scales its numerator
     # and its variance alike by z_r^2, so the live scores do not depend on
     # z and only the open-probability mass moves with mu
     scores, variances = terms
     live = z * z * variances > VAR_GUARD
-    return _ratio(state, float(scores[live].sum()), None, want_grad)
+    return _ratio(state, float(scores[live].sum()), None)
 
 
 def dufs_mls_loss(
@@ -352,7 +348,7 @@ def dufs_mls_loss(
     ``mls`` score of the ungated feature.
     """
     z = np.asarray(z, dtype=float)
-    loss, _ = _dufs_mls_core(_mls_terms(ds, model)[:2], z, state, want_grad=False)
+    loss, _ = _dufs_mls_core(_mls_terms(ds, model)[:2], z, state)
     return loss
 
 
@@ -374,11 +370,11 @@ def loss_gradient(
     """
     z = np.asarray(z, dtype=float)
     if variant == "dufs":
-        _, grad = _dufs_core(ds, z, state, bandwidth, want_grad=True)
+        _, grad = _dufs_core(ds, z, state, bandwidth)
     elif variant == "dufs-mls":
         if model is None:
             raise ValueError("dufs-mls gradient needs a margin model")
-        _, grad = _dufs_mls_core(_mls_terms(ds, model)[:2], z, state, want_grad=True)
+        _, grad = _dufs_mls_core(_mls_terms(ds, model)[:2], z, state)
     else:
         raise ValueError(f"variant must be one of {LOSS_VARIANTS}, got {variant!r}")
     return grad
@@ -404,16 +400,13 @@ def train(
     rng = np.random.default_rng(config.seed)
     work = replace(state, mu=state.mu.copy())
     if config.loss_variant == "dufs-mls":
-        terms = _mls_terms(ds, model)[:2]
+        step = partial(_dufs_mls_core, _mls_terms(ds, model)[:2])
     else:
-        buffers = _dufs_buffers(ds.values, want_grad=True)
+        step = partial(_dufs_core, ds, bandwidth=None, buffers=_dufs_buffers(ds.values))
     history = np.empty(config.epochs)
     for epoch in range(config.epochs):
         z = sample_gates(work, rng)
-        if config.loss_variant == "dufs":
-            loss, grad = _dufs_core(ds, z, work, None, want_grad=True, buffers=buffers)
-        else:
-            loss, grad = _dufs_mls_core(terms, z, work, want_grad=True)
+        loss, grad = step(z, work)
         if not math.isfinite(loss):
             raise ValueError(f"non-finite loss at epoch {epoch}")
         history[epoch] = loss

@@ -46,6 +46,17 @@ class SynthSpec:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
         if self.n_samples < 20:
             raise ValueError(f"n_samples must be >= 20, got {self.n_samples}")
+        if not 0 < self.n_positives < self.n_samples:
+            raise ValueError(
+                f"n_samples={self.n_samples} and rho={self.rho} plant "
+                f"{self.n_positives} positive samples of {self.n_samples}; a "
+                f"draw needs at least one sample of each class"
+            )
+
+    @property
+    def n_positives(self) -> int:
+        """The positive class size round(n_samples * (1 - rho))."""
+        return int(round(self.n_samples * (1.0 - self.rho)))
 
 
 @dataclass(frozen=True)
@@ -79,7 +90,7 @@ def gen_setup(spec: SynthSpec) -> SynthDataset:
     """Draw one dataset for the given layout; fully determined by spec.seed."""
     rng = np.random.default_rng(spec.seed)
     n = spec.n_samples
-    n_pos = int(round(n * (1.0 - spec.rho)))
+    n_pos = spec.n_positives
     labels = np.zeros(n, dtype=int)
     pos_rows = rng.permutation(n)[:n_pos]
     labels[pos_rows] = 1

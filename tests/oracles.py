@@ -267,8 +267,7 @@ def dufs_core_dense(
     z: np.ndarray,
     state: GateState,
     bandwidth: float | None,
-    want_grad: bool,
-) -> tuple[float, np.ndarray | None]:
+) -> tuple[float, np.ndarray]:
     """Reference dufs loss and gradient that forms every n x n matrix of
     the derivation: the kernel, G = gated gated', and P with its row and
     column sums. ``gates._dufs_core`` must match it to rounding."""
@@ -288,8 +287,6 @@ def dufs_core_dense(
     trace = float((gated * gated).sum() - (gated * H).sum())
     denom = state.m_gates * open_prob(state).sum() + state.delta
     loss = -trace / denom
-    if not want_grad:
-        return loss, None
 
     # dT/dz splits into the direct path through the gated columns and the
     # kernel path through W (and the degrees it induces)

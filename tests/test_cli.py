@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mlscore
+from mlscore import cli
 from mlscore.cli import BLAS_THREAD_VARIABLES, main
 from mlscore.data import load_csv, standardize
 from mlscore.evaluation import run_recovery_benchmark
@@ -470,6 +472,16 @@ def test_synth_validates_rho(tmp_path):
     assert exc.value.code == 2
 
 
+def test_synth_draw_without_a_positive_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--setup", "1", "--rho", "0.99", "--n", "20",
+              "--output", str(out)])
+    assert exc.value.code == 2
+    assert "plant 0 positive samples of 20" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------- validate-margin
 
 
@@ -535,6 +547,27 @@ def test_a_command_may_not_write_over_its_input(labeled_csv, monkeypatch, capsys
     assert exc.value.code == 2
     assert f"{flag} {same} would write over --input" in capsys.readouterr().err
     assert labeled_csv.read_bytes() == before
+    assert sorted(p.name for p in labeled_csv.parent.iterdir()) == [
+        "data.csv", "data.csv.manifest.json", "sub"]
+
+
+@pytest.mark.parametrize("output, dump, taken", [
+    (["--output", "ks.csv"], "sub/../ks.csv", "the table ks.csv"),
+    ([], "data-margin-ks.csv", "the table "),
+    (["--output", "ks.csv"], "ks.csv.manifest.json", "the manifest ks.csv.manifest.json"),
+    ([], "data-margin-ks.csv.manifest.json", "the manifest "),
+])
+def test_validate_margin_dump_may_not_write_over_its_table(labeled_csv, monkeypatch,
+                                                           capsys, output, dump, taken):
+    # --output same.csv --dump-margins same.csv exited 0 with only the dump
+    # in same.csv, and the manifest listed it twice
+    monkeypatch.chdir(labeled_csv.parent)
+    (labeled_csv.parent / "sub").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(["validate-margin", "--input", str(labeled_csv), "--label-col", "label",
+              "--quantiles", "0.1", "--dump-margins", dump] + output)
+    assert exc.value.code == 2
+    assert f"--dump-margins {dump} would write over {taken}" in capsys.readouterr().err
     assert sorted(p.name for p in labeled_csv.parent.iterdir()) == [
         "data.csv", "data.csv.manifest.json", "sub"]
 
@@ -745,6 +778,45 @@ def test_bench_validates_lists(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--reps", "1", "--n", "19"])
     assert exc.value.code == 2
+
+
+def test_bench_checks_the_class_sizes_of_every_rho(tmp_path, monkeypatch, capsys):
+    # at n = 100, rho 0.999 plants no positive; only the first rho was
+    # checked, and the grid reported recoveries for that signal-free cell
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--reps", "1", "--setups", "1", "--rhos", "0.9,0.999",
+              "--n", "100"])
+    assert exc.value.code == 2
+    assert "rho=0.999 plant 0 positive samples" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [["--k", "50"], ["--skew-right", "0.4"],
+                                   ["--skew-left", "-0.4"]])
+def test_bench_margin_flags_need_a_quantile(tmp_path, monkeypatch, capsys, flags):
+    # without --quantile each cell builds its own margin config, and --k 50
+    # was ignored: mls recovered 100%, the k = 1 result
+    monkeypatch.chdir(tmp_path)
+    argv = ["bench", "--reps", "1", "--setups", "1", "--rhos", "0.9", "--n", "200"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flags)
+    assert exc.value.code == 2
+    assert f"--quantile is required with {flags[0]}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # with --quantile the flag applies and the unset ones take MarginConfig's
+    # values; the manifest records null for an unset flag
+    configs = []
+    run = cli.run_recovery_benchmark
+    monkeypatch.setattr(cli, "run_recovery_benchmark",
+                        lambda **kw: configs.append(kw["margin_config"]) or run(**kw))
+    assert main(argv + ["--methods", "mls", "--quantile", "0.1"] + flags) == 0
+    name = flags[0][2:].replace("-", "_")
+    value = type(getattr(MarginConfig(), name))(flags[1])
+    assert configs == [replace(MarginConfig(quantile=0.1), **{name: value})]
+    params = json.loads(Path("bench-summary.csv.manifest.json").read_text())["params"]
+    assert {key: params[key] for key in ("k", "skew_right", "skew_left")} == {
+        key: value if key == name else None for key in ("k", "skew_right", "skew_left")}
 
 
 @pytest.mark.parametrize(

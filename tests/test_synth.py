@@ -31,6 +31,17 @@ def test_spec_validation():
         SynthSpec(setup=1, rho=0.9, n_samples=19)
 
 
+@pytest.mark.parametrize("rho, count", [(0.99, 0), (0.01, 20)])
+def test_spec_needs_both_classes(rho, count):
+    # rho 0.99 at n = 20 planted no positive and rho 0.01 no negative, and
+    # bench reported recoveries for blocks that carried no signal
+    with pytest.raises(ValueError, match=f"n_samples=20 and rho={rho} plant {count} "):
+        SynthSpec(setup=1, rho=rho, n_samples=20)
+    # one sample of each class is enough
+    assert SynthSpec(setup=1, rho=0.97, n_samples=20).n_positives == 1
+    assert SynthSpec(setup=1, rho=0.03, n_samples=20).n_positives == 19
+
+
 # ---------------------------------------------------------------- gen_setup
 
 
