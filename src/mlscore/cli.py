@@ -91,14 +91,21 @@ def _usage_errors(parser, call, *args, **kwargs):
         parser.error(str(err))
 
 
+def _trace_path(table: Path) -> Path:
+    """The trace JSON that a gate method of select writes beside its table."""
+    return Path(str(table).removesuffix(".csv") + "-trace.json")
+
+
 def _check_outputs(args, parser, tag: str, *extra) -> Path:
     """The command's table: ``--output``, or the default named by ``tag``
     beside ``--input``. A usage error, before anything is read, if
     ``--input`` is not a regular file (a pipe, a FIFO) and no ``--output``
-    is named, if ``--output`` resolves to ``--input``, or if the path that
-    one of the ``extra`` flags of args names resolves to ``--input``, the
-    table or its manifest: the command would write over a file it reads or
-    writes."""
+    is named, if ``--output`` or the manifest beside it resolves to
+    ``--input``, or if one of the ``extra`` outputs resolves to
+    ``--input``, the table or its manifest: the command would write over a
+    file it reads or writes. Each of ``extra`` is a flag of args that names
+    a path, or a function, such as ``_trace_path``, that derives a path
+    from the table's."""
     source = Path(args.input)
     if args.output is None and source.exists() and not source.is_file():
         parser.error("--output is required when --input is not a regular file")
@@ -107,18 +114,33 @@ def _check_outputs(args, parser, tag: str, *extra) -> Path:
     if args.output and out.resolve() == source:
         parser.error(f"--output {args.output} would write over --input")
     manifest = Path(f"{out}.manifest.json")
+    if manifest.resolve() == source:
+        parser.error(f"the manifest {manifest} would write over --input")
     taken = {source: "--input", out.resolve(): f"the table {out}",
              manifest.resolve(): f"the manifest {manifest}"}
     for flag in extra:
-        path = getattr(args, flag)
+        if callable(flag):
+            path = flag(out)
+            name = f"the output {path}"
+        else:
+            path = getattr(args, flag)
+            name = f"--{flag.replace('_', '-')} {path}"
         if path and Path(path).resolve() in taken:
-            parser.error(f"--{flag.replace('_', '-')} {path} would write over "
-                         f"{taken[Path(path).resolve()]}")
+            parser.error(f"{name} would write over {taken[Path(path).resolve()]}")
     return out
 
 
-def _load_for_scoring(args):
-    ds = load_csv(args.input, label_column=args.label_col)
+def _load_input(args, parser):
+    """The dataset of ``--input``; a ``--label-col`` that is not in its
+    header is a usage error."""
+    try:
+        return load_csv(args.input, label_column=args.label_col)
+    except LabelColumnError:
+        parser.error(f"label column {args.label_col!r} not found in input")
+
+
+def _load_for_scoring(args, parser):
+    ds = _load_input(args, parser)
     inputs = {args.input: ds.source_sha256}
     if not args.no_standardize:
         ds, _ = standardize(ds)
@@ -136,7 +158,7 @@ def cmd_score(args, parser) -> int:
                                   skew_right=args.skew_right, skew_left=args.skew_left)
     kernel_config = _usage_errors(parser, KernelConfig, bandwidth=args.bandwidth,
                                   mode=args.kernel, n_neighbors=args.n_neighbors)
-    ds, inputs = _load_for_scoring(args)
+    ds, inputs = _load_for_scoring(args, parser)
     report, _ = score_dataset(ds, args.method, margin_config, kernel_config)
     rank_of = {name: rank for name, _, rank in ranked_rows(report)}
     _write_csv(out, ["feature", "score", "rank"],
@@ -152,7 +174,8 @@ def cmd_score(args, parser) -> int:
 def cmd_select(args, parser) -> int:
     if args.num_features < 1:
         parser.error("num-features must be >= 1")
-    out = _check_outputs(args, parser, "selected")
+    extra = () if args.method in SCORE_METHODS else (_trace_path,)
+    out = _check_outputs(args, parser, "selected", *extra)
     margin_config = _usage_errors(parser, MarginConfig, quantile=args.quantile, k=args.k,
                                   skew_right=args.skew_right, skew_left=args.skew_left)
     kernel_config = _usage_errors(parser, KernelConfig, bandwidth=args.bandwidth,
@@ -161,7 +184,7 @@ def cmd_select(args, parser) -> int:
         parser.error(f"sigma must be positive and finite, got {args.sigma}")
     train_config = _usage_errors(parser, TrainConfig, epochs=args.epochs,
                                  learning_rate=args.lr, seed=args.seed)
-    ds, inputs = _load_for_scoring(args)
+    ds, inputs = _load_for_scoring(args, parser)
     if args.num_features > ds.n_features:
         parser.error(
             f"num-features {args.num_features} exceeds {ds.n_features} features"
@@ -176,7 +199,7 @@ def cmd_select(args, parser) -> int:
                 for rank, idx in enumerate(picked, start=1)))
     outputs = [out]
     if trace is not None:
-        trace_path = Path(str(out).removesuffix(".csv") + "-trace.json")
+        trace_path = _trace_path(out)
         _write_json(trace_path, {
             "loss_history": [float(x) for x in trace.loss_history],
             "mu": [float(x) for x in trace.mu],
@@ -224,10 +247,7 @@ def _parse_quantiles(text: str, parser) -> tuple[float, ...]:
 
 def cmd_validate_margin(args, parser) -> int:
     out = _check_outputs(args, parser, "margin-ks", "dump_margins")
-    try:
-        ds = load_csv(args.input, label_column=args.label_col)
-    except LabelColumnError:
-        parser.error(f"label column {args.label_col!r} not found in input")
+    ds = _load_input(args, parser)
     quantiles = (
         _parse_quantiles(args.quantiles, parser)
         if args.quantiles

@@ -33,13 +33,10 @@ not see. It streams W over blocks of 128 full rows, and every term it
 needs is local to a row or a sum over rows, so no n x n matrix is held
 beyond n = 128: memory is O(128 n + n d), as for ``ls`` and ``mls``.
 The two n x d products keep no row factor: the block loop only fills
-them, and 1/d_i and R_i/d_i^2 weight the row sums taken after it.
-``train`` also works out the column sums and the buffers an epoch fills
-once per run, and picks its variant's step before the first epoch. Loss
-and gradient come from one call, so the public loss functions run the
-gradient's work and checks too. A constant column is 0 in Fc, so it
-adds exactly 0 to the trace and to the kernel path of the gradient. An
-overflowing loss or gradient raises a DataError naming the feature.
+them, and 1/d_i and R_i/d_i^2 weight the row sums taken after it. A
+constant column is 0 in Fc, so it adds exactly 0 to the trace and to the
+kernel path of the gradient. An overflowing loss or gradient raises a
+DataError naming the feature.
 
 The margin loss ``dufs-mls`` reduces to a closed form. Its kernel and
 sample weights are frozen, and gating column r by z_r scales both the
@@ -56,8 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -190,124 +185,128 @@ def dufs_bandwidth(gated: np.ndarray) -> float:
     return max(1.0, _mean_pair_sq(_centred(gated).sq))
 
 
-class _DufsBuffers(NamedTuple):
-    """What a dufs epoch needs that does not depend on z: the rows Fc = F -
-    c_F centred once at c_F = ``margins._centre(F)``, a constant column at
-    exactly 0, with the column sums of Fc and of Fc * Fc; and the buffers
-    for the gated rows Fc z, as the first d columns of the n x (d + 2)
-    array that ``margins._normed`` completes, for a row block of the kernel
-    W, of W o G and of the left operand of their distances, and for the
-    n x d products W @ Fc and (W o G) @ Fc, which keep no row factor.
-    ``train`` builds them once per run, the public functions once per call.
-    Buffers this size made fresh every epoch can be handed back to the
-    system and faulted in again, a page fault per 4 kB, which at n = 300
-    made an epoch up to 75% slower."""
+def _epoch_step(ds: Dataset, variant: str, model: MarginModel | None):
+    """step(z, state, bandwidth=None) -> (loss, grad) of ``variant`` for
+    the gate draw z, the only place that picks a variant's loss or checks
+    for its margin model. What an epoch needs that does not depend on z is
+    worked out here, once: ``train`` makes one step per run, and the public
+    loss functions one per call, so they run the gradient's work and checks
+    too.
 
-    Fc: np.ndarray
-    centre: np.ndarray
-    Fc_sums: np.ndarray
-    Fc2_sums: np.ndarray
-    aug: np.ndarray
-    W: np.ndarray
-    WG: np.ndarray
-    left: np.ndarray
-    Hf: np.ndarray
-    PF: np.ndarray
+    ``dufs-mls`` takes the ungated ``mls`` score and variance of every
+    column, the first two of ``_mls_terms``; gating column r by z_r scales
+    its numerator and its variance alike by z_r^2, so the live scores do
+    not depend on z and only the open-probability mass moves with mu. Its
+    step ignores the bandwidth.
 
+    ``dufs`` centres the rows once, Fc = F - c_F at c_F =
+    ``margins._centre(F)``, a constant column at exactly 0, and takes the
+    column sums of Fc and of Fc * Fc. It also makes the buffers an epoch
+    fills: the gated rows Fc z, as the first d columns of the n x (d + 2)
+    array that ``margins._normed`` completes, a row block of the kernel W,
+    of W o G and of the left operand of their distances, and the n x d
+    products W @ Fc and (W o G) @ Fc. Buffers this size made fresh every
+    epoch can be handed back to the system and faulted in again, a page
+    fault per 4 kB, which at n = 300 made an epoch up to 75% slower. The
+    step takes the kernel over row blocks [a, b) of W and of W o G: each
+    block fills rows a..b-1 of the degrees, of their products with Fc and
+    of R = (W o G) 1, and adds its rows' share to the column sums of P, so
+    the loss and gradient are formed after the last block from n and n x d
+    arrays only, with the row factors 1/d_i and R_i/d_i^2 applied there
+    once. A bandwidth of None is taken from the distances the kernel uses.
 
-def _dufs_buffers(F: np.ndarray) -> _DufsBuffers:
+    The step calls the ``margins`` and ``scores`` helpers through this
+    module's globals, so whatever wraps them there sees every epoch."""
+    if variant == "dufs-mls":
+        if model is None:
+            raise ValueError("dufs-mls needs a margin model")
+        scores, variances = _mls_terms(ds, model)[:2]
+
+        def mls_step(z, state, bandwidth=None):
+            live = z * z * variances > VAR_GUARD
+            return _ratio(state, float(scores[live].sum()), None)
+
+        return mls_step
+    if variant != "dufs":
+        raise ValueError(f"variant must be one of {LOSS_VARIANTS}, got {variant!r}")
+
+    F = ds.values
     n = F.shape[0]
     centre = _centre(F)
     with np.errstate(over="ignore", invalid="ignore"):  # the epoch names it
         Fc = F - centre
         Fc2_sums = np.einsum("ij,ij->j", Fc, Fc)
-    return _DufsBuffers(
-        Fc, centre, Fc.sum(axis=0), Fc2_sums,
-        aug=np.empty((n, F.shape[1] + 2)),
-        W=_block_buffer(n),
-        WG=_block_buffer(n),
-        left=_block_buffer(n, F.shape[1] + 2),
-        Hf=np.empty_like(F),
-        PF=np.empty_like(F),
-    )
+    Fc_sums = Fc.sum(axis=0)
+    aug = np.empty((n, F.shape[1] + 2))
+    W_buf, WG_buf = _block_buffer(n), _block_buffer(n)
+    left = _block_buffer(n, F.shape[1] + 2)
+    Hf, PF = np.empty_like(F), np.empty_like(F)
 
+    def dufs_step(z, state, bandwidth=None):
+        # the gated rows F z centred at c = c_F z are Xc = Fc z; gating can
+        # make rows equal, so their norms and twins are taken every epoch
+        with np.errstate(over="ignore", invalid="ignore"):  # _normed names it
+            Xc = np.multiply(Fc, z, out=aug[:, :-2])
+        centred = _normed(aug)
+        if bandwidth is None:  # dufs_bandwidth, from the rows the kernel uses
+            bandwidth = max(1.0, _mean_pair_sq(centred.sq))
+        dvec = np.empty(n)  # at least 1: the diagonal of W is exactly 1
+        rvec = np.empty_like(dvec)
 
-def _dufs_core(
-    ds: Dataset,
-    z: np.ndarray,
-    state: GateState,
-    bandwidth: float | None,
-    buffers: _DufsBuffers | None = None,
-) -> tuple[float, np.ndarray]:
-    """Loss and gradient of ``dufs`` for the gate draw z, over row blocks
-    [a, b) of the kernel W and of W o G: each block fills rows a..b-1 of
-    the degrees, of their products with Fc and of R = (W o G) 1, and adds
-    its rows' share to the column sums of P, so the loss and gradient are
-    formed after the last block from n and n x d arrays only, with the row
-    factors 1/d_i and R_i/d_i^2 applied there once."""
-    buf = buffers or _dufs_buffers(ds.values)
-    Fc, Hf, PF = buf.Fc, buf.Hf, buf.PF
-    # the gated rows F z centred at c = c_F z are Xc = Fc z; gating can make
-    # rows equal, so their norms and twins are taken every epoch
-    with np.errstate(over="ignore", invalid="ignore"):  # _normed names it
-        Xc = np.multiply(Fc, z, out=buf.aug[:, :-2])
-    centred = _normed(buf.aug)
-    if bandwidth is None:  # dufs_bandwidth, from the rows the kernel uses
-        bandwidth = max(1.0, _mean_pair_sq(centred.sq))
-    dvec = np.empty(Fc.shape[0])  # at least 1: the diagonal of W is exactly 1
-    rvec = np.empty_like(dvec)
+        # dT/dz splits into the direct path through the gated columns and
+        # the kernel path through W and its degrees. The kernel path needs
+        # the column sums and the product with Fc of P = W o (G / d_i - R_i /
+        # d_i^2), where G = gated gated' and R = (W o G) 1; P's rows sum to
+        # 0. Both come from WG = W o G and matvecs, so P is never formed. A
+        # constant added to row i of G adds d_i times it to R_i and leaves P
+        # as it is, and G_ij = h_i + h_j + |c|^2 - D_ij / 2 with h = |Xc_i|^2
+        # / 2 + Xc_i . c, so G is taken as h_j - D_ij / 2 from the distances
+        # the kernel uses: no second Gram product, and no cancellation of
+        # terms of size |c|^2 on rows far from the origin.
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = 0.5 * centred.sq + Xc @ (centre * z)
+            P_colsums = np.zeros_like(dvec)
+            scale = -1.0 / bandwidth
+            for a, b, W in _sq_blocks(centred, upper=False, buf=W_buf, left=left):
+                WG = WG_buf[: W.size].reshape(W.shape)
+                np.multiply(W, -0.5, out=WG)
+                WG += h
+                W *= scale
+                np.exp(W, out=W)
+                WG *= W
+                d_blk = dvec[a:b] = W.sum(axis=1)
+                r_blk = rvec[a:b] = WG.sum(axis=1)
+                P_colsums += (1.0 / d_blk) @ WG - (r_blk / (d_blk * d_blk)) @ W
+                # W @ (Fc z) = (W @ Fc) * z, so one product serves the trace
+                # and the direct path
+                np.matmul(W, Fc, out=Hf[a:b])
+                np.matmul(WG, Fc, out=PF[a:b])
+            inv_d = 1.0 / dvec
+            # smooth_r = f_r'(I - D^-1 W) f_r and T = sum z^2 smooth. With f =
+            # fc + c_F 1 and (I - D^-1 W) 1 = 0 it is fc'fc - fc' D^-1 W fc +
+            # c_F 1'(fc - D^-1 W fc): no term of size c_F^2 to cancel, and 0
+            # for a constant column, whose fc is 0.
+            smooth = Fc2_sums - np.einsum("i,ij,ij->j", inv_d, Fc, Hf)
+            smooth += centre * (Fc_sums - inv_d @ Hf)
+        _check_finite(ds, smooth, "dufs loss")
+        trace = float((z * z) @ smooth)
 
-    # dT/dz splits into the direct path through the gated columns and the
-    # kernel path through W and its degrees. The kernel path needs the
-    # column sums and the product with Fc of P = W o (G / d_i - R_i / d_i^2),
-    # where G = gated gated' and R = (W o G) 1; P's rows sum to 0. Both come
-    # from WG = W o G and matvecs, so P is never formed. A constant added to
-    # row i of G adds d_i times it to R_i and leaves P as it is, and G_ij =
-    # h_i + h_j + |c|^2 - D_ij / 2 with h = |Xc_i|^2 / 2 + Xc_i . c, so G is
-    # taken as h_j - D_ij / 2 from the distances the kernel uses: no second
-    # Gram product, and no cancellation of terms of size |c|^2 on rows far
-    # from the origin.
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = 0.5 * centred.sq + Xc @ (buf.centre * z)
-        P_colsums = np.zeros_like(dvec)
-        scale = -1.0 / bandwidth
-        for a, b, W in _sq_blocks(centred, upper=False, buf=buf.W, left=buf.left):
-            WG = buf.WG[: W.size].reshape(W.shape)
-            np.multiply(W, -0.5, out=WG)
-            WG += h
-            W *= scale
-            np.exp(W, out=W)
-            WG *= W
-            d_blk = dvec[a:b] = W.sum(axis=1)
-            r_blk = rvec[a:b] = WG.sum(axis=1)
-            P_colsums += (1.0 / d_blk) @ WG - (r_blk / (d_blk * d_blk)) @ W
-            # W @ (Fc z) = (W @ Fc) * z, so one product serves the trace and
-            # the direct path
-            np.matmul(W, Fc, out=Hf[a:b])
-            np.matmul(WG, Fc, out=PF[a:b])
-        inv_d = 1.0 / dvec
-        # smooth_r = f_r'(I - D^-1 W) f_r and T = sum z^2 smooth. With f =
-        # fc + c_F 1 and (I - D^-1 W) 1 = 0 it is fc'fc - fc' D^-1 W fc +
-        # c_F 1'(fc - D^-1 W fc): no term of size c_F^2 to cancel, and 0 for
-        # a constant column, whose fc is 0.
-        smooth = buf.Fc2_sums - np.einsum("i,ij,ij->j", inv_d, Fc, Hf)
-        smooth += buf.centre * (buf.Fc_sums - inv_d @ Hf)
-    _check_finite(ds, smooth, "dufs loss")
-    trace = float((z * z) @ smooth)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # sum_ij P_ij (f_i - f_j)^2, as P's rows sum to 0: it does not
+            # move with c_F, so it is taken on Fc; P Fc = D^-1 (W o G) Fc -
+            # R D^-2 W Fc
+            fc_pf = (np.einsum("i,ij,ij->j", inv_d, Fc, PF)
+                     - np.einsum("i,ij,ij->j", rvec * inv_d * inv_d, Fc, Hf))
+            kernel_path = (2.0 * z / bandwidth) * (
+                np.einsum("i,ij,ij->j", P_colsums, Fc, Fc) - 2.0 * fc_pf
+            )
+            # dz/dmu is 1 inside the clamp and 0 at its edges
+            dT_dmu = (2.0 * z * smooth + kernel_path) * ((z > 0.0) & (z < 1.0))
+        loss, grad = _ratio(state, trace, dT_dmu)
+        _check_finite(ds, grad, "dufs gradient")
+        return loss, grad
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        # sum_ij P_ij (f_i - f_j)^2, as P's rows sum to 0: it does not move
-        # with c_F, so it is taken on Fc; P Fc = D^-1 (W o G) Fc - R D^-2 W Fc
-        fc_pf = (np.einsum("i,ij,ij->j", inv_d, Fc, PF)
-                 - np.einsum("i,ij,ij->j", rvec * inv_d * inv_d, Fc, Hf))
-        kernel_path = (2.0 * z / bandwidth) * (
-            np.einsum("i,ij,ij->j", P_colsums, Fc, Fc) - 2.0 * fc_pf
-        )
-        # dz/dmu is 1 inside the clamp and 0 at its edges
-        dT_dmu = (2.0 * z * smooth + kernel_path) * ((z > 0.0) & (z < 1.0))
-    loss, grad = _ratio(state, trace, dT_dmu)
-    _check_finite(ds, grad, "dufs gradient")
-    return loss, grad
+    return dufs_step
 
 
 def dufs_loss(
@@ -319,23 +318,8 @@ def dufs_loss(
     The bandwidth defaults to the gated-data heuristic; pass it explicitly
     to hold it fixed while mu varies (gradient checks do).
     """
-    z = np.asarray(z, dtype=float)
-    loss, _ = _dufs_core(ds, z, state, bandwidth)
-    return loss
-
-
-def _dufs_mls_core(
-    terms: tuple[np.ndarray, np.ndarray],
-    z: np.ndarray,
-    state: GateState,
-) -> tuple[float, np.ndarray]:
-    # terms: the ungated mls score and variance of every column, the first
-    # two of ``_mls_terms``; gating column r by z_r scales its numerator
-    # and its variance alike by z_r^2, so the live scores do not depend on
-    # z and only the open-probability mass moves with mu
-    scores, variances = terms
-    live = z * z * variances > VAR_GUARD
-    return _ratio(state, float(scores[live].sum()), None)
+    step = _epoch_step(ds, "dufs", None)
+    return step(np.asarray(z, dtype=float), state, bandwidth)[0]
 
 
 def dufs_mls_loss(
@@ -347,9 +331,8 @@ def dufs_mls_loss(
     below the guard contribute zero; every other term is the closed-form
     ``mls`` score of the ungated feature.
     """
-    z = np.asarray(z, dtype=float)
-    loss, _ = _dufs_mls_core(_mls_terms(ds, model)[:2], z, state)
-    return loss
+    step = _epoch_step(ds, "dufs-mls", model)
+    return step(np.asarray(z, dtype=float), state)[0]
 
 
 def loss_gradient(
@@ -368,16 +351,8 @@ def loss_gradient(
     open-probability terms. Saturated gates get subgradient zero. The
     margin variant's gradient is its open-probability term alone.
     """
-    z = np.asarray(z, dtype=float)
-    if variant == "dufs":
-        _, grad = _dufs_core(ds, z, state, bandwidth)
-    elif variant == "dufs-mls":
-        if model is None:
-            raise ValueError("dufs-mls gradient needs a margin model")
-        _, grad = _dufs_mls_core(_mls_terms(ds, model)[:2], z, state)
-    else:
-        raise ValueError(f"variant must be one of {LOSS_VARIANTS}, got {variant!r}")
-    return grad
+    step = _epoch_step(ds, variant, model)
+    return step(np.asarray(z, dtype=float), state, bandwidth)[1]
 
 
 def train(
@@ -395,14 +370,9 @@ def train(
     fixed for that epoch's gradient, while the margin variant scores the
     features once before the first epoch. Deterministic for a given seed.
     """
-    if config.loss_variant == "dufs-mls" and model is None:
-        raise ValueError("loss_variant 'dufs-mls' needs a margin model")
+    step = _epoch_step(ds, config.loss_variant, model)
     rng = np.random.default_rng(config.seed)
     work = replace(state, mu=state.mu.copy())
-    if config.loss_variant == "dufs-mls":
-        step = partial(_dufs_mls_core, _mls_terms(ds, model)[:2])
-    else:
-        step = partial(_dufs_core, ds, bandwidth=None, buffers=_dufs_buffers(ds.values))
     history = np.empty(config.epochs)
     for epoch in range(config.epochs):
         z = sample_gates(work, rng)

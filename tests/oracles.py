@@ -270,7 +270,8 @@ def dufs_core_dense(
 ) -> tuple[float, np.ndarray]:
     """Reference dufs loss and gradient that forms every n x n matrix of
     the derivation: the kernel, G = gated gated', and P with its row and
-    column sums. ``gates._dufs_core`` must match it to rounding."""
+    column sums. The ``dufs`` step of ``gates._epoch_step`` must match it to
+    rounding."""
     # a bandwidth of None is taken from the same distances the kernel uses
     gated = F * z
     W, mean_sq = sq_distances_dense(gated)

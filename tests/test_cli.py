@@ -572,6 +572,50 @@ def test_validate_margin_dump_may_not_write_over_its_table(labeled_csv, monkeypa
         "data.csv", "data.csv.manifest.json", "sub"]
 
 
+@pytest.mark.parametrize("command, source, output", [
+    (["select", "--method", "dufs", "--epochs", "2", "--num-features", "2"],
+     "x-trace.json", "the output x-trace.json"),
+    (["select", "--method", "dufs-mls", "--epochs", "2", "--num-features", "2"],
+     "x-trace.json", "the output x-trace.json"),
+    (["score", "--method", "mls"], "x.csv.manifest.json",
+     "the manifest x.csv.manifest.json"),
+], ids=["dufs-trace", "dufs-mls-trace", "score-manifest"])
+def test_a_derived_output_may_not_write_over_its_input(labeled_csv, monkeypatch, capsys,
+                                                       command, source, output):
+    # select --output x.csv writes its trace to x-trace.json, and every
+    # command its manifest to x.csv.manifest.json; an input of either name
+    # was read, then replaced, with exit 0
+    monkeypatch.chdir(labeled_csv.parent)
+    source = labeled_csv.rename(source)
+    before = source.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--input", source.name, "--label-col", "label",
+                        "--output", "x.csv"])
+    assert exc.value.code == 2
+    assert f"{output} would write over --input" in capsys.readouterr().err
+    assert source.read_bytes() == before
+    assert sorted(p.name for p in source.parent.iterdir()) == sorted(
+        ["data.csv.manifest.json", source.name])
+
+
+@pytest.mark.parametrize("command", [
+    ["score", "--method", "mls"],
+    ["select", "--method", "ls", "--num-features", "1"],
+    ["validate-margin"],
+], ids=["score", "select", "validate-margin"])
+def test_a_label_column_not_in_the_header_is_a_usage_error(labeled_csv, tmp_path,
+                                                           capsys, command):
+    # score and select reported it as a data error, exit 1, and
+    # validate-margin as a usage error, exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--input", str(labeled_csv), "--label-col", "nope",
+                        "--output", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"mlscore {command[0]}: error: label column 'nope' not found in input" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_validate_margin_needs_label_column(labeled_csv):
     with pytest.raises(SystemExit) as exc:
         main(["validate-margin", "--input", str(labeled_csv), "--label-col", "y"])

@@ -7,11 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from mlscore import gates
 from mlscore.data import Dataset, standardize
 from mlscore.evaluation import score_dataset
 from mlscore.gates import (
     GateState,
-    _dufs_core,
     TrainConfig,
     TrainTrace,
     dufs_bandwidth,
@@ -265,10 +265,10 @@ def test_dufs_gradient_matches_finite_differences(rng):
 
 @given(st.data())
 def test_dufs_core_matches_dense_oracle(data):
-    # the core streams the kernel and W o G in row blocks and never forms P;
-    # the oracle forms every n x n matrix. Every block size cuts the rows at
-    # every kind of edge, with equal rows on both sides of a cut and with a
-    # column that is constant over the rows.
+    # the step streams the kernel and W o G in row blocks and never forms
+    # P; the oracle forms every n x n matrix. Every block size cuts the rows
+    # at every kind of edge, with equal rows on both sides of a cut and with
+    # a column that is constant over the rows.
     n = data.draw(st.integers(3, 40), label="n")
     d = data.draw(st.integers(1, 8), label="d")
     gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -281,23 +281,32 @@ def test_dufs_core_matches_dense_oracle(data):
     z = np.array(data.draw(st.lists(
         st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)),
         min_size=d, max_size=d), label="z"))
+    # a second draw in which every gate changes between clamped and open,
+    # for one step to evaluate after the first, in the buffers it reuses
+    draws = (z, np.where((z == 0.0) | (z == 1.0), 0.5, np.round(z)))
     state = GateState(mu=gen.normal(0.0, 0.5, d))
     bandwidth = data.draw(st.one_of(st.none(), st.floats(0.1, 50.0)), label="bandwidth")
     ds = Dataset(values=F, feature_names=[f"f{j}" for j in range(d)])
 
-    want_loss, want_grad = dufs_core_dense(F, z, state, bandwidth)
     # the trace is a difference of terms of the size of |gated|^2, and its
     # rounding reaches the gradient through the open-probability term, whose
     # factor m phi / denom is below m / (sigma denom). A narrow kernel can
     # cancel the trace to near 0; both cores then keep only its rounding.
     denom = state.m_gates * open_prob(state).sum() + state.delta
-    loss_scale = float(((F * z) ** 2).sum()) / denom
-    grad_scale = np.abs(want_grad).max() + loss_scale * state.m_gates / (state.sigma * denom)
+    wants = []
+    for gate in draws:
+        want_loss, want_grad = dufs_core_dense(F, gate, state, bandwidth)
+        loss_scale = float(((F * gate) ** 2).sum()) / denom
+        grad_scale = (np.abs(want_grad).max()
+                      + loss_scale * state.m_gates / (state.sigma * denom))
+        wants.append((want_loss, want_grad, loss_scale, grad_scale))
     for block in kernel_blocks(n):
         with blocking(block):
-            loss, grad = _dufs_core(ds, z, state, bandwidth)
-        assert abs(loss - want_loss) <= 1e-12 * loss_scale
-        assert np.abs(grad - want_grad).max() <= 1e-12 * grad_scale
+            step = gates._epoch_step(ds, "dufs", None)
+            for gate, (want_loss, want_grad, loss_scale, grad_scale) in zip(draws, wants):
+                loss, grad = step(gate, state, bandwidth)
+                assert abs(loss - want_loss) <= 1e-12 * loss_scale
+                assert np.abs(grad - want_grad).max() <= 1e-12 * grad_scale
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -315,7 +324,7 @@ def test_dufs_far_from_origin_matches_long_double_dense_oracle(seed):
     ds = Dataset(values=F, feature_names=[f"f{j}" for j in range(d)])
     want_loss, want_grad = dufs_core_dense(
         F.astype(np.longdouble), z.astype(np.longdouble), state, None)
-    loss, grad = _dufs_core(ds, z, state, None)
+    loss, grad = gates._epoch_step(ds, "dufs", None)(z, state)
     assert abs(loss - float(want_loss)) <= 1e-8 * abs(float(want_loss))
     want_grad = want_grad.astype(float)
     assert np.abs(grad - want_grad).max() <= 1e-8 * np.abs(want_grad).max()
@@ -566,6 +575,28 @@ def test_train_dufs_buffers_match_public_loss_loop(rng, n):
         losses, mu = _descent_loop(ds, config, loss_and_grad)
     assert np.array_equal(trace.loss_history, losses)
     assert trace.mu.tobytes() == mu.tobytes()
+
+
+@pytest.mark.parametrize("epochs", [1, 7])
+@pytest.mark.parametrize("variant, per_run", [("dufs", "_centre"),
+                                              ("dufs-mls", "_mls_terms")])
+def test_train_does_its_per_run_work_once(rng, monkeypatch, epochs, variant, per_run):
+    # dufs centres the rows and dufs-mls scores the features before the
+    # first epoch, not in every epoch
+    ds = _instance(rng, n=20, d=4)
+    model = build_margin_model(ds, MarginConfig(quantile=0.1))
+    calls = []
+    original = getattr(gates, per_run)
+
+    def counted(*args, **kwargs):
+        calls.append(per_run)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gates, per_run, counted)
+    config = TrainConfig(epochs=epochs, loss_variant=variant)
+    trace = train(ds, config, GateState.fresh(4), model)
+    assert trace.loss_history.size == epochs
+    assert calls == [per_run]
 
 
 def test_dufs_gradient_holds_no_n_by_n_matrix():
