@@ -237,19 +237,11 @@ def cmd_synth(args, parser) -> int:
     return 0
 
 
-def _parse_quantiles(text: str, parser) -> tuple[float, ...]:
-    values = _parse_list(text, parser, float, "quantile")
-    for q in values:
-        if not 0.0 < q < 0.5:
-            parser.error(f"quantile must be in (0, 0.5), got {q}")
-    return values
-
-
 def cmd_validate_margin(args, parser) -> int:
     out = _check_outputs(args, parser, "margin-ks", "dump_margins")
     ds = _load_input(args, parser)
     quantiles = (
-        _parse_quantiles(args.quantiles, parser)
+        _parse_list(args.quantiles, parser, float, "quantile")
         if args.quantiles
         else DEFAULT_KS_GRID
     )
@@ -300,18 +292,16 @@ def cmd_bench(args, parser) -> int:
     setups = _parse_list(args.setups, parser, int, "setup")
     rhos = _parse_list(args.rhos, parser, float, "rho")
     methods = _parse_list(args.methods, parser, str, "method")
-    if any(s not in (1, 2, 3) for s in setups):
-        parser.error("setups must be a comma list drawn from 1,2,3")
-    if any(not 0.0 < r < 1.0 for r in rhos):
-        parser.error("rhos must be a comma list of values in (0, 1)")
+    # SynthSpec owns the setups, the rho range, the sample-count floor and
+    # the class sizes of a draw
+    for setup in setups:
+        for rho in rhos:
+            _usage_errors(parser, SynthSpec, setup=setup, rho=rho, n_samples=args.n)
     if args.quantile is None and any(r <= 0.5 for r in rhos):
         # the default margin quantile 1 - rho must stay below 0.5
         parser.error("rhos must be above 0.5 unless --quantile is given")
     if any(m not in METHODS for m in methods):
         parser.error(f"methods must be drawn from {','.join(METHODS)}")
-    # SynthSpec owns the sample-count floor and the class sizes of a draw
-    for rho in rhos:
-        _usage_errors(parser, SynthSpec, setup=setups[0], rho=rho, n_samples=args.n)
     train_config = _usage_errors(parser, TrainConfig, epochs=args.epochs)
     margin_flags = {name: getattr(args, name) for name in ("k", "skew_right", "skew_left")
                     if getattr(args, name) is not None}

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,15 +163,15 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     UTF-8 stays in its cell as a lone surrogate. The header is read with
     ``csv.reader`` and the body streamed into NumPy's C parser
     (``np.loadtxt``), whose table is kept only where it must equal what
-    ``csv.reader`` and ``float`` give. Anything else (blank lines, records
+    ``csv.reader`` and ``float`` give. Any other body (blank lines, records
     spanning lines, ``1_000``, the separators ``\\x1c``-``\\x1f``, every
-    bad file) is read again with ``csv.reader`` after a seek back to the
-    start, which restarts the digest; a non-seekable input is read that
-    way from the start. A file that fails there too is scanned for its first fault in
-    file order: the header's, then the first bad row's, where bytes that
-    are not UTF-8 come before a wrong cell count and that before a bad
-    cell. A cell longer than ``csv.field_size_limit()`` is a fault of its
-    row. A UTF-8 byte-order mark at the start is dropped.
+    bad file) is read again by ``_checked_rows`` after a seek back to the
+    start, which restarts the digest; a non-seekable input goes there from
+    the start. It converts and checks one ``csv.reader`` row at a time, and
+    the first bad row stops the read with its first fault: bytes that are
+    not UTF-8, then a wrong cell count, then a bad cell. A header fault
+    comes first, and a cell longer than ``csv.field_size_limit()`` is a
+    fault of its row. A UTF-8 byte-order mark at the start is dropped.
     """
     try:
         source = _Hashed(path)
@@ -201,27 +203,7 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                 fh.seek(0)
                 next(reader)  # the header again
         if table is None:
-            rows = []
-            try:
-                rows.extend(reader)
-            except csv.Error as exc:  # a cell over csv.field_size_limit()
-                _first_fault(path, header, rows, label_idx)
-                raise DataError(f"{path}: row {len(rows) + 1}: {exc}") from None
-            if all(len(raw) == len(header) for raw in rows):
-                if label_idx is not None:
-                    # read labels as _as_label does: str.strip() also drops
-                    # the separators \x1c-\x1f, which float() rejects
-                    for raw in rows:
-                        raw[label_idx] = raw[label_idx].strip()
-                try:
-                    table = np.array(rows, dtype=float).reshape(len(rows), len(header))
-                except ValueError:
-                    pass
-            if table is None or not _sound(table, label_idx):
-                _first_fault(path, header, rows, label_idx)
-                # np.array parses str cells with float(), so a table that
-                # failed the bulk checks always has a fault the scan finds
-                raise DataError(f"{path}: cannot convert the table to numbers")
+            table = _checked_rows(path, reader, header, label_idx)
 
     if len(table) < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {len(table)}")
@@ -288,30 +270,47 @@ def _sound(table: np.ndarray, label_idx) -> bool:
     return label_idx is None or bool(np.isin(table[:, label_idx], (0.0, 1.0)).all())
 
 
-def _first_fault(path, header: list[str], rows: list[list[str]], label_idx) -> None:
-    """Raise the DataError for the first row in file order with bytes that
-    are not UTF-8, a wrong cell count or a bad cell, if there is one."""
-    for i, raw in enumerate(rows, start=1):
-        _check_utf8(f"{path}: row {i}", raw)
-        if len(raw) != len(header):
+def _checked_rows(path, reader, header: list[str], label_idx) -> np.ndarray:
+    """The rows of reader as a table, read one at a time: a row goes in when
+    it has the header's width, finite cells by ``float`` and a 0/1 label once
+    stripped, which drops ``\\x1c``-``\\x1f`` too; the first other row raises."""
+    table = array("d")
+    i = 0
+    try:
+        for i, raw in enumerate(reader, start=1):
+            row = []
+            if len(raw) == len(header):
+                if label_idx is not None:
+                    raw[label_idx] = raw[label_idx].strip()
+                with contextlib.suppress(ValueError):
+                    row = list(map(float, raw))
+            if not (row and all(map(math.isfinite, row))
+                    and (label_idx is None or row[label_idx] in (0.0, 1.0))):
+                _row_fault(path, header, i, raw, label_idx)
+            table.extend(row)
+    except csv.Error as exc:  # a cell over csv.field_size_limit()
+        raise DataError(f"{path}: row {i + 1}: {exc}") from None
+    return np.frombuffer(table).reshape(i, len(header))
+
+
+def _row_fault(path, header: list[str], i: int, raw: list[str], label_idx) -> None:
+    """Raise the DataError for the first fault of row i: bytes that are not
+    UTF-8, then a wrong cell count, then the first bad cell in column order."""
+    _check_utf8(f"{path}: row {i}", raw)
+    if len(raw) != len(header):
+        raise DataError(f"{path}: row {i} has {len(raw)} cells, expected {len(header)}")
+    for j, cell in enumerate(raw):
+        if j == label_idx:
+            _as_label(path, cell.strip(), i, header[j])
+            continue
+        try:
+            x = float(cell)
+        except ValueError:
             raise DataError(
-                f"{path}: row {i} has {len(raw)} cells, expected {len(header)}"
-            )
-        for j, cell in enumerate(raw):
-            if j == label_idx:
-                _as_label(path, cell.strip(), i, header[j])
-                continue
-            try:
-                x = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: cannot parse cell at row {i}, column "
-                    f"{header[j]!r}: {cell!r}"
-                ) from None
-            if not math.isfinite(x):
-                raise DataError(
-                    f"{path}: non-finite value at row {i}, column {header[j]!r}"
-                )
+                f"{path}: cannot parse cell at row {i}, column {header[j]!r}: {cell!r}"
+            ) from None
+        if not math.isfinite(x):
+            raise DataError(f"{path}: non-finite value at row {i}, column {header[j]!r}")
 
 
 def save_csv(ds: Dataset, path, label_column: str = "label") -> None:

@@ -62,6 +62,7 @@ from .margins import (
     _block_buffer,
     _centre,
     _centred,
+    _check_scale,
     _mean_pair_sq,
     _normed,
     _sq_blocks,
@@ -250,6 +251,8 @@ def _epoch_step(ds: Dataset, variant: str, model: MarginModel | None):
         centred = _normed(aug)
         if bandwidth is None:  # dufs_bandwidth, from the rows the kernel uses
             bandwidth = max(1.0, _mean_pair_sq(centred.sq))
+        else:
+            _check_scale("bandwidth", bandwidth)
         dvec = np.empty(n)  # at least 1: the diagonal of W is exactly 1
         rvec = np.empty_like(dvec)
 
@@ -316,7 +319,8 @@ def dufs_loss(
     random-walk Laplacian of the heat kernel over gated rows.
 
     The bandwidth defaults to the gated-data heuristic; pass it explicitly
-    to hold it fixed while mu varies (gradient checks do).
+    to hold it fixed while mu varies (gradient checks do). One that is not
+    positive with a finite reciprocal is a ValueError.
     """
     step = _epoch_step(ds, "dufs", None)
     return step(np.asarray(z, dtype=float), state, bandwidth)[0]

@@ -73,9 +73,17 @@ class MarginConfig:
             )
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        t = self.temperature_override
-        if t is not None and not 0.0 < t < math.inf:
-            raise ValueError(f"temperature_override must be positive and finite, got {t}")
+        if self.temperature_override is not None:
+            _check_scale("temperature_override", self.temperature_override)
+
+
+def _check_scale(name: str, t: float) -> None:
+    """Raise the ValueError for a kernel scale t (a bandwidth or a
+    temperature) that is not positive with a finite reciprocal: a kernel
+    multiplies its distances by -1/t, and -inf makes 0 x -inf on the
+    diagonal a NaN."""
+    if not 0.0 < t < math.inf or 1.0 / float(t) == math.inf:
+        raise ValueError(f"{name} must be positive with a finite reciprocal, got {t}")
 
 
 @dataclass

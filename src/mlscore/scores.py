@@ -12,6 +12,7 @@ from .margins import (
     MarginModel,
     _Centred,
     _centred,
+    _check_scale,
     _knn_forms,
     _knn_neighbours,
     _laplacian_forms,
@@ -41,10 +42,8 @@ class KernelConfig:
     def __post_init__(self):
         if self.mode not in KERNEL_MODES:
             raise ValueError(f"mode must be one of {KERNEL_MODES}, got {self.mode!r}")
-        if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
-            raise ValueError(
-                f"bandwidth must be positive and finite, got {self.bandwidth}"
-            )
+        if self.bandwidth is not None:
+            _check_scale("bandwidth", self.bandwidth)
         if self.n_neighbors < 1:
             raise ValueError("n_neighbors must be >= 1")
 
@@ -89,6 +88,11 @@ def _graph_forms(
         if t is None:
             mean_sq = _mean_pair_sq(centred.sq)
             t = mean_sq if mean_sq > 0 else 1.0
+            if 1.0 / t == np.inf:
+                raise DataError(
+                    "values too small: the squared distances between rows underflow, "
+                    f"so the heat-kernel bandwidth {t} has no finite reciprocal"
+                )
         dvec, _, q = _laplacian_forms(centred, F0, t, root=False)
         return dvec, q
     return _knn_forms(_knn_neighbours(centred, k), F0)

@@ -331,7 +331,9 @@ _DUFS = ["select", "--method", "dufs", "--num-features", "2", "--epochs", "2"]
      _DUFS + ["--lr", "nan"],
      _DUFS + ["--lr", "inf"],
      _DUFS + ["--sigma", "nan"],
-     _DUFS + ["--sigma", "inf"]],
+     _DUFS + ["--sigma", "inf"],
+     # finite, but its reciprocal overflows
+     ["score", "--method", "ls", "--bandwidth", "1e-320"]],
 )
 def test_non_finite_settings_are_usage_errors(labeled_csv, tmp_path, argv):
     # these used to exit 0 with a wrong answer (every ls score 1.0, dufs

@@ -358,6 +358,19 @@ def test_gradient_requires_model_for_margin_variant(rng):
         loss_gradient(ds, np.ones(3), state, "nope")
 
 
+@pytest.mark.parametrize("bandwidth", [0.0, -1.0, 1e-320, math.nan, math.inf])
+def test_dufs_bandwidth_without_a_finite_reciprocal_is_a_value_error(rng, bandwidth):
+    # 0 raised ZeroDivisionError, -1 gave a loss built from exp(+D), and inf
+    # a kernel of ones
+    ds = _instance(rng, n=10, d=3)
+    state = GateState.fresh(3)
+    z = np.full(3, 0.5)
+    with pytest.raises(ValueError, match="bandwidth must be positive with a finite"):
+        dufs_loss(ds, z, state, bandwidth=bandwidth)
+    with pytest.raises(ValueError, match="bandwidth must be positive with a finite"):
+        loss_gradient(ds, z, state, "dufs", bandwidth=bandwidth)
+
+
 def test_duplicated_columns_get_equal_gradients(rng):
     f = rng.standard_normal(18)
     other = rng.standard_normal(18)

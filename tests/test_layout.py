@@ -13,10 +13,10 @@ LIBRARY = ROOT / "src" / "mlscore"
 CALLERS = [p for p in LIBRARY.glob("*.py") if p.name != "__init__.py"]
 CALLERS += list((ROOT / "perfbench").glob("*.py")) + list((ROOT / "scripts").glob("*.py"))
 # read by perfbench/workloads.py, so it goes with the benchmark change of
-# ROADMAP item 3(b)
+# ROADMAP item 1(b)
 UNSET_KNOBS_ALLOWED = {"MarginConfig.temperature_override"}
 # perfbench/workloads.py unpacks the pair standardize returns and reads no
-# field of its stats, so they go with the same benchmark change, ROADMAP 3(b)
+# field of its stats, so they go with the same benchmark change, ROADMAP 1(b)
 UNREAD_FIELDS_ALLOWED = {"ScalerStats.means", "ScalerStats.std_devs", "ScalerStats.constant"}
 
 

@@ -342,7 +342,7 @@ def test_margin_config_validation():
             MarginConfig(**skew)
     with pytest.raises(ValueError, match="k"):
         MarginConfig(k=0)
-    for t in (0.0, math.inf, math.nan):
+    for t in (0.0, math.inf, math.nan, 1e-320):
         with pytest.raises(ValueError, match="temperature_override"):
             MarginConfig(temperature_override=t)
 

@@ -132,6 +132,14 @@ def test_ls_underflowing_variance_scores_inf(rng, mode):
     assert mls(ds, build_margin_model(ds, MarginConfig(quantile=0.1))).scores[1] == np.inf
 
 
+def test_ls_default_bandwidth_without_a_finite_reciprocal_is_a_data_error(rng):
+    # values near 1e-160 put the mean squared distance near 1e-320; -1/t was
+    # -inf, and the error blamed an overflow of the ls denominator
+    ds = Dataset(values=1e-160 * rng.standard_normal((20, 3)), feature_names=["a", "b", "c"])
+    with pytest.raises(DataError, match="values too small: the squared distances"):
+        laplacian_score(ds)
+
+
 @pytest.mark.parametrize("value", [1.0, 1e30, 1e100, 1e150, 1e200])
 def test_ls_constant_column_leaves_other_scores(rng, value):
     # unstandardized; the column used to move the other scores by 57%
@@ -288,7 +296,9 @@ def test_ls_binary_knn_neighbor_bound(rng):
 def test_kernel_config_validation():
     with pytest.raises(ValueError, match="mode"):
         KernelConfig(mode="nope")
-    for bandwidth in (-1.0, math.inf, math.nan):
+    # 1e-320 is positive and finite, but -1/t is -inf, and 0 x -inf made the
+    # kernel's diagonal NaN
+    for bandwidth in (-1.0, math.inf, math.nan, 1e-320):
         with pytest.raises(ValueError, match="bandwidth"):
             KernelConfig(bandwidth=bandwidth)
     with pytest.raises(ValueError, match="n_neighbors"):
