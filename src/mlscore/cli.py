@@ -19,6 +19,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -239,7 +240,6 @@ def cmd_synth(args, parser) -> int:
 
 def cmd_validate_margin(args, parser) -> int:
     out = _check_outputs(args, parser, "margin-ks", "dump_margins")
-    ds = _load_input(args, parser)
     quantiles = (
         _parse_list(args.quantiles, parser, float, "quantile")
         if args.quantiles
@@ -247,6 +247,10 @@ def cmd_validate_margin(args, parser) -> int:
     )
     base = _usage_errors(parser, MarginConfig, quantile=args.quantile, k=args.k,
                          skew_right=args.skew_right, skew_left=args.skew_left)
+    # MarginConfig checks each entry of the list before the input is read
+    for q in quantiles:
+        _usage_errors(parser, replace, base, quantile=q)
+    ds = _load_input(args, parser)
     rows = _usage_errors(parser, margin_weight_separation, ds, base, quantiles=quantiles)
     best = max(range(len(rows)), key=lambda i: rows[i][1])
     print(f"{'quantile':>10} {'D':>10} {'p':>12}")

@@ -128,7 +128,7 @@ class ScalerStats:
 
 class _Hashed(io.FileIO):
     """A file opened for reading that feeds each byte read from it to
-    ``sha256``. Its one seek, back to the start, begins the digest again."""
+    ``sha256``; nothing seeks it, so the digest is that of the bytes read."""
 
     # read through readinto, so that no byte escapes the digest
     read, readall = io.RawIOBase.read, io.RawIOBase.readall
@@ -142,12 +142,6 @@ class _Hashed(io.FileIO):
         self.sha256.update(memoryview(buffer)[:n])
         return n
 
-    def seek(self, pos, whence):  # BufferedReader passes both
-        if (pos, whence) != (0, io.SEEK_SET):
-            raise io.UnsupportedOperation("only a seek to the start keeps the digest whole")
-        self.sha256 = hashlib.sha256()
-        return super().seek(0)
-
 
 def load_csv(path, label_column: str | None = None) -> Dataset:
     """Load a numeric CSV with a header row into a Dataset.
@@ -157,21 +151,22 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     is given, that column is validated as 0/1, removed from the feature
     matrix, and attached as labels.
 
-    The path is opened once, so a pipe or a FIFO reads as a file does; its
-    bytes stream through the sha256 that becomes ``source_sha256``. They
-    decode as UTF-8 with ``errors="surrogateescape"``, so a byte that is not
-    UTF-8 stays in its cell as a lone surrogate. The header is read with
-    ``csv.reader`` and the body streamed into NumPy's C parser
-    (``np.loadtxt``), whose table is kept only where it must equal what
-    ``csv.reader`` and ``float`` give. Any other body (blank lines, records
-    spanning lines, ``1_000``, the separators ``\\x1c``-``\\x1f``, every
-    bad file) is read again by ``_checked_rows`` after a seek back to the
-    start, which restarts the digest; a non-seekable input goes there from
-    the start. It converts and checks one ``csv.reader`` row at a time, and
-    the first bad row stops the read with its first fault: bytes that are
-    not UTF-8, then a wrong cell count, then a bad cell. A header fault
-    comes first, and a cell longer than ``csv.field_size_limit()`` is a
-    fault of its row. A UTF-8 byte-order mark at the start is dropped.
+    The path is opened once and read once, with no seek, so a pipe or a
+    FIFO reads as a file does; its bytes stream through the sha256 that
+    becomes ``source_sha256``. They decode as UTF-8 with
+    ``errors="surrogateescape"``, so a byte that is not UTF-8 stays in its
+    cell as a lone surrogate. The header is read with ``csv.reader`` and the
+    body in runs of whole lines (``_body``), each parsed by NumPy's C parser
+    (``np.loadtxt``) and kept where it must equal what ``csv.reader`` and
+    ``float`` give. At the first run that might read otherwise (a blank
+    line, a quoted field still open at its end, ``1_000``, the separators
+    ``\\x1c``-``\\x1f``, every bad row) ``_checked_rows`` takes over for
+    that run and the rest of the input. It converts and checks one
+    ``csv.reader`` row at a time, and the first bad row stops the read with
+    its first fault: bytes that are not UTF-8, then a wrong cell count, then
+    a bad cell. A header fault comes first, and a cell longer than
+    ``csv.field_size_limit()`` is a fault of its row. A UTF-8 byte-order
+    mark at the start is dropped.
     """
     try:
         source = _Hashed(path)
@@ -180,9 +175,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     fh = io.TextIOWrapper(io.BufferedReader(source, 1 << 16), encoding="utf-8-sig",
                           errors="surrogateescape", newline="")
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
         except csv.Error as exc:  # a cell over csv.field_size_limit()
             raise DataError(f"{path}: header: {exc}") from None
         if header is None:
@@ -196,14 +190,7 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
             raise LabelColumnError(f"{path}: label column {label_column!r} not in header")
         label_idx = header.index(label_column) if label_column is not None else None
 
-        table = None
-        if fh.seekable():
-            table = _c_table(fh, len(header), label_idx)
-            if table is None:
-                fh.seek(0)
-                next(reader)  # the header again
-        if table is None:
-            table = _checked_rows(path, reader, header, label_idx)
+        table = _body(path, fh, header, label_idx)
 
     if len(table) < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {len(table)}")
@@ -222,32 +209,46 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
 _LOADTXT_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _c_table(lines, width: int, label_idx) -> np.ndarray | None:
-    """The remaining lines as parsed by ``np.loadtxt``, or None where that
-    might differ from the ``csv.reader`` path."""
-    first = next(lines, None)
-    # loadtxt warns on a body without data, and it skips a blank line that
+# a run of body lines ends on the line that takes it past this many
+# characters, which keeps its strings a small share of the table
+_CHUNK_CHARS = 1 << 17
+
+
+def _body(path, fh, header: list[str], label_idx) -> np.ndarray:
+    """The rows of fh below the header as one table. Each run of lines that
+    ``fh.readlines(_CHUNK_CHARS)`` gives goes to ``np.loadtxt`` until the
+    first run that ``_c_table`` turns down; that run and the rest of fh go
+    to ``_checked_rows``."""
+    table = array("d")
+    while lines := fh.readlines(_CHUNK_CHARS):
+        part = _c_table(lines, len(header), label_idx)
+        if part is None:
+            _checked_rows(path, csv.reader(itertools.chain(lines, fh)), header,
+                          label_idx, table)
+            break
+        table.frombytes(part.data.cast("B"))
+    return np.frombuffer(table).reshape(-1, len(header))
+
+
+def _c_table(lines: list[str], width: int, label_idx) -> np.ndarray | None:
+    """The run of whole lines as parsed by ``np.loadtxt``, or None where
+    that might differ from the ``csv.reader`` path."""
+    # loadtxt warns on a run without data, and it skips a blank line that
     # csv.reader yields as a ragged record
-    if first is None or not first.strip("\r\n"):
+    if not lines[0].strip("\r\n"):
         return None
-    count = 0
-
-    def counted():
-        nonlocal count
-        for line in itertools.chain((first,), lines):
-            if any(c in line for c in _LOADTXT_ONLY_SPACE):
-                raise ValueError("loadtxt reads \\x1c-\\x1f as space")
-            count += 1
-            yield line
-
+    if any(c in line for line in lines for c in _LOADTXT_ONLY_SPACE):
+        return None
+    # an odd count of quotes leaves a quoted field open past the run's end;
+    # the "in" test skips a line without one faster than count scans it
+    if sum(line.count('"') for line in lines if '"' in line) % 2:
+        return None
     try:
-        table = np.loadtxt(
-            counted(), delimiter=",", quotechar='"', comments=None, ndmin=2
-        )
+        table = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
     except ValueError:
         return None
     # fewer rows than lines means a skipped blank line or a quoted line break
-    if table.shape != (count, width) or not _sound(table, label_idx):
+    if table.shape != (len(lines), width) or not _sound(table, label_idx):
         return None
     return table
 
@@ -270,14 +271,14 @@ def _sound(table: np.ndarray, label_idx) -> bool:
     return label_idx is None or bool(np.isin(table[:, label_idx], (0.0, 1.0)).all())
 
 
-def _checked_rows(path, reader, header: list[str], label_idx) -> np.ndarray:
-    """The rows of reader as a table, read one at a time: a row goes in when
-    it has the header's width, finite cells by ``float`` and a 0/1 label once
-    stripped, which drops ``\\x1c``-``\\x1f`` too; the first other row raises."""
-    table = array("d")
-    i = 0
+def _checked_rows(path, reader, header: list[str], label_idx, table: array) -> None:
+    """Append the rows of reader to table, read one at a time and counted on
+    from the rows table holds: a row goes in when it has the header's width,
+    finite cells by ``float`` and a 0/1 label once stripped, which drops
+    ``\\x1c``-``\\x1f`` too; the first other row raises."""
+    i = len(table) // len(header)
     try:
-        for i, raw in enumerate(reader, start=1):
+        for i, raw in enumerate(reader, start=i + 1):
             row = []
             if len(raw) == len(header):
                 if label_idx is not None:
@@ -290,7 +291,6 @@ def _checked_rows(path, reader, header: list[str], label_idx) -> np.ndarray:
             table.extend(row)
     except csv.Error as exc:  # a cell over csv.field_size_limit()
         raise DataError(f"{path}: row {i + 1}: {exc}") from None
-    return np.frombuffer(table).reshape(i, len(header))
 
 
 def _row_fault(path, header: list[str], i: int, raw: list[str], label_idx) -> None:

@@ -893,6 +893,26 @@ def test_validate_margin_quantile_list_errors(labeled_csv, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0.05,x", "could not parse quantile list '0.05,x'"),
+    ("0.05,0.1,0.05", "repeated entry in quantile list"),
+    ("0.05,0.1,0.2,0.3,0.9", "quantile must be in (0, 0.5), got 0.9"),
+])
+def test_validate_margin_reports_a_bad_quantile_list_before_reading_its_input(
+        labeled_csv, tmp_path, monkeypatch, capsys, text, message):
+    # the whole table was read and parsed before the list was looked at
+    def load_csv(*args, **kwargs):
+        pytest.fail("validate-margin read its input")
+
+    monkeypatch.setattr(cli, "load_csv", load_csv)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate-margin", "--input", str(labeled_csv), "--label-col", "label",
+              "--quantiles", text, "--output", str(tmp_path / "ks.csv")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ks.csv").exists()
+
+
 def test_bench_matches_recovery_benchmark(tmp_path, capsys, monkeypatch):
     # at seed 1 the dufs accuracy reads 80 here, but 60 with n = 1000 or
     # with 500 epochs, so a dropped --n or --epochs shows

@@ -14,11 +14,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mlscore import data
 from mlscore.data import (
     DataError,
     Dataset,
     _as_label,
     _c_table,
+    _checked_rows,
     load_csv,
     save_csv,
     standardize,
@@ -441,8 +443,8 @@ def test_load_csv_header_only_or_blank_body_warns_nothing(tmp_path, body):
 
 
 @pytest.mark.parametrize("first, want", [
-    # 1_0 is a float() spelling the C parser rejects, so the file takes the
-    # csv.reader path, which stops at the long cell of row 2
+    # 1_0 is a float() spelling the C parser rejects, so csv.reader reads on
+    # from its run and stops at the long cell of row 2
     ("1_0,2", "row 2: field larger than field limit ({limit})"),
     # a fault before the long cell is still the first one reported
     ("x,2", "cannot parse cell at row 1, column 'a': 'x'"),
@@ -467,7 +469,7 @@ def test_load_csv_header_cell_over_field_limit_is_a_data_error(tmp_path):
     (b"a,caf\xe9\n1,2\n3,4\n", "header"),
     # the record that spans two lines is one row
     (b'a,b\n1,2\n3,"4\n"\n6,\xff7\n', "row 3"),
-    # past the first block of text the file decodes, so in the C parser
+    # past the first block of text the file decodes, so in a C parser run
     (b"a,b\n" + b"1,2\n" * 5000 + b"3,\xe94\n", "row 5001"),
 ])
 def test_load_csv_bytes_not_utf8_name_the_header_or_row(tmp_path, content, where):
@@ -500,11 +502,11 @@ def test_load_csv_reports_faults_in_file_order(tmp_path, content, want):
 
 @pytest.mark.parametrize("body", [
     "1,2\n3,4\n",
-    # the csv.reader path rereads from the start, within the first buffer
-    # and past it
+    # csv.reader takes the body from the first run, or from a run past the
+    # first buffer, which the digest has already read once
     "1,2\n3,1_000\n",
     "1,2\n" * 40000 + "3,1_000\n",
-], ids=["c-parser", "reread-within-buffer", "reread-past-buffer"])
+], ids=["c-parser", "csv-reader-from-the-first-run", "csv-reader-from-a-later-run"])
 def test_load_csv_digest_is_the_sha256_of_the_file(tmp_path, body):
     path = tmp_path / "t.csv"
     path.write_bytes(codecs.BOM_UTF8 + ("a,b\n" + body).encode("utf-8"))
@@ -512,6 +514,20 @@ def test_load_csv_digest_is_the_sha256_of_the_file(tmp_path, body):
 
 
 needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+
+
+@contextlib.contextmanager
+def _c_tables():
+    """The list of what each _c_table call returns within the block: a
+    table for a run np.loadtxt took, None for one it turned down."""
+    tables = []
+
+    def c_table(*args):
+        tables.append(_c_table(*args))
+        return tables[-1]
+
+    with patch("mlscore.data._c_table", c_table):
+        yield tables
 
 
 def _piped(content: bytes, label_column=None):
@@ -542,7 +558,8 @@ def _piped(content: bytes, label_column=None):
     ("1,2\n3,\udce9\n", r"/dev/fd/\d+: row 2: bytes that are not UTF-8 \(b'\\xe9'\)"),
 ])
 def test_load_csv_reads_a_pipe(body, want):
-    # a pipe cannot seek back to the body, so it goes straight to csv.reader
+    # a pipe is read in runs of lines as a file is, so 1_000 and x are
+    # found by csv.reader in the run that holds them
     sent = ("a,b\n" + body).encode("utf-8", "surrogateescape")
     if isinstance(want, str):
         with pytest.raises(DataError, match=want):
@@ -555,8 +572,7 @@ def test_load_csv_reads_a_pipe(body, want):
 
 @needs_dev_fd
 def test_load_csv_through_a_pipe_equals_the_file_load(tmp_path, rng):
-    # np.loadtxt parses the file's body; a pipe cannot seek back to its
-    # body, so float() converts its rows one at a time
+    # np.loadtxt parses the body of both, a run of lines at a time
     X = rng.standard_normal((40, 4)) * 10.0 ** rng.integers(-300, 300, (40, 4))
     spell = [repr, "{:.17e}".format, lambda x: f" {x!r}\t", lambda x: f"\t{x:.17E}  "]
     labels = [" 1", "0.0 ", "1e0", "-0", "+1"]
@@ -567,15 +583,10 @@ def test_load_csv_through_a_pipe_equals_the_file_load(tmp_path, rng):
     content = "\r\n".join(lines).encode("utf-8") + b"\r\n"
     path = tmp_path / "t.csv"
     path.write_bytes(content)
-    tables = []
-
-    def c_table(*args):
-        tables.append(_c_table(*args))
-        return tables[-1]
-
-    with patch("mlscore.data._c_table", c_table):
+    with _c_tables() as tables:
         want = load_csv(path, "y")
-    assert tables[0] is not None  # the file took the C parser
+    # every run of the file took the C parser
+    assert tables and all(t is not None for t in tables)
     got = _piped(content, "y")
     assert got.values.tobytes() == want.values.tobytes()
     assert got.labels.tobytes() == want.labels.tobytes()
@@ -599,9 +610,59 @@ def test_load_csv_through_a_pipe_stops_at_the_first_bad_row(faults, want):
         _piped(content, "y")
 
 
+@needs_dev_fd
+def test_load_csv_through_a_pipe_takes_the_c_parser():
+    # a pipe cannot seek, and a reader that seeks back to the body after a
+    # miss sent every pipe straight to csv.reader
+    content = ("a,b,y\n" + "1.5,-2e3,1\n3,4,0\n" * 100).encode("utf-8")
+    with _c_tables() as tables:
+        ds = _piped(content, "y")
+    assert tables and all(t is not None for t in tables)
+    assert ds.values.tolist() == [[1.5, -2e3], [3.0, 4.0]] * 100
+    assert ds.labels.tolist() == [1, 0] * 100
+
+
+def test_load_csv_hands_csv_reader_only_the_failing_run(tmp_path):
+    # lines of 9 characters, so a run ends on the first line that takes it
+    # past _CHUNK_CHARS; the only fault is in the last row, which the fourth
+    # run holds, so csv.reader starts at that run
+    per_run = data._CHUNK_CHARS // 9 + 1
+    n = 3 * per_run + per_run // 2 + 1
+    lines = [f"{i:06d},{i % 2}\n" for i in range(1, n)] + ["     x,1\n"]
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n" + "".join(lines))
+    handed = []
+
+    def checked_rows(path, reader, *rest):
+        def rows():
+            for raw in reader:
+                handed.append(raw)
+                yield raw
+        return _checked_rows(path, rows(), *rest)
+
+    with patch("mlscore.data._checked_rows", checked_rows), pytest.raises(DataError) as info:
+        load_csv(path)
+    assert handed == [line[:-1].split(",") for line in lines[3 * per_run:]]
+    # the error csv.reader gave when it read the file from row 1
+    assert str(info.value) == f"{path}: cannot parse cell at row {n}, column 'a': '     x'"
+
+
+def test_load_csv_quoted_line_break_across_runs_reads_as_csv_reader(tmp_path):
+    # in runs of one line the quoted "4\n" opens in the second run and
+    # closes in the third; without the count of quotes np.loadtxt takes the
+    # second run as 3,4, and the lone quote that closes it is a ragged row
+    path = tmp_path / "t.csv"
+    path.write_text('a,b\n1,2\n3,"4\n"\n5,6\n')
+    with patch("mlscore.data._CHUNK_CHARS", 1), _c_tables() as tables:
+        got = _outcome(load_csv, path, None)
+    assert [t is not None for t in tables] == [True, False]
+    assert got == _outcome(_reference_load, path, None)
+    assert got[2] == np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]).tobytes()
+
+
 @pytest.mark.parametrize("body, c_parser", [
     ("1,2,3\n0,4,5\n", True),
-    # loadtxt rejects 1_000, so this file is read by csv.reader
+    # loadtxt rejects 1_000, so csv.reader reads on from its run
     ("1,2,3\n0,1_000,5\n", False),
 ])
 def test_load_csv_drops_a_utf8_byte_order_mark(tmp_path, body, c_parser):
@@ -612,20 +673,19 @@ def test_load_csv_drops_a_utf8_byte_order_mark(tmp_path, body, c_parser):
     plain.write_bytes(text)
     marked = tmp_path / "marked.csv"
     marked.write_bytes(codecs.BOM_UTF8 + text)
-    kept = []
-
-    def c_table(*args):
-        table = _c_table(*args)
-        kept.append(table is not None)
-        return table
-
-    with patch("mlscore.data._c_table", c_table):
-        for label in (None, "label"):
-            want, got = load_csv(plain, label), load_csv(marked, label)
-            assert got.feature_names == want.feature_names
-            assert got.values.tobytes() == want.values.tobytes()
-            assert np.array_equal(got.labels, want.labels)
-    assert kept == [c_parser] * 4
+    for label in (None, "label"):
+        with _c_tables() as plain_runs:
+            want = load_csv(plain, label)
+        with _c_tables() as marked_runs:
+            got = load_csv(marked, label)
+        assert got.feature_names == want.feature_names
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.array_equal(got.labels, want.labels)
+        # the marked file's runs go where the plain file's go, and every
+        # run takes the C parser only where the body has no 1_000
+        took = [t is not None for t in marked_runs]
+        assert took == [t is not None for t in plain_runs]
+        assert took and all(took) == c_parser
 
 
 def _wide_csv(tmp_path, rng):
@@ -655,14 +715,14 @@ def test_load_csv_peak_memory_on_a_wide_table(tmp_path, rng):
 
 @needs_dev_fd
 def test_load_csv_peak_memory_through_a_pipe(tmp_path, rng):
-    # a pipe's rows go through Python; held as str and then converted in
+    # a pipe's rows went through Python; held as str and then converted in
     # bulk, they peaked at 58 MB on this table
     ds, path = _wide_csv(tmp_path, rng)
     content = path.read_bytes()
     back, peak = traced_peak(lambda: _piped(content, "label"))
     assert back.values.tobytes() == ds.values.tobytes()
     assert np.array_equal(back.labels, ds.labels)
-    # the table, grown a row at a time (5.0 MB and its growth margin), and
+    # the table, grown a run at a time (5.0 MB and its growth margin), and
     # the feature matrix cut from it (4.9 MB)
     assert peak < 12e6, f"load_csv peaked at {peak / 1e6:.1f} MB"
 
