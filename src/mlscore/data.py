@@ -159,7 +159,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     body in runs of whole lines (``_body``), each parsed by NumPy's C parser
     (``np.loadtxt``) and kept where it must equal what ``csv.reader`` and
     ``float`` give. At the first run that might read otherwise (a blank
-    line, a quoted field still open at its end, ``1_000``, the separators
+    line, a quoted field still open at its end, a line longer than
+    ``csv.field_size_limit()``, ``1_000``, the separators
     ``\\x1c``-``\\x1f``, every bad row) ``_checked_rows`` takes over for
     that run and the rest of the input. It converts and checks one
     ``csv.reader`` row at a time, and the first bad row stops the read with
@@ -242,6 +243,10 @@ def _c_table(lines: list[str], width: int, label_idx) -> np.ndarray | None:
     # an odd count of quotes leaves a quoted field open past the run's end;
     # the "in" test skips a line without one faster than count scans it
     if sum(line.count('"') for line in lines if '"' in line) % 2:
+        return None
+    # np.loadtxt takes a cell of any length, csv.reader none longer than
+    # csv.field_size_limit(); a run it keeps holds one record per line
+    if max(map(len, lines)) > csv.field_size_limit():
         return None
     try:
         table = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)

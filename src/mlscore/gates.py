@@ -25,18 +25,26 @@ lr 0.001 a gate mean moves about 1 per 100 epochs) and 0.1 at d = 100.
 The graph loss ``dufs`` takes N = Tr[F~' (I - D^-1 W) F~] over the gated
 features F~, with the heat kernel W of the gated rows rebuilt every
 epoch. ``train`` centres the features once per run, Fc = F - c_F, so an
-epoch's gated rows centred at c_F z are Fc z, and an epoch costs three
-n x n x d products: the one that gives the squared distances directly
-(``margins._sq_blocks``), W @ Fc and (W o G) @ Fc, with G = gated gated'
-taken from the distances up to a constant per row, which the gradient does
-not see. It streams W over blocks of 128 full rows, and every term it
+epoch's gated rows centred at c_F z are X = Fc z. A column whose gate is
+closed, or that is constant and so 0 in Fc, is 0 in X and adds exactly 0
+to every product, so an epoch runs over the k open, varying columns only:
+it costs three n x n x k products, the one that gives the squared
+distances directly (``margins._sq_blocks``), W @ [X | 1] and (W o G) @
+[X_mid | 1], with G = gated gated' taken from the distances up to a
+constant per row, which the gradient does not see. X_mid holds the gates
+inside the clamp, the only ones whose (W o G) column the gradient reads,
+and the ones column gives the degrees W 1 and R = (W o G) 1 from the same
+products. On the ``gate-training`` benchmark (d = 100, 50 epochs) about
+16% of the gates are closed in an epoch and another 16% at the open
+clamp. The step streams W over blocks of 128 full rows, and every term it
 needs is local to a row or a sum over rows, so no n x n matrix is held
 beyond n = 128: memory is O(128 n + n d), as for ``ls`` and ``mls``.
-The two n x d products keep no row factor: the block loop only fills
-them, and 1/d_i and R_i/d_i^2 weight the row sums taken after it. A
-constant column is 0 in Fc, so it adds exactly 0 to the trace and to the
-kernel path of the gradient. An overflowing loss or gradient raises a
-DataError naming the feature.
+The products keep no row factor: the block loop only fills them, and
+1/d_i and R_i/d_i^2 weight the row sums taken after it. A closed or
+constant column has dT/dz = 0, so only the open-probability term moves
+its gate. A column whose squares overflow raises a DataError naming the
+feature before the first epoch; a loss or gradient that overflows raises
+one in its epoch.
 
 The margin loss ``dufs-mls`` reduces to a closed form. Its kernel and
 sample weights are frozen, and gating column r by z_r scales both the
@@ -201,20 +209,27 @@ def _epoch_step(ds: Dataset, variant: str, model: MarginModel | None):
     step ignores the bandwidth.
 
     ``dufs`` centres the rows once, Fc = F - c_F at c_F =
-    ``margins._centre(F)``, a constant column at exactly 0, and takes the
-    column sums of Fc and of Fc * Fc. It also makes the buffers an epoch
-    fills: the gated rows Fc z, as the first d columns of the n x (d + 2)
-    array that ``margins._normed`` completes, a row block of the kernel W,
-    of W o G and of the left operand of their distances, and the n x d
-    products W @ Fc and (W o G) @ Fc. Buffers this size made fresh every
-    epoch can be handed back to the system and faulted in again, a page
-    fault per 4 kB, which at n = 300 made an epoch up to 75% slower. The
-    step takes the kernel over row blocks [a, b) of W and of W o G: each
-    block fills rows a..b-1 of the degrees, of their products with Fc and
-    of R = (W o G) 1, and adds its rows' share to the column sums of P, so
-    the loss and gradient are formed after the last block from n and n x d
-    arrays only, with the row factors 1/d_i and R_i/d_i^2 applied there
-    once. A bandwidth of None is taken from the distances the kernel uses.
+    ``margins._centre(F)``, a constant column at exactly 0, column-major;
+    checks that no column's squares overflow; and takes the column sums of
+    Fc and of Fc * Fc and which columns vary. It also makes the buffers an
+    epoch fills, each sized for every column: the n x (k + 2) array that
+    ``margins._normed`` completes, a row block of the kernel W, of W o G
+    and of the left operand of their distances, and the products W [X | 1]
+    and (W o G) [X_mid | 1]. Buffers this size made fresh every epoch can
+    be handed back to the system and faulted in again, a page fault per
+    4 kB, which at n = 300 made an epoch up to 75% slower. An epoch gathers
+    its k live columns, those with an open gate that vary, from Fc into the
+    first k columns of that array and scales them by their gates, the ones
+    at a clamp edge first, so that the ones column follows the gates inside
+    it, X_mid; the n x k arrays are held transposed, so the gather writes
+    whole rows. The step takes the kernel over row blocks [a, b) of W and
+    of W o G: each block fills rows a..b-1 of both products, whose last
+    columns are the degrees d and R = (W o G) 1, and adds its rows' share
+    to the column sums of P, so the loss and gradient are formed after the
+    last block from n and n x k arrays only, with the row factors 1/d_i and
+    R_i/d_i^2 applied there once. A draw with no live column has a trace
+    of 0 and builds no kernel. A bandwidth of None is taken from the
+    distances the kernel uses.
 
     The step calls the ``margins`` and ``scores`` helpers through this
     module's globals, so whatever wraps them there sees every epoch."""
@@ -232,43 +247,66 @@ def _epoch_step(ds: Dataset, variant: str, model: MarginModel | None):
         raise ValueError(f"variant must be one of {LOSS_VARIANTS}, got {variant!r}")
 
     F = ds.values
-    n = F.shape[0]
+    n, d = F.shape
     centre = _centre(F)
-    with np.errstate(over="ignore", invalid="ignore"):  # the epoch names it
-        Fc = F - centre
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        # column-major, so an epoch gathers its live columns as rows of Fc'
+        Fc = np.subtract(F, centre, order="F")
         Fc2_sums = np.einsum("ij,ij->j", Fc, Fc)
+    # a column whose squares overflow has no finite loss at any gate: closed
+    # it adds 0 x inf, open it overflows the distances
+    _check_finite(ds, Fc2_sums, "dufs loss")
     Fc_sums = Fc.sum(axis=0)
-    aug = np.empty((n, F.shape[1] + 2))
+    varies = Fc.any(axis=0)
+    # an epoch's n x k arrays are held transposed, k x n, in these buffers
+    aug_buf = np.empty((d + 2) * n)
+    HX_buf, PX_buf = np.empty((d + 1) * n), np.empty((d + 1) * n)
     W_buf, WG_buf = _block_buffer(n), _block_buffer(n)
-    left = _block_buffer(n, F.shape[1] + 2)
-    Hf, PF = np.empty_like(F), np.empty_like(F)
+    left = _block_buffer(n, d + 2)
 
     def dufs_step(z, state, bandwidth=None):
-        # the gated rows F z centred at c = c_F z are Xc = Fc z; gating can
-        # make rows equal, so their norms and twins are taken every epoch
+        if bandwidth is not None:
+            _check_scale("bandwidth", bandwidth)
+        # a closed gate or a constant column gives a column of exact 0s in
+        # the gated rows, which adds exactly 0 to every product, so only the
+        # k live columns enter. Those at a clamp edge, where dz/dmu = 0, come
+        # first: the others then sit next to the ones column of aug
+        inner = (z > 0.0) & (z < 1.0)
+        live = varies & (z != 0.0)
+        edge, mid = np.flatnonzero(live & ~inner), np.flatnonzero(live & inner)
+        cols = np.concatenate((edge, mid))
+        k, k1 = cols.size, edge.size
+        if not k:  # a trace of 0 that no gate moves
+            return _ratio(state, 0.0, None)
+        zc = z[cols]
+        # the gated rows F z centred at c = c_F z are X = Fc z, the first k
+        # columns of aug; gating can make rows equal, so their norms and
+        # twins are taken every epoch. take fills a temporary copy of out
+        # when mode is "raise", and writes to it directly otherwise
+        augT = aug_buf[: (k + 2) * n].reshape(k + 2, n)
+        XT = np.take(Fc.T, cols, axis=0, out=augT[:k], mode="clip")
         with np.errstate(over="ignore", invalid="ignore"):  # _normed names it
-            Xc = np.multiply(Fc, z, out=aug[:, :-2])
-        centred = _normed(aug)
+            XT *= zc[:, None]
+        centred = _normed(augT.T)
         if bandwidth is None:  # dufs_bandwidth, from the rows the kernel uses
             bandwidth = max(1.0, _mean_pair_sq(centred.sq))
-        else:
-            _check_scale("bandwidth", bandwidth)
-        dvec = np.empty(n)  # at least 1: the diagonal of W is exactly 1
-        rvec = np.empty_like(dvec)
+        HXT = HX_buf[: (k + 1) * n].reshape(k + 1, n)
+        PXT = PX_buf[: (k - k1 + 1) * n].reshape(k - k1 + 1, n)
 
         # dT/dz splits into the direct path through the gated columns and
         # the kernel path through W and its degrees. The kernel path needs
-        # the column sums and the product with Fc of P = W o (G / d_i - R_i /
+        # the column sums and the product with X of P = W o (G / d_i - R_i /
         # d_i^2), where G = gated gated' and R = (W o G) 1; P's rows sum to
         # 0. Both come from WG = W o G and matvecs, so P is never formed. A
         # constant added to row i of G adds d_i times it to R_i and leaves P
-        # as it is, and G_ij = h_i + h_j + |c|^2 - D_ij / 2 with h = |Xc_i|^2
-        # / 2 + Xc_i . c, so G is taken as h_j - D_ij / 2 from the distances
+        # as it is, and G_ij = h_i + h_j + |c|^2 - D_ij / 2 with h = |X_i|^2
+        # / 2 + X_i . c, so G is taken as h_j - D_ij / 2 from the distances
         # the kernel uses: no second Gram product, and no cancellation of
         # terms of size |c|^2 on rows far from the origin.
         with np.errstate(over="ignore", invalid="ignore"):
-            h = 0.5 * centred.sq + Xc @ (centre * z)
-            P_colsums = np.zeros_like(dvec)
+            c = centre[cols] * zc
+            h = 0.5 * centred.sq + c @ XT
+            P_colsums = np.zeros(n)
             scale = -1.0 / bandwidth
             for a, b, W in _sq_blocks(centred, upper=False, buf=W_buf, left=left):
                 WG = WG_buf[: W.size].reshape(W.shape)
@@ -277,34 +315,38 @@ def _epoch_step(ds: Dataset, variant: str, model: MarginModel | None):
                 W *= scale
                 np.exp(W, out=W)
                 WG *= W
-                d_blk = dvec[a:b] = W.sum(axis=1)
-                r_blk = rvec[a:b] = WG.sum(axis=1)
+                # the ones column after X turns W [X | 1] into W X and the
+                # degrees d, and (W o G) [X_mid | 1] into (W o G) X_mid and R:
+                # the gradient reads (W o G) X only where 0 < z < 1
+                np.matmul(W, augT[: k + 1].T, out=HXT[:, a:b].T)
+                np.matmul(WG, augT[k1 : k + 1].T, out=PXT[:, a:b].T)
+                d_blk, r_blk = HXT[k, a:b], PXT[-1, a:b]
                 P_colsums += (1.0 / d_blk) @ WG - (r_blk / (d_blk * d_blk)) @ W
-                # W @ (Fc z) = (W @ Fc) * z, so one product serves the trace
-                # and the direct path
-                np.matmul(W, Fc, out=Hf[a:b])
-                np.matmul(WG, Fc, out=PF[a:b])
-            inv_d = 1.0 / dvec
-            # smooth_r = f_r'(I - D^-1 W) f_r and T = sum z^2 smooth. With f =
-            # fc + c_F 1 and (I - D^-1 W) 1 = 0 it is fc'fc - fc' D^-1 W fc +
-            # c_F 1'(fc - D^-1 W fc): no term of size c_F^2 to cancel, and 0
-            # for a constant column, whose fc is 0.
-            smooth = Fc2_sums - np.einsum("i,ij,ij->j", inv_d, Fc, Hf)
-            smooth += centre * (Fc_sums - inv_d @ Hf)
-        _check_finite(ds, smooth, "dufs loss")
-        trace = float((z * z) @ smooth)
+            inv_d = 1.0 / HXT[k]  # d is at least 1: the diagonal of W is 1
+            HX = HXT[:k]
+            # T_r = g_r'(I - D^-1 W) g_r for the gated column g_r = x_r +
+            # c_r 1, and T = sum_r T_r. With (I - D^-1 W) 1 = 0 it is x_r'x_r
+            # - x_r' D^-1 W x_r + c_r 1'(x_r - D^-1 W x_r), with x_r = fc_r
+            # z_r: no term of size c_r^2 to cancel
+            T = (zc * zc * Fc2_sums[cols] - np.einsum("j,ij,ij->i", inv_d, XT, HX)
+                 + c * (zc * Fc_sums[cols] - HX @ inv_d))
+        per_feature = np.zeros(d)
+        per_feature[cols] = T
+        _check_finite(ds, per_feature, "dufs loss")
+        trace = float(T.sum())
 
         with np.errstate(over="ignore", invalid="ignore"):
-            # sum_ij P_ij (f_i - f_j)^2, as P's rows sum to 0: it does not
-            # move with c_F, so it is taken on Fc; P Fc = D^-1 (W o G) Fc -
-            # R D^-2 W Fc
-            fc_pf = (np.einsum("i,ij,ij->j", inv_d, Fc, PF)
-                     - np.einsum("i,ij,ij->j", rvec * inv_d * inv_d, Fc, Hf))
-            kernel_path = (2.0 * z / bandwidth) * (
-                np.einsum("i,ij,ij->j", P_colsums, Fc, Fc) - 2.0 * fc_pf
-            )
-            # dz/dmu is 1 inside the clamp and 0 at its edges
-            dT_dmu = (2.0 * z * smooth + kernel_path) * ((z > 0.0) & (z < 1.0))
+            # the kernel path takes sum_ij P_ij (x_i - x_j)^2, as P's rows sum
+            # to 0: it does not move with c, so it is taken on X; P X = D^-1
+            # (W o G) X - R D^-2 W X. Both it and T_r are z_r^2 times their
+            # value on fc_r, so dT/dz_r = 2 (T_r + kernel path / bandwidth) /
+            # z_r; dz/dmu is 1 inside the clamp and 0 at its edges
+            Xm = XT[k1:]
+            pf = (np.einsum("j,ij,ij->i", inv_d, Xm, PXT[:-1])
+                  - np.einsum("j,ij,ij->i", PXT[-1] * inv_d * inv_d, Xm, HX[k1:]))
+            kernel_path = np.einsum("j,ij,ij->i", P_colsums, Xm, Xm) - 2.0 * pf
+            dT_dmu = np.zeros(d)
+            dT_dmu[mid] = 2.0 * (T[k1:] + kernel_path / bandwidth) / zc[k1:]
         loss, grad = _ratio(state, trace, dT_dmu)
         _check_finite(ds, grad, "dufs gradient")
         return loss, grad
@@ -351,8 +393,8 @@ def loss_gradient(
 
     For the graph variant the kernel bandwidth must be supplied (or it is
     computed once from the current gated rows); differentiation runs
-    through the gating, the kernel, the Laplacian, the variance, and the
-    open-probability terms. Saturated gates get subgradient zero. The
+    through the gating, the kernel, the Laplacian and the open-probability
+    terms. Saturated gates get subgradient zero. The
     margin variant's gradient is its open-probability term alone.
     """
     step = _epoch_step(ds, variant, model)

@@ -161,11 +161,16 @@ def test_values_too_large_for_distances_are_data_errors(tmp_path, capsys, argv):
     code = main(argv + ["--input", str(path), "--no-standardize", "--output", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    # ls and dufs centre the distances over every row and name the first;
-    # mls builds its kernel on the rows with margin weight only, and names
-    # the first of those whose distances overflow, as a row of the file
-    row = {"ls": 1, "mls": 4, "dufs": 1}[argv[2]]
-    assert err == f"error: values too large: squared distances from row {row} overflow\n"
+    # ls centres the distances over every row and names the first; mls
+    # builds its kernel on the rows with margin weight only, and names the
+    # first of those whose distances overflow, as a row of the file. dufs
+    # checks the squares of each centred column before its first epoch, so
+    # it names the first column whose squares overflow, whatever gates the
+    # first draw opens
+    want = {"ls": "squared distances from row 1 overflow",
+            "mls": "squared distances from row 4 overflow",
+            "dufs": "the dufs loss of feature 'a' overflows"}[argv[2]]
+    assert err == f"error: values too large: {want}\n"
     assert not out.exists()
 
 

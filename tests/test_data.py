@@ -448,6 +448,9 @@ def test_load_csv_header_only_or_blank_body_warns_nothing(tmp_path, body):
     ("1_0,2", "row 2: field larger than field limit ({limit})"),
     # a fault before the long cell is still the first one reported
     ("x,2", "cannot parse cell at row 1, column 'a': 'x'"),
+    # with no fault before it, the C parser would take the long cell; the
+    # run that holds its line goes to csv.reader
+    ("1,2", "row 2: field larger than field limit ({limit})"),
 ])
 def test_load_csv_cell_over_field_limit_is_a_data_error(tmp_path, first, want):
     path = tmp_path / "t.csv"

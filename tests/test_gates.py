@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from mlscore import gates
-from mlscore.data import Dataset, standardize
+from mlscore.data import DataError, Dataset, standardize
 from mlscore.evaluation import score_dataset
 from mlscore.gates import (
     GateState,
@@ -263,35 +263,18 @@ def test_dufs_gradient_matches_finite_differences(rng):
     assert rel.max() <= 1e-4
 
 
-@given(st.data())
-def test_dufs_core_matches_dense_oracle(data):
+def _assert_steps_match_dense_oracle(F, draws, state, bandwidth):
     # the step streams the kernel and W o G in row blocks and never forms
     # P; the oracle forms every n x n matrix. Every block size cuts the rows
-    # at every kind of edge, with equal rows on both sides of a cut and with
-    # a column that is constant over the rows.
-    n = data.draw(st.integers(3, 40), label="n")
-    d = data.draw(st.integers(1, 8), label="d")
-    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    F = gen.standard_normal((n, d))
-    if data.draw(st.booleans(), label="duplicate rows"):
-        F = F[gen.integers(0, max(1, n // 3), n)]
-    if data.draw(st.booleans(), label="constant column"):
-        F[:, gen.integers(d)] = gen.standard_normal()
-    # saturated (0 or 1) and open gates, in any mix
-    z = np.array(data.draw(st.lists(
-        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)),
-        min_size=d, max_size=d), label="z"))
-    # a second draw in which every gate changes between clamped and open,
-    # for one step to evaluate after the first, in the buffers it reuses
-    draws = (z, np.where((z == 0.0) | (z == 1.0), 0.5, np.round(z)))
-    state = GateState(mu=gen.normal(0.0, 0.5, d))
-    bandwidth = data.draw(st.one_of(st.none(), st.floats(0.1, 50.0)), label="bandwidth")
-    ds = Dataset(values=F, feature_names=[f"f{j}" for j in range(d)])
-
-    # the trace is a difference of terms of the size of |gated|^2, and its
+    # at every kind of edge. One step evaluates the draws in turn, in the
+    # buffers it reuses.
+    #
+    # The trace is a difference of terms of the size of |gated|^2, and its
     # rounding reaches the gradient through the open-probability term, whose
     # factor m phi / denom is below m / (sigma denom). A narrow kernel can
     # cancel the trace to near 0; both cores then keep only its rounding.
+    n, d = F.shape
+    ds = Dataset(values=F, feature_names=[f"f{j}" for j in range(d)])
     denom = state.m_gates * open_prob(state).sum() + state.delta
     wants = []
     for gate in draws:
@@ -307,6 +290,48 @@ def test_dufs_core_matches_dense_oracle(data):
                 loss, grad = step(gate, state, bandwidth)
                 assert abs(loss - want_loss) <= 1e-12 * loss_scale
                 assert np.abs(grad - want_grad).max() <= 1e-12 * grad_scale
+
+
+@given(st.data())
+def test_dufs_core_matches_dense_oracle(data):
+    # equal rows on both sides of a block cut, and a column that is
+    # constant over the rows
+    n = data.draw(st.integers(3, 40), label="n")
+    d = data.draw(st.integers(1, 8), label="d")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    F = gen.standard_normal((n, d))
+    if data.draw(st.booleans(), label="duplicate rows"):
+        F = F[gen.integers(0, max(1, n // 3), n)]
+    if data.draw(st.booleans(), label="constant column"):
+        F[:, gen.integers(d)] = gen.standard_normal()
+    # saturated (0 or 1) and open gates, in any mix
+    z = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)),
+        min_size=d, max_size=d), label="z"))
+    # a second draw in which every gate changes between clamped and open
+    draws = (z, np.where((z == 0.0) | (z == 1.0), 0.5, np.round(z)))
+    state = GateState(mu=gen.normal(0.0, 0.5, d))
+    bandwidth = data.draw(st.one_of(st.none(), st.floats(0.1, 50.0)), label="bandwidth")
+    _assert_steps_match_dense_oracle(F, draws, state, bandwidth)
+
+
+@pytest.mark.parametrize("z", [
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [1.0, 1.0, 1.0, 1.0, 1.0],
+    # column 2 is constant: the one column the epoch's products run over
+    # is column 3
+    [0.0, 0.0, 0.7, 0.4, 0.0],
+], ids=["all-closed", "all-at-open-clamp", "one-open-beside-constant"])
+@pytest.mark.parametrize("bandwidth", [None, 3.0])
+def test_dufs_step_with_clamped_gates_matches_dense_oracle(z, bandwidth):
+    # draws that leave no gate, or one, inside the clamp, which random gates
+    # rarely give; each comes after a draw with every gate open, whose
+    # products are wider
+    gen = np.random.default_rng(7)
+    F = gen.standard_normal((20, 5))
+    F[:, 2] = 1.5
+    state = GateState(mu=gen.normal(0.0, 0.5, 5))
+    _assert_steps_match_dense_oracle(F, (np.full(5, 0.5), np.array(z)), state, bandwidth)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -419,6 +444,58 @@ def test_dufs_gradient_of_a_constant_column_is_the_open_probability_term():
     want = trace * state.m_gates * phi_over_sigma / denom**2
     assert abs(grad[3] - want) <= 1e-12 * abs(want)
     assert np.isfinite(grad).all() and np.abs(grad).max() < 10.0
+
+
+def test_dufs_epoch_runs_its_products_over_the_open_varying_columns(monkeypatch):
+    # a closed gate or a constant column adds exactly 0 to the distances and
+    # to both products by the gated rows, so the rows the kernel is built
+    # from, [X | 1 | sq], hold only the columns with an open gate that vary
+    values = np.random.default_rng(3).standard_normal((30, 6))
+    values[:, 4] = 2.5
+    ds = Dataset(values=values, feature_names=[f"f{j}" for j in range(6)])
+    state = GateState(mu=np.random.default_rng(4).normal(0.0, 0.3, 6))
+    widths = []
+    original = gates._sq_blocks
+
+    def recorded(centred, *args, **kwargs):
+        widths.append(centred.aug.shape[1])
+        return original(centred, *args, **kwargs)
+
+    monkeypatch.setattr(gates, "_sq_blocks", recorded)
+    step = gates._epoch_step(ds, "dufs", None)
+
+    # columns 0 and 3 closed, 4 constant: 1, 2 and 5 are open and vary
+    loss, grad = step(np.array([0.0, 1.0, 0.3, 0.0, 0.8, 0.6]), state)
+    assert widths == [2 + 3]
+    # dT/dmu is 0 for them, so only the open-probability term moves them
+    denom = state.m_gates * open_prob(state).sum() + state.delta
+    open_term = gates._ratio(state, -loss * denom, None)[1]
+    assert np.abs(grad - open_term)[[0, 3, 4]].max() <= 1e-12 * np.abs(open_term).max()
+
+    # every gate closed: no kernel, a loss of 0 and, with a trace of 0, an
+    # open-probability term of 0
+    loss, grad = step(np.zeros(6), state)
+    assert widths == [2 + 3]
+    assert loss == 0.0
+    assert np.array_equal(grad, np.zeros(6))
+
+
+@pytest.mark.parametrize("gate_mean", [-10.0, 10.0], ids=["closed", "open"])
+def test_dufs_loss_overflow_is_named_whatever_the_gate(gate_mean):
+    # the squares of column x overflow. Closed, it adds 0 x inf to the loss;
+    # open, it overflows the distances too. The check on its squares runs
+    # before the first epoch, so it names x whichever way x's gate falls
+    values = np.random.default_rng(0).standard_normal((50, 4))
+    values[:, 3] *= 1e200
+    ds = Dataset(values=values, feature_names=["a", "b", "c", "x"])
+    state = GateState(mu=np.array([0.0, 0.0, 0.0, gate_mean]))
+    z = sample_gates(state, np.random.default_rng(1))
+    assert z[3] == (0.0 if gate_mean < 0 else 1.0)
+    want = "values too large: the dufs loss of feature 'x' overflows"
+    with pytest.raises(DataError, match=want):
+        dufs_loss(ds, z, state)
+    with pytest.raises(DataError, match=want):
+        train(ds, TrainConfig(epochs=2), state)
 
 
 def _bench_seed_1_draw():
@@ -614,11 +691,12 @@ def test_train_does_its_per_run_work_once(rng, monkeypatch, epochs, variant, per
 
 def test_dufs_gradient_holds_no_n_by_n_matrix():
     # two 3000 x 3000 matrices, the kernel and W o G, would take 144 MB;
-    # two 128-row blocks of them take 6.1 MB, and the four n x d arrays
-    # (Fc, the gated rows, W @ Fc and (W o G) @ Fc) 0.5 MB each: 8.3 MB in
-    # all. One more n x d array, held or made per epoch, takes it to 8.7-8.8
-    # MB, so the bound leaves less than that. The open probabilities come
-    # from math.erfc, which imports nothing that tracemalloc would count.
+    # two 128-row blocks of them take 6.1 MB, and the four arrays of about
+    # n x d (Fc and the buffers for the gated rows [X | 1 | sq], W [X | 1]
+    # and (W o G) [X_mid | 1]) 0.5 MB each: 8.3 MB in all. One more n x d
+    # array, held or made per epoch, takes it to 8.7-8.8 MB, so the bound
+    # leaves less than that. The open probabilities come from math.erfc,
+    # which imports nothing that tracemalloc would count.
     ds = Dataset(values=np.random.default_rng(0).standard_normal((3000, 20)),
                  feature_names=[f"f{j}" for j in range(20)])
     state = GateState.fresh(20)
