@@ -37,10 +37,9 @@ from .evaluation import (
 )
 from .gates import GateState, TrainConfig
 from .margins import MarginConfig, build_margin_model
-from .scores import KERNEL_MODES, KernelConfig, ranked_rows, select_top
+from .scores import KERNEL_MODES, SCORE_METHODS, KernelConfig, ranked_rows, select_top
 from .synth import SynthSpec, add_noise_features, gen_setup
 
-SCORE_METHODS = ("ls", "mls")
 DEFAULT_KS_GRID = tuple(round(0.01 * i, 2) for i in range(1, 31))
 # scores differ across BLAS thread counts in the last bits; unset is the default
 BLAS_THREAD_VARIABLES = ("MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
@@ -181,8 +180,7 @@ def cmd_select(args, parser) -> int:
                                   skew_right=args.skew_right, skew_left=args.skew_left)
     kernel_config = _usage_errors(parser, KernelConfig, bandwidth=args.bandwidth,
                                   mode=args.kernel, n_neighbors=args.n_neighbors)
-    if not 0.0 < args.sigma < np.inf:
-        parser.error(f"sigma must be positive and finite, got {args.sigma}")
+    _usage_errors(parser, GateState.fresh, 1, sigma=args.sigma)  # GateState checks sigma
     train_config = _usage_errors(parser, TrainConfig, epochs=args.epochs,
                                  learning_rate=args.lr, seed=args.seed)
     ds, inputs = _load_for_scoring(args, parser)
@@ -296,11 +294,12 @@ def cmd_bench(args, parser) -> int:
     setups = _parse_list(args.setups, parser, int, "setup")
     rhos = _parse_list(args.rhos, parser, float, "rho")
     methods = _parse_list(args.methods, parser, str, "method")
-    # SynthSpec owns the setups, the rho range, the sample-count floor and
-    # the class sizes of a draw
+    # SynthSpec owns the setups, the rho range, the sample-count floor, the
+    # class sizes of a draw and the seed
     for setup in setups:
         for rho in rhos:
-            _usage_errors(parser, SynthSpec, setup=setup, rho=rho, n_samples=args.n)
+            _usage_errors(parser, SynthSpec, setup=setup, rho=rho, n_samples=args.n,
+                          seed=args.seed)
     if args.quantile is None and any(r <= 0.5 for r in rhos):
         # the default margin quantile 1 - rho must stay below 0.5
         parser.error("rhos must be above 0.5 unless --quantile is given")
@@ -326,20 +325,12 @@ def cmd_bench(args, parser) -> int:
         margin_config=margin_config,
         train_config=train_config,
     )
-    by_cell: dict[tuple[int, float], dict[str, tuple[float, float]]] = {}
-    for cell in cells:
-        by_cell.setdefault((cell.setup, cell.rho), {})[cell.method] = (
-            cell.mean, cell.std)
-    header = f"{'setup':>5} {'rho':>5}" + "".join(
-        f" {m:>16}" for m in methods)
-    print(header)
-    for setup in setups:
-        for rho in rhos:
-            row = f"{setup:>5} {rho:>5.2f}"
-            for m in methods:
-                mean, std = by_cell[(setup, rho)][m]
-                row += f" {mean:>8.1f} +-{std:>5.2f}"
-            print(row)
+    # the cells come ordered by setup, rho and method: one row per len(methods)
+    print(f"{'setup':>5} {'rho':>5}" + "".join(f" {m:>16}" for m in methods))
+    for first in range(0, len(cells), len(methods)):
+        row = cells[first:first + len(methods)]
+        print(f"{row[0].setup:>5} {row[0].rho:>5.2f}"
+              + "".join(f" {cell.mean:>8.1f} +-{cell.std:>5.2f}" for cell in row))
     summary = Path(f"{args.output}-summary.csv")
     _write_csv(summary, ["setup", "rho", "method", "reps", "mean", "std"],
                ([cell.setup, repr(float(cell.rho)), cell.method, cell.repetitions,

@@ -11,10 +11,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, standardize
-from .gates import GateState, TrainConfig, TrainTrace, train
+from .data import DataError, Dataset, standardize
+from .gates import LOSS_VARIANTS, GateState, TrainConfig, TrainTrace, train
 from .margins import MarginConfig, build_margin_model
 from .scores import (
+    SCORE_METHODS,
     KernelConfig,
     ScoreReport,
     _constant_features,
@@ -26,7 +27,7 @@ from .synth import SynthSpec, gen_setup
 
 BENCH_RHOS = (0.90, 0.95, 0.97)
 BENCH_SETUPS = (1, 2, 3)
-METHODS = ("ls", "mls", "dufs", "dufs-mls")
+METHODS = SCORE_METHODS + LOSS_VARIANTS
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -110,13 +111,14 @@ def margin_weight_separation(
     one (quantile, D, p) row per quantile.
 
     The weights only depend on per-feature quantile memberships, so this is
-    a label-free construction tested against the labels.
+    a label-free construction tested against the labels. Labels of one
+    class are a DataError.
     """
     if ds.labels is None:
         raise ValueError("dataset has no labels")
     pos = ds.labels == 1
     if pos.all() or not pos.any():
-        raise ValueError("need both classes for the separation test")
+        raise DataError("need both classes for the separation test")
     scaled, _ = standardize(ds)
     rows: list[tuple[float, float, float]] = []
     for q in quantiles:
@@ -141,7 +143,7 @@ def score_dataset(
     to the method, and score each feature by its trained gate mean; their
     training trace comes back too, and training warnings go into the
     report, among them one for gates saturated at a clamp edge. ``mls``
-    and ``dufs-mls`` build their margin model from margin_config. Every
+    and ``dufs-mls`` share one margin model built from margin_config. Every
     method rejects a table whose features are all constant with a
     DataError.
     """
@@ -149,12 +151,12 @@ def score_dataset(
         return laplacian_score(ds, kernel_config), None
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if method == "mls":
-        return mls(ds, build_margin_model(ds, margin_config or MarginConfig())), None
-    _constant_features(ds)  # a DataError if every feature is constant
     model = None
-    if method == "dufs-mls":
+    if method != "dufs":
         model = build_margin_model(ds, margin_config or MarginConfig())
+    if method == "mls":
+        return mls(ds, model), None
+    _constant_features(ds)  # a DataError if every feature is constant
     config = replace(train_config or TrainConfig(), loss_variant=method)
     state = GateState.fresh(ds.n_features, sigma=sigma)
     trace = train(ds, config, state, model)
@@ -213,7 +215,8 @@ def run_recovery_benchmark(
     The gate methods train with train_config, reseeded per repetition.
     Accuracies are reported in percent, std over repetitions with the
     population divisor. Each cell keeps the distinct warnings its method
-    raised over the repetitions, in first-seen order.
+    raised over the repetitions, in first-seen order. The cells come back
+    ordered by setup, then rho, then method, each in the order given.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")

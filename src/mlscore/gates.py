@@ -24,32 +24,17 @@ lr 0.001 a gate mean moves about 1 per 100 epochs) and 0.1 at d = 100.
 
 The graph loss ``dufs`` takes N = Tr[F~' (I - D^-1 W) F~] over the gated
 features F~, with the heat kernel W of the gated rows rebuilt every
-epoch. ``train`` centres the features once per run, Fc = F - c_F, so an
-epoch's gated rows centred at c_F z are X = Fc z. A column whose gate is
-closed, or that is constant and so 0 in Fc, is 0 in X and adds exactly 0
-to every product, so an epoch runs over the k open, varying columns only:
-it costs three n x n x k products, the one that gives the squared
-distances directly (``margins._sq_blocks``), W @ [X | 1] and (W o G) @
-[X_mid | 1], with G = gated gated' taken from the distances up to a
-constant per row, which the gradient does not see. X_mid holds the gates
-inside the clamp, the only ones whose (W o G) column the gradient reads,
-and the ones column gives the degrees W 1 and R = (W o G) 1 from the same
-products. On the ``gate-training`` benchmark (d = 100, 50 epochs) about
-16% of the gates are closed in an epoch and another 16% at the open
-clamp. The step streams W over blocks of 128 full rows, and every term it
-needs is local to a row or a sum over rows, so no n x n matrix is held
-beyond n = 128: memory is O(128 n + n d), as for ``ls`` and ``mls``.
-The products keep no row factor: the block loop only fills them, and
-1/d_i and R_i/d_i^2 weight the row sums taken after it. A closed or
-constant column has dT/dz = 0, so only the open-probability term moves
-its gate. A column whose squares overflow raises a DataError naming the
-feature before the first epoch; a loss or gradient that overflows raises
-one in its epoch.
+epoch from the open, varying columns only and streamed over row blocks,
+so no n x n matrix is held: memory is O(128 n + n d), as for ``ls`` and
+``mls``. ``_epoch_step`` says how an epoch runs.
 
 The margin loss ``dufs-mls`` reduces to a closed form. Its kernel and
 sample weights are frozen, and gating column r by z_r scales both the
 column's numerator and its variance by z_r^2, so every live term is the
-``mls`` score of the ungated feature: N = sum_{live r} mls_r.
+``mls`` score of the ungated feature: N = sum_{live r} mls_r. A column is
+live while its gated variance z_r^2 Var_r is above ``VAR_GUARD``, and
+``scores._mls_terms`` gives a constant column variance 0, so ``dufs-mls``
+never opens a column that ``mls`` scores +inf.
 
 Training computes those scores and variances once, so an epoch costs O(d).
 Only the open-probability term moves mu, by the same amount for equal
@@ -118,6 +103,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"

@@ -20,8 +20,9 @@ from .margins import (
     _row_norms,
 )
 
-# methods ranked ascending (lower score = keep); gate methods rank descending
-LOWER_IS_BETTER = frozenset({"ls", "mls"})
+# the closed-form methods, ranked ascending (lower score = keep); the gate
+# methods rank descending
+SCORE_METHODS = ("ls", "mls")
 
 KERNEL_MODES = ("heat", "binary-knn")
 
@@ -146,7 +147,9 @@ def _check_finite(ds: Dataset, per_feature: np.ndarray, what: str) -> None:
 def _mls_terms(ds: Dataset, model: MarginModel) -> tuple[np.ndarray, np.ndarray, bool]:
     """Per-column mls scores of ds, the variances they divide by, and whether
     the margin kernel is isolated: some sample has weight and every such
-    sample has degree exactly 1. A column of zero variance scores 0. A
+    sample has degree exactly 1. A constant column has variance 0, whatever
+    the rounding of its mean, and a column of variance 0, constant or
+    underflowing, scores +inf; a DataError if every column is constant. A
     numerator that overflows raises a DataError naming the feature.
 
     The numerator of a column f is the quadratic form
@@ -167,6 +170,7 @@ def _mls_terms(ds: Dataset, model: MarginModel) -> tuple[np.ndarray, np.ndarray,
     pair sum is 0 to within the rounding of the expanded form, and the
     numerators are exact zeros instead of that rounding noise.
     """
+    constant = _constant_features(ds)
     F = ds.values
     n, d = F.shape
     u = model.u
@@ -200,10 +204,11 @@ def _mls_terms(ds: Dataset, model: MarginModel) -> tuple[np.ndarray, np.ndarray,
                     numerators += (u_M @ e) * np.einsum("i,ij,ij->j", in_Z, F, F)
                     numerators -= 2.0 * (in_Z @ F) * ((e * u_M) @ F_M)
         variances = F.var(axis=0, ddof=1)
+    variances[constant] = 0.0
     _check_finite(ds, numerators, "mls numerator")
-    scores = np.divide(
-        numerators, variances, out=np.zeros_like(numerators), where=variances != 0
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = numerators / variances
+    scores[variances == 0.0] = np.inf
     return scores, variances, isolated
 
 
@@ -216,9 +221,7 @@ def mls(ds: Dataset, model: MarginModel) -> ScoreReport:
     off-diagonal weight in the margin kernel, the scores are all zero, a
     warning says why, and ranking falls back to index order.
     """
-    constant = _constant_features(ds)
-    scores, variances, isolated = _mls_terms(ds, model)
-    scores = np.where(constant | (variances == 0), np.inf, scores)
+    scores, _, isolated = _mls_terms(ds, model)
     report = ScoreReport(
         method="mls", scores=scores, feature_names=list(ds.feature_names)
     )
@@ -235,13 +238,13 @@ def mls(ds: Dataset, model: MarginModel) -> ScoreReport:
 def select_top(report: ScoreReport, num_features: int) -> list[int]:
     """Indices of the best ``num_features`` features, best first.
 
-    Ascending scores for the Laplacian family, descending (largest gate
+    Ascending scores for ``SCORE_METHODS``, descending (largest gate
     parameter) otherwise; ties break toward the lowest feature index.
     """
     d = report.scores.shape[0]
     if not 1 <= num_features <= d:
         raise ValueError(f"num_features must be in [1, {d}], got {num_features}")
-    keys = report.scores if report.method in LOWER_IS_BETTER else -report.scores
+    keys = report.scores if report.method in SCORE_METHODS else -report.scores
     order = np.argsort(keys, kind="stable")
     return [int(i) for i in order[:num_features]]
 

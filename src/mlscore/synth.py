@@ -46,6 +46,8 @@ class SynthSpec:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
         if self.n_samples < 20:
             raise ValueError(f"n_samples must be >= 20, got {self.n_samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.n_positives < self.n_samples:
             raise ValueError(
                 f"n_samples={self.n_samples} and rho={self.rho} plant "
@@ -120,8 +122,8 @@ def gen_setup(spec: SynthSpec) -> SynthDataset:
 def add_noise_features(ds: Dataset, rng: np.random.Generator) -> Dataset:
     """Pad a dataset with distractor columns: a 10-wide equicorrelated (0.9)
     Gaussian block first, then independent N(0,1) columns until the total
-    width reaches 309. Added columns get a reserved name prefix so
-    evaluation can split original from added.
+    width reaches 309. Added columns are named with a reserved prefix, which
+    a dataset's own names may not use.
     """
     n, d = ds.values.shape
     if d >= AUGMENT_TOTAL:

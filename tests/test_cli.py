@@ -629,12 +629,35 @@ def test_validate_margin_needs_label_column(labeled_csv):
     assert exc.value.code == 2
 
 
-def test_validate_margin_single_class_is_usage_error(tmp_path):
+def test_validate_margin_single_class_is_data_error(tmp_path, capsys):
+    # the flags are fine and the labels are not, so it is a data error
     path = tmp_path / "flat.csv"
     path.write_text("a,b,label\n1,2,0\n3,4,0\n5,6,0\n")
+    code = main(["validate-margin", "--input", str(path), "--label-col", "label"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: need both classes for the separation test\n"
+    assert not (tmp_path / "flat-margin-ks.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["select", "--method", "dufs", "--num-features", "2", "--epochs", "2",
+     "--input", "{data}", "--label-col", "label"],
+    ["synth", "--setup", "1", "--rho", "0.9", "--n", "60"],
+    ["bench", "--reps", "1", "--setups", "1", "--rhos", "0.9", "--n", "60",
+     "--methods", "mls"],
+], ids=["select", "synth", "bench"])
+def test_a_negative_seed_is_a_usage_error(labeled_csv, tmp_path, monkeypatch, capsys,
+                                          command):
+    # refused before anything is drawn or written, not by numpy's traceback
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    argv = [arg.replace("{data}", str(labeled_csv)) for arg in command]
     with pytest.raises(SystemExit) as exc:
-        main(["validate-margin", "--input", str(path), "--label-col", "label"])
+        main(argv + ["--seed", "-1", "--output", "out"])
     assert exc.value.code == 2
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_validate_margin_missing_file_is_data_error(capsys):

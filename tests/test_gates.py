@@ -94,6 +94,8 @@ def test_train_config_validation():
             TrainConfig(learning_rate=rate)
     with pytest.raises(ValueError, match="loss_variant"):
         TrainConfig(loss_variant="nope")
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
 
 
 # -------------------------------------------------------------------- gates
@@ -219,6 +221,36 @@ def test_dufs_mls_dead_feature_contributes_zero(rng):
     full = dufs_mls_loss(ds, np.ones(4), state, model)
     denom = state.m_gates * open_prob(state).sum() + state.delta
     assert abs(with_dead - (full + mls(ds, model).scores[1] / denom)) <= 1e-12
+
+
+def test_dufs_mls_skips_the_columns_mls_scores_inf():
+    # the mean of 300 copies of 1e11 + 0.1 rounds, so the plain variance of
+    # that column is rounding noise, not 0; scored, that noise (1.5e17) would
+    # swamp the loss (-5.05e15 at z = 0.5 against -598.3) and drive every
+    # gate mean to -4.8e11 in 50 epochs instead of -3.19
+    def draw(level):
+        X = np.random.default_rng(0).standard_normal((300, 6))
+        X[:, 2] = level
+        ds = Dataset(values=X, feature_names=[f"f{j}" for j in range(6)])
+        return ds, build_margin_model(ds, MarginConfig())
+
+    state = GateState.fresh(6)
+    config = TrainConfig(epochs=50, loss_variant="dufs-mls")
+    runs = []
+    for level in (1e11 + 0.1, 0.0):
+        ds, model = draw(level)
+        scores = mls(ds, model).scores
+        assert np.flatnonzero(np.isinf(scores)).tolist() == [2]
+        # at open gates dufs-mls sums exactly the scores mls does not set to +inf
+        denom = state.m_gates * open_prob(state).sum() + state.delta
+        assert dufs_mls_loss(ds, np.ones(6), state, model) == (
+            -scores[np.isfinite(scores)].sum() / denom)
+        trace = train(ds, config, state, model)
+        runs.append((dufs_mls_loss(ds, np.full(6, 0.5), state, model), trace))
+    (loss, trace), (want_loss, want) = runs
+    assert loss == want_loss
+    assert np.array_equal(trace.loss_history, want.loss_history)
+    assert np.array_equal(trace.mu, want.mu)
 
 
 def test_losses_row_permutation_invariant(rng):

@@ -29,6 +29,8 @@ def test_spec_validation():
         SynthSpec(setup=1, rho=0.0)
     with pytest.raises(ValueError, match="n_samples"):
         SynthSpec(setup=1, rho=0.9, n_samples=19)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SynthSpec(setup=1, rho=0.9, seed=-1)
 
 
 @pytest.mark.parametrize("rho, count", [(0.99, 0), (0.01, 20)])
