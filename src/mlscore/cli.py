@@ -203,7 +203,6 @@ def cmd_select(args, parser) -> int:
             "loss_history": [float(x) for x in trace.loss_history],
             "mu": [float(x) for x in trace.mu],
             "open_probabilities": [float(x) for x in trace.open_probabilities],
-            "no_margin_signal": bool(trace.no_margin_signal),
             "warnings": report.warnings,
         })
         outputs.append(trace_path)

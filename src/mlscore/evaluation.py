@@ -143,9 +143,11 @@ def score_dataset(
     to the method, and score each feature by its trained gate mean; their
     training trace comes back too, and training warnings go into the
     report, among them one for gates saturated at a clamp edge. ``mls``
-    and ``dufs-mls`` share one margin model built from margin_config. Every
-    method rejects a table whose features are all constant with a
-    DataError.
+    and ``dufs-mls`` share one margin model built from margin_config, and
+    report the same margin verdict. A constant column ranks last under
+    every method: +inf for ``ls`` and ``mls``, -inf in a gate method's
+    report, whose trace keeps the trained mean. Every method rejects a
+    table whose features are all constant with a DataError.
     """
     if method == "ls":
         return laplacian_score(ds, kernel_config), None
@@ -156,17 +158,14 @@ def score_dataset(
         model = build_margin_model(ds, margin_config or MarginConfig())
     if method == "mls":
         return mls(ds, model), None
-    _constant_features(ds)  # a DataError if every feature is constant
+    constant = _constant_features(ds)
     config = replace(train_config or TrainConfig(), loss_variant=method)
     state = GateState.fresh(ds.n_features, sigma=sigma)
     trace = train(ds, config, state, model)
     report = ScoreReport(
-        method=method, scores=trace.mu, feature_names=list(ds.feature_names)
+        method=method, scores=np.where(constant, -np.inf, trace.mu),
+        feature_names=list(ds.feature_names), warnings=list(trace.warnings),
     )
-    if trace.no_margin_signal:
-        report.warnings.append(
-            "no sample fell in any margin; gate training had no margin signal"
-        )
     if np.ptp(trace.mu) == 0:
         report.warnings.append(
             "all gate means are equal; the selection is feature order"

@@ -34,7 +34,8 @@ column's numerator and its variance by z_r^2, so every live term is the
 ``mls`` score of the ungated feature: N = sum_{live r} mls_r. A column is
 live while its gated variance z_r^2 Var_r is above ``VAR_GUARD``, and
 ``scores._mls_terms`` gives a constant column variance 0, so ``dufs-mls``
-never opens a column that ``mls`` scores +inf.
+never opens a column that ``mls`` scores +inf. Its margin verdict, the
+warning ``mls`` gives when the scores are all zero, reaches the trace.
 
 Training computes those scores and variances once, so an epoch costs O(d).
 Only the open-probability term moves mu, by the same amount for equal
@@ -45,7 +46,7 @@ trained ranking is feature order. Rank by ``scores.mls`` instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -118,7 +119,7 @@ class TrainTrace:
     loss_history: np.ndarray
     mu: np.ndarray
     open_probabilities: np.ndarray
-    no_margin_signal: bool = False
+    warnings: list[str] = field(default_factory=list)  # the margin verdict
 
 
 def sample_gates(state: GateState, rng: np.random.Generator) -> np.ndarray:
@@ -190,10 +191,11 @@ def _epoch_step(ds: Dataset, variant: str, model: MarginModel | None):
     too.
 
     ``dufs-mls`` takes the ungated ``mls`` score and variance of every
-    column, the first two of ``_mls_terms``; gating column r by z_r scales
-    its numerator and its variance alike by z_r^2, so the live scores do
-    not depend on z and only the open-probability mass moves with mu. Its
-    step ignores the bandwidth.
+    column from ``_mls_terms``; gating column r by z_r scales its
+    numerator and its variance alike by z_r^2, so the live scores do not
+    depend on z and only the open-probability mass moves with mu. Its step
+    ignores the bandwidth and carries the margin verdict of that call, the
+    lines ``mls`` reports, as its ``warnings`` attribute.
 
     ``dufs`` centres the rows once, Fc = F - c_F at c_F =
     ``margins._centre(F)``, a constant column at exactly 0, column-major;
@@ -218,17 +220,29 @@ def _epoch_step(ds: Dataset, variant: str, model: MarginModel | None):
     of 0 and builds no kernel. A bandwidth of None is taken from the
     distances the kernel uses.
 
+    The blocks are full rows, although W and W o G = W o h_j - (W o D) / 2
+    are symmetric up to a column scaling. Over the upper triangle, summed
+    in both directions, the two products keep their n^2 (k + 1) + n^2
+    (k_mid + 1) multiply-adds, k_mid the live gates inside the clamp. Only
+    the distance product, n^2 (k + 2), would halve, but the column sums of
+    P need every row's d_i and R_i first, which a block of the upper
+    triangle does not finish: that takes a second kernel pass, or products
+    with the squared live columns, about n^2 k_mid more. At k = 84 and
+    k_mid = 69, about what the ``gate-training`` benchmark runs, it saves
+    43 n^2 and adds 69 n^2.
+
     The step calls the ``margins`` and ``scores`` helpers through this
     module's globals, so whatever wraps them there sees every epoch."""
     if variant == "dufs-mls":
         if model is None:
             raise ValueError("dufs-mls needs a margin model")
-        scores, variances = _mls_terms(ds, model)[:2]
+        scores, variances, verdict = _mls_terms(ds, model)
 
         def mls_step(z, state, bandwidth=None):
             live = z * z * variances > VAR_GUARD
             return _ratio(state, float(scores[live].sum()), None)
 
+        mls_step.warnings = verdict
         return mls_step
     if variant != "dufs":
         raise ValueError(f"variant must be one of {LOSS_VARIANTS}, got {variant!r}")
@@ -401,7 +415,8 @@ def train(
     One fresh noise draw per epoch; the graph variant refreshes its kernel
     bandwidth from the gated data at the top of each epoch and holds it
     fixed for that epoch's gradient, while the margin variant scores the
-    features once before the first epoch. Deterministic for a given seed.
+    features once before the first epoch and passes on its margin verdict
+    in the trace's warnings. Deterministic for a given seed.
     """
     step = _epoch_step(ds, config.loss_variant, model)
     rng = np.random.default_rng(config.seed)
@@ -414,11 +429,9 @@ def train(
             raise ValueError(f"non-finite loss at epoch {epoch}")
         history[epoch] = loss
         work.mu = work.mu - config.learning_rate * grad
-
-    no_signal = bool(model is not None and not model.u.any())
     return TrainTrace(
         loss_history=history,
         mu=work.mu,
         open_probabilities=open_prob(work),
-        no_margin_signal=no_signal,
+        warnings=getattr(step, "warnings", []),
     )

@@ -144,13 +144,19 @@ def _check_finite(ds: Dataset, per_feature: np.ndarray, what: str) -> None:
         raise DataError(f"values too large: the {what} of feature {name!r} overflows")
 
 
-def _mls_terms(ds: Dataset, model: MarginModel) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Per-column mls scores of ds, the variances they divide by, and whether
-    the margin kernel is isolated: some sample has weight and every such
-    sample has degree exactly 1. A constant column has variance 0, whatever
-    the rounding of its mean, and a column of variance 0, constant or
-    underflowing, scores +inf; a DataError if every column is constant. A
-    numerator that overflows raises a DataError naming the feature.
+def _mls_terms(
+    ds: Dataset, model: MarginModel
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Per-column mls scores of ds, the variances they divide by, and the
+    margin verdict: a line when no sample carries margin weight, or when
+    the margin kernel is isolated (some sample has weight and every such
+    sample has degree exactly 1), since the scores are then all zero, and
+    none otherwise. ``mls`` and ``dufs-mls`` both report these lines. A
+    constant column has variance 0 and numerator 0, whatever its values
+    and the rounding of its mean, and a column of variance 0, constant or
+    underflowing, scores +inf; a DataError if every column is constant.
+    Any other numerator that overflows raises a DataError naming the
+    feature.
 
     The numerator of a column f is the quadratic form
     1/2 sum_ij W_ij (u_i + u_j)(f_i - f_j)^2 = (u o d + W u)'f^2 - f'V f,
@@ -177,7 +183,7 @@ def _mls_terms(ds: Dataset, model: MarginModel) -> tuple[np.ndarray, np.ndarray,
     weighted = np.flatnonzero(u)
     m = weighted.size
     numerators = np.zeros(d)
-    isolated = False
+    verdict = ["no sample carries margin weight; scores are all zero"] if not m else []
     rows = slice(None) if m == n else weighted  # a view when every row is weighted
     with np.errstate(over="ignore", invalid="ignore"):
         if m:
@@ -196,20 +202,24 @@ def _mls_terms(ds: Dataset, model: MarginModel) -> tuple[np.ndarray, np.ndarray,
             del centred
             if m < n:
                 d_M += (n - m) * e
-            isolated = bool((d_M == 1.0).all())
-            if not isolated:
+            if (d_M == 1.0).all():
+                verdict.append(
+                    "margin kernel has no off-diagonal weight at any weighted sample "
+                    "(values too large for its temperature); scores are all zero"
+                )
+            else:
                 numerators = np.einsum("i,ij,ij->j", u_M * d_M + Ku, F_M, F_M) - q
                 if m < n:
                     in_Z = (u == 0.0).astype(float)
                     numerators += (u_M @ e) * np.einsum("i,ij,ij->j", in_Z, F, F)
                     numerators -= 2.0 * (in_Z @ F) * ((e * u_M) @ F_M)
         variances = F.var(axis=0, ddof=1)
-    variances[constant] = 0.0
+    variances[constant] = numerators[constant] = 0.0
     _check_finite(ds, numerators, "mls numerator")
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = numerators / variances
     scores[variances == 0.0] = np.inf
-    return scores, variances, isolated
+    return scores, variances, verdict
 
 
 def mls(ds: Dataset, model: MarginModel) -> ScoreReport:
@@ -221,18 +231,11 @@ def mls(ds: Dataset, model: MarginModel) -> ScoreReport:
     off-diagonal weight in the margin kernel, the scores are all zero, a
     warning says why, and ranking falls back to index order.
     """
-    scores, _, isolated = _mls_terms(ds, model)
-    report = ScoreReport(
-        method="mls", scores=scores, feature_names=list(ds.feature_names)
+    scores, _, verdict = _mls_terms(ds, model)
+    return ScoreReport(
+        method="mls", scores=scores, feature_names=list(ds.feature_names),
+        warnings=verdict,
     )
-    if not model.u.any():
-        report.warnings.append("no sample carries margin weight; scores are all zero")
-    if isolated:
-        report.warnings.append(
-            "margin kernel has no off-diagonal weight at any weighted sample "
-            "(values too large for its temperature); scores are all zero"
-        )
-    return report
 
 
 def select_top(report: ScoreReport, num_features: int) -> list[int]:

@@ -283,6 +283,30 @@ def test_mls_on_isolated_margin_kernel_scores_exact_zeros(tmp_path, capsys):
     assert _manifest(out)["warnings"] == [warning]
 
 
+@pytest.mark.parametrize("method", ["mls", "dufs-mls"])
+@pytest.mark.parametrize(
+    "scale, args, line",
+    # k above d: no row is weighted; at 1e140 the margin kernel is isolated
+    [(1.0, ["--k", "5"], "no sample carries margin weight; scores are all zero"),
+     (1e140, [], "margin kernel has no off-diagonal weight at any weighted sample "
+                 "(values too large for its temperature); scores are all zero")],
+    ids=["no-weight", "isolated"],
+)
+def test_select_reports_one_margin_verdict(tmp_path, capsys, method, scale, args, line):
+    # stderr, the manifest and, for dufs-mls, the trace JSON carry the line
+    # that mls gives
+    path = _scaled_normal_csv(tmp_path / "table.csv", scale)
+    out = tmp_path / "out.csv"
+    code = main(["select", "--method", method, "--num-features", "2", "--epochs", "2",
+                 "--input", str(path), "--no-standardize", "--output", str(out), *args])
+    assert code == 0
+    assert f"warning: {line}\n" in capsys.readouterr().err
+    warnings = _manifest(out)["warnings"]
+    assert warnings[0] == line
+    if method == "dufs-mls":
+        assert json.loads((tmp_path / "out-trace.json").read_text())["warnings"] == warnings
+
+
 # ------------------------------------------------------------------- select
 
 
@@ -364,7 +388,7 @@ def test_select_gate_method_writes_trace(labeled_csv, tmp_path):
     assert len(trace["loss_history"]) == 25
     assert len(trace["mu"]) == 10
     assert len(trace["open_probabilities"]) == 10
-    assert trace["no_margin_signal"] is False
+    assert "no_margin_signal" not in trace
     manifest = _manifest(out)
     assert trace["warnings"] == manifest["warnings"]
     assert manifest["seed"] == 9

@@ -256,12 +256,60 @@ def test_score_dataset_gate_methods_reject_all_constant_table(method):
 @pytest.mark.parametrize("method", ["dufs", "dufs-mls"])
 def test_score_dataset_gate_methods_score_constant_features(method, rng):
     # a constant feature is scored with the others, not rejected, and ranks
-    # last: it adds nothing to the loss
+    # last at -inf: it adds nothing to the loss. The trace keeps its mean
     X = np.column_stack([rng.standard_normal((30, 2)), np.full(30, 3.0)])
     ds = Dataset(values=X, feature_names=["a", "b", "k"])
-    report, _ = score_dataset(ds, method, train_config=TrainConfig(epochs=2))
-    assert np.isfinite(report.scores).all() and report.scores.shape == (3,)
+    report, trace = score_dataset(ds, method, train_config=TrainConfig(epochs=2))
+    assert np.isfinite(report.scores[:2]).all() and report.scores[2] == -np.inf
+    assert np.isfinite(trace.mu).all()
     assert select_top(report, 3)[-1] == 2
+
+
+def _lettered(values):
+    return Dataset(values=values,
+                   feature_names=[chr(ord("a") + j) for j in range(values.shape[1])])
+
+
+@pytest.mark.parametrize("method", ["ls", "mls", "dufs", "dufs-mls"])
+@pytest.mark.parametrize("shape, column, value", [((200, 4), 0, 3.0), ((50, 3), 1, 1e200)],
+                         ids=["a-at-3", "b-at-1e200"])
+def test_a_constant_column_ranks_last_under_every_method(method, shape, column, value):
+    # dufs-mls moves equal gate means in lockstep, so it used to rank a
+    # first, by feature order; mls and dufs-mls used to raise on b, whose
+    # numerator overflows, although a constant column scores +inf whatever
+    # its numerator. A gate method's trace keeps the trained mean
+    values = np.random.default_rng(0).standard_normal(shape)
+    values[:, column] = value
+    report, trace = score_dataset(_lettered(values), method,
+                                  train_config=TrainConfig(epochs=20))
+    assert report.scores[column] == (np.inf if trace is None else -np.inf)
+    assert select_top(report, shape[1])[-1] == column
+    if trace is not None:
+        assert np.isfinite(trace.mu[column])
+
+
+_NO_WEIGHT = "no sample carries margin weight; scores are all zero"
+_ISOLATED = ("margin kernel has no off-diagonal weight at any weighted sample "
+             "(values too large for its temperature); scores are all zero")
+
+
+@pytest.mark.parametrize(
+    "values, config, line",
+    # k above d: no row lies in k margins, so none is weighted; at 1e140
+    # every off-diagonal weight of the margin kernel underflows
+    [(np.random.default_rng(0).standard_normal((60, 4)),
+      MarginConfig(quantile=0.1, k=5), _NO_WEIGHT),
+     (np.random.default_rng(0).standard_normal((200, 5)) * 1e140,
+      MarginConfig(), _ISOLATED)],
+    ids=["no-weight", "isolated"],
+)
+def test_mls_and_dufs_mls_report_one_margin_verdict(values, config, line):
+    ds = _lettered(values)
+    mls_report, _ = score_dataset(ds, "mls", config)
+    report, trace = score_dataset(ds, "dufs-mls", config,
+                                  train_config=TrainConfig(epochs=2))
+    assert mls_report.warnings == trace.warnings == [line]
+    assert report.warnings == [line, "all gate means are equal; the selection is feature order"]
 
 
 @pytest.mark.parametrize("method", ["ls", "mls"])

@@ -601,7 +601,7 @@ def test_train_trace_shape(rng):
     assert (trace.open_probabilities >= 0).all()
     assert (trace.open_probabilities <= 1).all()
     assert np.allclose(trace.open_probabilities, ndtr((trace.mu + 0.5) / 0.5))
-    assert not trace.no_margin_signal
+    assert trace.warnings == []
 
 
 def test_train_does_not_mutate_input_state(rng):
@@ -624,7 +624,7 @@ def test_train_flags_missing_margin_signal(rng):
     trace = train(
         ds, TrainConfig(epochs=3, loss_variant="dufs-mls"), GateState.fresh(4), model
     )
-    assert trace.no_margin_signal
+    assert trace.warnings == ["no sample carries margin weight; scores are all zero"]
 
 
 def test_train_dufs_mls_moves_fresh_gate_means_in_lockstep(rng):

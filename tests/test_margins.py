@@ -675,10 +675,10 @@ def test_laplacian_forms_match_dense_oracle(problem, root, t):
 def test_margin_kernel_without_weighted_rows_is_empty():
     model = _model_from_rep([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     ds = Dataset(values=[[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], feature_names=["a", "b"])
-    scores, variances, isolated = _mls_terms(ds, model)
+    scores, variances, verdict = _mls_terms(ds, model)
     assert scores.tolist() == [0.0, 0.0]
     assert variances.tolist() == [1.0, 1.0]
-    assert not isolated
+    assert verdict == ["no sample carries margin weight; scores are all zero"]
 
 
 def test_margin_kernel_origin_weight_without_squaring_into_overflow():
@@ -689,8 +689,8 @@ def test_margin_kernel_origin_weight_without_squaring_into_overflow():
     v, t = 5e153, 1e154
     rep = np.array([[v] * 8, [0.0] * 8])
     ds = Dataset(values=rep, feature_names=[f"f{j}" for j in range(8)])
-    scores, _, isolated = _mls_terms(ds, _model_from_rep(rep, t=t))
-    assert not isolated
+    scores, _, verdict = _mls_terms(ds, _model_from_rep(rep, t=t))
+    assert verdict == []
     want = 2.0 * math.log(9.0) * math.exp(-v * math.sqrt(8.0) / t)
     assert np.all(np.abs(scores - want) <= 1e-14 * want)
 

@@ -410,7 +410,8 @@ def test_mls_numerators_match_dense_oracle(problem):
     # the scores the streamed kernel gives, at every block size, against
     # the dense numerators over the same variances; a constant column has
     # variance 0 however its mean rounds, and a column of variance 0 scores
-    # +inf, the rule that mls and dufs-mls share
+    # +inf, the rule that mls and dufs-mls share, as is the margin verdict:
+    # a line when no row is weighted or the weighted rows are isolated
     F, model = problem
     n, d = F.shape
     ds = Dataset(values=F, feature_names=[f"f{j}" for j in range(d)])
@@ -428,13 +429,21 @@ def test_mls_numerators_match_dense_oracle(problem):
     event("weighted rows: " + ("none" if m == 0 else "one" if m == 1 else
                                "every" if m == n else "some"))
     event(f"isolated: {want_isolated}")
+    want_verdict = []
+    if m == 0:
+        want_verdict.append("no sample carries margin weight; scores are all zero")
+    if want_isolated:
+        want_verdict.append(
+            "margin kernel has no off-diagonal weight at any weighted sample "
+            "(values too large for its temperature); scores are all zero"
+        )
     # t1 + t2 of the expanded form bounds |numerator| and |2 t3|
     F2 = F * F
     scale = (model.u * W.sum(axis=1)) @ F2 + (model.u @ W) @ F2
     for block in kernel_blocks(n, m):
         with patch.object(margins, "_KERNEL_BLOCK", block):
-            got, got_variances, isolated = _mls_terms(ds, model)
-        assert isolated == want_isolated
+            got, got_variances, verdict = _mls_terms(ds, model)
+        assert verdict == want_verdict
         assert np.array_equal(got_variances, variances)
         assert np.all(got[~live] == np.inf)
         err = np.abs(got[live] * variances[live] - want[live])
