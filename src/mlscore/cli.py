@@ -37,7 +37,7 @@ from .evaluation import (
 )
 from .gates import GateState, TrainConfig
 from .margins import MarginConfig, build_margin_model
-from .scores import KERNEL_MODES, SCORE_METHODS, KernelConfig, ranked_rows, select_top
+from .scores import KERNEL_MODES, SCORE_METHODS, KernelConfig, select_top
 from .synth import SynthSpec, add_noise_features, gen_setup
 
 DEFAULT_KS_GRID = tuple(round(0.01 * i, 2) for i in range(1, 31))
@@ -160,10 +160,10 @@ def cmd_score(args, parser) -> int:
                                   mode=args.kernel, n_neighbors=args.n_neighbors)
     ds, inputs = _load_for_scoring(args, parser)
     report, _ = score_dataset(ds, args.method, margin_config, kernel_config)
-    rank_of = {name: rank for name, _, rank in ranked_rows(report)}
+    rank_of = {j: rank for rank, j in enumerate(select_top(report, ds.n_features), start=1)}
     _write_csv(out, ["feature", "score", "rank"],
-               ([name, repr(float(value)), rank_of[name]]
-                for name, value in zip(report.feature_names, report.scores)))
+               ([name, repr(float(value)), rank_of[j]]
+                for j, (name, value) in enumerate(zip(report.feature_names, report.scores))))
     _print_warnings(report.warnings)
     _write_manifest(out, "score", args, None, inputs, [out],
                     extra={"warnings": report.warnings})

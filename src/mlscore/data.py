@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import io
@@ -162,12 +161,12 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     line, a quoted field still open at its end, a line longer than
     ``csv.field_size_limit()``, ``1_000``, the separators
     ``\\x1c``-``\\x1f``, every bad row) ``_checked_rows`` takes over for
-    that run and the rest of the input. It converts and checks one
-    ``csv.reader`` row at a time, and the first bad row stops the read with
-    its first fault: bytes that are not UTF-8, then a wrong cell count, then
-    a bad cell. A header fault comes first, and a cell longer than
-    ``csv.field_size_limit()`` is a fault of its row. A UTF-8 byte-order
-    mark at the start is dropped.
+    that run and the rest of the input. It reads one ``csv.reader`` row at
+    a time, in one pass that converts the row's cells and raises its first
+    fault where it finds it: bytes that are not UTF-8, then a wrong cell
+    count, then the first bad cell in column order. A header fault comes
+    first, and a cell longer than ``csv.field_size_limit()`` is a fault of
+    its row. A UTF-8 byte-order mark at the start is dropped.
     """
     try:
         source = _Hashed(path)
@@ -261,8 +260,10 @@ def _c_table(lines: list[str], width: int, label_idx) -> np.ndarray | None:
 def _check_utf8(where: str, cells: list[str]) -> None:
     """Raise the DataError for the bytes that are not UTF-8 in cells, which
     surrogateescape decoding left as lone surrogates U+DC80-U+DCFF."""
-    bad = bytes(ord(c) - 0xDC00 for cell in cells if not cell.isascii()
-                for c in cell if "\udc80" <= c <= "\udcff")
+    text = "".join(cells)
+    if text.isascii():
+        return
+    bad = bytes(ord(c) - 0xDC00 for c in text if "\udc80" <= c <= "\udcff")
     if bad:
         raise DataError(f"{where}: bytes that are not UTF-8 ({bad!r})")
 
@@ -277,45 +278,34 @@ def _sound(table: np.ndarray, label_idx) -> bool:
 
 
 def _checked_rows(path, reader, header: list[str], label_idx, table: array) -> None:
-    """Append the rows of reader to table, read one at a time and counted on
-    from the rows table holds: a row goes in when it has the header's width,
-    finite cells by ``float`` and a 0/1 label once stripped, which drops
-    ``\\x1c``-``\\x1f`` too; the first other row raises."""
-    i = len(table) // len(header)
+    """Append the rows of reader to table, counted on from the rows table
+    holds, in one cell-by-cell pass that raises the first fault where it
+    finds it: bytes that are not UTF-8, then a cell count other than the
+    header's, then the first cell in column order that ``float`` does not
+    take to a finite value or, in the label column, that ``_as_label``
+    turns down once stripped, which drops ``\\x1c``-``\\x1f`` too."""
+    width = len(header)
+    i = len(table) // width
+    append, isfinite = table.append, math.isfinite  # looked up once, not per cell
     try:
         for i, raw in enumerate(reader, start=i + 1):
-            row = []
-            if len(raw) == len(header):
-                if label_idx is not None:
-                    raw[label_idx] = raw[label_idx].strip()
-                with contextlib.suppress(ValueError):
-                    row = list(map(float, raw))
-            if not (row and all(map(math.isfinite, row))
-                    and (label_idx is None or row[label_idx] in (0.0, 1.0))):
-                _row_fault(path, header, i, raw, label_idx)
-            table.extend(row)
+            _check_utf8(f"{path}: row {i}", raw)
+            if len(raw) != width:
+                raise DataError(f"{path}: row {i} has {len(raw)} cells, expected {width}")
+            for j, cell in enumerate(raw):
+                if j == label_idx:
+                    append(_as_label(path, cell.strip(), i, header[j]))
+                    continue
+                try:
+                    x = float(cell)
+                except ValueError:
+                    raise DataError(f"{path}: cannot parse cell at row {i}, "
+                                    f"column {header[j]!r}: {cell!r}") from None
+                if not isfinite(x):
+                    raise DataError(f"{path}: non-finite value at row {i}, column {header[j]!r}")
+                append(x)
     except csv.Error as exc:  # a cell over csv.field_size_limit()
         raise DataError(f"{path}: row {i + 1}: {exc}") from None
-
-
-def _row_fault(path, header: list[str], i: int, raw: list[str], label_idx) -> None:
-    """Raise the DataError for the first fault of row i: bytes that are not
-    UTF-8, then a wrong cell count, then the first bad cell in column order."""
-    _check_utf8(f"{path}: row {i}", raw)
-    if len(raw) != len(header):
-        raise DataError(f"{path}: row {i} has {len(raw)} cells, expected {len(header)}")
-    for j, cell in enumerate(raw):
-        if j == label_idx:
-            _as_label(path, cell.strip(), i, header[j])
-            continue
-        try:
-            x = float(cell)
-        except ValueError:
-            raise DataError(
-                f"{path}: cannot parse cell at row {i}, column {header[j]!r}: {cell!r}"
-            ) from None
-        if not math.isfinite(x):
-            raise DataError(f"{path}: non-finite value at row {i}, column {header[j]!r}")
 
 
 def save_csv(ds: Dataset, path, label_column: str = "label") -> None:

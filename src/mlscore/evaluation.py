@@ -142,7 +142,8 @@ def score_dataset(
     gates (noise scale sigma) with train_config, whose loss variant is set
     to the method, and score each feature by its trained gate mean; their
     training trace comes back too, and training warnings go into the
-    report, among them one for gates saturated at a clamp edge. ``mls``
+    report, among them one for equal gate means and one for gates
+    saturated at a clamp edge, both of the varying columns only. ``mls``
     and ``dufs-mls`` share one margin model built from margin_config, and
     report the same margin verdict. A constant column ranks last under
     every method: +inf for ``ls`` and ``mls``, -inf in a gate method's
@@ -166,13 +167,16 @@ def score_dataset(
         method=method, scores=np.where(constant, -np.inf, trace.mu),
         feature_names=list(ds.feature_names), warnings=list(trace.warnings),
     )
-    if np.ptp(trace.mu) == 0:
+    # a constant column ranks last whatever its gate, so only the means of
+    # the varying columns decide the order
+    varying = trace.mu[~constant]
+    if varying.size >= 2 and np.ptp(varying) == 0:
         report.warnings.append(
             "all gate means are equal; the selection is feature order"
         )
     # past a clamp edge by 2 sigma a fresh draw clamps the gate about 98%
     # of the time, so the order among such gates is noise
-    gate = 0.5 + trace.mu
+    gate = 0.5 + varying
     for edge, past in (("open", gate - 1.0), ("closed", -gate)):
         if np.count_nonzero(past > 2.0 * sigma) >= 2:
             report.warnings.append(

@@ -35,7 +35,8 @@ column's numerator and its variance by z_r^2, so every live term is the
 live while its gated variance z_r^2 Var_r is above ``VAR_GUARD``, and
 ``scores._mls_terms`` gives a constant column variance 0, so ``dufs-mls``
 never opens a column that ``mls`` scores +inf. Its margin verdict, the
-warning ``mls`` gives when the scores are all zero, reaches the trace.
+warning ``mls`` gives when every varying feature scores 0, reaches the
+trace.
 
 Training computes those scores and variances once, so an epoch costs O(d).
 Only the open-probability term moves mu, by the same amount for equal
@@ -183,8 +184,9 @@ def dufs_bandwidth(gated: np.ndarray) -> float:
 
 
 def _epoch_step(ds: Dataset, variant: str, model: MarginModel | None):
-    """step(z, state, bandwidth=None) -> (loss, grad) of ``variant`` for
-    the gate draw z, the only place that picks a variant's loss or checks
+    """(step, warnings): step(z, state, bandwidth=None) -> (loss, grad) of
+    ``variant`` for the gate draw z, and its margin verdict, empty for
+    ``dufs``. This is the only place that picks a variant's loss or checks
     for its margin model. What an epoch needs that does not depend on z is
     worked out here, once: ``train`` makes one step per run, and the public
     loss functions one per call, so they run the gradient's work and checks
@@ -194,8 +196,8 @@ def _epoch_step(ds: Dataset, variant: str, model: MarginModel | None):
     column from ``_mls_terms``; gating column r by z_r scales its
     numerator and its variance alike by z_r^2, so the live scores do not
     depend on z and only the open-probability mass moves with mu. Its step
-    ignores the bandwidth and carries the margin verdict of that call, the
-    lines ``mls`` reports, as its ``warnings`` attribute.
+    ignores the bandwidth, and the warnings are the margin verdict of that
+    call, the lines ``mls`` reports.
 
     ``dufs`` centres the rows once, Fc = F - c_F at c_F =
     ``margins._centre(F)``, a constant column at exactly 0, column-major;
@@ -242,8 +244,7 @@ def _epoch_step(ds: Dataset, variant: str, model: MarginModel | None):
             live = z * z * variances > VAR_GUARD
             return _ratio(state, float(scores[live].sum()), None)
 
-        mls_step.warnings = verdict
-        return mls_step
+        return mls_step, verdict
     if variant != "dufs":
         raise ValueError(f"variant must be one of {LOSS_VARIANTS}, got {variant!r}")
 
@@ -352,7 +353,7 @@ def _epoch_step(ds: Dataset, variant: str, model: MarginModel | None):
         _check_finite(ds, grad, "dufs gradient")
         return loss, grad
 
-    return dufs_step
+    return dufs_step, []
 
 
 def dufs_loss(
@@ -365,7 +366,7 @@ def dufs_loss(
     to hold it fixed while mu varies (gradient checks do). One that is not
     positive with a finite reciprocal is a ValueError.
     """
-    step = _epoch_step(ds, "dufs", None)
+    step, _ = _epoch_step(ds, "dufs", None)
     return step(np.asarray(z, dtype=float), state, bandwidth)[0]
 
 
@@ -378,7 +379,7 @@ def dufs_mls_loss(
     below the guard contribute zero; every other term is the closed-form
     ``mls`` score of the ungated feature.
     """
-    step = _epoch_step(ds, "dufs-mls", model)
+    step, _ = _epoch_step(ds, "dufs-mls", model)
     return step(np.asarray(z, dtype=float), state)[0]
 
 
@@ -398,7 +399,7 @@ def loss_gradient(
     terms. Saturated gates get subgradient zero. The
     margin variant's gradient is its open-probability term alone.
     """
-    step = _epoch_step(ds, variant, model)
+    step, _ = _epoch_step(ds, variant, model)
     return step(np.asarray(z, dtype=float), state, bandwidth)[1]
 
 
@@ -418,7 +419,7 @@ def train(
     features once before the first epoch and passes on its margin verdict
     in the trace's warnings. Deterministic for a given seed.
     """
-    step = _epoch_step(ds, config.loss_variant, model)
+    step, warnings = _epoch_step(ds, config.loss_variant, model)
     rng = np.random.default_rng(config.seed)
     work = replace(state, mu=state.mu.copy())
     history = np.empty(config.epochs)
@@ -433,5 +434,5 @@ def train(
         loss_history=history,
         mu=work.mu,
         open_probabilities=open_prob(work),
-        warnings=getattr(step, "warnings", []),
+        warnings=warnings,
     )

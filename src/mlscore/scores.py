@@ -150,8 +150,8 @@ def _mls_terms(
     """Per-column mls scores of ds, the variances they divide by, and the
     margin verdict: a line when no sample carries margin weight, or when
     the margin kernel is isolated (some sample has weight and every such
-    sample has degree exactly 1), since the scores are then all zero, and
-    none otherwise. ``mls`` and ``dufs-mls`` both report these lines. A
+    sample has degree exactly 1), since every varying column then scores 0,
+    and none otherwise. ``mls`` and ``dufs-mls`` both report these lines. A
     constant column has variance 0 and numerator 0, whatever its values
     and the rounding of its mean, and a column of variance 0, constant or
     underflowing, scores +inf; a DataError if every column is constant.
@@ -183,7 +183,7 @@ def _mls_terms(
     weighted = np.flatnonzero(u)
     m = weighted.size
     numerators = np.zeros(d)
-    verdict = ["no sample carries margin weight; scores are all zero"] if not m else []
+    verdict = ["no sample carries margin weight; every varying feature scores 0"] if not m else []
     rows = slice(None) if m == n else weighted  # a view when every row is weighted
     with np.errstate(over="ignore", invalid="ignore"):
         if m:
@@ -205,7 +205,7 @@ def _mls_terms(
             if (d_M == 1.0).all():
                 verdict.append(
                     "margin kernel has no off-diagonal weight at any weighted sample "
-                    "(values too large for its temperature); scores are all zero"
+                    "(values too large for its temperature); every varying feature scores 0"
                 )
             else:
                 numerators = np.einsum("i,ij,ij->j", u_M * d_M + Ku, F_M, F_M) - q
@@ -228,8 +228,8 @@ def mls(ds: Dataset, model: MarginModel) -> ScoreReport:
     The model must have been built on the same (standardized) dataset.
     Constant features, and features whose variance underflows to 0, score
     +inf. If no sample carries margin weight, or no weighted sample has
-    off-diagonal weight in the margin kernel, the scores are all zero, a
-    warning says why, and ranking falls back to index order.
+    off-diagonal weight in the margin kernel, every varying feature scores
+    0, a warning says why, and ranking falls back to index order.
     """
     scores, _, verdict = _mls_terms(ds, model)
     return ScoreReport(
@@ -251,11 +251,3 @@ def select_top(report: ScoreReport, num_features: int) -> list[int]:
     order = np.argsort(keys, kind="stable")
     return [int(i) for i in order[:num_features]]
 
-
-def ranked_rows(report: ScoreReport) -> list[tuple[str, float, int]]:
-    """(feature_name, score, rank) for the full ranking, best first."""
-    order = select_top(report, report.scores.shape[0])
-    return [
-        (report.feature_names[idx], float(report.scores[idx]), rank + 1)
-        for rank, idx in enumerate(order)
-    ]

@@ -75,6 +75,21 @@ def test_score_writes_ranked_csv_and_manifest(labeled_csv, tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_score_ranks_follow_the_scores_with_ties_in_column_order(tmp_path):
+    # the rows keep column order; the ranks go up with the score, and the
+    # constant columns a and c tie at +inf, so they come last, a first
+    values = np.random.default_rng(0).standard_normal((40, 4))
+    values[:, 0], values[:, 2] = 1.0, 2.0
+    path, out = tmp_path / "t.csv", tmp_path / "scores.csv"
+    path.write_text("a,b,c,d\n" + "".join(",".join(map(repr, row)) + "\n"
+                                          for row in values.tolist()))
+    assert main(["score", "--method", "ls", "--input", str(path), "--output", str(out)]) == 0
+    rows = _read_rows(out)
+    assert [r["feature"] for r in rows] == ["a", "b", "c", "d"]
+    b, d = (float(rows[j]["score"]) for j in (1, 3))
+    assert b != d and [int(r["rank"]) for r in rows] == [3, 1 + (b > d), 4, 1 + (d > b)]
+
+
 def test_score_default_output_name(labeled_csv):
     code = main(["score", "--method", "ls", "--input", str(labeled_csv)])
     assert code == 0
@@ -275,7 +290,7 @@ def test_mls_on_isolated_margin_kernel_scores_exact_zeros(tmp_path, capsys):
                  "--output", str(out)])
     assert code == 0
     warning = ("margin kernel has no off-diagonal weight at any weighted sample "
-               "(values too large for its temperature); scores are all zero")
+               "(values too large for its temperature); every varying feature scores 0")
     assert f"warning: {warning}" in capsys.readouterr().err
     rows = _read_rows(out)
     assert [float(r["score"]) for r in rows] == [0.0] * 4
@@ -287,9 +302,9 @@ def test_mls_on_isolated_margin_kernel_scores_exact_zeros(tmp_path, capsys):
 @pytest.mark.parametrize(
     "scale, args, line",
     # k above d: no row is weighted; at 1e140 the margin kernel is isolated
-    [(1.0, ["--k", "5"], "no sample carries margin weight; scores are all zero"),
+    [(1.0, ["--k", "5"], "no sample carries margin weight; every varying feature scores 0"),
      (1e140, [], "margin kernel has no off-diagonal weight at any weighted sample "
-                 "(values too large for its temperature); scores are all zero")],
+                 "(values too large for its temperature); every varying feature scores 0")],
     ids=["no-weight", "isolated"],
 )
 def test_select_reports_one_margin_verdict(tmp_path, capsys, method, scale, args, line):

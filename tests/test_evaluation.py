@@ -246,6 +246,22 @@ def test_score_dataset_warns_when_gates_saturate_closed():
     assert report.warnings == [equal]
 
 
+@pytest.mark.parametrize("d, warned", [(2, False), (3, True)], ids=["one-varies", "two-vary"])
+def test_score_dataset_gate_warnings_read_the_varying_columns_only(d, warned):
+    # a is constant and ranks last at -inf whatever its gate mean, which
+    # moves in lockstep with the others: with b alone varying, the
+    # selection [b, a] is not feature order and no two gates can be
+    # saturated together, yet a's mean used to raise both warnings
+    values = np.column_stack(
+        [np.full(200, 3.0), np.random.default_rng(0).standard_normal((200, d - 1))])
+    report, trace = score_dataset(_lettered(values), "dufs-mls",
+                                  train_config=TrainConfig(epochs=20))
+    assert select_top(report, d)[-1] == 0
+    assert np.ptp(trace.mu) == 0 and (0.5 + trace.mu < -1.0).all()
+    equal = "all gate means are equal; the selection is feature order"
+    assert report.warnings == ([equal, _SATURATED.format("closed")] if warned else [])
+
+
 @pytest.mark.parametrize("method", ["dufs", "dufs-mls"])
 def test_score_dataset_gate_methods_reject_all_constant_table(method):
     ds = Dataset(values=np.full((10, 2), 1e200), feature_names=["a", "b"])
@@ -288,9 +304,9 @@ def test_a_constant_column_ranks_last_under_every_method(method, shape, column, 
         assert np.isfinite(trace.mu[column])
 
 
-_NO_WEIGHT = "no sample carries margin weight; scores are all zero"
+_NO_WEIGHT = "no sample carries margin weight; every varying feature scores 0"
 _ISOLATED = ("margin kernel has no off-diagonal weight at any weighted sample "
-             "(values too large for its temperature); scores are all zero")
+             "(values too large for its temperature); every varying feature scores 0")
 
 
 @pytest.mark.parametrize(
@@ -310,6 +326,16 @@ def test_mls_and_dufs_mls_report_one_margin_verdict(values, config, line):
                                   train_config=TrainConfig(epochs=2))
     assert mls_report.warnings == trace.warnings == [line]
     assert report.warnings == [line, "all gate means are equal; the selection is feature order"]
+
+
+def test_mls_margin_verdict_speaks_of_the_varying_features():
+    # no row is weighted (k above d), so a and c score 0, while b, held
+    # constant, scores +inf: the verdict used to say the scores were all zero
+    values = np.random.default_rng(0).standard_normal((60, 3))
+    values[:, 1] = 5.0
+    report, _ = score_dataset(_lettered(values), "mls", MarginConfig(k=4))
+    assert report.scores.tolist() == [0.0, np.inf, 0.0]
+    assert report.warnings == [_NO_WEIGHT]
 
 
 @pytest.mark.parametrize("method", ["ls", "mls"])

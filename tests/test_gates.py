@@ -317,7 +317,7 @@ def _assert_steps_match_dense_oracle(F, draws, state, bandwidth):
         wants.append((want_loss, want_grad, loss_scale, grad_scale))
     for block in kernel_blocks(n):
         with blocking(block):
-            step = gates._epoch_step(ds, "dufs", None)
+            step, _ = gates._epoch_step(ds, "dufs", None)
             for gate, (want_loss, want_grad, loss_scale, grad_scale) in zip(draws, wants):
                 loss, grad = step(gate, state, bandwidth)
                 assert abs(loss - want_loss) <= 1e-12 * loss_scale
@@ -381,7 +381,7 @@ def test_dufs_far_from_origin_matches_long_double_dense_oracle(seed):
     ds = Dataset(values=F, feature_names=[f"f{j}" for j in range(d)])
     want_loss, want_grad = dufs_core_dense(
         F.astype(np.longdouble), z.astype(np.longdouble), state, None)
-    loss, grad = gates._epoch_step(ds, "dufs", None)(z, state)
+    loss, grad = gates._epoch_step(ds, "dufs", None)[0](z, state)
     assert abs(loss - float(want_loss)) <= 1e-8 * abs(float(want_loss))
     want_grad = want_grad.astype(float)
     assert np.abs(grad - want_grad).max() <= 1e-8 * np.abs(want_grad).max()
@@ -494,7 +494,7 @@ def test_dufs_epoch_runs_its_products_over_the_open_varying_columns(monkeypatch)
         return original(centred, *args, **kwargs)
 
     monkeypatch.setattr(gates, "_sq_blocks", recorded)
-    step = gates._epoch_step(ds, "dufs", None)
+    step, _ = gates._epoch_step(ds, "dufs", None)
 
     # columns 0 and 3 closed, 4 constant: 1, 2 and 5 are open and vary
     loss, grad = step(np.array([0.0, 1.0, 0.3, 0.0, 0.8, 0.6]), state)
@@ -624,7 +624,7 @@ def test_train_flags_missing_margin_signal(rng):
     trace = train(
         ds, TrainConfig(epochs=3, loss_variant="dufs-mls"), GateState.fresh(4), model
     )
-    assert trace.warnings == ["no sample carries margin weight; scores are all zero"]
+    assert trace.warnings == ["no sample carries margin weight; every varying feature scores 0"]
 
 
 def test_train_dufs_mls_moves_fresh_gate_means_in_lockstep(rng):

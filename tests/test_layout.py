@@ -8,9 +8,9 @@ from mlscore import margins
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "mlscore"
-# the code the program runs: the library (a re-export in __init__.py is not
-# a caller), the benchmark and the experiment scripts
-CALLERS = [p for p in LIBRARY.glob("*.py") if p.name != "__init__.py"]
+# the code the program runs: the library, the benchmark and the experiment
+# scripts
+CALLERS = list(LIBRARY.glob("*.py"))
 CALLERS += list((ROOT / "perfbench").glob("*.py")) + list((ROOT / "scripts").glob("*.py"))
 # read by perfbench/workloads.py, so it goes with the benchmark change of
 # ROADMAP item 1(b)
@@ -41,6 +41,20 @@ def test_every_library_function_has_a_caller_outside_tests():
                 used.add(node.attr)
     unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
     assert not unused, f"defined in src/mlscore but used only by tests: {unused}"
+
+
+def test_package_root_binds_only_its_version():
+    # every name is imported from the module that defines it, so a bare
+    # ``import mlscore`` loads no module, numpy included
+    bound = set()
+    for node in ast.walk(_parse(LIBRARY / "__init__.py")):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+    assert bound == {"__version__"}
 
 
 def _defaulted(tree):

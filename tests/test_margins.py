@@ -678,7 +678,7 @@ def test_margin_kernel_without_weighted_rows_is_empty():
     scores, variances, verdict = _mls_terms(ds, model)
     assert scores.tolist() == [0.0, 0.0]
     assert variances.tolist() == [1.0, 1.0]
-    assert verdict == ["no sample carries margin weight; scores are all zero"]
+    assert verdict == ["no sample carries margin weight; every varying feature scores 0"]
 
 
 def test_margin_kernel_origin_weight_without_squaring_into_overflow():

@@ -24,7 +24,6 @@ from mlscore.scores import (
     _mls_terms,
     laplacian_score,
     mls,
-    ranked_rows,
     select_top,
 )
 from mlscore.synth import SynthSpec, gen_setup
@@ -431,11 +430,11 @@ def test_mls_numerators_match_dense_oracle(problem):
     event(f"isolated: {want_isolated}")
     want_verdict = []
     if m == 0:
-        want_verdict.append("no sample carries margin weight; scores are all zero")
+        want_verdict.append("no sample carries margin weight; every varying feature scores 0")
     if want_isolated:
         want_verdict.append(
             "margin kernel has no off-diagonal weight at any weighted sample "
-            "(values too large for its temperature); scores are all zero"
+            "(values too large for its temperature); every varying feature scores 0"
         )
     # t1 + t2 of the expanded form bounds |numerator| and |2 t3|
     F2 = F * F
@@ -636,12 +635,6 @@ def test_select_top_bounds_checked():
         select_top(report, 0)
     with pytest.raises(ValueError, match="num_features"):
         select_top(report, 3)
-
-
-def test_ranked_rows_full_ordering():
-    report = _report([3.0, 1.0, 2.0])
-    rows = ranked_rows(report)
-    assert rows == [("f1", 1.0, 1), ("f2", 2.0, 2), ("f0", 3.0, 3)]
 
 
 @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=12), st.data())
