@@ -62,11 +62,6 @@ def _write_manifest(primary, command: str, args, seed, inputs: dict, outputs,
     _write_json(str(primary) + ".manifest.json", manifest)
 
 
-def _default_output(input_path: str, tag: str) -> Path:
-    src = Path(input_path)
-    return src.with_name(f"{src.stem}-{tag}.csv")
-
-
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -109,7 +104,7 @@ def _check_outputs(args, parser, tag: str, *extra) -> Path:
     source = Path(args.input)
     if args.output is None and source.exists() and not source.is_file():
         parser.error("--output is required when --input is not a regular file")
-    out = Path(args.output) if args.output else _default_output(args.input, tag)
+    out = Path(args.output) if args.output else source.with_name(f"{source.stem}-{tag}.csv")
     source = source.resolve()
     if args.output and out.resolve() == source:
         parser.error(f"--output {args.output} would write over --input")
@@ -163,7 +158,7 @@ def cmd_score(args, parser) -> int:
     rank_of = {j: rank for rank, j in enumerate(select_top(report, ds.n_features), start=1)}
     _write_csv(out, ["feature", "score", "rank"],
                ([name, repr(float(value)), rank_of[j]]
-                for j, (name, value) in enumerate(zip(report.feature_names, report.scores))))
+                for j, (name, value) in enumerate(zip(ds.feature_names, report.scores))))
     _print_warnings(report.warnings)
     _write_manifest(out, "score", args, None, inputs, [out],
                     extra={"warnings": report.warnings})
@@ -194,7 +189,7 @@ def cmd_select(args, parser) -> int:
     )
     picked = select_top(report, args.num_features)
     _write_csv(out, ["rank", "feature", "score"],
-               ([rank, report.feature_names[idx], repr(float(report.scores[idx]))]
+               ([rank, ds.feature_names[idx], repr(float(report.scores[idx]))]
                 for rank, idx in enumerate(picked, start=1)))
     outputs = [out]
     if trace is not None:
@@ -332,7 +327,7 @@ def cmd_bench(args, parser) -> int:
               + "".join(f" {cell.mean:>8.1f} +-{cell.std:>5.2f}" for cell in row))
     summary = Path(f"{args.output}-summary.csv")
     _write_csv(summary, ["setup", "rho", "method", "reps", "mean", "std"],
-               ([cell.setup, repr(float(cell.rho)), cell.method, cell.repetitions,
+               ([cell.setup, repr(float(cell.rho)), cell.method, len(cell.per_rep),
                  repr(float(cell.mean)), repr(float(cell.std))] for cell in cells))
     per_rep = Path(f"{args.output}-reps.csv")
     _write_csv(per_rep, ["setup", "rho", "method", "rep", "accuracy"],

@@ -37,7 +37,6 @@ class EvalReport:
     of one (setup, rho)."""
 
     method: str
-    repetitions: int
     mean: float
     std: float
     setup: int
@@ -163,10 +162,8 @@ def score_dataset(
     config = replace(train_config or TrainConfig(), loss_variant=method)
     state = GateState.fresh(ds.n_features, sigma=sigma)
     trace = train(ds, config, state, model)
-    report = ScoreReport(
-        method=method, scores=np.where(constant, -np.inf, trace.mu),
-        feature_names=list(ds.feature_names), warnings=list(trace.warnings),
-    )
+    report = ScoreReport(method=method, scores=np.where(constant, -np.inf, trace.mu),
+                         warnings=list(trace.warnings))
     # a constant column ranks last whatever its gate, so only the means of
     # the varying columns decide the order
     varying = trace.mu[~constant]
@@ -257,7 +254,6 @@ def run_recovery_benchmark(
                         method=method,
                         setup=setup,
                         rho=rho,
-                        repetitions=reps,
                         mean=float(np.mean(values)),
                         std=float(np.std(values)),
                         per_rep=values,

@@ -53,7 +53,6 @@ class KernelConfig:
 class ScoreReport:
     method: str
     scores: np.ndarray
-    feature_names: list[str]
     warnings: list[str] = field(default_factory=list)
 
 
@@ -132,7 +131,7 @@ def laplacian_score(ds: Dataset, config: KernelConfig | None = None) -> ScoreRep
     with np.errstate(invalid="ignore", divide="ignore"):
         scores = numerators / weighted_sq
     scores[weighted_sq == 0.0] = np.inf
-    return ScoreReport(method="ls", scores=scores, feature_names=list(ds.feature_names))
+    return ScoreReport(method="ls", scores=scores)
 
 
 def _check_finite(ds: Dataset, per_feature: np.ndarray, what: str) -> None:
@@ -232,10 +231,7 @@ def mls(ds: Dataset, model: MarginModel) -> ScoreReport:
     0, a warning says why, and ranking falls back to index order.
     """
     scores, _, verdict = _mls_terms(ds, model)
-    return ScoreReport(
-        method="mls", scores=scores, feature_names=list(ds.feature_names),
-        warnings=verdict,
-    )
+    return ScoreReport(method="mls", scores=scores, warnings=verdict)
 
 
 def select_top(report: ScoreReport, num_features: int) -> list[int]:

@@ -174,7 +174,6 @@ def test_recovery_benchmark_smoke():
     for cell in cells:
         assert cell.setup == 1
         assert cell.rho == 0.9
-        assert cell.repetitions == 3
         assert len(cell.per_rep) == 3
         assert 0.0 <= cell.mean <= 100.0
         assert cell.std >= 0.0

@@ -68,12 +68,7 @@ def _ls_oracle(X, S):
 
 
 def _report(scores, method="ls"):
-    scores = np.asarray(scores, dtype=float)
-    return ScoreReport(
-        method=method,
-        scores=scores,
-        feature_names=[f"f{j}" for j in range(scores.size)],
-    )
+    return ScoreReport(method=method, scores=np.asarray(scores, dtype=float))
 
 
 # ----------------------------------------------------------- laplacian_score
