@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from mlscore.data import Dataset
-from mlscore.evaluation import margin_weight_separation
+from mlscore.evaluation import BENCH_SETUPS, margin_weight_separation
 from mlscore.margins import MarginConfig
 from mlscore.synth import SynthSpec, gen_setup
 
@@ -24,10 +24,10 @@ DEFAULT_QUANTILES = (0.025, 0.05, 0.1, 0.2)
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--setups", default="1,2,3")
+    parser.add_argument("--setups", default=",".join(str(s) for s in BENCH_SETUPS))
     parser.add_argument("--rho", type=float, default=0.9)
-    parser.add_argument("--n", type=int, default=1000, dest="n_samples")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--n", type=int, default=SynthSpec.n_samples, dest="n_samples")
+    parser.add_argument("--seed", type=int, default=SynthSpec.seed)
     parser.add_argument(
         "--quantiles", default=",".join(str(q) for q in DEFAULT_QUANTILES)
     )

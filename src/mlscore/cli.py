@@ -28,7 +28,10 @@ import numpy as np
 from . import __version__
 from .data import DataError, LabelColumnError, load_csv, save_csv, standardize
 from .evaluation import (
+    BENCH_METHODS,
+    BENCH_REPS,
     BENCH_RHOS,
+    BENCH_SEED,
     BENCH_SETUPS,
     METHODS,
     margin_weight_separation,
@@ -142,6 +145,16 @@ def _load_for_scoring(args, parser):
     return ds, inputs
 
 
+def _margin_config(args, parser) -> MarginConfig:
+    return _usage_errors(parser, MarginConfig, quantile=args.quantile, k=args.k,
+                         skew_right=args.skew_right, skew_left=args.skew_left)
+
+
+def _kernel_config(args, parser) -> KernelConfig:
+    return _usage_errors(parser, KernelConfig, bandwidth=args.bandwidth,
+                         mode=args.kernel, n_neighbors=args.n_neighbors)
+
+
 def _print_warnings(lines: list[str]) -> None:
     for line in lines:
         print(f"warning: {line}", file=sys.stderr)
@@ -149,10 +162,8 @@ def _print_warnings(lines: list[str]) -> None:
 
 def cmd_score(args, parser) -> int:
     out = _check_outputs(args, parser, "scores")
-    margin_config = _usage_errors(parser, MarginConfig, quantile=args.quantile, k=args.k,
-                                  skew_right=args.skew_right, skew_left=args.skew_left)
-    kernel_config = _usage_errors(parser, KernelConfig, bandwidth=args.bandwidth,
-                                  mode=args.kernel, n_neighbors=args.n_neighbors)
+    margin_config = _margin_config(args, parser)
+    kernel_config = _kernel_config(args, parser)
     ds, inputs = _load_for_scoring(args, parser)
     report, _ = score_dataset(ds, args.method, margin_config, kernel_config)
     rank_of = {j: rank for rank, j in enumerate(select_top(report, ds.n_features), start=1)}
@@ -171,22 +182,16 @@ def cmd_select(args, parser) -> int:
         parser.error("num-features must be >= 1")
     extra = () if args.method in SCORE_METHODS else (_trace_path,)
     out = _check_outputs(args, parser, "selected", *extra)
-    margin_config = _usage_errors(parser, MarginConfig, quantile=args.quantile, k=args.k,
-                                  skew_right=args.skew_right, skew_left=args.skew_left)
-    kernel_config = _usage_errors(parser, KernelConfig, bandwidth=args.bandwidth,
-                                  mode=args.kernel, n_neighbors=args.n_neighbors)
+    margin_config = _margin_config(args, parser)
+    kernel_config = _kernel_config(args, parser)
     _usage_errors(parser, GateState.fresh, 1, sigma=args.sigma)  # GateState checks sigma
     train_config = _usage_errors(parser, TrainConfig, epochs=args.epochs,
                                  learning_rate=args.lr, seed=args.seed)
     ds, inputs = _load_for_scoring(args, parser)
     if args.num_features > ds.n_features:
-        parser.error(
-            f"num-features {args.num_features} exceeds {ds.n_features} features"
-        )
-    report, trace = score_dataset(
-        ds, args.method, margin_config, kernel_config, train_config,
-        sigma=args.sigma,
-    )
+        parser.error(f"num-features {args.num_features} exceeds {ds.n_features} features")
+    report, trace = score_dataset(ds, args.method, margin_config, kernel_config,
+                                  train_config, sigma=args.sigma)
     picked = select_top(report, args.num_features)
     _write_csv(out, ["rank", "feature", "score"],
                ([rank, ds.feature_names[idx], repr(float(report.scores[idx]))]
@@ -219,11 +224,9 @@ def cmd_synth(args, parser) -> int:
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, 309]))
         ds = add_noise_features(ds, rng)
     out = Path(args.output)
-    save_csv(ds, out, label_column="label")
-    _write_manifest(
-        out, "synth", args, args.seed, {}, [out],
-        extra={"marginal_columns": marginal_columns},
-    )
+    save_csv(ds, out)
+    _write_manifest(out, "synth", args, args.seed, {}, [out],
+                    extra={"marginal_columns": marginal_columns})
     n_pos = int(ds.labels.sum())
     print(f"wrote {out} ({ds.n_samples} rows, {ds.n_features} features, "
           f"{n_pos} positives)")
@@ -232,13 +235,9 @@ def cmd_synth(args, parser) -> int:
 
 def cmd_validate_margin(args, parser) -> int:
     out = _check_outputs(args, parser, "margin-ks", "dump_margins")
-    quantiles = (
-        _parse_list(args.quantiles, parser, float, "quantile")
-        if args.quantiles
-        else DEFAULT_KS_GRID
-    )
-    base = _usage_errors(parser, MarginConfig, quantile=args.quantile, k=args.k,
-                         skew_right=args.skew_right, skew_left=args.skew_left)
+    quantiles = (_parse_list(args.quantiles, parser, float, "quantile")
+                 if args.quantiles else DEFAULT_KS_GRID)
+    base = _margin_config(args, parser)
     # MarginConfig checks each entry of the list before the input is read
     for q in quantiles:
         _usage_errors(parser, replace, base, quantile=q)
@@ -363,17 +362,17 @@ def _add_margin_flags(sub, fixed_quantile=True) -> None:
 
 def _add_scoring_flags(sub) -> None:
     sub.add_argument("--input", required=True, help="input CSV path")
-    sub.add_argument("--label-col", default=None,
-                     help="column to treat as the 0/1 label")
+    sub.add_argument("--label-col", help="column to treat as the 0/1 label")
     sub.add_argument("--no-standardize", action="store_true",
                      help="score the raw values instead of standardized ones")
-    sub.add_argument("--output", default=None, help="output CSV path")
+    sub.add_argument("--output", help="output CSV path")
     _add_margin_flags(sub)
-    sub.add_argument("--kernel", choices=KERNEL_MODES, default="heat",
+    kernel_defaults = KernelConfig()
+    sub.add_argument("--kernel", choices=KERNEL_MODES, default=kernel_defaults.mode,
                      help="affinity kernel for the classic score")
-    sub.add_argument("--bandwidth", type=float, default=None,
+    sub.add_argument("--bandwidth", type=float, default=kernel_defaults.bandwidth,
                      help="heat-kernel bandwidth (default: mean squared distance)")
-    sub.add_argument("--n-neighbors", type=int, default=5,
+    sub.add_argument("--n-neighbors", type=int, default=kernel_defaults.n_neighbors,
                      help="neighbor count for the binary-knn kernel")
 
 
@@ -398,15 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument("--epochs", type=int, default=train_defaults.epochs)
     select.add_argument("--lr", type=float, default=train_defaults.learning_rate)
     select.add_argument("--sigma", type=float, default=GateState.sigma)
-    select.add_argument("--seed", type=int, default=0)
+    select.add_argument("--seed", type=int, default=train_defaults.seed)
     select.set_defaults(func=functools.partial(cmd_select, parser=select))
 
     synth = subs.add_parser("synth", help="generate a benchmark dataset CSV")
     synth.add_argument("--setup", type=int, choices=(1, 2, 3), required=True)
     synth.add_argument("--rho", type=float, required=True,
                        help="majority-class fraction in (0, 1)")
-    synth.add_argument("--n", type=int, default=1000, help="sample count")
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--n", type=int, default=SynthSpec.n_samples, help="sample count")
+    synth.add_argument("--seed", type=int, default=SynthSpec.seed)
     synth.add_argument("--noisy", action="store_true",
                        help="append correlated plus iid noise features")
     synth.add_argument("--output", required=True, help="output CSV path")
@@ -419,19 +418,18 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--input", required=True, help="input CSV path")
     validate.add_argument("--label-col", required=True,
                           help="column holding 0/1 labels")
-    validate.add_argument("--quantiles", default=None,
-                          help="comma list; default 0.01..0.30 step 0.01")
-    validate.add_argument("--output", default=None, help="output CSV path")
-    validate.add_argument("--dump-margins", default=None,
+    validate.add_argument("--quantiles", help="comma list; default 0.01..0.30 step 0.01")
+    validate.add_argument("--output", help="output CSV path")
+    validate.add_argument("--dump-margins",
                           help="also write per-sample margin stats to this path")
     _add_margin_flags(validate)
     validate.set_defaults(func=functools.partial(cmd_validate_margin, parser=validate))
 
     bench = subs.add_parser("bench", help="run the synthetic recovery grid")
-    bench.add_argument("--reps", type=int, default=100)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--methods", default="mls,ls")
-    bench.add_argument("--n", type=int, default=1000,
+    bench.add_argument("--reps", type=int, default=BENCH_REPS)
+    bench.add_argument("--seed", type=int, default=BENCH_SEED)
+    bench.add_argument("--methods", default=",".join(BENCH_METHODS))
+    bench.add_argument("--n", type=int, default=SynthSpec.n_samples,
                        help="sample count of every draw")
     bench.add_argument("--epochs", type=int, default=train_defaults.epochs,
                        help="gate training epochs for dufs and dufs-mls")
@@ -449,7 +447,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, OSError) as err:
+    except (DataError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

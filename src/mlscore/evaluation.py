@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import DataError, Dataset, standardize
-from .gates import LOSS_VARIANTS, GateState, TrainConfig, TrainTrace, train
+from .gates import LOSS_VARIANTS, _SQRT_2PI, GateState, TrainConfig, TrainTrace, train
 from .margins import MarginConfig, build_margin_model
 from .scores import (
     SCORE_METHODS,
@@ -25,10 +25,14 @@ from .scores import (
 )
 from .synth import SynthSpec, gen_setup
 
+# the recovery grid's defaults, read by run_recovery_benchmark and by the
+# bench command; its draws are of SynthSpec's default size
 BENCH_RHOS = (0.90, 0.95, 0.97)
 BENCH_SETUPS = (1, 2, 3)
+BENCH_REPS = 100
+BENCH_METHODS = ("mls", "ls")
+BENCH_SEED = 0
 METHODS = SCORE_METHODS + LOSS_VARIANTS
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass
@@ -198,10 +202,10 @@ def bench_margin_config(rho: float) -> MarginConfig:
 def run_recovery_benchmark(
     setups=BENCH_SETUPS,
     rhos=BENCH_RHOS,
-    reps: int = 100,
-    methods=("mls", "ls"),
-    seed: int = 0,
-    n_samples: int = 1000,
+    reps: int = BENCH_REPS,
+    methods=BENCH_METHODS,
+    seed: int = BENCH_SEED,
+    n_samples: int = SynthSpec.n_samples,
     margin_config: MarginConfig | None = None,
     train_config: TrainConfig | None = None,
 ) -> list[EvalReport]:

@@ -82,8 +82,7 @@ class GateState:
             raise ValueError("mu must be a non-empty 1-d vector")
         if not np.all(np.isfinite(mu)):
             raise ValueError("mu must be finite")
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        _check_scale("sigma", self.sigma)
         self.mu = mu
 
     @property
@@ -131,8 +130,10 @@ def sample_gates(state: GateState, rng: np.random.Generator) -> np.ndarray:
 
 def _gate_x(state: GateState) -> np.ndarray:
     """x_r = (mu_r + 0.5) / sigma, the argument of every open-probability
-    term; an epoch forms it once."""
-    return (state.mu + 0.5) / state.sigma
+    term; an epoch forms it once. An x_r that overflows is +-inf, where
+    Phi is exactly 1 or 0 and its density 0."""
+    with np.errstate(over="ignore"):
+        return (state.mu + 0.5) / state.sigma
 
 
 def _phi(x: np.ndarray) -> np.ndarray:

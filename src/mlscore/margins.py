@@ -386,23 +386,24 @@ def _sq_blocks(
 
 
 def _laplacian_forms(
-    centred: _Centred, F: np.ndarray, t: float, root: bool, u: np.ndarray | None = None
+    centred: _Centred, F: np.ndarray, t: float, u: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Degrees K 1, the product K u (None without ``u``) and the quadratic
-    forms q = diag(F'VF) of the kernel K_ij = exp(-D_ij / t), or
-    exp(-sqrt(D_ij) / t) with ``root``, over the rows that ``_centred``
-    prepared, without holding K. V is K, or V_ij = K_ij (u_i + u_j) with
-    ``u``.
+    forms q = diag(F'VF) of a kernel K over the rows that ``_centred``
+    prepared, without holding K. ``u`` picks the kernel: without it, the
+    heat kernel K_ij = exp(-D_ij / t) of the Laplacian Score, with V = K;
+    with it, the margin kernel K_ij = exp(-sqrt(D_ij) / t) of ``mls``, with
+    V_ij = K_ij (u_i + u_j).
 
     K is streamed in blocks of rows [a, b) against columns [a, n), the upper
-    triangle. A block's product with the n x 2 columns [1 | u] gives K 1
-    and K u of rows [a, b); u = 0 without ``u``, so the degrees come from
-    the same product, bit for bit, either way. Rows b:n take theirs from
-    [1 | u]' times the block's part right of the diagonal. V is symmetric,
-    so that part counts twice in q: each block takes its diagonal part's
-    product with F[a:b] and its right part's with F[b:], contracts both
-    with F[a:b] and doubles the second, which is exact. Each block holds
-    128 rows (_KERNEL_BLOCK), and memory is O(128 n + n d) beyond F.
+    triangle. A block's product with the n x 2 columns [1 | u], u = 0
+    without ``u``, gives K 1 and K u of rows [a, b). Rows b:n take theirs
+    from [1 | u]' times the block's part right of the diagonal. V is
+    symmetric, so that part counts twice in q: each block takes its
+    diagonal part's product with F[a:b] and its right part's with F[b:],
+    contracts both with F[a:b] and doubles the second, which is exact. Each
+    block holds 128 rows (_KERNEL_BLOCK), and memory is O(128 n + n d)
+    beyond F.
     """
     n = centred.aug.shape[0]
     d = F.shape[1]
@@ -418,7 +419,7 @@ def _laplacian_forms(
     work = np.empty(max(min(_KERNEL_BLOCK, n) * width, _ROW_BLOCK * n))
     scale = -1.0 / t
     for a, b, K in _sq_blocks(centred, upper=True, left=work):
-        if root:
+        if u is not None:
             np.sqrt(K, out=K)
         K *= scale
         np.exp(K, out=K)

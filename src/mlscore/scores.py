@@ -93,7 +93,7 @@ def _graph_forms(
                     "values too small: the squared distances between rows underflow, "
                     f"so the heat-kernel bandwidth {t} has no finite reciprocal"
                 )
-        dvec, _, q = _laplacian_forms(centred, F0, t, root=False)
+        dvec, _, q = _laplacian_forms(centred, F0, t)
         return dvec, q
     return _knn_forms(_knn_neighbours(centred, k), F0)
 
@@ -197,7 +197,7 @@ def _mls_terms(
                 e = np.exp(_row_norms(rep) / -model.t)
             centred = _centred(rep, weighted, out=aug)
             del aug, rep
-            d_M, Ku, q = _laplacian_forms(centred, F_M, model.t, root=True, u=u_M)
+            d_M, Ku, q = _laplacian_forms(centred, F_M, model.t, u_M)
             del centred
             if m < n:
                 d_M += (n - m) * e

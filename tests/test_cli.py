@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -18,6 +19,8 @@ from mlscore.data import load_csv, standardize
 from mlscore.evaluation import run_recovery_benchmark
 from mlscore.gates import TrainConfig
 from mlscore.margins import MarginConfig, build_margin_model
+from mlscore.scores import KernelConfig
+from mlscore.synth import SynthSpec
 
 
 @pytest.fixture
@@ -377,7 +380,8 @@ _DUFS = ["select", "--method", "dufs", "--num-features", "2", "--epochs", "2"]
      _DUFS + ["--sigma", "nan"],
      _DUFS + ["--sigma", "inf"],
      # finite, but its reciprocal overflows
-     ["score", "--method", "ls", "--bandwidth", "1e-320"]],
+     ["score", "--method", "ls", "--bandwidth", "1e-320"],
+     _DUFS + ["--sigma", "1e-320"]],
 )
 def test_non_finite_settings_are_usage_errors(labeled_csv, tmp_path, argv):
     # these used to exit 0 with a wrong answer (every ls score 1.0, dufs
@@ -387,6 +391,19 @@ def test_non_finite_settings_are_usage_errors(labeled_csv, tmp_path, argv):
         main(argv + ["--input", str(labeled_csv), "--label-col", "label",
                      "--output", str(out)])
     assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_allocation_failure_is_one_error_line(labeled_csv, tmp_path, capsys):
+    # the loss history of 1e14 epochs is 8e14 bytes, past any address
+    # space a process can reserve, so the allocation fails at once
+    out = tmp_path / "out.csv"
+    code = main(["select", "--method", "dufs", "--num-features", "2", "--epochs",
+                 str(10**14), "--input", str(labeled_csv), "--label-col", "label",
+                 "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -847,6 +864,24 @@ def test_manifest_records_blas_thread_settings(labeled_csv, tmp_path, monkeypatc
 
 
 # -------------------------------------------------------------------- bench
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    select = parser.parse_args(["select", "--method", "ls", "--num-features", "1",
+                                "--input", "x.csv"])
+    kernel, train = KernelConfig(), TrainConfig()
+    assert (select.kernel, select.bandwidth, select.n_neighbors) == (
+        kernel.mode, kernel.bandwidth, kernel.n_neighbors)
+    assert (select.epochs, select.lr, select.seed) == (
+        train.epochs, train.learning_rate, train.seed)
+    synth = parser.parse_args(["synth", "--setup", "1", "--rho", "0.9", "--output", "x.csv"])
+    assert (synth.n, synth.seed) == (SynthSpec.n_samples, SynthSpec.seed)
+    bench = parser.parse_args(["bench"])
+    grid = {name: p.default
+            for name, p in inspect.signature(run_recovery_benchmark).parameters.items()}
+    assert (bench.reps, bench.seed, bench.n) == (grid["reps"], grid["seed"], grid["n_samples"])
+    assert bench.methods == ",".join(grid["methods"])
 
 
 def test_bench_writes_summary_and_reps(tmp_path, capsys, monkeypatch):

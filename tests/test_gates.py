@@ -68,7 +68,8 @@ def test_gate_state_validation():
         GateState(mu=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="finite"):
         GateState(mu=np.array([np.nan]))
-    for sigma in (0.0, math.inf, math.nan):
+    # 1e-320 is positive and finite, but its reciprocal overflows
+    for sigma in (0.0, math.inf, math.nan, 1e-320):
         with pytest.raises(ValueError, match="sigma"):
             GateState(mu=np.zeros(3), sigma=sigma)
     # the gate count follows mu and delta is a constant: neither is set
@@ -119,6 +120,13 @@ def test_open_prob_reference_points():
     assert abs(open_prob(GateState(mu=np.array([-0.5])))[0] - 0.5) < 1e-15
     # mu = 0, sigma = 0.5 -> Phi(1)
     assert abs(open_prob(GateState.fresh(1))[0] - 0.8413447460685429) < 1e-12
+
+
+def test_open_prob_where_the_gate_argument_overflows():
+    # (mu + 0.5) / sigma overflows to +-inf, where Phi is 1 or 0; the
+    # overflow is not a fault to warn about
+    state = GateState(mu=np.array([1e300, -1e300, -0.5]), sigma=1e-300)
+    assert open_prob(state).tolist() == [1.0, 0.0, 0.5]
 
 
 def test_open_prob_matches_scipy_ndtr():

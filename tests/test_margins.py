@@ -642,10 +642,12 @@ def _form_problems(draw):
     return X, u, F
 
 
-@given(_form_problems(), st.booleans(), st.sampled_from([0.5, 1.3, 40.0]))
-def test_laplacian_forms_match_dense_oracle(problem, root, t):
-    # K 1, K u and diag(F'VF), streamed over the weighted rows M at every
-    # block size, against the dense kernel of all n rows restricted to M
+@given(_form_problems(), st.sampled_from([0.5, 1.3, 40.0]))
+def test_laplacian_forms_match_dense_oracle(problem, t):
+    # at every block size: K 1, K u and diag(F'VF) of the margin kernel,
+    # streamed over the weighted rows M, against the dense root kernel of
+    # all n rows restricted to M; and K 1 and diag(F'KF) of the heat kernel
+    # over all n rows
     X, u, F = problem
     n = X.shape[0]
     D = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
@@ -653,23 +655,24 @@ def test_laplacian_forms_match_dense_oracle(problem, root, t):
     m = M.size
     event(f"weighted rows: {'every' if m == n else 'some'}")
     event(f"duplicated rows: {len(np.unique(X, axis=0)) < n}")
-    K = np.exp((np.sqrt(D) if root else D)[np.ix_(M, M)] / -t)
+    K = np.exp(np.sqrt(D)[np.ix_(M, M)] / -t)
+    H = np.exp(D / -t)
     u_M, F_M = u[M], F[M]
     V = K * (u_M[:, None] + u_M[None, :])
-    absF = np.abs(F_M)
-    centred = _centred(X[M], M)
-    for block in kernel_blocks(m):
+    absF = np.abs(F)
+    margin_rows, every_row = _centred(X[M], M), _centred(X)
+    for block in kernel_blocks(m, n):
         with patch.object(margins, "_KERNEL_BLOCK", block):
-            deg, Ku, q = _laplacian_forms(centred, F_M, t, root, u_M)
-            deg_K, none, q_K = _laplacian_forms(centred, F_M, t, root)
+            deg, Ku, q = _laplacian_forms(margin_rows, F_M, t, u_M)
+            deg_H, none, q_H = _laplacian_forms(every_row, F, t)
         assert none is None
         assert np.all(np.abs(deg - K.sum(axis=1)) <= 1e-12 * K.sum(axis=1))
-        assert np.array_equal(deg_K, deg)
         assert np.all(np.abs(Ku - K @ u_M) <= 1e-12 * (K @ u_M))
         assert np.all(np.abs(q - np.einsum("ij,ik,jk->k", V, F_M, F_M))
-                      <= 1e-12 * np.einsum("ij,ik,jk->k", V, absF, absF))
-        assert np.all(np.abs(q_K - np.einsum("ij,ik,jk->k", K, F_M, F_M))
-                      <= 1e-12 * np.einsum("ij,ik,jk->k", K, absF, absF))
+                      <= 1e-12 * np.einsum("ij,ik,jk->k", V, absF[M], absF[M]))
+        assert np.all(np.abs(deg_H - H.sum(axis=1)) <= 1e-12 * H.sum(axis=1))
+        assert np.all(np.abs(q_H - np.einsum("ij,ik,jk->k", H, F, F))
+                      <= 1e-12 * np.einsum("ij,ik,jk->k", H, absF, absF))
 
 
 def test_margin_kernel_without_weighted_rows_is_empty():
