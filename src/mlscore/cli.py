@@ -189,9 +189,13 @@ def cmd_select(args, parser) -> int:
                                  learning_rate=args.lr, seed=args.seed)
     ds, inputs = _load_for_scoring(args, parser)
     if args.num_features > ds.n_features:
-        parser.error(f"num-features {args.num_features} exceeds {ds.n_features} features")
-    report, trace = score_dataset(ds, args.method, margin_config, kernel_config,
-                                  train_config, sigma=args.sigma)
+        parser.error(
+            f"num-features {args.num_features} exceeds {ds.n_features} features"
+        )
+    report, trace = score_dataset(
+        ds, args.method, margin_config, kernel_config, train_config,
+        sigma=args.sigma,
+    )
     picked = select_top(report, args.num_features)
     _write_csv(out, ["rank", "feature", "score"],
                ([rank, ds.feature_names[idx], repr(float(report.scores[idx]))]
@@ -225,8 +229,10 @@ def cmd_synth(args, parser) -> int:
         ds = add_noise_features(ds, rng)
     out = Path(args.output)
     save_csv(ds, out)
-    _write_manifest(out, "synth", args, args.seed, {}, [out],
-                    extra={"marginal_columns": marginal_columns})
+    _write_manifest(
+        out, "synth", args, args.seed, {}, [out],
+        extra={"marginal_columns": marginal_columns},
+    )
     n_pos = int(ds.labels.sum())
     print(f"wrote {out} ({ds.n_samples} rows, {ds.n_features} features, "
           f"{n_pos} positives)")
@@ -235,8 +241,11 @@ def cmd_synth(args, parser) -> int:
 
 def cmd_validate_margin(args, parser) -> int:
     out = _check_outputs(args, parser, "margin-ks", "dump_margins")
-    quantiles = (_parse_list(args.quantiles, parser, float, "quantile")
-                 if args.quantiles else DEFAULT_KS_GRID)
+    quantiles = (
+        _parse_list(args.quantiles, parser, float, "quantile")
+        if args.quantiles
+        else DEFAULT_KS_GRID
+    )
     base = _margin_config(args, parser)
     # MarginConfig checks each entry of the list before the input is read
     for q in quantiles:
@@ -367,12 +376,11 @@ def _add_scoring_flags(sub) -> None:
                      help="score the raw values instead of standardized ones")
     sub.add_argument("--output", help="output CSV path")
     _add_margin_flags(sub)
-    kernel_defaults = KernelConfig()
-    sub.add_argument("--kernel", choices=KERNEL_MODES, default=kernel_defaults.mode,
+    sub.add_argument("--kernel", choices=KERNEL_MODES, default=KernelConfig.mode,
                      help="affinity kernel for the classic score")
-    sub.add_argument("--bandwidth", type=float, default=kernel_defaults.bandwidth,
+    sub.add_argument("--bandwidth", type=float, default=KernelConfig.bandwidth,
                      help="heat-kernel bandwidth (default: mean squared distance)")
-    sub.add_argument("--n-neighbors", type=int, default=kernel_defaults.n_neighbors,
+    sub.add_argument("--n-neighbors", type=int, default=KernelConfig.n_neighbors,
                      help="neighbor count for the binary-knn kernel")
 
 
@@ -382,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Margin-aware Laplacian feature scoring and selection",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    train_defaults = TrainConfig()
     subs = parser.add_subparsers(dest="command", required=True)
 
     score = subs.add_parser("score", help="score every feature of a CSV")
@@ -394,10 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scoring_flags(select)
     select.add_argument("--method", choices=METHODS, required=True)
     select.add_argument("--num-features", type=int, required=True)
-    select.add_argument("--epochs", type=int, default=train_defaults.epochs)
-    select.add_argument("--lr", type=float, default=train_defaults.learning_rate)
+    select.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    select.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     select.add_argument("--sigma", type=float, default=GateState.sigma)
-    select.add_argument("--seed", type=int, default=train_defaults.seed)
+    select.add_argument("--seed", type=int, default=TrainConfig.seed)
     select.set_defaults(func=functools.partial(cmd_select, parser=select))
 
     synth = subs.add_parser("synth", help="generate a benchmark dataset CSV")
@@ -431,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--methods", default=",".join(BENCH_METHODS))
     bench.add_argument("--n", type=int, default=SynthSpec.n_samples,
                        help="sample count of every draw")
-    bench.add_argument("--epochs", type=int, default=train_defaults.epochs,
+    bench.add_argument("--epochs", type=int, default=TrainConfig.epochs,
                        help="gate training epochs for dufs and dufs-mls")
     bench.add_argument("--setups",
                        default=",".join(str(s) for s in BENCH_SETUPS))

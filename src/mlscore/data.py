@@ -158,8 +158,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     body in runs of whole lines (``_body``), each parsed by NumPy's C parser
     (``np.loadtxt``) and kept where it must equal what ``csv.reader`` and
     ``float`` give. At the first run that might read otherwise (a blank
-    line, a quoted field still open at its end, a cell, or a line with a
-    quote, longer than ``csv.field_size_limit()``, ``1_000``, the separators
+    line, a quoted field still open at its end, a line longer than
+    ``csv.field_size_limit()``, ``1_000``, the separators
     ``\\x1c``-``\\x1f``, every bad row) ``_checked_rows`` takes over for
     that run and the rest of the input. It reads one ``csv.reader`` row at
     a time, in one pass that converts the row's cells and raises its first
@@ -244,12 +244,8 @@ def _c_table(lines: list[str], width: int, label_idx) -> np.ndarray | None:
     if sum(line.count('"') for line in lines if '"' in line) % 2:
         return None
     # np.loadtxt takes a cell of any length, csv.reader none longer than
-    # csv.field_size_limit(). A run it keeps holds one record per line, so
-    # only a line over the limit can hold such a cell; without quotes its
-    # cells are its comma-split parts
-    limit = csv.field_size_limit()
-    if any(len(line) > limit and ('"' in line or max(map(len, line.split(","))) > limit)
-           for line in lines):
+    # csv.field_size_limit(); a run it keeps holds one record per line
+    if max(map(len, lines)) > csv.field_size_limit():
         return None
     try:
         table = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)

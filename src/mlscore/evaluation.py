@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import DataError, Dataset, standardize
-from .gates import LOSS_VARIANTS, _SQRT_2PI, GateState, TrainConfig, TrainTrace, train
+from .gates import LOSS_VARIANTS, GateState, TrainConfig, TrainTrace, train
 from .margins import MarginConfig, build_margin_model
 from .scores import (
     SCORE_METHODS,
@@ -33,6 +33,7 @@ BENCH_REPS = 100
 BENCH_METHODS = ("mls", "ls")
 BENCH_SEED = 0
 METHODS = SCORE_METHODS + LOSS_VARIANTS
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass

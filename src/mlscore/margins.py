@@ -78,10 +78,11 @@ class MarginConfig:
 
 
 def _check_scale(name: str, t: float) -> None:
-    """Raise the ValueError for a kernel scale t (a bandwidth or a
-    temperature) that is not positive with a finite reciprocal: a kernel
-    multiplies its distances by -1/t, and -inf makes 0 x -inf on the
-    diagonal a NaN."""
+    """Raise the ValueError for a scale t (a kernel bandwidth or
+    temperature, or the gate noise sigma) that is not positive with a
+    finite reciprocal. Each use multiplies by 1/t: a kernel multiplies its
+    distances by -1/t, where -inf makes 0 x -inf on the diagonal a NaN, and
+    the gates divide their means and their density by sigma."""
     if not 0.0 < t < math.inf or 1.0 / float(t) == math.inf:
         raise ValueError(f"{name} must be positive with a finite reciprocal, got {t}")
 
@@ -407,10 +408,7 @@ def _laplacian_forms(
     """
     n = centred.aug.shape[0]
     d = F.shape[1]
-    ones_u = np.zeros((n, 2))
-    ones_u[:, 0] = 1.0
-    if u is not None:
-        ones_u[:, 1] = u
+    ones_u = np.column_stack((np.ones(n), np.zeros(n) if u is None else u))
     sums = np.zeros((2, n))
     q = np.zeros(d)
     # one buffer holds in turn a block's left operand, its u_i + u_j

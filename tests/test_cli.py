@@ -1,6 +1,5 @@
 import csv
 import hashlib
-import inspect
 import json
 import os
 import subprocess
@@ -19,8 +18,6 @@ from mlscore.data import load_csv, standardize
 from mlscore.evaluation import run_recovery_benchmark
 from mlscore.gates import TrainConfig
 from mlscore.margins import MarginConfig, build_margin_model
-from mlscore.scores import KernelConfig
-from mlscore.synth import SynthSpec
 
 
 @pytest.fixture
@@ -864,24 +861,6 @@ def test_manifest_records_blas_thread_settings(labeled_csv, tmp_path, monkeypatc
 
 
 # -------------------------------------------------------------------- bench
-
-
-def test_flag_defaults_are_the_library_defaults():
-    parser = cli.build_parser()
-    select = parser.parse_args(["select", "--method", "ls", "--num-features", "1",
-                                "--input", "x.csv"])
-    kernel, train = KernelConfig(), TrainConfig()
-    assert (select.kernel, select.bandwidth, select.n_neighbors) == (
-        kernel.mode, kernel.bandwidth, kernel.n_neighbors)
-    assert (select.epochs, select.lr, select.seed) == (
-        train.epochs, train.learning_rate, train.seed)
-    synth = parser.parse_args(["synth", "--setup", "1", "--rho", "0.9", "--output", "x.csv"])
-    assert (synth.n, synth.seed) == (SynthSpec.n_samples, SynthSpec.seed)
-    bench = parser.parse_args(["bench"])
-    grid = {name: p.default
-            for name, p in inspect.signature(run_recovery_benchmark).parameters.items()}
-    assert (bench.reps, bench.seed, bench.n) == (grid["reps"], grid["seed"], grid["n_samples"])
-    assert bench.methods == ",".join(grid["methods"])
 
 
 def test_bench_writes_summary_and_reps(tmp_path, capsys, monkeypatch):

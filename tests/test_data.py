@@ -461,32 +461,6 @@ def test_load_csv_cell_over_field_limit_is_a_data_error(tmp_path, first, want):
     assert str(info.value) == f"{path}: {want}"
 
 
-@pytest.mark.parametrize("quoted", [False, True])
-def test_load_csv_lines_over_field_limit_take_the_c_parser(tmp_path, rng, quoted):
-    # each line of 8000 repr cells is longer than csv.field_size_limit(),
-    # which bounds a cell, not a line: np.loadtxt takes every run, unless a
-    # quote in the line may join cells into one over the limit
-    X = rng.standard_normal((4, 8000))
-    names = [f"f{j}" for j in range(X.shape[1])]
-    path = tmp_path / "wide.csv"
-    save_csv(Dataset(values=X, feature_names=names, labels=[0, 1, 1, 0]), path)
-    lines = path.read_bytes().split(b"\r\n")
-    assert min(map(len, lines[1:-1])) > csv.field_size_limit()
-    if quoted:
-        lines[3] = b'"' + lines[3].replace(b",", b'",', 1)
-        path.write_bytes(b"\r\n".join(lines))
-    with _c_tables() as tables:
-        got = load_csv(path, "label")
-    # a run per line, as each line is longer than data._CHUNK_CHARS
-    assert len(tables) == (3 if quoted else 4)
-    assert all(t is not None for t in tables[:2]) and (tables[-1] is None) == quoted
-    want = _reference_load(path, "label")
-    assert got.values.tobytes() == want.values.tobytes()
-    assert got.labels.tobytes() == want.labels.tobytes()
-    assert got.feature_names == want.feature_names
-    assert got.source_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def test_load_csv_header_cell_over_field_limit_is_a_data_error(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text(f"a,{'b' * 140001}\n1,2\n3,4\n")
